@@ -21,6 +21,7 @@ from hcov.permgroup import (
     Subgroup,
     cycle_string,
     generates,
+    schreier_orbit,
 )
 
 logger = logging.getLogger("hcov")
@@ -525,31 +526,13 @@ class RamificationProfile:
         return R
 
 
-def _vertex_stabilizer_order(action: GraphAction, v) -> int:
-    """|Stab(v)| via Schreier generators of the vertex orbit."""
-    gens = action.group.generators
-    ident = action.group.identity
-    transversal = {v: ident}
-    frontier = [v]
-    schreier = []
-    while frontier:
-        u = frontier.pop(0)
-        pu = transversal[u]
-        for i, g in enumerate(gens):
-            w = action.vertex_images[i][u]
-            pw = perm_mul(g, pu)
-            if w not in transversal:
-                transversal[w] = pw
-                frontier.append(w)
-            else:
-                s = perm_mul(perm_inv(transversal[w]), pw)
-                if s != ident:
-                    schreier.append(s)
-    order = action.group.order()
-    stab = (
-        StabilizerChain(action.group.degree, schreier).order() if schreier else 1
+def _vertex_stabilizer_order(action: GraphAction, v) -> tuple[int, set]:
+    """(|Stab(v)|, orbit of v) via Schreier generators of the vertex orbit."""
+    transversal, schreier = schreier_orbit(
+        v, action.vertex_images, action.group.generators, action.group.identity
     )
-    if stab * len(transversal) != order:
+    stab = StabilizerChain(action.group.degree, schreier).order()
+    if stab * len(transversal) != action.group.order():
         raise CoverError("orbit-stabilizer bookkeeping failed")
     return stab, set(transversal)
 
@@ -593,31 +576,14 @@ def decomposition_group(c: HarmonicCover, y) -> Subgroup:
     x = c.projection.vertex_map[y]
     sub = c.fiber_subgraph(x)
     comps = sub.connected_components()
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    gens = c.group.generators
-    ident = c.group.identity
-    start = comp_of[y]
-    transversal = {start: ident}
-    frontier = [start]
-    schreier = []
-    while frontier:
-        ci = frontier.pop(0)
-        u = transversal[ci]
-        rep_vertex = comps[ci][0]
-        for i, g in enumerate(gens):
-            target = comp_of[c.action.vertex_images[i][rep_vertex]]
-            w = perm_mul(g, u)
-            if target not in transversal:
-                transversal[target] = w
-                frontier.append(target)
-            else:
-                s = perm_mul(perm_inv(transversal[target]), w)
-                if s != ident:
-                    schreier.append(s)
-    delta = c.group.subgroup(sorted(set(schreier)), name=f"Delta({y})")
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    comp_maps = [
+        [comp_of[vm[comp[0]]] for comp in comps] for vm in c.action.vertex_images
+    ]
+    transversal, schreier = schreier_orbit(
+        comp_of[y], comp_maps, c.group.generators, c.group.identity
+    )
+    delta = c.group.subgroup(sorted(schreier), name=f"Delta({y})")
     if delta.order() * len(transversal) != c.group.order():
         raise CoverError("decomposition group order check failed")
     m, _ = _vertex_stabilizer_order(c.action, y)

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 from hcov.errors import ActionError, MorphismError
 from hcov.kernel import perm_inv, perm_mul, perm_order
 from hcov.multigraph import Dart, GraphMorphism, Multigraph
-from hcov.permgroup import PermutationGroup, StabilizerChain, Subgroup, group_from_spec
+from hcov.permgroup import (
+    PermutationGroup,
+    StabilizerChain,
+    Subgroup,
+    group_from_spec,
+    schreier_orbit,
+)
 
 
 def _apply_word(word, maps, inv_maps, x):
@@ -27,10 +33,14 @@ class GraphAction:
     """A group acting by automorphisms on a multigraph.
 
     vertex_images/edge_images hold one dict per group generator. The
-    constructor verifies that the generator images define a genuine action
-    (well-definedness is checked exactly, at any group order, by comparing
-    the order of the extended permutation group with |G|) and that the
-    action is faithful on every connected component.
+    constructor verifies, exactly and at any group order, that the generator
+    images define a genuine action and that it is faithful on every
+    connected component. Both checks work in the extended permutation group
+    on group block + vertices + edges. Well-definedness compares its order
+    with |G| on a chain whose base lies in the group block. Faithfulness
+    looks for a kernel element inside one vertex or edge stabilizer only,
+    lifted to the extended degree, on a chain whose base prefers the
+    action block.
     """
 
     def __init__(
@@ -99,13 +109,12 @@ class GraphAction:
             self._act_gens.append(act)
 
     def _validate_action(self):
-        # one chain answers both questions: |<ext>| = |G| makes the generator
-        # images a genuine homomorphism, and with base points preferred in
-        # the action block, a base point inside the group block exposes a
-        # nontrivial kernel (an element acting trivially)
+        # well-definedness: |<ext>| = |G| makes the generator images a genuine
+        # homomorphism; the default base takes points from the group block
+        # first, so the transversals have group-sized orbits
         order = self.group.order()
         n = self.group.degree
-        chain = StabilizerChain(self._ext_degree, self._ext_gens, prefer_points_from=n)
+        chain = StabilizerChain(self._ext_degree, self._ext_gens)
         ext_order = chain.order()
         if ext_order != order:
             raise ActionError(
@@ -114,70 +123,75 @@ class GraphAction:
             )
         if not self.require_faithful:
             return
-        if any(lv.point < n for lv in chain.levels):
+        # faithfulness: the kernel lies in every point stabilizer, so one
+        # suffices; in its chain with base points preferred in the action
+        # block, a base point inside the group block exposes a nontrivial
+        # kernel (an element acting trivially)
+        lifted = [self._lift(chain, g) for g in self._point_stabilizer_generators()]
+        stab_chain = StabilizerChain(self._ext_degree, lifted, prefer_points_from=n)
+        if any(lv.point < n for lv in stab_chain.levels):
             raise ActionError("action is not faithful: a non-identity element acts trivially")
-        if len(self.graph.connected_components()) > 1:
-            self._check_componentwise_faithful()
+        comps = self.graph.connected_components()
+        if len(comps) > 1:
+            self._check_componentwise_faithful(comps)
 
-    def _check_componentwise_faithful(self):
+    def _point_stabilizer_generators(self):
+        """Generators of the stabilizer of the least vertex or of the least
+        edge, whichever has the larger orbit (so the smaller stabilizer);
+        those of the whole group when the graph is empty."""
+        starts = [s for s, block in ((0, self._vpos), (len(self._vpos), self._epos)) if block]
+        if not starts:
+            return self.group.generators
+        orbits = [
+            schreier_orbit(s, self._act_gens, self.group.generators, self.group.identity)
+            for s in starts
+        ]
+        _, schreier = max(orbits, key=lambda orbit: len(orbit[0]))
+        chain = StabilizerChain(self.group.degree, schreier)
+        # the first level's generators generate the whole stabilizer
+        return [g for g, _ in chain.levels[0].gens] if chain.levels else []
+
+    def _lift(self, chain, g):
+        """The extended element whose group part is the member g, as a product
+        of the well-definedness chain's transversal elements (all of that
+        chain's base points lie in the group block)."""
+        n = self.group.degree
+        ext = tuple(range(self._ext_degree))
+        for lv in chain.levels:
+            u = lv.transversal[g[lv.point]][0]
+            g = perm_mul(perm_inv(u[:n]), g)
+            ext = perm_mul(ext, u)
+        return ext
+
+    def _check_componentwise_faithful(self, comps):
         """Def-2.3 faithfulness: the setwise stabilizer of every connected
         component must act faithfully on that component."""
-        comps = self.graph.connected_components()
-        if not comps:
-            return
-        cidx = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                cidx[v] = ci
-        n = self.group.degree
+        cidx = {v: ci for ci, comp in enumerate(comps) for v in comp}
+        comp_maps = [
+            [cidx[vm[comp[0]]] for comp in comps] for vm in self.vertex_images
+        ]
+        comp_coords = [[self._vpos[v] for v in comp] for comp in comps]
+        for e, (u, _) in self.graph.edges.items():
+            comp_coords[cidx[u]].append(self._epos[e])
         ident = tuple(range(self._ext_degree))
+        order = self.group.order()
         seen = set()
         for ci, comp in enumerate(comps):
             if ci in seen:
                 continue
             # orbit of the component, with extended transversal elements
-            transversal = {ci: ident}
-            frontier = [ci]
-            schreier = []
-            while frontier:
-                c = frontier.pop(0)
-                u = transversal[c]
-                rep_vertex_pos = self._vpos[comps[c][0]]
-                for ext in self._ext_gens:
-                    image_pos = ext[rep_vertex_pos]
-                    target = cidx[self._pos_vertex(image_pos)]
-                    w = perm_mul(ext, u)
-                    if target not in transversal:
-                        transversal[target] = w
-                        frontier.append(target)
-                    else:
-                        s = perm_mul(perm_inv(transversal[target]), w)
-                        if s != ident:
-                            schreier.append(s)
+            transversal, schreier = schreier_orbit(ci, comp_maps, self._ext_gens, ident)
             seen.update(transversal)
-            stab_order = self.group.order() // len(transversal)
-            coords = sorted(
-                [self._vpos[v] for v in comps[ci]]
-                + [
-                    self._epos[e]
-                    for e in self.graph.edges
-                    if self.graph.ends(e)[0] in set(comps[ci])
-                ]
-            )
+            stab_order = order // len(transversal)
+            coords = sorted(comp_coords[ci])
             pos_of = {c: i for i, c in enumerate(coords)}
             restricted = [tuple(pos_of[s[c]] for c in coords) for s in schreier]
-            image_order = (
-                StabilizerChain(len(coords), restricted).order() if restricted else 1
-            )
+            image_order = StabilizerChain(len(coords), restricted).order()
             if image_order != stab_order:
                 raise ActionError(
-                    f"action is not faithful on the component of vertex {comps[ci][0]}:"
+                    f"action is not faithful on the component of vertex {comp[0]}:"
                     f" stabilizer order {stab_order}, image order {image_order}"
                 )
-
-    def _pos_vertex(self, pos):
-        vs = sorted(self._vpos, key=self._vpos.get)
-        return vs[pos - self.group.degree]
 
     # -- applying elements -------------------------------------------------
 
@@ -548,8 +562,8 @@ def unflip(a: GraphAction) -> GraphAction:
         raise ActionError("unflip produced a non-harmonic action")
     if flipped_edges(out):
         raise ActionError("unflip left flipped edges behind")
-    if graph.is_connected():
-        assert new_graph.genus() == graph.genus() + len(flipped)
+    if graph.is_connected() and new_graph.genus() != graph.genus() + len(flipped):
+        raise ActionError("unflip did not add one to the genus per flipped edge")
     return out
 
 

@@ -9,6 +9,7 @@ flipped and |G| = 6(genus - 1).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 from hcov.errors import CatalogError, CoverError, GroupError
@@ -32,6 +33,8 @@ from hcov.permgroup import (
     search_23_pairs,
     symmetric,
 )
+
+logger = logging.getLogger("hcov")
 
 
 class MaximalCover:
@@ -223,8 +226,9 @@ def _map_maybe_parallel(fn, items, jobs):
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 return list(pool.map(fn, items))
-        except Exception:
-            pass  # fall back to serial; results are identical
+        except Exception as exc:
+            # results are identical either way; say why the pool was dropped
+            logger.warning("parallel map with %d jobs failed (%r); running serially", jobs, exc)
     return [fn(item) for item in items]
 
 

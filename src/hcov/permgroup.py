@@ -8,6 +8,7 @@ Groups act on the left throughout the package.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 from hcov.errors import CatalogError, GroupError
@@ -96,9 +97,14 @@ class _Level:
 class StabilizerChain:
     """Incremental deterministic Schreier-Sims over tuple permutations.
 
-    prefer_points_from biases base-point selection to coordinates >= that
-    offset while any of them is moved; callers use it to read the pointwise
-    stabilizer of a coordinate block off the chain structure.
+    Base points are the least moved point by default. prefer_points_from
+    biases the choice to coordinates >= that offset while any of them is
+    moved; callers use it to read the pointwise stabilizer of a coordinate
+    block off the chain structure: the pointwise stabilizer of the points
+    >= the offset is nontrivial iff some level's point lies below it. On a
+    group acting on a large block, that puts a block-sized orbit at the top
+    level, so GraphAction asks this question of one point stabilizer only,
+    and checks well-definedness on a chain with the default base.
     """
 
     def __init__(self, degree, generators=(), track_words=False, prefer_points_from=None):
@@ -211,6 +217,42 @@ class StabilizerChain:
         if g != ident:
             raise GroupError("element is not a member")
         return tuple(word)
+
+
+# -- orbits -----------------------------------------------------------------
+
+
+def schreier_orbit(point, actions, labels, identity):
+    """Orbit of `point` by breadth-first search, with a transversal and the
+    Schreier generators of its stabilizer.
+
+    Generator i sends a point x to actions[i][x] (a tuple or a dict) and
+    carries the permutation labels[i]. Returns (transversal, schreier):
+    transversal maps each orbit point x to the label product u_x that sends
+    `point` to x, and schreier lists, without repeats and in the order found,
+    the non-identity u_y^-1 * labels[i] * u_x with y = actions[i][x]. When
+    the labels act as the generators do, these generate the stabilizer.
+    """
+    transversal = {point: identity}
+    inverses = {}
+    schreier = {}
+    frontier = deque([point])
+    while frontier:
+        x = frontier.popleft()
+        u = transversal[x]
+        for act, g in zip(actions, labels):
+            y = act[x]
+            w = perm_mul(g, u)
+            t = transversal.get(y)
+            if t is None:
+                transversal[y] = w
+                frontier.append(y)
+            elif t != w:
+                t_inv = inverses.get(y)
+                if t_inv is None:
+                    t_inv = inverses[y] = perm_inv(t)
+                schreier[perm_mul(t_inv, w)] = None
+    return transversal, list(schreier)
 
 
 # -- groups -----------------------------------------------------------------

@@ -207,6 +207,20 @@ def test_surface_check44(capsys):
     assert payload["surface_genus"] == 3
 
 
+def test_surface_check44_hurwitz_psl2_29(capsys):
+    # PSL(2,29) with |tau*sigma| = 7: the genus 1 + |G|/84 Hurwitz surface
+    code, out, _ = run(
+        capsys,
+        "surface", "check44", "--group", "psl2:29", "--product-order", "7", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 12180
+    assert payload["L"] == 1740
+    assert payload["surface_genus"] == 146
+    assert payload["holds"] is True
+
+
 def test_hc_catalog_env_var(capsys, tmp_path, monkeypatch):
     # a catalog with a bad fingerprint is rejected when HC_CATALOG points at it
     bad = tmp_path / "cat.json"

@@ -1,10 +1,16 @@
 import json
 import random
+from contextlib import contextmanager
+from importlib.resources import files
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_figure
 from hcov.errors import ActionError
+from hcov.galois import SymmetricMultiset, cayley, cover_from_spec
 from hcov.harmonic import (
     GraphAction,
     flip_all,
@@ -15,9 +21,17 @@ from hcov.harmonic import (
     quotient,
     unflip,
 )
-from hcov.kernel import perm_mul
+from hcov.kernel import mulclose, perm_mul
+from hcov.maximal import build_maximal
 from hcov.multigraph import Multigraph, are_isomorphic, is_harmonic, morphism_degree
-from hcov.permgroup import cyclic, direct_product, perm_from_cycles
+from hcov.permgroup import (
+    StabilizerChain,
+    cyclic,
+    direct_product,
+    perm_from_cycles,
+    search_23_pairs,
+    symmetric,
+)
 
 
 def fig2_action():
@@ -261,3 +275,200 @@ def test_action_json_round_trip(catalog):
     assert again.graph == a.graph
     assert again.vertex_images == a.vertex_images
     assert again.edge_images == a.edge_images
+
+
+# -- differential oracle: validation on one action-block chain -----------------
+
+
+def _oracle_kind(group, graph, vertex_images, edge_images, require_faithful=True):
+    """Verdict of validating on the whole extended group, computed apart from
+    GraphAction: None (valid), "action", "faithful" or "component".
+
+    Well-definedness and global faithfulness come from one chain whose base
+    points are preferred in the action block; faithfulness on components
+    from a search over every element of the extended group.
+    """
+    n = group.degree
+    vs, es = sorted(graph.vertices), sorted(graph.edges)
+    pos = {("v", v): n + i for i, v in enumerate(vs)}
+    pos.update({("e", e): n + len(vs) + i for i, e in enumerate(es)})
+    ext_gens = [
+        g
+        + tuple(pos["v", vm[v]] for v in vs)
+        + tuple(pos["e", em[e]] for e in es)
+        for g, vm, em in zip(group.generators, vertex_images, edge_images)
+    ]
+    degree = n + len(vs) + len(es)
+    chain = StabilizerChain(degree, ext_gens, prefer_points_from=n)
+    if chain.order() != group.order():
+        return "action"
+    if not require_faithful:
+        return None
+    if any(lv.point < n for lv in chain.levels):
+        return "faithful"
+    comps = graph.connected_components()
+    if len(comps) > 1:
+        blocks = [
+            [pos["v", v] for v in comp]
+            + [pos["e", e] for e in es if graph.ends(e)[0] in comp]
+            for comp in comps
+        ]
+        ident = tuple(range(degree))
+        for x in mulclose(ext_gens):
+            if x != ident and any(all(x[c] == c for c in b) for b in blocks):
+                return "component"
+    return None
+
+
+def _error_kind(err):
+    msg = str(err)
+    for key, kind in (
+        ("not faithful on the component", "component"),
+        ("not faithful", "faithful"),
+        ("do not define an action", "action"),
+    ):
+        if key in msg:
+            return kind
+    raise AssertionError(f"unexpected validation error: {msg}")
+
+
+@contextmanager
+def _differential():
+    """Check every GraphAction validated inside the block against the oracle;
+    yields the list of verdicts seen."""
+    verdicts = []
+    validate = GraphAction._validate_action
+
+    def checked(self):
+        expected = _oracle_kind(
+            self.group, self.graph, self.vertex_images, self.edge_images,
+            self.require_faithful,
+        )
+        try:
+            validate(self)
+        except ActionError as err:
+            verdicts.append(_error_kind(err))
+            assert verdicts[-1] == expected
+            raise
+        verdicts.append(None)
+        assert expected is None
+
+    with mock.patch.object(GraphAction, "_validate_action", checked):
+        yield verdicts
+
+
+FIGURE_NAMES = sorted(
+    p.name for p in files("hcov").joinpath("data/figures").iterdir() if p.name.endswith(".json")
+)
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_validation_matches_oracle_on_figures(name, catalog):
+    data = load_figure(name)
+    with _differential() as verdicts:
+        if "vertex_images" in data:
+            a = GraphAction.from_json(data, catalog)
+            if is_harmonic_action(a):
+                flip_all(unflip(a))
+        elif "multisets" in data:
+            cover_from_spec(data, catalog)
+    if "source" in data:
+        assert not verdicts  # a graph morphism: no action to validate
+    else:
+        assert verdicts and None in verdicts
+
+
+def test_validation_matches_oracle_on_maximal_covers(catalog):
+    with _differential() as verdicts:
+        for G in catalog.groups:
+            if G.order() > 60:
+                continue
+            for tau, sigma in search_23_pairs(G).pairs:
+                unflip(build_maximal(G, tau, sigma).action)
+    assert len(verdicts) > 40 and set(verdicts) == {None}
+
+
+THETA = Multigraph([1, 2], [(1, (1, 2)), (2, (1, 2)), (3, (1, 2))])
+TWO_THETAS = Multigraph(
+    [1, 2, 3, 4],
+    [(1, (1, 2)), (2, (1, 2)), (3, (1, 2)), (4, (3, 4)), (5, (3, 4)), (6, (3, 4))],
+)
+V4 = direct_product(cyclic(2), cyclic(2))
+
+
+@pytest.mark.parametrize(
+    "group, graph, vmaps, emaps, kind",
+    [
+        (cyclic(2), THETA, [{1: 2, 2: 1}], [{1: 1, 2: 2, 3: 3}], None),
+        (cyclic(2), THETA, [{1: 1, 2: 2}], [{1: 2, 2: 3, 3: 1}], "action"),
+        (cyclic(2), THETA, [{1: 1, 2: 2}], [{1: 1, 2: 2, 3: 3}], "faithful"),
+        (
+            V4, TWO_THETAS,
+            [{1: 2, 2: 1, 3: 3, 4: 4}, {1: 1, 2: 2, 3: 4, 4: 3}],
+            [{e: e for e in range(1, 7)}] * 2,
+            "component",
+        ),
+        (cyclic(1), Multigraph([], []), [], [], None),
+        (cyclic(2), Multigraph([], []), [{}], [{}], "faithful"),
+        (cyclic(2), Multigraph([0, 1], []), [{0: 1, 1: 0}], [{}], None),
+    ],
+)
+def test_validation_verdict_kinds(group, graph, vmaps, emaps, kind):
+    with _differential() as verdicts:
+        try:
+            GraphAction(group, graph, vmaps, emaps)
+        except ActionError:
+            pass
+    assert verdicts == [kind]
+
+
+@pytest.fixture(scope="module")
+def perturbation_bases(catalog):
+    """Small actions with parallel edges, connected and not."""
+    tau = perm_from_cycles([(0, 1)], 3)
+    sigma = perm_from_cycles([(0, 1, 2)], 3)
+    actions = [
+        fig2_action(),
+        fig3_z6_action(),
+        fig3_s3_action(catalog),
+        unflip(build_maximal(symmetric(3), tau, sigma).action),
+        cayley(symmetric(3), SymmetricMultiset([(tau, 2)])).action,
+        cayley(cyclic(4), SymmetricMultiset([((2, 3, 0, 1), 2)])).action,
+    ]
+    return [(a.group, a.graph, a.vertex_images, a.edge_images) for a in actions] + [
+        (cyclic(2), THETA, [{1: 2, 2: 1}], [{1: 1, 2: 2, 3: 3}]),
+        (
+            V4, TWO_THETAS,
+            [{1: 2, 2: 1, 3: 3, 4: 4}, {1: 1, 2: 2, 3: 4, 4: 3}],
+            [{e: e for e in range(1, 7)}] * 2,
+        ),
+        (
+            cyclic(2), TWO_THETAS,
+            [{1: 3, 2: 4, 3: 1, 4: 2}],
+            [{1: 4, 2: 5, 3: 6, 4: 1, 5: 2, 6: 3}],
+        ),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validation_matches_oracle_on_perturbed_edge_images(data, perturbation_bases):
+    # permuting each generator's edge images within classes of parallel edges
+    # keeps every endpoint valid but may break the homomorphism or faithfulness
+    bases = perturbation_bases
+    group, graph, vmaps, emaps = bases[data.draw(st.integers(0, len(bases) - 1))]
+    classes = {}
+    for e in sorted(graph.edges):
+        classes.setdefault(tuple(sorted(graph.ends(e))), []).append(e)
+    new_emaps = []
+    for em in emaps:
+        shuffle = {}
+        for cls in classes.values():
+            shuffle.update(zip(cls, data.draw(st.permutations(cls))))
+        new_emaps.append({e: shuffle[f] for e, f in em.items()})
+    with _differential() as verdicts:
+        try:
+            GraphAction(group, graph, vmaps, new_emaps)
+        except ActionError:
+            pass
+    assert len(verdicts) == 1

@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hcov.galois import classify_branch_locus, cover_from_spec, riemann_hurwitz_
 from hcov.harmonic import flipped_edges, is_harmonic_action
 from hcov.kernel import perm_order, perm_pow
 from hcov.maximal import (
+    _map_maybe_parallel,
     build_maximal,
     build_maximal_rho,
     classification_table,
@@ -292,3 +294,12 @@ def test_edge_stabilizers_bounded_on_catalog_covers(catalog):
             mc = build_maximal(G, *res.pairs[0])
             for orbit in mc.action.edge_orbits():
                 assert G.order() // len(orbit.transversal) in (1, 2)
+
+
+def test_parallel_fallback_is_logged(caplog):
+    # a lambda cannot be pickled, so the process pool fails and the map
+    # falls back to serial with a warning that names the exception
+    with caplog.at_level(logging.WARNING, logger="hcov"):
+        assert _map_maybe_parallel(lambda x: x + 1, [1, 2, 3], 2) == [2, 3, 4]
+    messages = [r.getMessage() for r in caplog.records if r.name == "hcov"]
+    assert any("running serially" in m and "pickle" in m for m in messages)
