@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from hcov.errors import HcError
 from hcov import galois, harmonic, maximal, multigraph, oriented, permgroup
@@ -25,12 +24,6 @@ class CommandResult:
     payload: dict
     diagnostics: list = field(default_factory=list)
     text: str = ""
-
-
-def _fmt(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
 
 
 # -- shared argument helpers -------------------------------------------------
@@ -58,9 +51,17 @@ def resolve_group(spec: str, args) -> permgroup.PermutationGroup:
     if os.path.exists(spec):
         with open(spec) as fh:
             return permgroup.group_from_spec(json.load(fh))
-    if spec.lower().startswith("psl2:"):
-        return permgroup.psl2(int(spec.split(":", 1)[1]), allow_large=args.allow_large_psl2)
-    return permgroup.group_from_spec(spec, load_catalog_arg(args))
+    if spec.lower().startswith("psl2:"):  # no catalog needed
+        return permgroup.group_from_spec(spec, allow_large_psl2=args.allow_large_psl2)
+    return permgroup.group_from_spec(
+        spec, load_catalog_arg(args), allow_large_psl2=args.allow_large_psl2
+    )
+
+
+def check_positive(flag: str, *values):
+    for value in values:
+        if value is not None and value < 1:
+            raise HcError(f"{flag} must be at least 1, got {value}")
 
 
 def parse_pair(text: str, degree: int):
@@ -135,8 +136,10 @@ def cmd_group_cosets(args):
 
 
 def cmd_group_search(args):
-    G = resolve_group(args.group, args)
     a, b = args.orders
+    check_positive("--orders", a, b)
+    check_positive("--product-order", args.product_order)
+    G = resolve_group(args.group, args)
     res = permgroup.search_pairs(G, a, b, args.product_order, args.all)
     payload = {
         "group": G.name,
@@ -306,6 +309,7 @@ def _pick_pair(G, args):
     if getattr(args, "pair", None):
         tau, sigma = parse_pair(args.pair, G.degree)
         return tau, sigma
+    check_positive("--product-order", args.product_order)
     res = permgroup.search_23_pairs(G, product_order=args.product_order)
     if not res.pairs:
         raise HcError(f"{G.name} has no (2,3)-generating pair"

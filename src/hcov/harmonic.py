@@ -198,12 +198,6 @@ class GraphAction:
     def generator_count(self) -> int:
         return len(self.group.generators)
 
-    def apply_gen_vertex(self, i: int, v, inverse=False):
-        return (self.inverse_vertex_images if inverse else self.vertex_images)[i][v]
-
-    def apply_gen_edge(self, i: int, e, inverse=False):
-        return (self.inverse_edge_images if inverse else self.edge_images)[i][e]
-
     def element_action(self, g) -> tuple[dict, dict]:
         """(vertex map, edge map) of an arbitrary group member."""
         g = tuple(g)
@@ -215,12 +209,6 @@ class GraphAction:
                   for e in self.graph.edges}
             self._element_cache[g] = (vm, em)
         return self._element_cache[g]
-
-    def act_vertex(self, g, v):
-        return self.element_action(g)[0][v]
-
-    def act_edge(self, g, e):
-        return self.element_action(g)[1][e]
 
     def act_dart(self, g, d: Dart) -> Dart:
         vm, em = self.element_action(g)

@@ -71,9 +71,6 @@ class Multigraph:
     def edges(self) -> dict[int, tuple[int, int]]:
         return dict(self._edges)
 
-    def edge_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._edges))
-
     def ends(self, eid: int) -> tuple[int, int]:
         return self._edges[eid]
 
@@ -146,12 +143,6 @@ class Multigraph:
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1 and len(self._vertices) > 0
-
-    def component_of(self, v: int) -> list[int]:
-        for comp in self.connected_components():
-            if v in comp:
-                return comp
-        raise GraphError(f"unknown vertex {v}")
 
     def genus(self) -> int:
         """First Betti number |E| - |V| + 1; requires a connected graph."""

@@ -8,6 +8,7 @@ Groups act on the left throughout the package.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -226,15 +227,15 @@ def schreier_orbit(point, actions, labels, identity):
     """Orbit of `point` by breadth-first search, with a transversal and the
     Schreier generators of its stabilizer.
 
-    Generator i sends a point x to actions[i][x] (a tuple or a dict) and
-    carries the permutation labels[i]. Returns (transversal, schreier):
-    transversal maps each orbit point x to the label product u_x that sends
-    `point` to x, and schreier lists, without repeats and in the order found,
-    the non-identity u_y^-1 * labels[i] * u_x with y = actions[i][x]. When
-    the labels act as the generators do, these generate the stabilizer.
+    Generator i sends a point x to actions[i][x] (a tuple, a dict or any
+    indexable object) and carries the permutation labels[i]. Returns
+    (transversal, schreier): transversal maps each orbit point x to the label
+    product u_x that sends `point` to x, and schreier lists, without repeats
+    and in the order found, the non-identity u_y^-1 * labels[i] * u_x with
+    y = actions[i][x]. When the labels act as the generators do, these
+    generate the stabilizer.
     """
     transversal = {point: identity}
-    inverses = {}
     schreier = {}
     frontier = deque([point])
     while frontier:
@@ -248,10 +249,7 @@ def schreier_orbit(point, actions, labels, identity):
                 transversal[y] = w
                 frontier.append(y)
             elif t != w:
-                t_inv = inverses.get(y)
-                if t_inv is None:
-                    t_inv = inverses[y] = perm_inv(t)
-                schreier[perm_mul(t_inv, w)] = None
+                schreier[perm_mul(perm_inv(t), w)] = None
     return transversal, list(schreier)
 
 
@@ -367,15 +365,6 @@ def generates(G: PermutationGroup, elems) -> bool:
 # -- cosets -----------------------------------------------------------------
 
 
-def coset_representative(g, H: PermutationGroup) -> tuple:
-    """Lexicographically minimal element of the left coset gH."""
-    return min(perm_mul(g, h) for h in H.elements())
-
-
-def same_left_coset(H: PermutationGroup, a, b) -> bool:
-    return H.contains(perm_mul(perm_inv(tuple(a)), tuple(b)))
-
-
 def left_cosets(G: PermutationGroup, H: Subgroup) -> list[tuple]:
     """Canonical representatives of the left cosets G/H, sorted.
 
@@ -407,6 +396,12 @@ class PairSearch:
     pairs holds one (tau, sigma) per involution-class representative and
     order-3 element found; total counts all pairs over full involution
     orbits (class size times per-representative hits).
+
+    The search tests generation once per orbit of sigma under conjugation by
+    the centralizer C_G(tau), not once per sigma: for c in C_G(tau),
+    <tau, c sigma c^-1> = c <tau, sigma> c^-1 and |tau c sigma c^-1| =
+    |tau sigma|, so the verdict and the product-order filter are constant on
+    each orbit.
     """
 
     group: str
@@ -419,23 +414,80 @@ class PairSearch:
         return bool(self.pairs)
 
 
-def element_class_representatives(G: PermutationGroup, k: int) -> list[tuple[tuple, int]]:
-    """(representative, class size) per conjugacy class of order-k elements,
-    sorted by representative."""
-    seen = set()
-    out = []
-    for p in G.elements():
-        if p in seen or perm_order(p) != k:
+class _Conjugation:
+    """x -> g x g^-1 on a sorted list of members closed under conjugation, as
+    an indexable action for schreier_orbit. It returns the list's own tuples,
+    so an orbit shares them instead of holding copies."""
+
+    __slots__ = ("g", "g_inv", "members")
+
+    def __init__(self, g, members):
+        self.g = g
+        self.g_inv = perm_inv(g)
+        self.members = members
+
+    def __getitem__(self, x):
+        y = perm_mul(self.g, perm_mul(x, self.g_inv))
+        return self.members[bisect_left(self.members, y)]
+
+
+def _conjugacy_classes(G: PermutationGroup, members):
+    """Yield (a, transversal, centralizer generators) per conjugacy class that
+    meets `members`, a sorted list of elements closed under conjugation.
+
+    a is the least member of its class, transversal maps each class member x
+    to some t with t a t^-1 = x. The Schreier generators of the conjugation
+    orbit generate C_G(a); they are pruned on chains to a set in which no
+    generator lies in the group of the others.
+    """
+    actions = [_Conjugation(g, members) for g in G.generators]
+    seen = bytearray(len(members))
+    for i, p in enumerate(members):
+        if seen[i]:
             continue
-        cls = G.conjugacy_class(p)
-        seen.update(cls)
-        out.append((cls[0], len(cls)))
-    out.sort()
-    return out
+        transversal, schreier = schreier_orbit(p, actions, G.generators, G.identity)
+        for x in transversal:
+            seen[bisect_left(members, x)] = 1
+        chain = StabilizerChain(G.degree)
+        centralizer = []
+        for s in schreier:
+            if not chain.contains(s):
+                chain.add_generator(s)
+                centralizer.append(s)
+        # the last one kept lies outside the group of all the others
+        for s in centralizer[:-1]:
+            rest = [r for r in centralizer if r != s]
+            if StabilizerChain(G.degree, rest).order() == chain.order():
+                centralizer = rest
+        yield p, transversal, centralizer
 
 
-def involution_class_representatives(G: PermutationGroup) -> list[tuple[tuple, int]]:
-    return element_class_representatives(G, 2)
+def _generating_partners(G, order, a, bs, centralizer, product_order) -> bytearray:
+    """verdicts[i] = 1 iff <a, bs[i]> = G (and |a bs[i]| = product_order),
+    for a sorted list bs closed under conjugation by the centralizer of a.
+    One chain is built per orbit of bs under that conjugation.
+    """
+    conjugators = [(c, perm_inv(c)) for c in centralizer]
+    seen = bytearray(len(bs))
+    verdicts = bytearray(len(bs))
+    for i, b in enumerate(bs):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orbit = [i]
+        for j in orbit:
+            x = bs[j]
+            for c, c_inv in conjugators:
+                k = bisect_left(bs, perm_mul(c, perm_mul(x, c_inv)))
+                if not seen[k]:
+                    seen[k] = 1
+                    orbit.append(k)
+        if product_order is not None and perm_order(perm_mul(a, b)) != product_order:
+            continue
+        if StabilizerChain(G.degree, (a, b)).order() == order:
+            for k in orbit:
+                verdicts[k] = 1
+    return verdicts
 
 
 def search_pairs(
@@ -450,26 +502,46 @@ def search_pairs(
 
     a ranges over conjugacy-class representatives (conjugate pairs give
     isomorphic covers downstream); pass all_first=True for the full orbit.
-    b always ranges over every element of its order."""
-    order = G.order()
-    bs = [p for p in G.elements() if perm_order(p) == order_b]
+    b always ranges over every element of its order.
+
+    Generation is tested once per orbit of b under C_G(a), the centralizer
+    of the class representative a (see PairSearch). With all_first, a
+    conjugate t a t^-1 takes its verdicts from a's:
+    verdict(t a t^-1, b) = verdict(a, t^-1 b t).
+    """
+    order = G.order()  # before G.elements(): the chain's scratch memory is then reused
+    firsts = []
+    bs = []
+    for p in G.elements():
+        k = perm_order(p)
+        if k == order_a:
+            firsts.append(p)
+        if k == order_b:
+            bs.append(p)
     pairs = []
     total = 0
-    if all_first:
-        firsts = [(p, 1) for p in G.elements() if perm_order(p) == order_a]
-        n_classes = len(firsts)
-    else:
-        firsts = element_class_representatives(G, order_a)
-        n_classes = len(firsts)
-    for a, weight in firsts:
-        for b in bs:
-            if product_order is not None:
-                if perm_order(perm_mul(a, b)) != product_order:
-                    continue
-            if StabilizerChain(G.degree, (a, b)).order() == order:
-                pairs.append((a, b))
-                total += weight
-    return PairSearch(G.name, pairs, total, product_order, n_classes)
+    n_classes = 0
+    conjugates = {}  # with all_first: member t a t^-1 -> (verdicts of a, t)
+    for a, transversal, centralizer in _conjugacy_classes(G, firsts):
+        n_classes += 1
+        verdicts = _generating_partners(G, order, a, bs, centralizer, product_order)
+        if all_first:
+            for x, t in transversal.items():
+                conjugates[x] = (verdicts, t)
+        else:
+            hits = [(a, b) for b, ok in zip(bs, verdicts) if ok]
+            pairs += hits
+            total += len(transversal) * len(hits)
+    if not all_first:
+        return PairSearch(G.name, pairs, total, product_order, n_classes)
+    for x in firsts:
+        verdicts, t = conjugates[x]
+        t_inv = perm_inv(t)
+        # positions of the t b t^-1 with verdict(a, b), so pairs share bs's tuples
+        moved = [bisect_left(bs, perm_mul(t, perm_mul(b, t_inv)))
+                 for b, ok in zip(bs, verdicts) if ok]
+        pairs += [(x, bs[k]) for k in sorted(moved)]
+    return PairSearch(G.name, pairs, len(pairs), product_order, len(firsts))
 
 
 def search_23_pairs(
@@ -700,7 +772,9 @@ def load_default_catalog() -> Catalog:
 # -- group resolution (names, constructor expressions, inline specs) ---------
 
 
-def group_from_spec(spec, catalog: Catalog | None = None) -> PermutationGroup:
+def group_from_spec(
+    spec, catalog: Catalog | None = None, allow_large_psl2: bool = False
+) -> PermutationGroup:
     """Resolve a group from a catalog name, a constructor expression
     (sym:N, alt:N, cyc:N, dih:N, psl2:P, prod:A,B), or an inline JSON dict
     {"degree":..., "generators":[...], "name":...}."""
@@ -720,17 +794,21 @@ def group_from_spec(spec, catalog: Catalog | None = None) -> PermutationGroup:
         if kind == "prod":
             left, _, right = arg.partition(",")
             return direct_product(
-                group_from_spec(left.strip(), catalog), group_from_spec(right.strip(), catalog)
+                group_from_spec(left.strip(), catalog, allow_large_psl2),
+                group_from_spec(right.strip(), catalog, allow_large_psl2),
             )
-        n = int(arg)
         ctor = {
             "sym": symmetric,
             "alt": alternating,
             "cyc": cyclic,
             "dih": dihedral,
-            "psl2": psl2,
+            "psl2": lambda p: psl2(p, allow_large=allow_large_psl2),
         }.get(kind)
         if ctor is None:
             raise GroupError(f"unknown constructor {kind!r}")
+        try:
+            n = int(arg)
+        except ValueError:
+            raise GroupError(f"{spec!r}: {kind} needs an integer, got {arg!r}") from None
         return ctor(n)
     raise GroupError(f"unknown group {spec!r} (not in catalog, not a constructor)")

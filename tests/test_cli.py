@@ -266,3 +266,41 @@ def test_jobs_flag_keeps_output_identical(capsys):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_group_search_psl2_13_counts(capsys):
+    code, out, _ = run(capsys, "group", "search", "--group", "psl2:13", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["representative_count"] == 96
+    assert payload["total_count"] == 8736
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("group", "search", "--group", "psl2:abc"), "'abc'"),
+        (("group", "order", "--group", "sym:x"), "'x'"),
+        (("group", "order", "--group", "prod:alt:4,cyc:z"), "'z'"),
+    ],
+)
+def test_non_integer_group_argument_exits_one(capsys, argv, named):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("group", "search", "--group", "S3", "--orders", "0", "3"), "--orders"),
+        (("group", "search", "--group", "S3", "--orders", "2", "-3"), "--orders"),
+        (("group", "search", "--group", "S3", "--product-order", "0"), "--product-order"),
+        (("maximal", "build", "--group", "S3", "--product-order", "0"), "--product-order"),
+    ],
+)
+def test_non_positive_orders_exit_one(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err

@@ -1,11 +1,15 @@
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcov.errors import CatalogError, GroupError
 from hcov.kernel import mulclose, perm_inv, perm_mul, perm_order, perm_pow
 from hcov.permgroup import (
     PermutationGroup,
+    StabilizerChain,
     all_subgroups,
     alternating,
     cyclic,
@@ -255,3 +259,89 @@ def test_group_from_spec():
     assert group_from_spec(inline).order() == 2
     with pytest.raises(GroupError):
         group_from_spec("NoSuchGroup", cat)
+
+
+# -- pair search against the one-chain-per-(a, b) oracle ---------------------
+
+
+def search_pairs_oracle(G, order_a=2, order_b=3, product_order=None, all_first=False):
+    """The pair search without the centralizer reduction: class
+    representatives from G.conjugacy_class, and one chain per (a, b).
+    Returns (pairs, total, classes_searched)."""
+    elements = G.elements()
+    bs = [p for p in elements if perm_order(p) == order_b]
+    if all_first:
+        firsts = [(p, 1) for p in elements if perm_order(p) == order_a]
+    else:
+        seen = set()
+        firsts = []
+        for p in elements:
+            if p in seen or perm_order(p) != order_a:
+                continue
+            cls = G.conjugacy_class(p)
+            seen.update(cls)
+            firsts.append((cls[0], len(cls)))
+        firsts.sort()
+    pairs = []
+    total = 0
+    for a, weight in firsts:
+        for b in bs:
+            if product_order is not None and perm_order(perm_mul(a, b)) != product_order:
+                continue
+            if StabilizerChain(G.degree, (a, b)).order() == G.order():
+                pairs.append((a, b))
+                total += weight
+    return pairs, total, len(firsts)
+
+
+def differential_groups():
+    extra = [alternating(n) for n in (5, 6, 7)] + [symmetric(n) for n in (5, 6, 7)]
+    return list(load_default_catalog().groups) + extra + [psl2(7), psl2(13)]
+
+
+def test_search_pairs_matches_oracle():
+    for G in differential_groups():
+        all_first_flags = (False, True) if G.order() <= 60 else (False,)
+        for orders in ((2, 3), (2, 4), (3, 3)):
+            for product_order in (None, 7):
+                for all_first in all_first_flags:
+                    res = search_pairs(G, *orders, product_order, all_first)
+                    got = (res.pairs, res.total, res.classes_searched)
+                    want = search_pairs_oracle(G, *orders, product_order, all_first)
+                    assert got == want, (G.name, orders, product_order, all_first)
+
+
+PROPERTY_GROUPS = {
+    G.name: G for G in (symmetric(3), alternating(4), symmetric(4), alternating(5), psl2(7))
+}
+
+
+@lru_cache(maxsize=None)
+def _found_pairs(name, all_first):
+    return frozenset(search_23_pairs(PROPERTY_GROUPS[name], all_involutions=all_first).pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PROPERTY_GROUPS)),
+    pair_index=st.integers(min_value=0),
+    element_index=st.integers(min_value=0),
+)
+def test_conjugate_of_found_pair_is_found(name, pair_index, element_index):
+    G = PROPERTY_GROUPS[name]
+    found = sorted(_found_pairs(name, True))
+    assert found, f"{name} is (2,3)-generated"
+    a, b = found[pair_index % len(found)]
+    g = G.elements()[element_index % G.order()]
+    g_inv = perm_inv(g)
+
+    def conj(x):
+        return perm_mul(g, perm_mul(x, g_inv))
+
+    assert (conj(a), conj(b)) in _found_pairs(name, True)
+    # with a fixed, conjugating b by the centralizer keeps the pair found
+    reps = _found_pairs(name, False)
+    a, b = sorted(reps)[pair_index % len(reps)]
+    centralizer = [c for c in G.elements() if perm_mul(c, a) == perm_mul(a, c)]
+    c = centralizer[element_index % len(centralizer)]
+    assert (a, perm_mul(c, perm_mul(b, perm_inv(c)))) in reps
