@@ -564,10 +564,17 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(result.payload, fh, indent=1)
-    if args.json:
-        print(json.dumps(result.payload, indent=1))
-    else:
-        print(result.text)
+    try:
+        print(json.dumps(result.payload, indent=1) if args.json else result.text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`hc ... | head`): exit quietly, and keep
+        # the interpreter's own flush at exit from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    if not args.json:
         for diag in result.diagnostics:
             print(f"note: {diag}", file=sys.stderr)
     return 0 if result.status == "ok" else 1

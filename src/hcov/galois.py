@@ -21,6 +21,7 @@ from hcov.permgroup import (
     Subgroup,
     cycle_string,
     generates,
+    is_permutation,
     schreier_orbit,
 )
 
@@ -39,9 +40,15 @@ class SymmetricMultiset:
         counts = {}
         for item in entries:
             if item and isinstance(item[0], (tuple, list)):
-                p, mult = tuple(item[0]), int(item[1])
+                p, mult = tuple(item[0]), item[1]
+                if type(mult) is not int:
+                    raise GroupError(
+                        f"multiset entry {list(p)}: multiplicity {mult!r} is not an integer"
+                    )
             else:
                 p, mult = tuple(item), 1
+            if not is_permutation(p):
+                raise GroupError(f"multiset entry {list(p)} is not a permutation")
             if mult < 0:
                 raise GroupError("multiplicities must be non-negative")
             if mult:
@@ -666,16 +673,44 @@ def classify_branch_locus(c: HarmonicCover) -> BranchLocus:
 def cover_from_spec(data, catalog=None) -> HarmonicCover:
     """Build a cover from its JSON spec:
     {"group":..., "base":{"tree":graph}, "inertia":{x:[perm...]},
-     "multisets":{x:[[perm,mult]...]}, "flipped":bool}."""
-    G = group_from_spec_lazy(data["group"], catalog)
-    base = Multigraph.from_json(data["base"]["tree"])
+     "multisets":{x:[[perm,mult]...]}, "flipped":bool}.
+
+    A missing field or a malformed vertex-keyed entry raises CoverError
+    naming its path."""
+    G = group_from_spec_lazy(_spec_field(data, "group"), catalog)
+    base = Multigraph.from_json(_spec_field(data, "base.tree"))
     inertia = {}
-    for x, gens in data.get("inertia", {}).items():
-        inertia[int(x)] = G.subgroup([tuple(g) for g in gens])
+    for x, gens in _vertex_keyed(data, "inertia"):
+        inertia[x] = G.subgroup([tuple(g) for g in gens])
     multisets = {}
-    for x, entries in data.get("multisets", {}).items():
-        multisets[int(x)] = SymmetricMultiset.from_json(entries)
+    for x, entries in _vertex_keyed(data, "multisets"):
+        multisets[x] = SymmetricMultiset.from_json(entries)
     return build_cover(G, base, inertia, multisets, bool(data.get("flipped", False)))
+
+
+def _spec_field(data, path):
+    """The value at a dotted path of a cover spec."""
+    for key in path.split("."):
+        if not isinstance(data, dict) or key not in data:
+            raise CoverError(f"cover spec: missing field {path!r}")
+        data = data[key]
+    return data
+
+
+def _vertex_keyed(data, name):
+    """(base vertex, value) pairs of the optional object field `name`; a
+    value that is not a list, or a key that is not an integer, is an error."""
+    field = data.get(name, {})
+    if not isinstance(field, dict):
+        raise CoverError(f"cover spec: {name!r} must be an object keyed by base vertex")
+    for key, value in field.items():
+        try:
+            x = int(key)
+        except ValueError:
+            raise CoverError(f"cover spec: {name}.{key} is not an integer base vertex") from None
+        if not isinstance(value, list):
+            raise CoverError(f"cover spec: {name}.{key} must be a list")
+        yield x, value
 
 
 def group_from_spec_lazy(spec, catalog=None):

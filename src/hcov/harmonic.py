@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from hcov.errors import ActionError, MorphismError
-from hcov.kernel import perm_inv, perm_mul, perm_order
+from hcov.kernel import mulclose, perm_inv, perm_mul, perm_order
 from hcov.multigraph import Dart, GraphMorphism, Multigraph
 from hcov.permgroup import (
     PermutationGroup,
@@ -35,12 +35,19 @@ class GraphAction:
     vertex_images/edge_images hold one dict per group generator. The
     constructor verifies, exactly and at any group order, that the generator
     images define a genuine action and that it is faithful on every
-    connected component. Both checks work in the extended permutation group
-    on group block + vertices + edges. Well-definedness compares its order
-    with |G| on a chain whose base lies in the group block. Faithfulness
-    looks for a kernel element inside one vertex or edge stabilizer only,
-    lifted to the extended degree, on a chain whose base prefers the
-    action block.
+    connected component. Every group computation runs at G's own degree.
+
+    Well-definedness is tested one orbit O of vertices or edges at a time.
+    The free group F on the generators acts on O through the maps; with p
+    the least point of O, they factor through G on O iff ker(F -> G) lies in
+    F_p, that is iff [G : image of F_p] = [F : F_p] = |O|. The image H of F_p
+    is generated by the images of its Schreier generators, so the test is
+    |H| * |O| = |G|, and once it passes H = Stab_G(p).
+
+    A kernel element lies in every stabilizer, so only the smallest one is
+    enumerated; g fixes x = u_x p iff u_x^-1 g u_x lies in Stab_G(p). On a
+    component (Def 2.3) the kernel is its pointwise stabilizer, and
+    components in one orbit are conjugate: one per orbit is tested.
     """
 
     def __init__(
@@ -66,7 +73,6 @@ class GraphAction:
         self._orbit_cache = {}
         self._harmonic_report = None
         self._validate_generator_maps()
-        self._build_extended()
         self._validate_action()
 
     # -- construction-time checks ----------------------------------------
@@ -89,109 +95,76 @@ class GraphAction:
             self.inverse_vertex_images.append({b: a for a, b in vm.items()})
             self.inverse_edge_images.append({b: a for a, b in em.items()})
 
-    def _build_extended(self):
-        n = self.group.degree
-        self._vpos = {v: n + i for i, v in enumerate(sorted(self.graph.vertices))}
-        self._epos = {
-            e: n + len(self._vpos) + i for i, e in enumerate(sorted(self.graph.edges))
-        }
-        self._ext_degree = n + len(self._vpos) + len(self._epos)
-        vs = sorted(self._vpos, key=self._vpos.get)
-        es = sorted(self._epos, key=self._epos.get)
-        self._ext_gens = []
-        self._act_gens = []
-        for g, vm, em in zip(self.group.generators, self.vertex_images, self.edge_images):
-            act = tuple(self._vpos[vm[v]] - n for v in vs) + tuple(
-                self._epos[em[e]] - n for e in es
-            )
-            ext = g + tuple(x + n for x in act)
-            self._ext_gens.append(ext)
-            self._act_gens.append(act)
-
     def _validate_action(self):
-        # well-definedness: |<ext>| = |G| makes the generator images a genuine
-        # homomorphism; the default base takes points from the group block
-        # first, so the transversals have group-sized orbits
-        order = self.group.order()
-        n = self.group.degree
-        chain = StabilizerChain(self._ext_degree, self._ext_gens)
-        ext_order = chain.order()
-        if ext_order != order:
-            raise ActionError(
-                "generator images do not define an action: extended group has order"
-                f" {ext_order}, group has order {order}"
-            )
+        G = self.group
+        order = G.order()
+        where = []  # per kind: point -> (stabilizer chain, transversal) of its orbit
+        for kind, maps, points in (
+            ("vertex", self.vertex_images, self.graph.vertices),
+            ("edge", self.edge_images, self.graph.edges),
+        ):
+            found = {}
+            for p in sorted(points):
+                if p in found:
+                    continue
+                transversal, schreier = schreier_orbit(p, maps, G.generators, G.identity)
+                stab = StabilizerChain(G.degree, schreier)
+                if stab.order() * len(transversal) != order:
+                    raise ActionError(
+                        f"generator images do not define an action: the orbit of {kind} {p}"
+                        f" has {len(transversal)} points, but the image of its stabilizer"
+                        f" has index {order // stab.order()} in the group"
+                    )
+                found.update(dict.fromkeys(transversal, (stab, transversal)))
+            where.append(found)
         if not self.require_faithful:
             return
-        # faithfulness: the kernel lies in every point stabilizer, so one
-        # suffices; in its chain with base points preferred in the action
-        # block, a base point inside the group block exposes a nontrivial
-        # kernel (an element acting trivially)
-        lifted = [self._lift(chain, g) for g in self._point_stabilizer_generators()]
-        stab_chain = StabilizerChain(self._ext_degree, lifted, prefer_points_from=n)
-        if any(lv.point < n for lv in stab_chain.levels):
+        points = [(orbit, x) for found in where for x, orbit in found.items()]
+        if self._kernel_element(points) is not None:
             raise ActionError("action is not faithful: a non-identity element acts trivially")
         comps = self.graph.connected_components()
-        if len(comps) > 1:
-            self._check_componentwise_faithful(comps)
-
-    def _point_stabilizer_generators(self):
-        """Generators of the stabilizer of the least vertex or of the least
-        edge, whichever has the larger orbit (so the smaller stabilizer);
-        those of the whole group when the graph is empty."""
-        starts = [s for s, block in ((0, self._vpos), (len(self._vpos), self._epos)) if block]
-        if not starts:
-            return self.group.generators
-        orbits = [
-            schreier_orbit(s, self._act_gens, self.group.generators, self.group.identity)
-            for s in starts
-        ]
-        _, schreier = max(orbits, key=lambda orbit: len(orbit[0]))
-        chain = StabilizerChain(self.group.degree, schreier)
-        # the first level's generators generate the whole stabilizer
-        return [g for g, _ in chain.levels[0].gens] if chain.levels else []
-
-    def _lift(self, chain, g):
-        """The extended element whose group part is the member g, as a product
-        of the well-definedness chain's transversal elements (all of that
-        chain's base points lie in the group block)."""
-        n = self.group.degree
-        ext = tuple(range(self._ext_degree))
-        for lv in chain.levels:
-            u = lv.transversal[g[lv.point]][0]
-            g = perm_mul(perm_inv(u[:n]), g)
-            ext = perm_mul(ext, u)
-        return ext
-
-    def _check_componentwise_faithful(self, comps):
-        """Def-2.3 faithfulness: the setwise stabilizer of every connected
-        component must act faithfully on that component."""
+        if len(comps) < 2:
+            return
+        # Def 2.3: the kernel on a component is its pointwise stabilizer;
+        # components in one orbit are conjugate, so test one per orbit
+        vertex_orbit, edge_orbit = where
         cidx = {v: ci for ci, comp in enumerate(comps) for v in comp}
-        comp_maps = [
-            [cidx[vm[comp[0]]] for comp in comps] for vm in self.vertex_images
-        ]
-        comp_coords = [[self._vpos[v] for v in comp] for comp in comps]
+        comp_edges = [[] for _ in comps]
         for e, (u, _) in self.graph.edges.items():
-            comp_coords[cidx[u]].append(self._epos[e])
-        ident = tuple(range(self._ext_degree))
-        order = self.group.order()
-        seen = set()
+            comp_edges[cidx[u]].append(e)
+        done = set()
         for ci, comp in enumerate(comps):
-            if ci in seen:
+            if ci in done:
                 continue
-            # orbit of the component, with extended transversal elements
-            transversal, schreier = schreier_orbit(ci, comp_maps, self._ext_gens, ident)
-            seen.update(transversal)
-            stab_order = order // len(transversal)
-            coords = sorted(comp_coords[ci])
-            pos_of = {c: i for i, c in enumerate(coords)}
-            restricted = [tuple(pos_of[s[c]] for c in coords) for s in schreier]
-            image_order = StabilizerChain(len(coords), restricted).order()
-            if image_order != stab_order:
+            done.update(cidx[v] for v in vertex_orbit[comp[0]][1])
+            points = [(vertex_orbit[v], v) for v in comp]
+            points += [(edge_orbit[e], e) for e in comp_edges[ci]]
+            if self._kernel_element(points) is not None:
                 raise ActionError(
                     f"action is not faithful on the component of vertex {comp[0]}:"
-                    f" stabilizer order {stab_order}, image order {image_order}"
+                    " a non-identity element fixes it pointwise"
                 )
+
+    def _kernel_element(self, points):
+        """A non-identity member fixing every point of `points`, or None.
+
+        points lists (orbit, x), orbit being the (H, transversal) pair of x's
+        orbit. Such a member lies in the stabilizer u H u^-1 (u the
+        transversal element of x) of the point x with the largest orbit,
+        and it fixes y iff u_y^-1 h u_y lies in y's H."""
+        gens = self.group.generators  # no points: every member fixes them
+        if points:
+            (stab, transversal), x = max(points, key=lambda pt: len(pt[0][1]))
+            u, u_inv = transversal[x], perm_inv(transversal[x])
+            # the first level's generators generate the whole of H
+            gens = [perm_mul(u, perm_mul(g, u_inv)) for lv in stab.levels[:1] for g, _ in lv.gens]
+        for h in mulclose(gens):
+            if h != self.group.identity and all(
+                chain.contains(perm_mul(perm_inv(t[y]), perm_mul(h, t[y])))
+                for (chain, t), y in points
+            ):
+                return h
+        return None
 
     # -- applying elements -------------------------------------------------
 

@@ -31,8 +31,15 @@ def perm_from_cycles(cycles, degree: int) -> tuple:
     return tuple(out)
 
 
+def is_permutation(p) -> bool:
+    """True iff p lists each of 0..len(p)-1 exactly once."""
+    return all(type(x) is int for x in p) and sorted(p) == list(range(len(p)))
+
+
 def cycles_of(p) -> list[tuple]:
     """Nontrivial cycles of p, each rotated to start at its minimum."""
+    if not is_permutation(p):
+        raise GroupError(f"{list(p)} is not a permutation")
     seen = set()
     out = []
     for i in range(len(p)):
@@ -100,12 +107,10 @@ class StabilizerChain:
 
     Base points are the least moved point by default. prefer_points_from
     biases the choice to coordinates >= that offset while any of them is
-    moved; callers use it to read the pointwise stabilizer of a coordinate
-    block off the chain structure: the pointwise stabilizer of the points
-    >= the offset is nontrivial iff some level's point lies below it. On a
-    group acting on a large block, that puts a block-sized orbit at the top
-    level, so GraphAction asks this question of one point stabilizer only,
-    and checks well-definedness on a chain with the default base.
+    moved, so that the pointwise stabilizer of the points >= the offset is
+    nontrivial iff some level's point lies below it. Only the test oracle
+    for GraphAction's validation uses it now: on a group acting on a large
+    block it puts a block-sized orbit at the top level.
     """
 
     def __init__(self, degree, generators=(), track_words=False, prefer_points_from=None):
@@ -264,7 +269,7 @@ class PermutationGroup:
         gens = []
         for g in generators:
             g = tuple(g)
-            if len(g) != degree or sorted(g) != list(range(degree)):
+            if len(g) != degree or not is_permutation(g):
                 raise GroupError(f"not a permutation of degree {degree}: {g}")
             if g != perm_id(degree):
                 gens.append(g)
@@ -336,12 +341,10 @@ class Subgroup(PermutationGroup):
     """A subgroup given by generators that are members of the parent."""
 
     def __init__(self, parent: PermutationGroup, generators, name: str = ""):
-        for g in generators:
-            if not parent.contains(tuple(g)):
-                raise GroupError(
-                    f"{cycle_string(tuple(g))} is not a member of {parent.name}"
-                )
         super().__init__(parent.degree, generators, name or "subgroup")
+        for g in self.generators:
+            if not parent.contains(g):
+                raise GroupError(f"{cycle_string(g)} is not a member of {parent.name}")
         self.parent = parent
 
 
@@ -669,7 +672,10 @@ def psl2(p: int, allow_large: bool = False) -> PermutationGroup:
     if not _is_prime(p) or p == 2:
         raise GroupError("psl2(p) needs an odd prime p")
     if p > 31 and not allow_large:
-        raise GroupError("psl2 capped at p <= 31; pass allow_large=True to override")
+        raise GroupError(
+            "psl2 capped at p <= 31; pass allow_large=True (CLI: --allow-large-psl2)"
+            " to override"
+        )
     INF = p
     t = tuple([(i + 1) % p for i in range(p)] + [INF])
     s = [0] * (p + 1)

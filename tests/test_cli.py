@@ -1,7 +1,14 @@
 import json
+import os
+import resource
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hcov
 from hcov.cli import main
 
 
@@ -304,3 +311,118 @@ def test_non_positive_orders_exit_one(capsys, argv, flag):
     assert code == 1
     assert out == ""
     assert flag in err
+
+
+def test_surface_check44_hurwitz_psl2_41(capsys):
+    # past the psl2 cap: genus 1 + |G|/84 again
+    code, out, _ = run(
+        capsys,
+        "surface", "check44", "--group", "psl2:41", "--allow-large-psl2",
+        "--product-order", "7", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 34440
+    assert payload["L"] == 4920
+    assert payload["surface_genus"] == 411
+    assert payload["holds"] is True
+
+
+def test_psl2_cap_names_the_cli_flag(capsys):
+    code, out, err = run(capsys, "group", "order", "--group", "psl2:37")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: psl2 capped at p <= 31; pass allow_large=True (CLI: --allow-large-psl2)"
+        " to override\n"
+    )
+
+
+# -- malformed input through a separate process --------------------------------
+
+SRC = str(Path(hcov.__file__).resolve().parents[1])
+
+
+def _cap_memory():
+    # a runaway loop then ends in MemoryError instead of filling the machine
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit if hard < 0 else min(limit, hard), hard))
+
+
+HC = (sys.executable, "-m", "hcov.cli")
+
+
+def run_process(*argv):
+    """(exit code, stdout, stderr) of the command argv, with hcov importable;
+    a hang fails the test."""
+    proc = subprocess.Popen(
+        argv, env=dict(os.environ, PYTHONPATH=SRC), text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=_cap_memory,
+    )
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        pytest.fail(f"{' '.join(argv)} did not finish within 30 s")
+    return proc.returncode, out, err
+
+
+S3_POINT = {"group": "S3", "base": {"tree": {"vertices": [0], "edges": []}}}
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("multisets", {"0": [[[0, 0, 1], 1]]}, "multiset entry [0, 0, 1] is not a permutation"),
+        ("inertia", {"0": [[0, 0, 1]]}, "not a permutation of degree 3: (0, 0, 1)"),
+    ],
+)
+def test_non_permutation_in_cover_spec_exits_one(tmp_path, field, value, named):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(S3_POINT, **{field: value})))
+    code, out, err = run_process(*HC, "cover", "rh", "--spec", str(spec))
+    assert code == 1
+    assert out == ""
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_cycles_of_rejects_non_permutation():
+    code, _, err = run_process(
+        sys.executable, "-c", "from hcov.permgroup import cycle_string; cycle_string((0, 0, 1))"
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == "hcov.errors.GroupError: [0, 0, 1] is not a permutation"
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ({"base": S3_POINT["base"]}, "'group'"),
+        ({"group": "S3"}, "'base.tree'"),
+        ({"group": "S3", "base": {}}, "'base.tree'"),
+        (dict(S3_POINT, inertia={"x": [[1, 2, 0]]}), "inertia.x"),
+        (dict(S3_POINT, multisets={"1.5": [[[1, 0, 2], 1]]}), "multisets.1.5"),
+        (dict(S3_POINT, multisets=[[[1, 0, 2], 1]]), "'multisets'"),
+        (dict(S3_POINT, inertia={"0": 5}), "inertia.0"),
+        (dict(S3_POINT, multisets={"0": [[[1, 0, 2], "x"]]}), "multiplicity 'x'"),
+    ],
+)
+def test_malformed_cover_spec_exits_one(capsys, tmp_path, spec, named):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "cover", "rh", "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+
+
+def test_closed_pipe_exits_quietly():
+    # S8's 40320 lines overfill the pipe, so hc is still writing when head exits
+    hc = shlex.join([*HC, "group", "elements", "--group", "sym:8"])
+    code, out, err = run_process("bash", "-c", f"{hc} | head -1; exit ${{PIPESTATUS[0]}}")
+    assert out == "()\n"
+    assert code == 1
+    assert err == ""

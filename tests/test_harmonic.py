@@ -394,6 +394,10 @@ TWO_THETAS = Multigraph(
     [(1, (1, 2)), (2, (1, 2)), (3, (1, 2)), (4, (3, 4)), (5, (3, 4)), (6, (3, 4))],
 )
 V4 = direct_product(cyclic(2), cyclic(2))
+FIVE_PARALLEL = Multigraph([1, 2], [(e, (1, 2)) for e in range(1, 6)])
+FOUR_PARALLEL = Multigraph([1, 2], [(e, (1, 2)) for e in range(1, 5)])
+DIGON = Multigraph([0, 1], [(0, (0, 1)), (1, (0, 1))])
+Z2_CUBED = direct_product(V4, cyclic(2))
 
 
 @pytest.mark.parametrize(
@@ -411,6 +415,30 @@ V4 = direct_product(cyclic(2), cyclic(2))
         (cyclic(1), Multigraph([], []), [], [], None),
         (cyclic(2), Multigraph([], []), [{}], [{}], "faithful"),
         (cyclic(2), Multigraph([0, 1], []), [{0: 1, 1: 0}], [{}], None),
+        # an action on the vertices and on the edge orbit {1, 2}, but an
+        # order-2 generator cycles the edge orbit {3, 4, 5}
+        (
+            cyclic(2), FIVE_PARALLEL, [{1: 2, 2: 1}],
+            [{1: 2, 2: 1, 3: 4, 4: 5, 5: 3}], "action",
+        ),
+        # the second generator fixes every vertex but swaps edges 3 and 4
+        (
+            V4, FOUR_PARALLEL, [{1: 2, 2: 1}, {1: 1, 2: 2}],
+            [{1: 2, 2: 1, 3: 4, 4: 3}, {1: 1, 2: 2, 3: 4, 4: 3}], None,
+        ),
+        # each generator fixes every vertex and the other theta pointwise;
+        # on a theta the edge stabilizers are the smallest
+        (
+            V4, TWO_THETAS, [{v: v for v in range(1, 5)}] * 2,
+            [{1: 2, 2: 1, 3: 3, 4: 4, 5: 5, 6: 6}, {1: 1, 2: 2, 3: 3, 4: 5, 5: 4, 6: 6}],
+            "component",
+        ),
+        # the first two generators act alike, so their product is the
+        # kernel; it is not among the vertex stabilizer's generators
+        (
+            Z2_CUBED, DIGON, [{0: 0, 1: 1}, {0: 0, 1: 1}, {0: 1, 1: 0}],
+            [{0: 1, 1: 0}, {0: 1, 1: 0}, {0: 0, 1: 1}], "faithful",
+        ),
     ],
 )
 def test_validation_verdict_kinds(group, graph, vmaps, emaps, kind):
