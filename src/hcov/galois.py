@@ -140,6 +140,7 @@ class LabeledAction:
     vertex_labels: dict  # vertex id -> permutation tuple
     edge_labels: dict  # edge id -> descriptive tuple
     removed_loops: list = field(default_factory=list)
+    vertex_of: dict = field(default_factory=dict)  # group element -> vertex of its coset
 
     @property
     def graph(self) -> Multigraph:
@@ -179,7 +180,7 @@ def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
             }
         )
     action = GraphAction(G, graph, vertex_images, edge_images)
-    return LabeledAction(action, {i: g for g, i in vid.items()}, edge_labels)
+    return LabeledAction(action, {i: g for g, i in vid.items()}, edge_labels, vertex_of=vid)
 
 
 def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> LabeledAction:
@@ -202,21 +203,22 @@ def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> Labele
     reps = sorted(set(rep.values()))
     new_vid = {r: i for i, r in enumerate(reps)}
     old_graph = labeled.graph
-    vertex_of = {v: new_vid[rep[labels[v]]] for v in old_graph.vertices}
+    vertex_of = {g: new_vid[r] for g, r in rep.items()}
+    new_v = {v: vertex_of[labels[v]] for v in old_graph.vertices}
     edges = []
     removed = []
     for e in sorted(old_graph.edges):
         u, v = old_graph.ends(e)
-        if vertex_of[u] == vertex_of[v]:
-            removed.append({"edge": e, "coset": vertex_of[u]})
+        if new_v[u] == new_v[v]:
+            removed.append({"edge": e, "coset": new_v[u]})
         else:
-            edges.append((e, (vertex_of[u], vertex_of[v])))
+            edges.append((e, (new_v[u], new_v[v])))
     graph = Multigraph(range(len(reps)), edges)
     kept = set(graph.edges)
     vertex_images = []
     edge_images = []
     for k, gen in enumerate(G.generators):
-        vm = {new_vid[r]: new_vid[rep[perm_mul(gen, r)]] for r in reps}
+        vm = {new_vid[r]: vertex_of[perm_mul(gen, r)] for r in reps}
         em = {e: labeled.action.edge_images[k][e] for e in kept}
         vertex_images.append(vm)
         edge_images.append(em)
@@ -225,7 +227,7 @@ def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> Labele
     action = GraphAction(G, graph, vertex_images, edge_images, require_faithful=False)
     labels_out = {i: r for r, i in new_vid.items()}
     edge_labels = {e: labeled.edge_labels[e] for e in kept}
-    return LabeledAction(action, labels_out, edge_labels, removed)
+    return LabeledAction(action, labels_out, edge_labels, removed, vertex_of)
 
 
 # -- covers --------------------------------------------------------------------
@@ -345,7 +347,7 @@ def build_cover(
             msg = f"dropped multiset entries lying in the inertia group at vertex {x}"
             warnings.append(msg)
             logger.warning(msg)
-        fibers[x] = (I_x, collapse(G, I_x, cayley(G, trimmed)))
+        fibers[x] = collapse(G, I_x, cayley(G, trimmed))
         multisets[x] = trimmed
 
     vid = {}
@@ -353,7 +355,7 @@ def build_cover(
     fiber_index = {}
     counter = 0
     for x in base.vertices:
-        _, fib = fibers[x]
+        fib = fibers[x]
         ids = []
         for local_v in fib.graph.vertices:
             vid[(x, local_v)] = counter
@@ -362,25 +364,12 @@ def build_cover(
             counter += 1
         fiber_index[x] = tuple(ids)
 
-    coset_vid = {}  # (x, coset rep) -> global vertex id
-    for gid, (x, rep) in vertex_labels.items():
-        coset_vid[(x, rep)] = gid
-    coset_rep = {}  # (x, element) -> coset representative
-    for x in base.vertices:
-        I_x, _ = fibers[x]
-        i_elements = I_x.elements()
-        for g in G.elements():
-            if (x, g) not in coset_rep:
-                r = min(perm_mul(g, h) for h in i_elements)
-                for h in i_elements:
-                    coset_rep[(x, perm_mul(g, h))] = r
-
     edges = []
     edge_labels = {}
     proj_edge = {}
     eid = 0
     for x in base.vertices:
-        _, fib = fibers[x]
+        fib = fibers[x]
         for e in sorted(fib.graph.edges):
             u, v = fib.graph.ends(e)
             edges.append((eid, (vid[(x, u)], vid[(x, v)])))
@@ -390,13 +379,9 @@ def build_cover(
     elements = G.elements()
     for b in sorted(base.edges):
         x, y = base.ends(b)
+        x_of, y_of = fibers[x].vertex_of, fibers[y].vertex_of
         for g in elements:
-            edges.append(
-                (
-                    eid,
-                    (coset_vid[(x, coset_rep[(x, g)])], coset_vid[(y, coset_rep[(y, g)])]),
-                )
-            )
+            edges.append((eid, (vid[(x, x_of[g])], vid[(y, y_of[g])])))
             edge_labels[eid] = ("h", b, g)
             proj_edge[eid] = b
             eid += 1
@@ -408,9 +393,10 @@ def build_cover(
     for k, gen in enumerate(G.generators):
         vm = {}
         for x in base.vertices:
+            x_of = fibers[x].vertex_of
             for gid in fiber_index[x]:
                 _, rep = vertex_labels[gid]
-                vm[gid] = coset_vid[(x, coset_rep[(x, perm_mul(gen, rep))])]
+                vm[gid] = vid[(x, x_of[perm_mul(gen, rep)])]
         em = {}
         for e, lab in edge_labels.items():
             if lab[0] == "v":
@@ -640,7 +626,10 @@ def classify_branch_locus(c: HarmonicCover) -> BranchLocus:
     """Branch vertices with their (m, w) data, the three-way maximal-locus
     classification, and the maximality verdict (tree base and R = 7/3),
     cross-checked against |G| = 6(g-1)."""
-    profile = ramification_profile(c)
+    return _classify(c, ramification_profile(c))
+
+
+def _classify(c: HarmonicCover, profile: RamificationProfile) -> BranchLocus:
     branch = {
         x: (p.m, p.w)
         for x, p in profile.per_vertex.items()
@@ -723,7 +712,7 @@ def group_from_spec_lazy(spec, catalog=None):
 
 def profile_to_json(c: HarmonicCover) -> dict:
     profile = ramification_profile(c)
-    locus = classify_branch_locus(c)
+    locus = _classify(c, profile)
     return {
         "per_vertex": {str(x): p.as_dict() for x, p in profile.per_vertex.items()},
         "R": str(profile.ramification_number()),

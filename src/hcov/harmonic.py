@@ -29,6 +29,32 @@ def _apply_word(word, maps, inv_maps, x):
     return x
 
 
+def _maps(orbit, g, x, y) -> bool:
+    """True iff g maps x to y, orbit being the (chain of Stab_G(p),
+    transversal) pair of x's orbit: with x = u_x p and y = u_y p, iff y lies
+    in the orbit and u_y^-1 g u_x lies in Stab_G(p)."""
+    stab, transversal = orbit
+    u_y = transversal.get(y)
+    return u_y is not None and stab.contains(
+        perm_mul(perm_inv(u_y), perm_mul(g, transversal[x]))
+    )
+
+
+def _orbits(orbit_of) -> list:
+    """The distinct (chain, transversal) pairs of a point -> orbit map, by
+    least point; a transversal's first key is its orbit's least point."""
+    return [orbit for x, orbit in orbit_of.items() if next(iter(orbit[1])) == x]
+
+
+def _action_field(data, *path):
+    """The value at a path of keys in an action's JSON."""
+    for key in path:
+        if not isinstance(data, dict) or key not in data:
+            raise ActionError(f"action JSON: missing field {'.'.join(path)!r}")
+        data = data[key]
+    return data
+
+
 class GraphAction:
     """A group acting by automorphisms on a multigraph.
 
@@ -44,8 +70,16 @@ class GraphAction:
     is generated by the images of its Schreier generators, so the test is
     |H| * |O| = |G|, and once it passes H = Stab_G(p).
 
+    Validation keeps what it computed: vertex_orbit_of and edge_orbit_of
+    map every point x to the (chain of Stab_G(p), transversal) pair of its
+    orbit, p the orbit's least point and the transversal's first key, u_x
+    the transversal element with u_x p = x. Harmonicity, flipped edges,
+    flip_all and the quotient by G read them, and whether g maps x to
+    y = u_y p is one test (_maps): y lies in x's orbit and u_y^-1 g u_x lies
+    in Stab_G(p).
+
     A kernel element lies in every stabilizer, so only the smallest one is
-    enumerated; g fixes x = u_x p iff u_x^-1 g u_x lies in Stab_G(p). On a
+    enumerated, each member h tested on every point x (h maps x to x). On a
     component (Def 2.3) the kernel is its pointwise stabilizer, and
     components in one orbit are conjugate: one per orbit is tested.
     """
@@ -70,7 +104,6 @@ class GraphAction:
         self.inverse_vertex_images = []
         self.inverse_edge_images = []
         self._element_cache = {}
-        self._orbit_cache = {}
         self._harmonic_report = None
         self._validate_generator_maps()
         self._validate_action()
@@ -117,6 +150,7 @@ class GraphAction:
                     )
                 found.update(dict.fromkeys(transversal, (stab, transversal)))
             where.append(found)
+        self.vertex_orbit_of, self.edge_orbit_of = where
         if not self.require_faithful:
             return
         points = [(orbit, x) for found in where for x, orbit in found.items()]
@@ -127,7 +161,6 @@ class GraphAction:
             return
         # Def 2.3: the kernel on a component is its pointwise stabilizer;
         # components in one orbit are conjugate, so test one per orbit
-        vertex_orbit, edge_orbit = where
         cidx = {v: ci for ci, comp in enumerate(comps) for v in comp}
         comp_edges = [[] for _ in comps]
         for e, (u, _) in self.graph.edges.items():
@@ -136,9 +169,9 @@ class GraphAction:
         for ci, comp in enumerate(comps):
             if ci in done:
                 continue
-            done.update(cidx[v] for v in vertex_orbit[comp[0]][1])
-            points = [(vertex_orbit[v], v) for v in comp]
-            points += [(edge_orbit[e], e) for e in comp_edges[ci]]
+            done.update(cidx[v] for v in self.vertex_orbit_of[comp[0]][1])
+            points = [(self.vertex_orbit_of[v], v) for v in comp]
+            points += [(self.edge_orbit_of[e], e) for e in comp_edges[ci]]
             if self._kernel_element(points) is not None:
                 raise ActionError(
                     f"action is not faithful on the component of vertex {comp[0]}:"
@@ -151,7 +184,7 @@ class GraphAction:
         points lists (orbit, x), orbit being the (H, transversal) pair of x's
         orbit. Such a member lies in the stabilizer u H u^-1 (u the
         transversal element of x) of the point x with the largest orbit,
-        and it fixes y iff u_y^-1 h u_y lies in y's H."""
+        and it fixes y iff it maps y to y."""
         gens = self.group.generators  # no points: every member fixes them
         if points:
             (stab, transversal), x = max(points, key=lambda pt: len(pt[0][1]))
@@ -159,10 +192,7 @@ class GraphAction:
             # the first level's generators generate the whole of H
             gens = [perm_mul(u, perm_mul(g, u_inv)) for lv in stab.levels[:1] for g, _ in lv.gens]
         for h in mulclose(gens):
-            if h != self.group.identity and all(
-                chain.contains(perm_mul(perm_inv(t[y]), perm_mul(h, t[y])))
-                for (chain, t), y in points
-            ):
+            if h != self.group.identity and all(_maps(orbit, h, y, y) for orbit, y in points):
                 return h
         return None
 
@@ -187,93 +217,12 @@ class GraphAction:
         vm, em = self.element_action(g)
         return Dart(em[d.edge], vm[d.base])
 
-    def word_vertex(self, word, v):
-        return _apply_word(word, self.vertex_images, self.inverse_vertex_images, v)
-
-    def word_edge(self, word, e):
-        return _apply_word(word, self.edge_images, self.inverse_edge_images, e)
-
     # -- orbits ------------------------------------------------------------
 
-    def edge_orbits(self):
-        """Orbits of edges under the full group, with the data needed for
-        stabilizer computations.
-
-        Each _EdgeOrbit carries a transversal mapping every member edge to
-        the (group element, word) sending the representative to it, plus the
-        Schreier generators of the representative's stabilizer.
-        """
-        if "edges" not in self._orbit_cache:
-            gens = self.group.generators
-            remaining = set(self.graph.edges)
-            orbits = []
-            ident = self.group.identity
-            while remaining:
-                rep = min(remaining)
-                transversal = {rep: (ident, ())}
-                schreier = []
-                frontier = [rep]
-                while frontier:
-                    e = frontier.pop(0)
-                    u_perm, u_word = transversal[e]
-                    for i, g in enumerate(gens):
-                        img = self.edge_images[i][e]
-                        w_perm = perm_mul(g, u_perm)
-                        w_word = ((i, False),) + u_word
-                        if img not in transversal:
-                            transversal[img] = (w_perm, w_word)
-                            frontier.append(img)
-                        else:
-                            t_perm, t_word = transversal[img]
-                            s_perm = perm_mul(perm_inv(t_perm), w_perm)
-                            if s_perm != ident:
-                                s_word = tuple(
-                                    (j, not inv) for j, inv in reversed(t_word)
-                                ) + w_word
-                                schreier.append((s_perm, s_word))
-                remaining -= set(transversal)
-                orbits.append(_EdgeOrbit(rep, transversal, schreier))
-            self._orbit_cache["edges"] = orbits
-        return self._orbit_cache["edges"]
-
-    def vertex_orbits_under(self, elements_actions) -> list[list]:
-        """Vertex orbits under the given list of (vertex map, edge map)."""
-        remaining = set(self.graph.vertices)
-        orbits = []
-        while remaining:
-            rep = min(remaining)
-            orbit = {rep}
-            frontier = [rep]
-            while frontier:
-                v = frontier.pop()
-                for vm, _ in elements_actions:
-                    w = vm[v]
-                    if w not in orbit:
-                        orbit.add(w)
-                        frontier.append(w)
-            remaining -= orbit
-            orbits.append(sorted(orbit))
-        orbits.sort(key=lambda o: o[0])
-        return orbits
-
-    def edge_orbits_under(self, elements_actions) -> list[list]:
-        remaining = set(self.graph.edges)
-        orbits = []
-        while remaining:
-            rep = min(remaining)
-            orbit = {rep}
-            frontier = [rep]
-            while frontier:
-                e = frontier.pop()
-                for _, em in elements_actions:
-                    f = em[e]
-                    if f not in orbit:
-                        orbit.add(f)
-                        frontier.append(f)
-            remaining -= orbit
-            orbits.append(sorted(orbit))
-        orbits.sort(key=lambda o: o[0])
-        return orbits
+    def edge_orbits(self) -> list:
+        """The (stabilizer chain, transversal) pair of each edge orbit,
+        ordered by least edge."""
+        return _orbits(self.edge_orbit_of)
 
     # -- serialization -------------------------------------------------------
 
@@ -297,28 +246,19 @@ class GraphAction:
     @classmethod
     def from_json(cls, data, catalog=None) -> "GraphAction":
         graph = Multigraph.from_json(data)
-        group = group_from_spec(data["group"], catalog)
+        group = group_from_spec(_action_field(data, "group"), catalog)
         k = len(group.generators)
         vmaps = []
         emaps = []
         for i in range(k):
-            vmaps.append({int(v): img for v, img in data["vertex_images"][str(i)].items()})
-            emaps.append({int(e): img for e, img in data["edge_images"][str(i)].items()})
+            vm = _action_field(data, "vertex_images", str(i))
+            em = _action_field(data, "edge_images", str(i))
+            vmaps.append({int(v): img for v, img in vm.items()})
+            emaps.append({int(e): img for e, img in em.items()})
         return cls(group, graph, vmaps, emaps)
 
     def __repr__(self):
         return f"GraphAction({self.group.name} on {self.graph!r})"
-
-
-@dataclass
-class _EdgeOrbit:
-    rep: int
-    transversal: dict  # edge -> (perm, word)
-    schreier: list  # [(perm, word)] generating the stabilizer of rep
-
-    @property
-    def members(self):
-        return sorted(self.transversal)
 
 
 # -- quotients ----------------------------------------------------------------
@@ -333,14 +273,17 @@ class QuotientResult:
     removed_loops: list = field(default_factory=list)
 
 
-def _subgroup_actions(a: GraphAction, H: PermutationGroup):
-    """Element actions of H's generators inside the action a."""
-    out = []
-    for h in H.generators:
-        if not a.group.contains(h):
-            raise ActionError(f"subgroup generator is not a member of {a.group.name}")
-        out.append(a.element_action(h))
-    return out
+def _orbits_under(points, maps, H: PermutationGroup) -> list[list]:
+    """Orbits of the points under the maps of H's generators, each sorted,
+    ordered by least point."""
+    seen = set()
+    orbits = []
+    for p in sorted(points):
+        if p not in seen:
+            transversal, _ = schreier_orbit(p, maps, H.generators, H.identity)
+            seen.update(transversal)
+            orbits.append(sorted(transversal))
+    return orbits
 
 
 def quotient(a: GraphAction, H: Subgroup | None = None) -> QuotientResult:
@@ -349,18 +292,18 @@ def quotient(a: GraphAction, H: Subgroup | None = None) -> QuotientResult:
     Vertices and edges of the quotient are the H-orbits; edge orbits whose
     endpoints fall into one vertex orbit are removed and recorded.
     """
-    H = H if H is not None else a.group
-    actions = _subgroup_actions(a, H) if H is not a.group else [
-        (vm, em) for vm, em in zip(a.vertex_images, a.edge_images)
-    ]
-    vorbits = a.vertex_orbits_under(actions)
-    eorbits = a.edge_orbits_under(actions)
-    vclass = {}
-    for qi, orbit in enumerate(vorbits):
-        for v in orbit:
-            vclass[v] = qi
+    if H is None or H is a.group:
+        vorbits = [sorted(t) for _, t in _orbits(a.vertex_orbit_of)]
+        eorbits = [sorted(t) for _, t in _orbits(a.edge_orbit_of)]
+    else:
+        for h in H.generators:
+            if not a.group.contains(h):
+                raise ActionError(f"subgroup generator is not a member of {a.group.name}")
+        actions = [a.element_action(h) for h in H.generators]
+        vorbits = _orbits_under(a.graph.vertices, [vm for vm, _ in actions], H)
+        eorbits = _orbits_under(a.graph.edges, [em for _, em in actions], H)
+    vclass = {v: qi for qi, orbit in enumerate(vorbits) for v in orbit}
     removed = []
-    vmap_proj = dict(vclass)
     emap_proj = {}
     qedges = []
     qi = 0
@@ -376,7 +319,7 @@ def quotient(a: GraphAction, H: Subgroup | None = None) -> QuotientResult:
                 emap_proj[e] = qi
             qi += 1
     qgraph = Multigraph(range(len(vorbits)), qedges)
-    projection = GraphMorphism(a.graph, qgraph, vmap_proj, emap_proj)
+    projection = GraphMorphism(a.graph, qgraph, vclass, emap_proj)
     return QuotientResult(qgraph, projection, removed)
 
 
@@ -417,32 +360,35 @@ class ActionHarmonicityReport:
 
 def is_harmonic_action(a: GraphAction) -> ActionHarmonicityReport:
     """True iff no non-identity element fixes a dart (stabilizers of directed
-    edges are trivial)."""
+    edges are trivial).
+
+    Per edge orbit with a non-trivial stabilizer H of its least edge e = {u0,
+    v0}: a generator of H fixing u0 fixes a dart; one swapping u0 and v0
+    with order above 2 has a square fixing both; if all are such involutions
+    and |H| > 2, the product of two of them fixes both ends."""
     if a._harmonic_report is not None:
         return a._harmonic_report
     report = ActionHarmonicityReport(True)
-    order = a.group.order()
-    for orbit in a.edge_orbits():
-        stab_order = order // len(orbit.transversal)
-        if stab_order == 1:
+    for stab, transversal in a.edge_orbits():
+        if stab.order() == 1:
             continue
-        u0, v0 = a.graph.ends(orbit.rep)
-        swappers = []
-        for s_perm, s_word in orbit.schreier:
-            if a.word_vertex(s_word, u0) == u0:
-                report = ActionHarmonicityReport(False, Dart(orbit.rep, u0), s_perm)
+        rep = next(iter(transversal))
+        u0 = a.graph.ends(rep)[0]
+        # the first level's generators generate the whole stabilizer
+        gens = [g for g, _ in stab.levels[0].gens]
+        witness = None
+        for g in gens:
+            if _maps(a.vertex_orbit_of[u0], g, u0, u0):
+                witness = g
                 break
-            sq = perm_mul(s_perm, s_perm)
-            if perm_order(s_perm) != 2:
-                report = ActionHarmonicityReport(False, Dart(orbit.rep, u0), sq)
+            if perm_order(g) != 2:
+                witness = perm_mul(g, g)
                 break
-            swappers.append(s_perm)
-        if not report.harmonic:
-            break
-        if stab_order > 2:
-            distinct = sorted(set(swappers))
-            bad = perm_mul(distinct[0], distinct[1])
-            report = ActionHarmonicityReport(False, Dart(orbit.rep, u0), bad)
+        if witness is None and stab.order() > 2:
+            first, second = sorted(gens)[:2]
+            witness = perm_mul(first, second)
+        if witness is not None:
+            report = ActionHarmonicityReport(False, Dart(rep, u0), witness)
             break
     a._harmonic_report = report
     return report
@@ -475,11 +421,10 @@ def flipped_edges(a: GraphAction) -> set:
     """Edges whose undirected stabilizer has order 2 (harmonic actions only)."""
     if not is_harmonic_action(a):
         raise ActionError("flipped_edges requires a harmonic action")
-    order = a.group.order()
     out = set()
-    for orbit in a.edge_orbits():
-        if order // len(orbit.transversal) == 2:
-            out.update(orbit.transversal)
+    for stab, transversal in a.edge_orbits():
+        if stab.order() == 2:
+            out.update(transversal)
     return out
 
 
@@ -542,32 +487,29 @@ def flip_all(a: GraphAction, skip_orbits=()) -> GraphAction:
     if flipped_edges(a):
         raise ActionError("flip_all expects an unflipped action")
     graph = a.graph
+    G = a.group
+    pair_maps = [_OnPairs(em) for em in a.edge_images]
     pair_of = {}
-    for orbit in a.edge_orbits():
-        if orbit.rep in skip_orbits:
+    for _, transversal in a.edge_orbits():
+        rep = next(iter(transversal))
+        if rep in skip_orbits:
             continue
-        u0, v0 = graph.ends(orbit.rep)
-        partner_rep = None
-        for e in orbit.members:
-            if e == orbit.rep or set(graph.ends(e)) != {u0, v0}:
-                continue
-            t_perm, t_word = orbit.transversal[e]
-            if perm_order(t_perm) != 2:
-                continue
-            if a.word_vertex(t_word, u0) != v0:
-                continue
-            partner_rep = e
-            break
-        if partner_rep is None:
+        u0, v0 = graph.ends(rep)
+        partners = [
+            e for e in sorted(transversal)
+            if e != rep and set(graph.ends(e)) == {u0, v0} and perm_order(transversal[e]) == 2
+            and _maps(a.vertex_orbit_of[u0], transversal[e], u0, v0)
+        ]
+        if not partners:
             continue
-        pairing = {}
-        for e, (_, u_word) in orbit.transversal.items():
-            pairing[e] = a.word_edge(u_word, partner_rep)
+        # edge stabilizers are trivial here, so the orbit of the pair pairs
+        # each edge u rep with u partner
+        pairs, _ = schreier_orbit((rep, partners[0]), pair_maps, G.generators, G.identity)
+        pairing = {e: f for e, f in pairs}
         for e, f in pairing.items():
             if pairing.get(f) != e or f == e:
                 raise ActionError("flip pairing is not a perfect matching")
-        for e, f in pairing.items():
-            pair_of[e] = f
+        pair_of.update(pairing)
     if not pair_of:
         return a
     edges = []
@@ -596,3 +538,16 @@ def flip_all(a: GraphAction, skip_orbits=()) -> GraphAction:
     if not is_harmonic_action(out):
         raise ActionError("flip_all produced a non-harmonic action")
     return out
+
+
+class _OnPairs:
+    """An edge map applied to both entries of a pair of edges."""
+
+    __slots__ = ("edge_map",)
+
+    def __init__(self, edge_map):
+        self.edge_map = edge_map
+
+    def __getitem__(self, pair):
+        e, f = pair
+        return self.edge_map[e], self.edge_map[f]

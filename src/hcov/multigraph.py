@@ -197,8 +197,13 @@ class Multigraph:
     def from_json(cls, data) -> "Multigraph":
         if isinstance(data, str):
             data = json.loads(data)
+        for key in ("vertices", "edges"):
+            if not isinstance(data, dict) or key not in data:
+                raise GraphError(f"graph JSON: missing field {key!r}")
         edges = []
         for rec in data["edges"]:
+            if not isinstance(rec, dict) or "id" not in rec or "ends" not in rec:
+                raise GraphError(f"graph JSON: edge {rec!r} needs the fields 'id' and 'ends'")
             u, v = rec["ends"]
             if u == v:
                 raise GraphError(f"edge {rec['id']} is a loop at vertex {u}")

@@ -221,13 +221,11 @@ def theorem_44_check(mc: MaximalCover) -> Theorem44Report:
     never used as a shortcut. In the Hurwitz case (k=7), |G| = 84(g(S)-1)
     is asserted as well."""
     k = perm_order(perm_mul(mc.tau, mc.sigma))
-    og = canonical_orientation(mc)
-    dec = lht_decomposition(og)
-    report = surface_genus(og)
+    report = surface_genus(canonical_orientation(mc))
     order = mc.group.order()
-    if dec.L * k != order:
+    if report.L * k != order:
         raise GraphError(
-            f"traced L = {dec.L} disagrees with the closed form |G|/k = {order}/{k}"
+            f"traced L = {report.L} disagrees with the closed form |G|/k = {order}/{k}"
         )
     lhs = order * (k - 6)
     rhs = 12 * k * (report.surface_genus - 1)
@@ -238,7 +236,7 @@ def theorem_44_check(mc: MaximalCover) -> Theorem44Report:
         mc.group.name,
         order,
         k,
-        dec.L,
+        report.L,
         report.surface_genus,
         lhs,
         rhs,

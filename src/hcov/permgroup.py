@@ -785,6 +785,9 @@ def group_from_spec(
     (sym:N, alt:N, cyc:N, dih:N, psl2:P, prod:A,B), or an inline JSON dict
     {"degree":..., "generators":[...], "name":...}."""
     if isinstance(spec, dict):
+        for key in ("degree", "generators"):
+            if key not in spec:
+                raise GroupError(f"group spec: missing field {key!r}")
         return PermutationGroup(
             spec["degree"], [tuple(g) for g in spec["generators"]], spec.get("name", "")
         )

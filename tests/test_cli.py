@@ -408,6 +408,11 @@ def test_cycles_of_rejects_non_permutation():
         (dict(S3_POINT, multisets=[[[1, 0, 2], 1]]), "'multisets'"),
         (dict(S3_POINT, inertia={"0": 5}), "inertia.0"),
         (dict(S3_POINT, multisets={"0": [[[1, 0, 2], "x"]]}), "multiplicity 'x'"),
+        ({"group": "S3", "base": {"tree": {"vertices": [0]}}}, "missing field 'edges'"),
+        (
+            {"group": "S3", "base": {"tree": {"vertices": [0, 1], "edges": [{"id": 0}]}}},
+            "needs the fields 'id' and 'ends'",
+        ),
     ],
 )
 def test_malformed_cover_spec_exits_one(capsys, tmp_path, spec, named):
@@ -416,6 +421,41 @@ def test_malformed_cover_spec_exits_one(capsys, tmp_path, spec, named):
     code, out, err = run(capsys, "cover", "rh", "--spec", str(path))
     assert code == 1
     assert out == ""
+    assert err.startswith("error: ") and named in err
+
+
+FIG2 = json.loads((Path(hcov.__file__).parent / "data/figures/fig2_action.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, data, named",
+    [
+        (("group", "order", "--group"), {"generators": [[1, 0, 2]]}, "missing field 'degree'"),
+        (("group", "order", "--group"), {"degree": 3}, "missing field 'generators'"),
+        (
+            ("action", "check", "--action"),
+            {k: v for k, v in FIG2.items() if k != "edges"},
+            "missing field 'edges'",
+        ),
+        (
+            ("action", "check", "--action"),
+            {k: v for k, v in FIG2.items() if k != "group"},
+            "missing field 'group'",
+        ),
+        (
+            ("action", "check", "--action"),
+            dict(FIG2, edge_images={}),
+            "missing field 'edge_images.0'",
+        ),
+    ],
+)
+def test_missing_json_field_exits_one(capsys, tmp_path, argv, data, named):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
     assert err.startswith("error: ") and named in err
 
 

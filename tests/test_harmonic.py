@@ -21,7 +21,7 @@ from hcov.harmonic import (
     quotient,
     unflip,
 )
-from hcov.kernel import mulclose, perm_mul
+from hcov.kernel import mulclose, perm_inv, perm_mul, perm_order
 from hcov.maximal import build_maximal
 from hcov.multigraph import Multigraph, are_isomorphic, is_harmonic, morphism_degree
 from hcov.permgroup import (
@@ -215,9 +215,9 @@ def test_flip_all_requires_unflipped(catalog):
 def test_edge_stabilizers_at_most_two(catalog):
     for a in (fig3_s3_action(catalog), fig3_z6_action()):
         order = a.group.order()
-        for orbit in a.edge_orbits():
-            assert order % len(orbit.transversal) == 0
-            assert order // len(orbit.transversal) in (1, 2)
+        for _, transversal in a.edge_orbits():
+            assert order % len(transversal) == 0
+            assert order // len(transversal) in (1, 2)
 
 
 def test_quotient_tower_degrees_multiply(catalog):
@@ -334,8 +334,9 @@ def _error_kind(err):
 
 @contextmanager
 def _differential():
-    """Check every GraphAction validated inside the block against the oracle;
-    yields the list of verdicts seen."""
+    """Check every GraphAction validated inside the block against the oracle,
+    and each valid one against the harmonic oracle; yields the list of
+    verdicts seen."""
     verdicts = []
     validate = GraphAction._validate_action
 
@@ -352,9 +353,72 @@ def _differential():
             raise
         verdicts.append(None)
         assert expected is None
+        _check_harmonicity(self)
 
     with mock.patch.object(GraphAction, "_validate_action", checked):
         yield verdicts
+
+
+def _harmonic_oracle(a):
+    """(dart-freeness verdict, flipped edges), computed apart from the
+    stored orbits: a breadth-first walk of each edge orbit carries a
+    generator word per edge, and every Schreier generator of the least edge's
+    stabilizer is applied, as a word, to that edge's first end."""
+    gens, ident = a.group.generators, a.group.identity
+
+    def apply_word(word, x):
+        for i, inv in reversed(word):
+            x = a.inverse_vertex_images[i][x] if inv else a.vertex_images[i][x]
+        return x
+
+    harmonic, flipped = True, set()
+    remaining = set(a.graph.edges)
+    while remaining:
+        rep = min(remaining)
+        transversal = {rep: (ident, ())}
+        schreier = []
+        frontier = [rep]
+        while frontier:
+            e = frontier.pop(0)
+            u_perm, u_word = transversal[e]
+            for i, g in enumerate(gens):
+                img = a.edge_images[i][e]
+                w_perm, w_word = perm_mul(g, u_perm), ((i, False),) + u_word
+                if img not in transversal:
+                    transversal[img] = (w_perm, w_word)
+                    frontier.append(img)
+                else:
+                    t_perm, t_word = transversal[img]
+                    s_perm = perm_mul(perm_inv(t_perm), w_perm)
+                    if s_perm != ident:
+                        t_inv = tuple((j, not inv) for j, inv in reversed(t_word))
+                        schreier.append((s_perm, t_inv + w_word))
+        remaining -= set(transversal)
+        stab_order = a.group.order() // len(transversal)
+        u0 = a.graph.ends(rep)[0]
+        if stab_order > 2 or any(
+            apply_word(s_word, u0) == u0 or perm_order(s_perm) != 2
+            for s_perm, s_word in schreier
+        ):
+            harmonic = False
+        if stab_order == 2:
+            flipped.update(transversal)
+    return harmonic, flipped
+
+
+def _check_harmonicity(a):
+    """is_harmonic_action and flipped_edges agree with the oracle, and a
+    witness element fixes its witness dart."""
+    verdict, flipped = _harmonic_oracle(a)
+    report = is_harmonic_action(a)
+    assert report.harmonic == verdict
+    if verdict:
+        assert flipped_edges(a) == flipped
+    else:
+        assert report.witness_element != a.group.identity
+        vm, em = a.element_action(report.witness_element)
+        dart = report.witness_dart
+        assert em[dart.edge] == dart.edge and vm[dart.base] == dart.base
 
 
 FIGURE_NAMES = sorted(
@@ -448,6 +512,42 @@ def test_validation_verdict_kinds(group, graph, vmaps, emaps, kind):
         except ActionError:
             pass
     assert verdicts == [kind]
+
+
+PARALLEL_0_TO_4 = Multigraph([1, 2], [(e, (1, 2)) for e in range(5)])
+
+
+@pytest.mark.parametrize(
+    "group, vmaps, emaps, factors",
+    [
+        # edge 0's stabilizer is Z4: the generator swaps its ends, its square
+        # fixes both
+        (cyclic(4), [{1: 2, 2: 1}], [{0: 0, 1: 2, 2: 3, 3: 4, 4: 1}], [0, 0]),
+        # edge 0's stabilizer is V4, both generators swap its ends: their
+        # product fixes both
+        (
+            V4, [{1: 2, 2: 1}] * 2,
+            [{0: 0, 1: 2, 2: 1, 3: 4, 4: 3}, {0: 0, 1: 3, 2: 4, 3: 1, 4: 2}],
+            [0, 1],
+        ),
+        # edge 0's stabilizer is V4; the first generator swaps its ends, the
+        # second fixes them and is the witness
+        (
+            V4, [{1: 2, 2: 1}, {1: 1, 2: 2}],
+            [{0: 0, 1: 2, 2: 1, 3: 4, 4: 3}, {0: 0, 1: 3, 2: 4, 3: 1, 4: 2}],
+            [1],
+        ),
+    ],
+)
+def test_harmonicity_witness_paths(group, vmaps, emaps, factors):
+    a = GraphAction(group, PARALLEL_0_TO_4, vmaps, emaps)
+    report = is_harmonic_action(a)
+    assert not report and report.witness_dart.edge == 0
+    expected = group.identity
+    for i in factors:
+        expected = perm_mul(expected, group.generators[i])
+    assert report.witness_element == expected
+    _check_harmonicity(a)
 
 
 @pytest.fixture(scope="module")

@@ -119,8 +119,8 @@ def test_pair_recoverable_from_cover():
     # the inertia generator plus any flipping involution regenerate the group
     mc = build_maximal(S3, TAU, SIGMA)
     sigma = mc.cover.inertia.assignment[0].generators[0]
-    orbit = mc.action.edge_orbits()[0]
-    t = next(p for p, w in orbit.schreier if p != mc.group.identity)
+    stab, _ = mc.action.edge_orbits()[0]
+    t = next(p for lv in stab.levels for p, w in lv.gens if p != mc.group.identity)
     assert perm_order(t) == 2
     assert perm_order(sigma) == 3
     assert generates(mc.group, [t, sigma])
@@ -292,8 +292,8 @@ def test_edge_stabilizers_bounded_on_catalog_covers(catalog):
             if not res.pairs:
                 continue
             mc = build_maximal(G, *res.pairs[0])
-            for orbit in mc.action.edge_orbits():
-                assert G.order() // len(orbit.transversal) in (1, 2)
+            for _, transversal in mc.action.edge_orbits():
+                assert G.order() // len(transversal) in (1, 2)
 
 
 def test_parallel_fallback_is_logged(caplog):
