@@ -7,6 +7,4 @@ genus of the oriented surface attached to a 3-regular graph.
 
 __version__ = "0.1.0"
 
-from hcov.kernel import BACKEND
-
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -1,86 +1,3 @@
-"""Pure-Python permutation kernel.
+"""Alias of hcov.kernel, kept because the benchmark harness still imports hcov._pure."""
 
-Permutations are tuples of ints: p maps i to p[i]. This module is the
-fallback twin of the compiled `hcov._speedups`; both expose the same
-functions and must stay behaviourally identical (see
-benchmarks/bench_kernel.py and tests/test_kernel.py).
-"""
-
-from math import gcd
-
-BACKEND = "pure"
-
-
-def perm_id(n):
-    """Identity permutation on 0..n-1."""
-    return tuple(range(n))
-
-
-def perm_mul(p, q):
-    """Product p*q acting right-to-left: (p*q)(i) = p(q(i))."""
-    return tuple(p[i] for i in q)
-
-
-def perm_inv(p):
-    """Inverse permutation."""
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
-def perm_pow(p, k):
-    """k-th power of p, k may be negative."""
-    n = len(p)
-    if k < 0:
-        p = perm_inv(p)
-        k = -k
-    out = perm_id(n)
-    while k:
-        if k & 1:
-            out = perm_mul(out, p)
-        p = perm_mul(p, p)
-        k >>= 1
-    return out
-
-
-def perm_order(p):
-    """Least k >= 1 with p^k = identity (lcm of cycle lengths)."""
-    seen = [False] * len(p)
-    order = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        order = order * length // gcd(order, length)
-    return order
-
-
-def mulclose(gens, limit=None):
-    """Closure of gens under multiplication; returns a set of tuples.
-
-    Raises ValueError when the closure exceeds `limit` elements.
-    """
-    gens = [tuple(g) for g in gens]
-    if not gens:
-        return set()
-    els = set(gens)
-    els.add(perm_id(len(gens[0])))
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in gens:
-            for b in frontier:
-                c = perm_mul(a, b)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if limit is not None and len(els) > limit:
-                        raise ValueError(f"closure exceeds limit {limit}")
-        frontier = new
-    return els
+from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order, perm_pow  # noqa: F401

@@ -55,6 +55,24 @@ def _action_field(data, *path):
     return data
 
 
+def _image_map(data, *path):
+    """A generator's image map in an action's JSON, as a dict of ints."""
+    images = _action_field(data, *path)
+    name = ".".join(path)
+    if not isinstance(images, dict):
+        raise ActionError(f"action JSON: {name!r} must be an object, got {images!r}")
+    out = {}
+    for key, img in images.items():
+        try:
+            point = int(key)
+        except ValueError:
+            raise ActionError(f"action JSON: {name!r} has a non-integer key {key!r}") from None
+        if not isinstance(img, int):
+            raise ActionError(f"action JSON: '{name}.{key}' must be an integer, got {img!r}")
+        out[point] = img
+    return out
+
+
 class GraphAction:
     """A group acting by automorphisms on a multigraph.
 
@@ -251,10 +269,8 @@ class GraphAction:
         vmaps = []
         emaps = []
         for i in range(k):
-            vm = _action_field(data, "vertex_images", str(i))
-            em = _action_field(data, "edge_images", str(i))
-            vmaps.append({int(v): img for v, img in vm.items()})
-            emaps.append({int(e): img for e, img in em.items()})
+            vmaps.append(_image_map(data, "vertex_images", str(i)))
+            emaps.append(_image_map(data, "edge_images", str(i)))
         return cls(group, graph, vmaps, emaps)
 
     def __repr__(self):

@@ -33,6 +33,10 @@ class VertexStar:
         return len(self.incident_edges)
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(x, int) for x in value)
+
+
 class Multigraph:
     """Immutable loopless multigraph with stable vertex/edge ids."""
 
@@ -200,11 +204,20 @@ class Multigraph:
         for key in ("vertices", "edges"):
             if not isinstance(data, dict) or key not in data:
                 raise GraphError(f"graph JSON: missing field {key!r}")
+        if not _int_list(data["vertices"]):
+            raise GraphError("graph JSON: 'vertices' must be a list of integers")
+        if not isinstance(data["edges"], (list, tuple)):
+            raise GraphError("graph JSON: 'edges' must be a list")
         edges = []
         for rec in data["edges"]:
             if not isinstance(rec, dict) or "id" not in rec or "ends" not in rec:
                 raise GraphError(f"graph JSON: edge {rec!r} needs the fields 'id' and 'ends'")
-            u, v = rec["ends"]
+            ends = rec["ends"]
+            if not isinstance(rec["id"], int) or not _int_list(ends) or len(ends) != 2:
+                raise GraphError(
+                    f"graph JSON: edge {rec!r} needs an integer 'id' and two integer 'ends'"
+                )
+            u, v = ends
             if u == v:
                 raise GraphError(f"edge {rec['id']} is a loop at vertex {u}")
             edges.append((rec["id"], (u, v)))

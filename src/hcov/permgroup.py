@@ -493,6 +493,21 @@ def _generating_partners(G, order, a, bs, centralizer, product_order) -> bytearr
     return verdicts
 
 
+def _chain_elements(chain: StabilizerChain):
+    """Every element of the chain's group once, as the product of one
+    transversal element per level. Elements are made one at a time and none
+    is kept, so a search that keeps a few of them never holds all of G."""
+
+    def walk(prefix, level):
+        if level == len(chain.levels):
+            yield prefix
+            return
+        for u, _ in chain.levels[level].transversal.values():
+            yield from walk(perm_mul(prefix, u), level + 1)
+
+    return walk(perm_id(chain.degree), 0)
+
+
 def search_pairs(
     G: PermutationGroup,
     order_a: int = 2,
@@ -512,15 +527,17 @@ def search_pairs(
     conjugate t a t^-1 takes its verdicts from a's:
     verdict(t a t^-1, b) = verdict(a, t^-1 b t).
     """
-    order = G.order()  # before G.elements(): the chain's scratch memory is then reused
+    order = G.order()
     firsts = []
     bs = []
-    for p in G.elements():
+    for p in _chain_elements(G.chain()):
         k = perm_order(p)
         if k == order_a:
             firsts.append(p)
         if k == order_b:
             bs.append(p)
+    firsts.sort()
+    bs.sort()
     pairs = []
     total = 0
     n_classes = 0

@@ -4,9 +4,13 @@ import resource
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hcov
 from hcov.cli import main
@@ -424,7 +428,11 @@ def test_malformed_cover_spec_exits_one(capsys, tmp_path, spec, named):
     assert err.startswith("error: ") and named in err
 
 
-FIG2 = json.loads((Path(hcov.__file__).parent / "data/figures/fig2_action.json").read_text())
+ACTION_SPECS = {
+    name: json.loads((Path(hcov.__file__).parent / f"data/figures/{name}.json").read_text())
+    for name in ("fig2_action", "fig3_s3_action", "fig3_z6_action")
+}
+FIG2 = ACTION_SPECS["fig2_action"]
 
 
 @pytest.mark.parametrize(
@@ -447,6 +455,19 @@ FIG2 = json.loads((Path(hcov.__file__).parent / "data/figures/fig2_action.json")
             dict(FIG2, edge_images={}),
             "missing field 'edge_images.0'",
         ),
+        *[
+            (
+                ("action", "check", "--action"),
+                dict(FIG2, **{field: dict(FIG2[field], **{"0": images})}),
+                f"'{field}.0'",
+            )
+            for field, images in [
+                ("vertex_images", [1, 2]),
+                ("vertex_images", {"x": 1}),
+                ("edge_images", None),
+                ("edge_images", [1]),
+            ]
+        ],
     ],
 )
 def test_missing_json_field_exits_one(capsys, tmp_path, argv, data, named):
@@ -457,6 +478,42 @@ def test_missing_json_field_exits_one(capsys, tmp_path, argv, data, named):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and named in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.integers(-2, 9) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _fuzz_paths(spec):
+    """Every top-level field, image map and image map entry of an action spec."""
+    paths = [(key,) for key in spec]
+    for field in ("vertex_images", "edge_images"):
+        for i, images in spec[field].items():
+            paths.append((field, i))
+            paths += [(field, i, key) for key in images]
+    return paths
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_action_spec_never_tracebacks(tmp_path_factory, data):
+    spec = json.loads(json.dumps(ACTION_SPECS[data.draw(st.sampled_from(sorted(ACTION_SPECS)))]))
+    *parents, last = data.draw(st.sampled_from(_fuzz_paths(spec)))
+    target = spec
+    for key in parents:
+        target = target[key]
+    target[last] = data.draw(JSON_VALUES)
+    path = tmp_path_factory.mktemp("fuzz") / "action.json"
+    path.write_text(json.dumps(spec))
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main(["action", "check", "--action", str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_closed_pipe_exits_quietly():

@@ -1,16 +1,10 @@
-"""Both kernel backends must agree exactly."""
+"""The permutation kernel against plain reference versions."""
 
 import random
 
 import pytest
 
-from hcov import _pure
 from hcov import kernel
-
-try:
-    from hcov import _speedups
-except ImportError:
-    _speedups = None
 
 
 def random_perm(rng, n):
@@ -19,53 +13,96 @@ def random_perm(rng, n):
     return tuple(p)
 
 
+def ref_mul(p, q):
+    return tuple(p[i] for i in q)
+
+
+def ref_inv(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def ref_pow(p, k):
+    step = ref_inv(p) if k < 0 else p
+    out = tuple(range(len(p)))
+    for _ in range(abs(k)):
+        out = ref_mul(out, step)
+    return out
+
+
+def ref_order(p):
+    identity = tuple(range(len(p)))
+    q, k = p, 1
+    while q != identity:
+        q, k = ref_mul(q, p), k + 1
+    return k
+
+
+def ref_closure(gens):
+    identity = tuple(range(len(gens[0])))
+    seen = {identity}
+    queue = [identity]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = ref_mul(g, x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def test_identity_and_mul():
-    assert _pure.perm_id(4) == (0, 1, 2, 3)
+    assert kernel.perm_id(4) == (0, 1, 2, 3)
     p = (1, 0, 2)
     q = (1, 2, 0)
     # right-to-left: (p*q)(x) = p(q(x))
-    assert _pure.perm_mul(p, q) == (0, 2, 1)
+    assert kernel.perm_mul(p, q) == (0, 2, 1)
 
 
 def test_inverse_and_power():
     p = (1, 2, 3, 0)
-    assert _pure.perm_mul(p, _pure.perm_inv(p)) == _pure.perm_id(4)
-    assert _pure.perm_pow(p, 4) == _pure.perm_id(4)
-    assert _pure.perm_pow(p, -1) == _pure.perm_inv(p)
-    assert _pure.perm_pow(p, 5) == p
+    assert kernel.perm_mul(p, kernel.perm_inv(p)) == kernel.perm_id(4)
+    assert kernel.perm_pow(p, 4) == kernel.perm_id(4)
+    assert kernel.perm_pow(p, -1) == kernel.perm_inv(p)
+    assert kernel.perm_pow(p, 5) == p
 
 
 def test_order():
-    assert _pure.perm_order((0, 1, 2)) == 1
-    assert _pure.perm_order((1, 0, 3, 4, 2)) == 6
+    assert kernel.perm_order((0, 1, 2)) == 1
+    assert kernel.perm_order((1, 0, 3, 4, 2)) == 6
 
 
 def test_mulclose_s3():
-    els = _pure.mulclose([(1, 0, 2), (1, 2, 0)])
+    els = kernel.mulclose([(1, 0, 2), (1, 2, 0)])
     assert len(els) == 6
 
 
 def test_mulclose_limit():
     with pytest.raises(ValueError):
-        _pure.mulclose([(1, 0, 2), (1, 2, 0)], limit=3)
+        kernel.mulclose([(1, 0, 2), (1, 2, 0)], limit=3)
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled kernel not built")
-def test_backends_agree():
-    rng = random.Random(7)
-    for n in (1, 2, 5, 9):
-        for _ in range(50):
-            p = random_perm(rng, n)
-            q = random_perm(rng, n)
-            assert _pure.perm_mul(p, q) == _speedups.perm_mul(p, q)
-            assert _pure.perm_inv(p) == _speedups.perm_inv(p)
-            assert _pure.perm_order(p) == _speedups.perm_order(p)
-            k = rng.randrange(-6, 7)
-            assert _pure.perm_pow(p, k) == _speedups.perm_pow(p, k)
-    gens = [random_perm(rng, 6) for _ in range(2)]
-    assert _pure.mulclose(gens) == _speedups.mulclose(gens)
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 44])
+def test_kernel_matches_reference(n):
+    # degrees 0 and 1 take perm_mul's generator path, the rest itemgetter's
+    rng = random.Random(7 + n)
+    for _ in range(50):
+        p = random_perm(rng, n)
+        q = random_perm(rng, n)
+        product = kernel.perm_mul(p, q)
+        assert type(product) is tuple and product == ref_mul(p, q)
+        assert kernel.perm_inv(p) == ref_inv(p)
+        assert kernel.perm_order(p) == ref_order(p)
+        k = rng.randrange(-6, 7)
+        assert kernel.perm_pow(p, k) == ref_pow(p, k)
 
 
-def test_selected_backend_exposes_api():
-    assert kernel.BACKEND in ("pure", "cython")
-    assert kernel.perm_mul((1, 0), (0, 1)) == (1, 0)
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (5, 2), (6, 2), (7, 3)])
+def test_mulclose_matches_reference(n, count):
+    rng = random.Random(100 * n + count)
+    for _ in range(5):
+        gens = [random_perm(rng, n) for _ in range(count)]
+        assert kernel.mulclose(gens) == ref_closure(gens)

@@ -10,6 +10,7 @@ from hcov.kernel import mulclose, perm_inv, perm_mul, perm_order, perm_pow
 from hcov.permgroup import (
     PermutationGroup,
     StabilizerChain,
+    _chain_elements,
     all_subgroups,
     alternating,
     cyclic,
@@ -55,8 +56,10 @@ def test_group_order_examples():
 
 
 def test_chain_order_matches_closure_for_catalog():
-    for G in load_default_catalog().groups:
-        assert G.order() == len(mulclose(G.generators))
+    for G in [*load_default_catalog().groups, alternating(6), psl2(13)]:
+        closure = mulclose(G.generators)
+        assert G.order() == len(closure)
+        assert sorted(_chain_elements(G.chain())) == sorted(closure)
 
 
 def test_element_order_examples():
