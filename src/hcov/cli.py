@@ -49,8 +49,7 @@ def load_catalog_arg(args) -> permgroup.Catalog:
 
 def resolve_group(spec: str, args) -> permgroup.PermutationGroup:
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return permgroup.group_from_spec(json.load(fh))
+        return permgroup.group_from_spec(read_json(spec))
     if spec.lower().startswith("psl2:"):  # no catalog needed
         return permgroup.group_from_spec(spec, allow_large_psl2=args.allow_large_psl2)
     return permgroup.group_from_spec(
@@ -86,19 +85,24 @@ def resolve_spec_path(spec: str) -> str:
     raise HcError(f"spec not found: {spec}")
 
 
+def read_json(path):
+    """The JSON document in a file; HcError if it cannot be read or parsed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise HcError(f"cannot read JSON from {path}: {exc}") from None
+
+
 def load_cover(args) -> galois.HarmonicCover:
-    path = resolve_spec_path(args.spec)
-    with open(path) as fh:
-        data = json.load(fh)
-    if "spec" in data:  # output of `hc cover build` round-trips
+    data = read_json(resolve_spec_path(args.spec))
+    if isinstance(data, dict) and "spec" in data:  # `hc cover build` output round-trips
         data = data["spec"]
     return galois.cover_from_spec(data, load_catalog_arg(args))
 
 
 def load_action(args) -> harmonic.GraphAction:
-    path = resolve_spec_path(args.action)
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(resolve_spec_path(args.action))
     return harmonic.GraphAction.from_json(data, load_catalog_arg(args))
 
 
@@ -244,10 +248,8 @@ def _cover_counts(cover):
 
 
 def cmd_cover_build(args):
-    path = resolve_spec_path(args.spec)
-    with open(path) as fh:
-        spec = json.load(fh)
-    if "spec" in spec:
+    spec = read_json(resolve_spec_path(args.spec))
+    if isinstance(spec, dict) and "spec" in spec:
         spec = spec["spec"]
     cover = galois.cover_from_spec(spec, load_catalog_arg(args))
     if args.dot:
@@ -408,8 +410,7 @@ def cmd_maximal_genus12(args):
 
 
 def cmd_surface_genus(args):
-    with open(resolve_spec_path(args.oriented)) as fh:
-        og = oriented.OrientedGraph.from_json(json.load(fh))
+    og = oriented.OrientedGraph.from_json(read_json(resolve_spec_path(args.oriented)))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(og.to_dot() + "\n")

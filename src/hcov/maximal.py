@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from hcov.errors import CatalogError, CoverError, GroupError
 from hcov.galois import (
@@ -25,6 +26,7 @@ from hcov.kernel import perm_inv, perm_mul
 from hcov.multigraph import Dart, GraphMorphism, Multigraph
 from hcov.permgroup import (
     Catalog,
+    Cosets,
     PairSearch,
     PermutationGroup,
     alternating,
@@ -38,18 +40,46 @@ logger = logging.getLogger("hcov")
 
 
 class MaximalCover:
-    """Coset-labeled maximal cover of the point graph for a (2,3)-pair."""
+    """Coset-labeled maximal cover of the point graph for a (2,3)-pair.
+
+    Its darts are the elements of G (the dart-regular map): the dart of the
+    element g is the end at vertex g<sigma> of edge g<tau>, so the edge e
+    has the darts of its least member r and of r*tau. vertex_rep and
+    edge_rep are the cosets of <sigma> and <tau> (vertex or edge id -> least
+    member, as a tuple).
+    """
 
     def __init__(self, group: PermutationGroup, tau, sigma, cover: HarmonicCover,
-                 vertex_rep, edge_rep, dart_element):
+                 vertex_rep: Cosets, edge_rep: Cosets):
         self.group = group
         self.tau = tau
         self.sigma = sigma
         self.cover = cover
-        self.vertex_rep = vertex_rep  # vertex id -> canonical <sigma>-coset rep
-        self.edge_rep = edge_rep  # edge id -> canonical <tau>-coset rep
-        self.dart_element = dart_element  # Dart -> group element
-        self.element_dart = {g: d for d, g in dart_element.items()}
+        self.vertex_rep = vertex_rep
+        self.edge_rep = edge_rep
+        self._r_tau = group.element_index().right(tau)
+
+    @cached_property
+    def dart_element(self) -> dict:
+        """Dart -> element tuple, built on first use."""
+        index = self.group.element_index()
+        return {d: index.element(self.element_of(d)) for d in self.graph.darts()}
+
+    @cached_property
+    def element_dart(self) -> dict:
+        """Element tuple -> dart, built on first use."""
+        return {g: d for d, g in self.dart_element.items()}
+
+    def dart_of(self, i: int) -> Dart:
+        """The dart of the element with index i."""
+        return Dart(self.edge_rep.of[i], self.vertex_rep.of[i])
+
+    def element_of(self, d: Dart) -> int:
+        """The index of the element of dart d; KeyError if d is no dart."""
+        if d.base not in self.graph.ends(d.edge):  # ends raises KeyError too
+            raise KeyError(d)
+        r = self.edge_rep.reps[d.edge]
+        return r if self.vertex_rep.of[r] == d.base else self._r_tau[r]
 
     @property
     def graph(self) -> Multigraph:
@@ -83,39 +113,16 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
         raise GroupError("maximal covers need |G| >= 6")
 
     sigma_sub = G.subgroup([sigma], "<sigma>")
-    tau_sub = G.subgroup([tau], "<tau>")
-    vreps = left_cosets(G, sigma_sub)
-    ereps = left_cosets(G, tau_sub)
-    vid = {r: i for i, r in enumerate(vreps)}
-    eid = {r: i for i, r in enumerate(ereps)}
-    vrep_of = {}
-    for r in vreps:
-        for h in sigma_sub.elements():
-            vrep_of[perm_mul(r, h)] = r
-    erep_of = {}
-    for r in ereps:
-        for h in tau_sub.elements():
-            erep_of[perm_mul(r, h)] = r
-
-    edges = []
-    dart_element = {}
-    for r in ereps:
-        u = vid[vrep_of[r]]
-        v = vid[vrep_of[perm_mul(r, tau)]]
-        if u == v:
-            raise CoverError("coset edge became a loop; orders 2 and 3 forbid this")
-        e = eid[r]
-        edges.append((e, (u, v)))
-        dart_element[Dart(e, u)] = r
-        dart_element[Dart(e, v)] = perm_mul(r, tau)
-    graph = Multigraph(range(len(vreps)), edges)
-
-    vertex_images = []
-    edge_images = []
-    for gen in G.generators:
-        vertex_images.append({vid[r]: vid[vrep_of[perm_mul(gen, r)]] for r in vreps})
-        edge_images.append({eid[r]: eid[erep_of[perm_mul(gen, r)]] for r in ereps})
-    action = GraphAction(G, graph, vertex_images, edge_images)
+    vcos = left_cosets(G, sigma_sub)
+    ecos = left_cosets(G, G.subgroup([tau], "<tau>"))
+    graph = _coset_graph(vcos, ecos, G.element_index().right(tau))
+    left = G.element_index().left
+    action = GraphAction(
+        G,
+        graph,
+        [{c: vcos.of[lk[r]] for c, r in enumerate(vcos.reps)} for lk in left],
+        [{c: ecos.of[lk[r]] for c, r in enumerate(ecos.reps)} for lk in left],
+    )
 
     base = Multigraph([0], [])
     projection = GraphMorphism(
@@ -129,21 +136,25 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
         action,
         projection,
         {0: tuple(graph.vertices)},
-        {v: (0, vreps[v]) for v in graph.vertices},
-        {e: ("flip", ereps[e]) for e in graph.edges},
         True,
         [],
     )
     _verify_cover(cover)
 
-    mc = MaximalCover(
-        G, tau, sigma, cover,
-        {vid[r]: r for r in vreps},
-        {eid[r]: r for r in ereps},
-        dart_element,
-    )
+    mc = MaximalCover(G, tau, sigma, cover, vcos, ecos)
     _verify_maximal(mc)
     return mc
+
+
+def _coset_graph(vcos: Cosets, ecos: Cosets, r_tau) -> Multigraph:
+    """The edge r<tau> joins r<sigma> to r*tau<sigma>."""
+    edges = []
+    for e, r in enumerate(ecos.reps):
+        u, v = vcos.of[r], vcos.of[r_tau[r]]
+        if u == v:
+            raise CoverError("coset edge became a loop; orders 2 and 3 forbid this")
+        edges.append((e, (u, v)))
+    return Multigraph(range(len(vcos)), edges)
 
 
 def _verify_maximal(mc: MaximalCover):
@@ -172,8 +183,7 @@ def build_maximal_rho(G: PermutationGroup, tau, sigma, rho=None) -> HarmonicCove
     if rho is None:
         rho = perm_mul(tau, sigma)
     rho = tuple(rho)
-    coset = {perm_mul(tau, h) for h in G.subgroup([sigma]).elements()}
-    if rho not in coset:
+    if not G.subgroup([sigma]).contains(perm_mul(perm_inv(tau), rho)):
         raise GroupError("rho must lie in the coset tau<sigma>")
     base = Multigraph([0], [])
     S = SymmetricMultiset([rho]) if rho == perm_inv(rho) else SymmetricMultiset(

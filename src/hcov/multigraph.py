@@ -200,7 +200,10 @@ class Multigraph:
     @classmethod
     def from_json(cls, data) -> "Multigraph":
         if isinstance(data, str):
-            data = json.loads(data)
+            try:
+                data = json.loads(data)
+            except ValueError:
+                raise GraphError(f"graph JSON: {data!r} is not a JSON document") from None
         for key in ("vertices", "edges"):
             if not isinstance(data, dict) or key not in data:
                 raise GraphError(f"graph JSON: missing field {key!r}")

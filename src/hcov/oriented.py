@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from hcov.errors import GraphError
-from hcov.kernel import perm_inv, perm_mul, perm_order
+from hcov.kernel import perm_mul, perm_order
 from hcov.maximal import MaximalCover
 from hcov.multigraph import Dart, Multigraph
 
@@ -53,12 +53,25 @@ class OrientedGraph:
     @classmethod
     def from_json(cls, data) -> "OrientedGraph":
         if isinstance(data, str):
-            data = json.loads(data)
+            try:
+                data = json.loads(data)
+            except ValueError:
+                raise GraphError(f"graph JSON: {data!r} is not a JSON document") from None
         graph = Multigraph.from_json(data)
+        if "rotation" not in data:
+            raise GraphError("oriented graph JSON: missing field 'rotation'")
+        if not isinstance(data["rotation"], dict):
+            raise GraphError("oriented graph JSON: 'rotation' must be an object keyed by vertex")
         rotation = {}
         for v, darts in data["rotation"].items():
-            rotation[int(v)] = tuple(
-                Dart(e, graph.ends(e)[end]) for e, end in darts
+            try:
+                vertex = int(v)
+            except ValueError:
+                raise GraphError(f"oriented graph JSON: 'rotation.{v}' is no vertex id") from None
+            if not isinstance(darts, list):
+                raise GraphError(f"oriented graph JSON: 'rotation.{v}' must be a list of darts")
+            rotation[vertex] = tuple(
+                _dart(graph, d, f"rotation.{v}.{i}") for i, d in enumerate(darts)
             )
         return cls(graph, rotation)
 
@@ -80,6 +93,16 @@ class OrientedGraph:
             )
         lines.append("}")
         return "\n".join(lines)
+
+
+def _dart(graph: Multigraph, d, path) -> Dart:
+    """The dart [edge id, end 0 or 1] of an oriented graph's JSON."""
+    if isinstance(d, list) and len(d) == 2 and all(type(x) is int for x in d) and d[1] in (0, 1):
+        try:
+            return Dart(d[0], graph.ends(d[0])[d[1]])
+        except KeyError:
+            pass
+    raise GraphError(f"oriented graph JSON: '{path}' must be [edge id, end 0 or 1], got {d!r}")
 
 
 def lht_successor(og: OrientedGraph, d: Dart) -> Dart:
@@ -167,39 +190,24 @@ def random_rotation(graph: Multigraph, rng: random.Random) -> OrientedGraph:
 
 
 def canonical_orientation(mc: MaximalCover) -> OrientedGraph:
-    """Rotation at the vertex with coset representative r given by the
-    conjugate inertia generator r*sigma*r^-1 acting on dart labels."""
-    sigma = mc.sigma
+    """The rotation of the dart-regular map: right multiplication by sigma
+    on the darts' elements. It keeps the vertex g<sigma> and cycles the
+    three darts there, g -> g*sigma -> g*sigma^2; this is the conjugate
+    inertia generator r*sigma*r^-1 of the vertex acting on the left, for
+    any member r of its coset."""
+    r_sigma = mc.group.element_index().right(mc.sigma)
     rotation = {}
     for v in mc.graph.vertices:
-        rep = mc.vertex_rep[v]
-        sigma_v = perm_mul(rep, perm_mul(sigma, perm_inv(rep)))
-        darts = [Dart(e, v) for e in mc.graph.incident_edges(v)]
-        d0 = min(darts)
-        h = mc.dart_element[d0]
+        d0 = min(Dart(e, v) for e in mc.graph.incident_edges(v))
+        i = mc.element_of(d0)
         rot = [d0]
         for _ in range(2):
-            h = perm_mul(sigma_v, h)
-            rot.append(mc.element_dart[h])
+            i = r_sigma[i]
+            rot.append(mc.dart_of(i))
         if {d.base for d in rot} != {v} or len(set(rot)) != 3:
-            raise GraphError("conjugated inertia generator does not rotate the star")
+            raise GraphError("right multiplication by sigma does not rotate the star")
         rotation[v] = tuple(rot)
-    og = OrientedGraph(mc.graph, rotation)
-    _assert_representative_independence(mc, og)
-    return og
-
-
-def _assert_representative_independence(mc: MaximalCover, og: OrientedGraph):
-    """The rotation must not depend on which coset member defines it."""
-    sigma = mc.sigma
-    for v in list(mc.graph.vertices)[:4]:
-        rep = mc.vertex_rep[v]
-        for h in (perm_mul(rep, sigma), perm_mul(rep, perm_mul(sigma, sigma))):
-            sigma_v = perm_mul(h, perm_mul(sigma, perm_inv(h)))
-            d0 = og.rotation[v][0]
-            nxt = mc.element_dart[perm_mul(sigma_v, mc.dart_element[d0])]
-            if nxt != og.rotation[v][1]:
-                raise GraphError("rotation depends on the coset representative")
+    return OrientedGraph(mc.graph, rotation)
 
 
 @dataclass

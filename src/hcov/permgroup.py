@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from hcov.errors import CatalogError, GroupError
@@ -277,6 +278,7 @@ class PermutationGroup:
         self.name = name or f"group<{degree}>"
         self._chain = None
         self._elements = None
+        self._index = None
 
     @property
     def identity(self) -> tuple:
@@ -298,6 +300,12 @@ class PermutationGroup:
                 els = {self.identity}
             self._elements = tuple(sorted(els))
         return self._elements
+
+    def element_index(self) -> "ElementIndex":
+        """The elements numbered in lexicographic order (cached)."""
+        if self._index is None:
+            self._index = ElementIndex(self)
+        return self._index
 
     def contains(self, p) -> bool:
         return self.chain().contains(p)
@@ -365,28 +373,138 @@ def generates(G: PermutationGroup, elems) -> bool:
     return StabilizerChain(G.degree, elems).order() == G.order()
 
 
-# -- cosets -----------------------------------------------------------------
+# -- element index and cosets -------------------------------------------------
 
 
-def left_cosets(G: PermutationGroup, H: Subgroup) -> list[tuple]:
-    """Canonical representatives of the left cosets G/H, sorted.
+class ElementIndex:
+    """The elements of a group numbered 0..|G|-1 in lexicographic order.
 
-    Each representative is the lexicographically minimal member of its coset.
+    An element is stored by its images of the points 0..m-1, m - 1 the
+    largest base point of the group's chain: those images fix it, and two
+    elements first differ at a base point or before one, so they sort like
+    the full tuples. One breadth-first walk from the identity by left
+    multiplication with the generators finds every element; the identity is
+    element 0. keys[i] reads element i's images as the digits of a number
+    in base degree, which sorts the same way.
+
+    left[k][i] is the index of g_k * x_i, for the group's k-th generator
+    g_k. right(h)[i], the index of x_i * h, comes from the walk's tree: when
+    x = g_k * parent(x), x * h = g_k * (parent(x) * h).
     """
+
+    def __init__(self, G: PermutationGroup):
+        self.group = G
+        gens = G.generators
+        start = tuple(range(max((lv.point for lv in G.chain().levels), default=-1) + 1))
+        found = {start: 0}
+        images = [start]  # in walk order
+        parent, via = [0], [-1]
+        left = [[] for _ in gens]
+        for b, x in enumerate(images):
+            for k, s in enumerate(gens):
+                y = tuple(map(s.__getitem__, x))
+                c = found.get(y)
+                if c is None:
+                    c = found[y] = len(images)
+                    images.append(y)
+                    parent.append(b)
+                    via.append(k)
+                left[k].append(c)
+        walk = sorted(range(len(images)), key=images.__getitem__)
+        rank = [0] * len(walk)
+        for i, b in enumerate(walk):
+            rank[b] = i
+        self._m = len(start)
+        self.keys = [self._key(images[b]) for b in walk]  # sorted
+        self.left = [[rank[lk[b]] for b in walk] for lk in left]
+        self._walk = rank  # element indices in walk order
+        self._parent = [rank[parent[b]] for b in walk]
+        self._via = [via[b] for b in walk]
+
+    def _key(self, images) -> int:
+        key = 0
+        for x in images:
+            key = key * self.group.degree + x
+        return key
+
+    def __len__(self):
+        return len(self.keys)
+
+    def element(self, i: int) -> tuple:
+        """The permutation with index i: the product of one transversal
+        element per chain level that its base images pick."""
+        key, images = self.keys[i], []
+        for _ in range(self._m):
+            key, x = divmod(key, self.group.degree)
+            images.append(x)
+        images.reverse()
+        g = self.group.identity
+        for lv in self.group.chain().levels:
+            u, _ = lv.transversal[g.index(images[lv.point])]
+            g = perm_mul(g, u)
+        return g
+
+    def index_of(self, g) -> int:
+        """The index of the member g; KeyError if g is not a member."""
+        g = tuple(g)
+        i = bisect_left(self.keys, self._key(g[: self._m]))
+        if i == len(self.keys) or self.element(i) != g:
+            raise KeyError(g)
+        return i
+
+    def right(self, h) -> list:
+        """right(h)[i] is the index of x_i * h."""
+        out = [0] * len(self.keys)
+        out[0] = self.index_of(h)
+        left, parent, via = self.left, self._parent, self._via
+        for x in self._walk[1:]:
+            out[x] = left[via[x]][out[parent[x]]]
+        return out
+
+
+class Cosets(Sequence):
+    """The left cosets gH of a subgroup H, on its group's element index.
+
+    A coset is an orbit of the index under right multiplication by H's
+    generators. reps[c] is the index of coset c's least member, cosets are
+    numbered by increasing reps, and of[i] is the coset of element i. As a
+    sequence, cosets yield their least members as tuples.
+    """
+
+    def __init__(self, index: ElementIndex, subgroup: PermutationGroup):
+        rights = [index.right(h) for h in subgroup.generators]
+        self.index = index
+        self.of = of = [-1] * len(index)
+        self.reps = []
+        for i in range(len(of)):
+            if of[i] >= 0:
+                continue
+            c = of[i] = len(self.reps)
+            self.reps.append(i)
+            stack = [i]
+            while stack:
+                x = stack.pop()
+                for r in rights:
+                    y = r[x]
+                    if of[y] < 0:
+                        of[y] = c
+                        stack.append(y)
+
+    def __len__(self):
+        return len(self.reps)
+
+    def __getitem__(self, c):
+        return self.index.element(self.reps[c])
+
+
+def left_cosets(G: PermutationGroup, H: Subgroup) -> Cosets:
+    """The left cosets G/H, each represented by its lexicographically least
+    member; iterating yields those representatives, sorted."""
     if getattr(H, "parent", None) is not G:
         for h in H.generators:
             if not G.contains(h):
                 raise GroupError("H is not contained in G")
-    h_elements = H.elements()
-    assigned = set()
-    reps = []
-    for g in G.elements():
-        if g in assigned:
-            continue
-        reps.append(g)
-        for h in h_elements:
-            assigned.add(perm_mul(g, h))
-    return reps
+    return Cosets(G.element_index(), H)
 
 
 # -- (2,3)-generating pair search --------------------------------------------
@@ -805,9 +923,17 @@ def group_from_spec(
         for key in ("degree", "generators"):
             if key not in spec:
                 raise GroupError(f"group spec: missing field {key!r}")
-        return PermutationGroup(
-            spec["degree"], [tuple(g) for g in spec["generators"]], spec.get("name", "")
-        )
+        degree, gens, name = spec["degree"], spec["generators"], spec.get("name", "")
+        if type(degree) is not int or degree < 0:
+            raise GroupError(f"group spec: 'degree' must be a non-negative integer, got {degree!r}")
+        if not isinstance(gens, list):
+            raise GroupError(f"group spec: 'generators' must be a list, got {gens!r}")
+        for i, g in enumerate(gens):
+            if not isinstance(g, list):
+                raise GroupError(f"group spec: 'generators.{i}' must be a list, got {g!r}")
+        if not isinstance(name, str):
+            raise GroupError(f"group spec: 'name' must be a string, got {name!r}")
+        return PermutationGroup(degree, [tuple(g) for g in gens], name)
     if not isinstance(spec, str):
         raise GroupError(f"cannot resolve group from {spec!r}")
     if catalog is not None:

@@ -417,6 +417,10 @@ def test_cycles_of_rejects_non_permutation():
             {"group": "S3", "base": {"tree": {"vertices": [0, 1], "edges": [{"id": 0}]}}},
             "needs the fields 'id' and 'ends'",
         ),
+        (dict(S3_POINT, multisets={"2": [5]}), "multisets.2.0"),
+        (dict(S3_POINT, multisets={"2": [[[1, 0, 2]]]}), "multisets.2.0"),
+        (dict(S3_POINT, inertia={"1": [7]}), "inertia.1.0"),
+        (dict(S3_POINT, group="A4", multisets={"0": [[[1, 0, 2, 3], 1]]}), "not a member of A4"),
     ],
 )
 def test_malformed_cover_spec_exits_one(capsys, tmp_path, spec, named):
@@ -433,6 +437,7 @@ ACTION_SPECS = {
     for name in ("fig2_action", "fig3_s3_action", "fig3_z6_action")
 }
 FIG2 = ACTION_SPECS["fig2_action"]
+THETA = {"vertices": [0, 1], "edges": [{"id": e, "ends": [0, 1]} for e in range(3)]}
 
 
 @pytest.mark.parametrize(
@@ -468,6 +473,17 @@ FIG2 = ACTION_SPECS["fig2_action"]
                 ("edge_images", [1]),
             ]
         ],
+        (("group", "order", "--group"), {"degree": 3, "generators": 7}, "'generators'"),
+        (("group", "order", "--group"), {"degree": 3, "generators": [5]}, "'generators.0'"),
+        (("group", "order", "--group"), {"degree": "x", "generators": []}, "'degree'"),
+        (("surface", "genus", "--oriented"), THETA, "missing field 'rotation'"),
+        (("surface", "genus", "--oriented"), dict(THETA, rotation=[[0, 0]]), "'rotation'"),
+        (
+            ("surface", "genus", "--oriented"),
+            dict(THETA, rotation={"0": [[0, 5], [1, 0], [2, 0]]}),
+            "'rotation.0.0'",
+        ),
+        (("surface", "genus", "--oriented"), dict(THETA, rotation={"0": 3}), "'rotation.0'"),
     ],
 )
 def test_missing_json_field_exits_one(capsys, tmp_path, argv, data, named):
@@ -480,6 +496,26 @@ def test_missing_json_field_exits_one(capsys, tmp_path, argv, data, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("group", "order", "--group"),
+        ("action", "check", "--action"),
+        ("cover", "build", "--spec"),
+        ("cover", "rh", "--spec"),
+        ("surface", "genus", "--oriented"),
+    ],
+)
+@pytest.mark.parametrize("text", ["not json", "5"])
+def test_unreadable_input_file_exits_one(capsys, tmp_path, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.integers(-2, 9) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)
@@ -488,32 +524,97 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _fuzz_paths(spec):
-    """Every top-level field, image map and image map entry of an action spec."""
-    paths = [(key,) for key in spec]
-    for field in ("vertex_images", "edge_images"):
-        for i, images in spec[field].items():
-            paths.append((field, i))
-            paths += [(field, i, key) for key in images]
+def _json_paths(data, prefix=()):
+    """The path of every value nested in a JSON document."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return []
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        paths += _json_paths(value, prefix + (key,))
     return paths
+
+
+def _mutated(data, spec):
+    """A copy of spec with the value at one drawn path replaced by a drawn
+    JSON value."""
+    spec = json.loads(json.dumps(spec))
+    *parents, last = data.draw(st.sampled_from(_json_paths(spec)))
+    target = spec
+    for key in parents:
+        target = target[key]
+    target[last] = data.draw(JSON_VALUES)
+    return spec
+
+
+def _exits_zero_or_one(tmp_path_factory, argv, spec):
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(spec))
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main([*argv, str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_mutated_action_spec_never_tracebacks(tmp_path_factory, data):
-    spec = json.loads(json.dumps(ACTION_SPECS[data.draw(st.sampled_from(sorted(ACTION_SPECS)))]))
-    *parents, last = data.draw(st.sampled_from(_fuzz_paths(spec)))
-    target = spec
-    for key in parents:
-        target = target[key]
-    target[last] = data.draw(JSON_VALUES)
-    path = tmp_path_factory.mktemp("fuzz") / "action.json"
-    path.write_text(json.dumps(spec))
-    err = StringIO()
-    with redirect_stdout(StringIO()), redirect_stderr(err):
-        code = main(["action", "check", "--action", str(path)])
-    assert code in (0, 1)
-    assert "Traceback" not in err.getvalue()
+    spec = ACTION_SPECS[data.draw(st.sampled_from(sorted(ACTION_SPECS)))]
+    _exits_zero_or_one(tmp_path_factory, ["action", "check", "--action"], _mutated(data, spec))
+
+
+COVER_SPECS = {
+    name: json.loads((Path(hcov.__file__).parent / f"data/figures/{name}.json").read_text())
+    for name in ("fig4", "fig5", "fig6", "theta_s3")
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_cover_spec_never_tracebacks(tmp_path_factory, data):
+    spec = COVER_SPECS[data.draw(st.sampled_from(sorted(COVER_SPECS)))]
+    _exits_zero_or_one(tmp_path_factory, ["cover", "rh", "--spec"], _mutated(data, spec))
+
+
+S4_SPEC = {"degree": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]], "name": "S4"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_group_spec_never_tracebacks(tmp_path_factory, data):
+    _exits_zero_or_one(tmp_path_factory, ["group", "order", "--group"], _mutated(data, S4_SPEC))
+
+
+def _oriented_graphs():
+    from hcov.maximal import build_maximal
+    from hcov.oriented import canonical_orientation
+    from hcov.permgroup import alternating, perm_from_cycles, symmetric
+
+    pairs = [
+        (symmetric(3), [(0, 1)], [(0, 1, 2)]),
+        (alternating(4), [(0, 1), (2, 3)], [(0, 1, 2)]),
+    ]
+    return [
+        canonical_orientation(
+            build_maximal(G, perm_from_cycles(t, G.degree), perm_from_cycles(s, G.degree))
+        ).to_json()
+        for G, t, s in pairs
+    ]
+
+
+ORIENTED_GRAPHS = _oriented_graphs()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_oriented_graph_never_tracebacks(tmp_path_factory, data):
+    spec = data.draw(st.sampled_from(ORIENTED_GRAPHS))
+    _exits_zero_or_one(tmp_path_factory, ["surface", "genus", "--oriented"], _mutated(data, spec))
 
 
 def test_closed_pipe_exits_quietly():

@@ -130,7 +130,7 @@ def test_collapse_by_trivial_subgroup_is_identity():
 
 def test_collapse_requires_element_labels():
     lab = cayley(S3, SymmetricMultiset([TAU]))
-    broken = type(lab)(lab.action, {v: S3.identity for v in lab.graph.vertices}, lab.edge_labels)
+    broken = type(lab)(lab.action, {v: 0 for v in lab.graph.vertices})
     with pytest.raises(CoverError, match="bijectively"):
         collapse(S3, S3.subgroup([SIGMA]), broken)
 
