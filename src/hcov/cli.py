@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from hcov.errors import HcError
+from hcov.errors import HcError, read_json
 from hcov import galois, harmonic, maximal, multigraph, oriented, permgroup
 from hcov.kernel import perm_order, perm_mul
 
@@ -83,15 +83,6 @@ def resolve_spec_path(spec: str) -> str:
     if candidate.is_file():
         return str(candidate)
     raise HcError(f"spec not found: {spec}")
-
-
-def read_json(path):
-    """The JSON document in a file; HcError if it cannot be read or parsed."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise HcError(f"cannot read JSON from {path}: {exc}") from None
 
 
 def load_cover(args) -> galois.HarmonicCover:

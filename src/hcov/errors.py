@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of JSON
+input files, which turns a file that cannot be read or parsed into one."""
+
+import json
 
 
 class HcError(Exception):
@@ -27,3 +30,12 @@ class CoverError(HcError):
 
 class CatalogError(HcError):
     pass
+
+
+def read_json(path):
+    """The JSON document in a file; HcError if it cannot be read or parsed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise HcError(f"cannot read JSON from {path}: {exc}") from None

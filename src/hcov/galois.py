@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from hcov.errors import CoverError, GroupError
 from hcov.harmonic import GraphAction, flip_all, is_harmonic_action, quotient
@@ -18,7 +19,6 @@ from hcov.kernel import perm_id, perm_inv, perm_mul  # noqa: F401
 from hcov.multigraph import GraphMorphism, Multigraph
 from hcov.permgroup import (
     PermutationGroup,
-    StabilizerChain,
     Subgroup,
     cycle_string,
     generates,
@@ -136,26 +136,46 @@ class InertiaStructure:
 
 @dataclass
 class LabeledAction:
-    """A GraphAction on a Cayley graph or a collapse of one.
+    """A Cayley graph of G or a collapse of one, with G's generators acting
+    on it: one vertex and one edge image map per generator, as in
+    GraphAction.
+
+    cayley and collapse do not validate the maps. build_cover copies every
+    fiber into the total graph, and the total GraphAction's validation
+    covers each fiber's vertices and vertical edges: bijective,
+    incidence-preserving generator maps, the orbit-stabilizer index test
+    on every orbit, and faithfulness on the whole graph and each component.
+    The per-fiber validation survives as a test oracle in
+    tests/test_galois.py.
 
     Group elements are named by their index in G.element_index(). Each
     vertex is labeled by the least element of its coset, and vertex_of[i]
     is the vertex of element i's coset.
     """
 
-    action: GraphAction
+    group: PermutationGroup
+    graph: Multigraph
+    vertex_images: list  # per generator: vertex id -> image
+    edge_images: list  # per generator: edge id -> image
     vertex_labels: dict  # vertex id -> element index
     removed_loops: list = field(default_factory=list)
     vertex_of: list = field(default_factory=list)  # element index -> vertex id
 
-    @property
-    def graph(self) -> Multigraph:
-        return self.action.graph
+    @cached_property
+    def action(self) -> GraphAction:
+        """The fiber's action on its own, validated on first use.
+        Faithfulness is required of a regular action only: a collapsed
+        fiber's isolated coset vertices carry their inertia."""
+        G = self.group
+        regular = len(self.graph.vertices) == G.order()
+        return GraphAction(
+            G, self.graph, self.vertex_images, self.edge_images, require_faithful=regular
+        )
 
 
 def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
     """Cayley graph of G on a symmetric multiset, with the left-multiplication
-    action.
+    action (not validated here; see LabeledAction).
 
     One vertex per group element, numbered by its index. Each inverse pair
     {rho, rho^-1} with rho != rho^-1 contributes one edge {g, g*rho} per
@@ -171,14 +191,19 @@ def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
     edges = []
     for u, (rho, _) in enumerate(units):
         edges += [(u * n + i, (i, y)) for i, y in enumerate(index.right(rho))]
-    graph = Multigraph(range(n), edges)
     vertex_images = [dict(enumerate(lk)) for lk in index.left]
     edge_images = [
         {u * n + i: u * n + y for u in range(len(units)) for i, y in enumerate(lk)}
         for lk in index.left
     ]
-    action = GraphAction(G, graph, vertex_images, edge_images)
-    return LabeledAction(action, {i: i for i in range(n)}, vertex_of=list(range(n)))
+    return LabeledAction(
+        G,
+        Multigraph(range(n), edges),
+        vertex_images,
+        edge_images,
+        {i: i for i in range(n)},
+        vertex_of=list(range(n)),
+    )
 
 
 def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> LabeledAction:
@@ -186,6 +211,9 @@ def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> Labele
 
     The input graph's vertices must be labeled bijectively by the elements
     of G; edge ids survive unchanged, which keeps the collapse auditable.
+    The image maps are not validated here (see LabeledAction); on its own a
+    collapsed fiber need not be faithful, only the assembled total action
+    must be.
     """
     labels = labeled.vertex_labels
     if sorted(labels.values()) != list(range(G.order())):
@@ -201,17 +229,20 @@ def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> Labele
             removed.append({"edge": e, "coset": new_v[u]})
         else:
             edges.append((e, (new_v[u], new_v[v])))
-    graph = Multigraph(range(len(cosets)), edges)
-    kept = set(graph.edges)
-    vertex_images = []
-    edge_images = []
-    for k, lk in enumerate(G.element_index().left):
-        vertex_images.append({c: cosets.of[lk[r]] for c, r in enumerate(cosets.reps)})
-        edge_images.append({e: labeled.action.edge_images[k][e] for e in kept})
-    # a collapsed fiber on its own need not be faithful (isolated coset
-    # vertices carry their inertia); only the assembled total action is
-    action = GraphAction(G, graph, vertex_images, edge_images, require_faithful=False)
-    return LabeledAction(action, dict(enumerate(cosets.reps)), removed, cosets.of)
+    kept = [e for e, _ in edges]
+    vertex_images = [
+        {c: cosets.of[lk[r]] for c, r in enumerate(cosets.reps)} for lk in G.element_index().left
+    ]
+    edge_images = [{e: em[e] for e in kept} for em in labeled.edge_images]
+    return LabeledAction(
+        G,
+        Multigraph(range(len(cosets)), edges),
+        vertex_images,
+        edge_images,
+        dict(enumerate(cosets.reps)),
+        removed,
+        cosets.of,
+    )
 
 
 # -- covers --------------------------------------------------------------------
@@ -273,17 +304,21 @@ class HarmonicCover:
             raise CoverError("per-edge preimage counts differ across base edges")
         return values.pop()
 
-    def vertical_edges_over(self, x) -> list[int]:
-        fiber = set(self.fiber_index[x])
-        return sorted(
-            e
-            for e, img in self.projection.edge_map.items()
-            if img is None and self.graph.ends(e)[0] in fiber
-        )
-
     def fiber_subgraph(self, x) -> Multigraph:
-        edges = [(e, self.graph.ends(e)) for e in self.vertical_edges_over(x)]
-        return Multigraph(self.fiber_index[x], edges)
+        """The fiber over x with its vertical edges (built once per cover)."""
+        return self._fiber_subgraphs[x]
+
+    @cached_property
+    def _fiber_subgraphs(self) -> dict:
+        """Base vertex -> its fiber with the vertical edges over it, from one
+        pass over the projection on first use."""
+        vertical = {x: [] for x in self.base.vertices}
+        vertex_map = self.projection.vertex_map
+        for e, img in sorted(self.projection.edge_map.items()):
+            if img is None:
+                ends = self.graph.ends(e)
+                vertical[vertex_map[ends[0]]].append((e, ends))
+        return {x: Multigraph(self.fiber_index[x], edges) for x, edges in vertical.items()}
 
     def __repr__(self):
         flip = "flipped" if self.flipped else "unflipped"
@@ -306,8 +341,11 @@ def build_cover(
     The fiber over x is collapse(G, I_x, cayley(G, S_x)); one horizontal edge
     per group element joins g*I_x to g*I_x' over each base edge {x, x'}.
     Entries of S_x lying in I_x are dropped with a warning (they would only
-    produce loops). Harmonicity and the per-edge degree are verified before
-    returning; a disconnected result is reported, not an error.
+    produce loops). The fibers' image maps are validated once, by the total
+    GraphAction: one per cover, and a second from flip_all when flipped.
+    Every statistic of the cover reads the orbits that validation stored.
+    Harmonicity and the per-edge degree are verified before returning; a
+    disconnected result is reported, not an error.
     """
     if not base.is_connected():
         raise CoverError("base must be connected")
@@ -351,13 +389,13 @@ def build_cover(
     for x in base.vertices:
         fib = fibers[x]
         eid = {e: len(edges) + j for j, e in enumerate(sorted(fib.graph.edges))}
-        for vm, fvm in zip(vertex_images, fib.action.vertex_images):
+        for vm, fvm in zip(vertex_images, fib.vertex_images):
             vm.update((offset[x] + v, offset[x] + img) for v, img in fvm.items())
         for e, ge in eid.items():
             u, v = fib.graph.ends(e)
             edges.append((ge, (offset[x] + u, offset[x] + v)))
             proj_edge[ge] = None
-            for em, fem in zip(edge_images, fib.action.edge_images):
+            for em, fem in zip(edge_images, fib.edge_images):
                 em[ge] = eid[fem[e]]
     for b in sorted(base.edges):
         x, y = base.ends(b)
@@ -477,20 +515,15 @@ class RamificationProfile:
         return R
 
 
-def _vertex_stabilizer_order(action: GraphAction, v) -> tuple[int, set]:
-    """(|Stab(v)|, orbit of v) via Schreier generators of the vertex orbit."""
-    transversal, schreier = schreier_orbit(
-        v, action.vertex_images, action.group.generators, action.group.identity
-    )
-    stab = StabilizerChain(action.group.degree, schreier).order()
-    if stab * len(transversal) != action.group.order():
-        raise CoverError("orbit-stabilizer bookkeeping failed")
-    return stab, set(transversal)
-
-
 def ramification_profile(c: HarmonicCover) -> RamificationProfile:
     """Per-base-vertex (m, f, n, v, w); the identity m*f*n = |G| is asserted
-    at every vertex, with m from an independent stabilizer computation."""
+    at every vertex.
+
+    m and the vertex orbit come from the validation of the cover's action:
+    its stored (chain of Stab_G(p), transversal) pair, whose index test
+    |Stab_G(p)| * |orbit| = |G| passed there. The fresh stabilizer
+    computation from both ends of each fiber is a test oracle in
+    tests/test_galois.py."""
     order = c.group.order()
     out = {}
     for x in c.base.vertices:
@@ -506,12 +539,10 @@ def ramification_profile(c: HarmonicCover) -> RamificationProfile:
         if len(degrees) != 1:
             raise CoverError(f"fiber over {x} has vertices of different vertical degree")
         v_count = degrees.pop()
-        m, orbit = _vertex_stabilizer_order(c.action, min(fiber))
-        if orbit != set(fiber):
+        stab, transversal = c.action.vertex_orbit_of[fiber[0]]
+        if transversal.keys() != set(fiber):
             raise CoverError(f"vertex orbit over {x} does not equal the fiber")
-        m2, _ = _vertex_stabilizer_order(c.action, max(fiber))
-        if m2 != m:
-            raise CoverError(f"stabilizer order differs across the fiber over {x}")
+        m = stab.order()
         if m * f * n != order:
             raise CoverError(
                 f"identity violated over {x}: m*f*n = {m}*{f}*{n} != {order}"
@@ -537,7 +568,7 @@ def decomposition_group(c: HarmonicCover, y) -> Subgroup:
     delta = c.group.subgroup(sorted(schreier), name=f"Delta({y})")
     if delta.order() * len(transversal) != c.group.order():
         raise CoverError("decomposition group order check failed")
-    m, _ = _vertex_stabilizer_order(c.action, y)
+    m = c.action.vertex_orbit_of[y][0].order()
     if delta.order() % m != 0:
         raise CoverError("decomposition group does not contain the inertia group")
     return delta

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 from hcov.errors import GraphError, MorphismError
@@ -72,8 +74,9 @@ class Multigraph:
         return self._vertices
 
     @property
-    def edges(self) -> dict[int, tuple[int, int]]:
-        return dict(self._edges)
+    def edges(self) -> MappingProxyType:
+        """Edge id -> (u, v), as a read-only view."""
+        return MappingProxyType(self._edges)
 
     def ends(self, eid: int) -> tuple[int, int]:
         return self._edges[eid]
@@ -125,7 +128,13 @@ class Multigraph:
         """Partition of the vertices under edge-reachability.
 
         Components are sorted internally and ordered by smallest vertex id.
+        The graph is immutable, so they are computed once; every call
+        returns fresh lists.
         """
+        return [list(comp) for comp in self._components]
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
         seen = set()
         comps = []
         for start in self._vertices:
@@ -141,12 +150,12 @@ class Multigraph:
                         comp.add(w)
                         queue.append(w)
             seen |= comp
-            comps.append(sorted(comp))
+            comps.append(tuple(sorted(comp)))
         comps.sort(key=lambda c: c[0])
-        return comps
+        return tuple(comps)
 
     def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1 and len(self._vertices) > 0
+        return len(self._components) <= 1 and len(self._vertices) > 0
 
     def genus(self) -> int:
         """First Betti number |E| - |V| + 1; requires a connected graph."""

@@ -7,13 +7,12 @@ Groups act on the left throughout the package.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from hcov.errors import CatalogError, GroupError
+from hcov.errors import CatalogError, GroupError, read_json
 from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order
 
 # -- cycle notation ---------------------------------------------------------
@@ -860,20 +859,42 @@ class Catalog:
         return order in self.complete_orders
 
 
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _catalog_field(record, at, key, kind):
+    """record[key], which must be of type kind; CatalogError naming the
+    field's path otherwise."""
+    path = f"{at}.{key}"
+    if not isinstance(record, dict) or key not in record:
+        raise CatalogError(f"catalog: missing field {path!r}")
+    value = record[key]
+    if type(value) is not kind:
+        raise CatalogError(f"catalog: {path!r} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def load_catalog(path) -> Catalog:
     """Load and validate a catalog file.
 
-    Validation: section counts match the published isomorphism-type counts,
-    names are unique, and every group's order and order spectrum match the
-    shipped fingerprints.
+    Every field is checked as it is read: a list of sections, each with an
+    integer order and a list of groups, each group with a name, a degree,
+    generators of that degree and an order spectrum. A bad field raises
+    CatalogError naming its path, such as '2.groups.1.generators.0'.
+    Then section counts must match the published isomorphism-type counts,
+    names must be unique, and every group's order and order spectrum must
+    match the shipped fingerprints.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
+    if not isinstance(data, list):
+        raise CatalogError(
+            f"catalog: the top level must be a list of sections, got {type(data).__name__}"
+        )
     catalog = Catalog()
     seen_names = set()
-    for section in data:
-        order = section["order"]
-        groups = section["groups"]
+    for i, section in enumerate(data):
+        order = _catalog_field(section, f"{i}", "order", int)
+        groups = _catalog_field(section, f"{i}", "groups", list)
         if order in KNOWN_GROUP_COUNTS:
             if len(groups) != KNOWN_GROUP_COUNTS[order]:
                 raise CatalogError(
@@ -883,17 +904,34 @@ def load_catalog(path) -> Catalog:
             catalog.complete_orders.add(order)
         elif section.get("complete"):
             catalog.complete_orders.add(order)
-        for rec in groups:
-            name = rec["name"]
+        for j, rec in enumerate(groups):
+            at = f"{i}.groups.{j}"
+            name = _catalog_field(rec, at, "name", str)
+            degree = _catalog_field(rec, at, "degree", int)
+            gens = _catalog_field(rec, at, "generators", list)
+            for k, g in enumerate(gens):
+                if not (isinstance(g, list) and len(g) == degree and is_permutation(g)):
+                    raise CatalogError(
+                        f"catalog: '{at}.generators.{k}' must be a permutation of degree"
+                        f" {degree}, got {g!r}"
+                    )
+            spectrum = _catalog_field(rec, at, "order_spectrum", dict)
+            shipped = {}
+            for key, count in spectrum.items():
+                if not key.isdecimal() or type(count) is not int:
+                    raise CatalogError(
+                        f"catalog: '{at}.order_spectrum.{key}' must map an element order"
+                        f" to an integer count, got {count!r}"
+                    )
+                shipped[int(key)] = count
             if name in seen_names:
                 raise CatalogError(f"duplicate group name {name!r}")
             seen_names.add(name)
-            G = PermutationGroup(rec["degree"], [tuple(g) for g in rec["generators"]], name)
+            G = PermutationGroup(degree, [tuple(g) for g in gens], name)
             if G.order() != order:
                 raise CatalogError(
                     f"{name}: generators produce order {G.order()}, section says {order}"
                 )
-            shipped = {int(k): v for k, v in rec["order_spectrum"].items()}
             if order_spectrum(G) != shipped:
                 raise CatalogError(f"{name}: order spectrum does not match fingerprint")
             catalog.groups.append(G)

@@ -590,6 +590,55 @@ def test_mutated_group_spec_never_tracebacks(tmp_path_factory, data):
     _exits_zero_or_one(tmp_path_factory, ["group", "order", "--group"], _mutated(data, S4_SPEC))
 
 
+# the bundled catalog's order-6 section: Z6 and S3
+CATALOG = json.loads((Path(hcov.__file__).parent / "data/catalog.json").read_text())[:1]
+CATALOG_ARGV = ["group", "order", "--group", "S3", "--catalog"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_catalog_never_tracebacks(tmp_path_factory, data):
+    _exits_zero_or_one(tmp_path_factory, CATALOG_ARGV, _mutated(data, CATALOG))
+
+
+def _with_field(path, value):
+    """A copy of CATALOG with the value at path replaced."""
+    catalog = json.loads(json.dumps(CATALOG))
+    *parents, last = path
+    target = catalog
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return catalog
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (json.dumps([{"order": 6}]), "missing field '0.groups'"),
+        (json.dumps({"order": 6}), "the top level must be a list"),
+        (json.dumps(_with_field((0, "order"), "6")), "'0.order' must be an integer"),
+        (json.dumps(_with_field((0, "groups", 1, "name"), 3)), "'0.groups.1.name'"),
+        (json.dumps(_with_field((0, "groups", 1, "generators", 0), [0, 0, 1])),
+         "'0.groups.1.generators.0'"),
+        (json.dumps(_with_field((0, "groups", 0, "order_spectrum", "x"), 1)),
+         "'0.groups.0.order_spectrum.x'"),
+        ("not json", "cannot read JSON"),
+        (None, "cannot read JSON"),  # a directory
+    ],
+    ids=["groups", "top", "order", "name", "generator", "spectrum", "not-json", "directory"],
+)
+def test_malformed_catalog_exits_one(capsys, tmp_path, text, named):
+    path = tmp_path
+    if text is not None:
+        path = tmp_path / "catalog.json"
+        path.write_text(text)
+    code, out, err = run(capsys, *CATALOG_ARGV, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+
+
 def _oriented_graphs():
     from hcov.maximal import build_maximal
     from hcov.oriented import canonical_orientation

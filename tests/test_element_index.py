@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from conftest import load_figure
+from conftest import fiber_action, load_figure
 from hcov.galois import SymmetricMultiset, build_cover, cayley, collapse, cover_from_spec
 from hcov.harmonic import GraphAction, flip_all
 from hcov.kernel import perm_inv, perm_mul
@@ -189,6 +189,7 @@ def tuple_cover(G, base, inertia, multisets, flipped):
 
 
 def assert_same_action(action, graph, vimg, eimg):
+    """action: a GraphAction, or a fiber's LabeledAction."""
     assert action.graph == graph
     assert action.vertex_images == vimg
     assert action.edge_images == eimg
@@ -226,10 +227,12 @@ def check_cover(cover, flipped):
     for x in base.vertices:
         fiber = tuple_cayley(G, cover.multisets[x])
         lab = cayley(G, cover.multisets[x])
-        assert_same_action(lab.action, *fiber[:3])
+        assert_same_action(lab, *fiber[:3])
         graph, vimg, eimg, _, reps, vertex_of = tuple_collapse(G, inertia[x], fiber)
         out = collapse(G, inertia[x], lab)
-        assert_same_action(out.action, graph, vimg, eimg)
+        assert_same_action(out, graph, vimg, eimg)
+        fiber_action(lab, faithful=True)
+        fiber_action(out, faithful=False)
         index = G.element_index()
         assert {v: index.element(i) for v, i in out.vertex_labels.items()} == dict(
             enumerate(reps)

@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import load_figure
-from hcov.errors import CoverError, GroupError
+from conftest import fiber_action, load_figure
+from hcov import galois
+from hcov.errors import ActionError, CoverError, GroupError
 from hcov.galois import (
     SymmetricMultiset,
     build_cover,
@@ -17,10 +20,17 @@ from hcov.galois import (
     ramification_profile,
     riemann_hurwitz_check,
 )
-from hcov.harmonic import flipped_edges, is_harmonic_action, unflip
+from hcov.harmonic import GraphAction, flipped_edges, is_harmonic_action, unflip
 from hcov.kernel import perm_pow
 from hcov.multigraph import Multigraph, are_isomorphic
-from hcov.permgroup import cyclic, perm_from_cycles, symmetric
+from hcov.permgroup import (
+    StabilizerChain,
+    cyclic,
+    perm_from_cycles,
+    schreier_orbit,
+    symmetric,
+)
+from test_acceptance import random_subgroup, random_symmetric_multiset, random_tree
 
 S3 = symmetric(3)
 TAU = perm_from_cycles([(0, 1)], 3)
@@ -130,7 +140,7 @@ def test_collapse_by_trivial_subgroup_is_identity():
 
 def test_collapse_requires_element_labels():
     lab = cayley(S3, SymmetricMultiset([TAU]))
-    broken = type(lab)(lab.action, {v: 0 for v in lab.graph.vertices})
+    broken = dataclasses.replace(lab, vertex_labels={v: 0 for v in lab.graph.vertices})
     with pytest.raises(CoverError, match="bijectively"):
         collapse(S3, S3.subgroup([SIGMA]), broken)
 
@@ -327,3 +337,115 @@ def test_intersecting_inertia_on_adjacent_vertices():
         u = comp[0]
         assert c.graph.degree(u) == 2
         assert len({c.graph.other_end(e, u) for e in c.graph.incident_edges(u)}) == 1
+
+
+# -- one validation per cover, and the per-fiber checks it replaced -------------------
+
+FIGURES = ["fig4.json", "fig5.json", "fig6.json", "theta_s3.json"]
+
+
+def stabilizer_oracle(action, v):
+    """(|Stab(v)|, orbit of v) from a fresh Schreier walk and stabilizer
+    chain, independent of what the action's validation stored."""
+    G = action.group
+    transversal, schreier = schreier_orbit(v, action.vertex_images, G.generators, G.identity)
+    stab = StabilizerChain(G.degree, schreier).order()
+    assert stab * len(transversal) == G.order()
+    return stab, set(transversal)
+
+
+def check_against_oracles(cover):
+    """The profile's m and orbits against the stabilizer oracle from both
+    ends of every fiber, and every fiber validated as an action of its own."""
+    G = cover.group
+    profile = ramification_profile(cover)
+    for x, fiber in cover.fiber_index.items():
+        for v in (min(fiber), max(fiber)):
+            assert stabilizer_oracle(cover.action, v) == (profile.per_vertex[x].m, set(fiber))
+        lab = cayley(G, cover.multisets[x])
+        fiber_action(lab, faithful=True)
+        fiber_action(collapse(G, cover.inertia.subgroup_at(G, x), lab), faithful=False)
+
+
+def criterion_4_covers(catalog):
+    """The 200 random covers of criterion 4 (test_acceptance.py), same seed."""
+    rng = random.Random(20260810)
+    groups = [G for G in catalog.groups if G.order() <= 24]
+    for built in range(200):
+        G = groups[built % len(groups)]
+        n = rng.randrange(1, 6)
+        tree = random_tree(rng, n)
+        inertia = {}
+        multisets = {}
+        for x in tree.vertices:
+            H = random_subgroup(rng, G, proper=(n == 1))
+            inertia[x] = H
+            if n == 1 and H.order() > 1:
+                S = random_symmetric_multiset(rng, G, avoid=H)
+                while not S:
+                    S = random_symmetric_multiset(rng, G, avoid=H)
+            else:
+                S = random_symmetric_multiset(rng, G)
+            multisets[x] = S
+        yield build_cover(G, tree, inertia, multisets, flipped=False)
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("name", FIGURES)
+def test_figure_profiles_match_the_oracles(name, flipped, catalog):
+    check_against_oracles(cover_from_spec(dict(load_figure(name), flipped=flipped), catalog))
+
+
+def test_criterion_4_profiles_match_the_oracles(catalog):
+    covers = list(criterion_4_covers(catalog))
+    assert len(covers) == 200
+    for cover in covers:
+        check_against_oracles(cover)
+
+
+@pytest.mark.parametrize("flipped, expected", [(False, 1), (True, 2)])
+@pytest.mark.parametrize("name", FIGURES)
+def test_build_cover_validates_one_action(name, flipped, expected, catalog, monkeypatch):
+    # the second action of a flipped cover is flip_all's
+    built = []
+    init = GraphAction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphAction, "__init__", counting_init)
+    cover = cover_from_spec(dict(load_figure(name), flipped=flipped), catalog)
+    assert len(built) == expected
+    assert built[-1] is cover.action
+
+
+def _merge_first_two(vertex_map):
+    vertex_map[1] = vertex_map[0]
+
+
+def _swap_first_two(vertex_map):
+    vertex_map[0], vertex_map[1] = vertex_map[1], vertex_map[0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_merge_first_two, "generator 0: vertex map is not a bijection"),
+        (_swap_first_two, r"generator 0: edge \d+ maps to \d+ but endpoints map to"),
+    ],
+)
+def test_corrupted_fiber_fails_the_total_validation(corrupt, message, monkeypatch):
+    # the fibers are no longer validated on their own: a corrupted fiber map
+    # must still fail, in the validation of the assembled action
+    original = galois.collapse
+
+    def corrupted_collapse(G, I, labeled):
+        fiber = original(G, I, labeled)
+        images = [dict(vm) for vm in fiber.vertex_images]
+        corrupt(images[0])
+        return dataclasses.replace(fiber, vertex_images=images)
+
+    monkeypatch.setattr(galois, "collapse", corrupted_collapse)
+    with pytest.raises(ActionError, match=message):
+        build_cover(S3, single_edge_base(), {}, {1: SymmetricMultiset([TAU])})

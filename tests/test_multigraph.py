@@ -90,6 +90,17 @@ def test_components():
     assert connected_components(Multigraph([], [])) == []
 
 
+def test_components_are_fresh_lists_and_edges_read_only():
+    # components are computed once per graph; callers get their own copies
+    two = Multigraph([0, 1, 2, 3], [(0, (0, 1)), (1, (2, 3))])
+    two.connected_components()[0].append(9)
+    assert two.connected_components() == [[0, 1], [2, 3]]
+    g = theta()
+    with pytest.raises(TypeError):
+        g.edges[4] = (1, 2)
+    assert g.edges == dict([(1, (1, 2)), (2, (1, 2)), (3, (1, 2))])
+
+
 def test_darts():
     g = theta()
     darts = g.darts()
