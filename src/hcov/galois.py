@@ -320,6 +320,12 @@ class HarmonicCover:
                 vertical[vertex_map[ends[0]]].append((e, ends))
         return {x: Multigraph(self.fiber_index[x], edges) for x, edges in vertical.items()}
 
+    @cached_property
+    def _per_vertex(self) -> dict:
+        """Base vertex -> VertexProfile, computed on first use (see
+        ramification_profile)."""
+        return _vertex_profiles(self)
+
     def __repr__(self):
         flip = "flipped" if self.flipped else "unflipped"
         return (
@@ -523,7 +529,16 @@ def ramification_profile(c: HarmonicCover) -> RamificationProfile:
     its stored (chain of Stab_G(p), transversal) pair, whose index test
     |Stab_G(p)| * |orbit| = |G| passed there. The fresh stabilizer
     computation from both ends of each fiber is a test oracle in
-    tests/test_galois.py."""
+    tests/test_galois.py.
+
+    The per-vertex data and its checks are computed once per cover, on the
+    first call, and stored on it; riemann_hurwitz_check,
+    classify_branch_locus and profile_to_json read the same data. The cover
+    keeps only that dict, not the profile, which refers back to it."""
+    return RamificationProfile(c, c._per_vertex)
+
+
+def _vertex_profiles(c: HarmonicCover) -> dict:
     order = c.group.order()
     out = {}
     for x in c.base.vertices:
@@ -550,7 +565,7 @@ def ramification_profile(c: HarmonicCover) -> RamificationProfile:
         if v_count % m != 0:
             raise CoverError(f"vertical multiplicity {v_count} not divisible by m={m}")
         out[x] = VertexProfile(x, m, f, n, v_count, v_count // m)
-    return RamificationProfile(c, out)
+    return out
 
 
 def decomposition_group(c: HarmonicCover, y) -> Subgroup:

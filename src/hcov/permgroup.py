@@ -111,6 +111,12 @@ class StabilizerChain:
     nontrivial iff some level's point lies below it. Only the test oracle
     for GraphAction's validation uses it now: on a group acting on a large
     block it puts a block-sized orbit at the top level.
+
+    With track_words, every installed generator and transversal element
+    carries a word over the original generators. A Schreier generator's
+    word u_c^-1 s u_b is built only once it fails to sift through the
+    levels below and is installed; the many that sift to the identity get
+    none.
     """
 
     def __init__(self, degree, generators=(), track_words=False, prefer_points_from=None):
@@ -129,13 +135,13 @@ class StabilizerChain:
         return n
 
     def add_generator(self, g, word=()):
-        self._add_at(0, tuple(g), word)
+        g = tuple(g)
+        if self._sift(g, 0) is not None:
+            self._install(0, g, word)
 
-    def _add_at(self, level, g, word):
-        """Install g (which fixes all base points above `level`) at `level`."""
-        residue, _, _ = self._sift(g, (), level)
-        if residue is None:
-            return
+    def _install(self, level, g, word):
+        """Install g, which fixes all base points above `level` and does not
+        sift through the chain from there, at `level`."""
         if level == len(self.levels):
             moved = [i for i in range(self.degree) if g[i] != i]
             if self.prefer is not None:
@@ -148,22 +154,20 @@ class StabilizerChain:
         lv.gens.append((g, word))
         self._close_level(level)
 
-    def _sift(self, g, word, level):
-        """Sift g down from `level`; returns (residue, word, level) or (None,..)."""
+    def _sift(self, g, level):
+        """The residue of g sifted down from `level`, or None if g sifts
+        through to the identity."""
         ident = perm_id(self.degree)
         while True:
             if g == ident:
-                return None, (), level
+                return None
             if level == len(self.levels):
-                return g, word, level
+                return g
             lv = self.levels[level]
             b = g[lv.point]
             if b not in lv.transversal:
-                return g, word, level
-            u, uw = lv.transversal[b]
-            g = perm_mul(perm_inv(u), g)
-            if self.track:
-                word = _invert_word(uw) + word
+                return g
+            g = perm_mul(perm_inv(lv.transversal[b][0]), g)
             level += 1
 
     def _close_level(self, level):
@@ -181,7 +185,8 @@ class StabilizerChain:
                     nw = (sw + uw) if self.track else ()
                     lv.transversal[c] = (perm_mul(s, u), nw)
                     frontier.append(c)
-        # all Schreier generators must sift through the rest of the chain
+        # all Schreier generators must sift through the rest of the chain;
+        # the word of one that does not is built only when it is installed
         inv_cache = {}
         for b in sorted(lv.transversal):
             u, uw = lv.transversal[b]
@@ -191,17 +196,16 @@ class StabilizerChain:
                 if uc_inv is None:
                     uc_inv = inv_cache[c] = perm_inv(lv.transversal[c][0])
                 schreier = perm_mul(uc_inv, perm_mul(s, u))
-                if schreier == ident:
+                if self._sift(schreier, level + 1) is None:
                     continue
                 ucw = lv.transversal[c][1]
                 w = (_invert_word(ucw) + sw + uw) if self.track else ()
-                self._add_at(level + 1, schreier, w)
+                self._install(level + 1, schreier, w)
 
     def contains(self, p) -> bool:
         if len(p) != self.degree:
             return False
-        g, _, _ = self._sift(tuple(p), (), 0)
-        return g is None
+        return self._sift(tuple(p), 0) is None
 
     def factor(self, p):
         """Word over the original generators with product p; GroupError if p
@@ -522,6 +526,10 @@ class PairSearch:
     <tau, c sigma c^-1> = c <tau, sigma> c^-1 and |tau c sigma c^-1| =
     |tau sigma|, so the verdict and the product-order filter are constant on
     each orbit.
+
+    The candidates for tau and sigma come from one scan of G through its
+    chain (_elements_of_orders), which walks one base point's cycle per
+    element and builds only the elements that cycle allows.
     """
 
     group: str
@@ -610,19 +618,63 @@ def _generating_partners(G, order, a, bs, centralizer, product_order) -> bytearr
     return verdicts
 
 
-def _chain_elements(chain: StabilizerChain):
-    """Every element of the chain's group once, as the product of one
-    transversal element per level. Elements are made one at a time and none
-    is kept, so a search that keeps a few of them never holds all of G."""
+def _elements_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
+    """(firsts, bs): the sorted elements of order order_a and of order
+    order_b of the chain's group.
 
-    def walk(prefix, level):
-        if level == len(chain.levels):
+    Every element is head * t, one transversal element per level: t from
+    `tail`, the trailing levels multiplied out once (as many as keep it at
+    most sqrt|G| long, and at least the last), and head from a walk over the
+    leading levels. An element is built only if the cycle of the first base
+    point under head * t, walked as head[t[x]], has a length dividing order_a
+    or order_b; the walk stops past the longest such length. The order k of
+    an element built, if at most max(order_a, order_b), is then the least k
+    with p^k = 1. Only the elements kept are ever held, not all of G.
+    """
+    ident = perm_id(chain.degree)
+    levels = chain.levels
+    if not levels:
+        return ([ident] if order_a == 1 else []), ([ident] if order_b == 1 else [])
+    order = chain.order()
+    tail, depth = [ident], len(levels)
+    while True:
+        depth -= 1
+        tail = [perm_mul(u, t) for u, _ in levels[depth].transversal.values() for t in tail]
+        if depth == 0 or (len(tail) * len(levels[depth - 1].transversal)) ** 2 > order:
+            break
+    base = levels[0].point
+    divides = [False] + [order_a % n == 0 or order_b % n == 0 for n in range(1, chain.degree + 1)]
+    longest = max(n for n in range(1, chain.degree + 1) if divides[n])
+    top = max(order_a, order_b)
+    firsts, bs = [], []
+
+    def heads(prefix, level):
+        if level == depth:
             yield prefix
             return
-        for u, _ in chain.levels[level].transversal.values():
-            yield from walk(perm_mul(prefix, u), level + 1)
+        for u, _ in levels[level].transversal.values():
+            yield from heads(perm_mul(prefix, u), level + 1)
 
-    return walk(perm_id(chain.degree), 0)
+    for head in heads(ident, 0):
+        for t in tail:
+            x, length = head[t[base]], 1
+            while x != base and length < longest:
+                x, length = head[t[x]], length + 1
+            if x != base or not divides[length]:
+                continue
+            p = perm_mul(head, t)
+            q, k = p, 1
+            while q != ident and k < top:
+                q, k = perm_mul(q, p), k + 1
+            if q != ident:
+                continue
+            if k == order_a:
+                firsts.append(p)
+            if k == order_b:
+                bs.append(p)
+    firsts.sort()
+    bs.sort()
+    return firsts, bs
 
 
 def search_pairs(
@@ -643,18 +695,15 @@ def search_pairs(
     of the class representative a (see PairSearch). With all_first, a
     conjugate t a t^-1 takes its verdicts from a's:
     verdict(t a t^-1, b) = verdict(a, t^-1 b t).
+
+    The elements of orders order_a and order_b come from one scan of G as
+    head * t, t from a table of the chain's trailing levels: an element is
+    built only when the cycle of the first base point has a length dividing
+    order_a or order_b, and its order is then read from at most
+    max(order_a, order_b) powers.
     """
     order = G.order()
-    firsts = []
-    bs = []
-    for p in _chain_elements(G.chain()):
-        k = perm_order(p)
-        if k == order_a:
-            firsts.append(p)
-        if k == order_b:
-            bs.append(p)
-    firsts.sort()
-    bs.sort()
+    firsts, bs = _elements_of_orders(G.chain(), order_a, order_b)
     pairs = []
     total = 0
     n_classes = 0

@@ -401,6 +401,16 @@ def test_cycles_of_rejects_non_permutation():
     assert err.splitlines()[-1] == "hcov.errors.GroupError: [0, 0, 1] is not a permutation"
 
 
+def test_group_search_with_huge_order_builds_nothing_that_large():
+    # element orders in S4 are at most 4, so the scan must stop there
+    code, out, err = run_process(
+        *HC, "group", "search", "--group", "S4", "--orders", "1000000000", "3", "--json"
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["pairs"], payload["total_count"]) == ([], 0)
+
+
 @pytest.mark.parametrize(
     "spec, named",
     [

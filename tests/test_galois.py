@@ -403,6 +403,23 @@ def test_criterion_4_profiles_match_the_oracles(catalog):
         check_against_oracles(cover)
 
 
+def test_criterion_4_profiles_are_computed_once_per_cover(catalog, monkeypatch):
+    covers = list(criterion_4_covers(catalog))
+    computed = []
+    compute = galois._vertex_profiles
+    monkeypatch.setattr(galois, "_vertex_profiles", lambda c: computed.append(c) or compute(c))
+    for cover in covers:
+        profile = ramification_profile(cover)
+        if cover.is_connected():
+            assert riemann_hurwitz_check(cover).R == profile.ramification_number()
+        assert classify_branch_locus(cover).R == profile.ramification_number()
+        assert profile_to_json(cover)["R"] == str(profile.ramification_number())
+        assert ramification_profile(cover).per_vertex is profile.per_vertex
+    assert computed == covers
+    for cover in covers:
+        assert compute(cover) == ramification_profile(cover).per_vertex
+
+
 @pytest.mark.parametrize("flipped, expected", [(False, 1), (True, 2)])
 @pytest.mark.parametrize("name", FIGURES)
 def test_build_cover_validates_one_action(name, flipped, expected, catalog, monkeypatch):

@@ -1,16 +1,18 @@
 import json
 from functools import lru_cache
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcov import permgroup
 from hcov.errors import CatalogError, GroupError
-from hcov.kernel import mulclose, perm_inv, perm_mul, perm_order, perm_pow
+from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order, perm_pow
 from hcov.permgroup import (
     PermutationGroup,
     StabilizerChain,
-    _chain_elements,
+    _elements_of_orders,
     all_subgroups,
     alternating,
     cyclic,
@@ -53,6 +55,20 @@ def test_group_order_examples():
     # independent oracle: full closure enumeration
     assert len(mulclose(G.generators)) == 168
     assert group_order(G) == 168
+
+
+def _chain_elements(chain: StabilizerChain):
+    """Every element of the chain's group once, as the product of one
+    transversal element per level, made one at a time."""
+
+    def walk(prefix, level):
+        if level == len(chain.levels):
+            yield prefix
+            return
+        for u, _ in chain.levels[level].transversal.values():
+            yield from walk(perm_mul(prefix, u), level + 1)
+
+    return walk(perm_id(chain.degree), 0)
 
 
 def test_chain_order_matches_closure_for_catalog():
@@ -312,6 +328,79 @@ def test_search_pairs_matches_oracle():
                     got = (res.pairs, res.total, res.classes_searched)
                     want = search_pairs_oracle(G, *orders, product_order, all_first)
                     assert got == want, (G.name, orders, product_order, all_first)
+
+
+SCAN_ORDERS = ((1, 1), (1, 3), (2, 3), (2, 4), (3, 3), (2, 7), (4, 6), (5, 5))
+
+
+def test_element_scan_matches_chain_walk():
+    for G in [*differential_groups(), cyclic(1), symmetric(1), psl2(23)]:
+        by_order = {}
+        for p in _chain_elements(G.chain()):
+            by_order.setdefault(perm_order(p), []).append(p)
+        for order_a, order_b in SCAN_ORDERS:
+            want = (sorted(by_order.get(order_a, [])), sorted(by_order.get(order_b, [])))
+            assert _elements_of_orders(G.chain(), order_a, order_b) == want, (
+                G.name, order_a, order_b)
+
+
+def _cycle_type_count(n, r, k_step=1):
+    """Permutations of n points whose nontrivial cycles are k >= 1 r-cycles,
+    k a multiple of k_step."""
+    return sum(
+        factorial(n) // (factorial(k) * r**k * factorial(n - r * k))
+        for k in range(k_step, n // r + 1, k_step)
+    )
+
+
+def _psl2_counts(p):
+    """(involutions, elements of order 3) of PSL(2,p), p an odd prime > 3."""
+    eps, eps3 = (1 if p % 4 == 1 else -1), (1 if p % 3 == 1 else -1)
+    return p * (p + eps) // 2, p * (p + eps3)
+
+
+def test_element_scan_counts_match_closed_forms():
+    cases = [
+        (symmetric(n), _cycle_type_count(n, 2), _cycle_type_count(n, 3)) for n in (5, 6, 7, 8)
+    ]
+    cases += [
+        (alternating(n), _cycle_type_count(n, 2, k_step=2), _cycle_type_count(n, 3))
+        for n in (5, 6, 7, 8)
+    ]
+    cases += [(psl2(p), *_psl2_counts(p)) for p in (7, 13, 23, 29)]
+    assert (cases[3][1:], cases[-1][1:]) == ((763, 1232), (435, 812))
+    for G, involutions, threes in cases:
+        firsts, bs = _elements_of_orders(G.chain(), 2, 3)
+        assert (len(firsts), len(bs)) == (involutions, threes), G.name
+
+
+def _word_product(G, word):
+    p = G.identity
+    for i, inverted in word:
+        g = G.generators[i]
+        p = perm_mul(p, perm_inv(g) if inverted else g)
+    return p
+
+
+def test_chain_words_multiply_out():
+    for G in [*load_default_catalog().groups, symmetric(6), alternating(7), psl2(13)]:
+        for lv in G.chain().levels:
+            for g, word in lv.gens:
+                assert _word_product(G, word) == g, G.name
+            for u, word in lv.transversal.values():
+                assert _word_product(G, word) == u, G.name
+        for p in G.elements():
+            assert _word_product(G, G.element_word(p)) == p, G.name
+
+
+def test_chain_builds_words_only_for_installed_generators(monkeypatch):
+    calls = []
+    invert = permgroup._invert_word
+    monkeypatch.setattr(permgroup, "_invert_word", lambda word: calls.append(1) or invert(word))
+    chain = symmetric(8).chain()
+    installed = sum(len(lv.gens) for lv in chain.levels[1:])
+    assert chain.order() == 40320
+    assert 0 < len(calls) <= installed
 
 
 PROPERTY_GROUPS = {
