@@ -23,7 +23,7 @@ from hcov.galois import (
 )
 from hcov.harmonic import GraphAction, flipped_edges
 from hcov.kernel import perm_inv, perm_mul
-from hcov.multigraph import Dart, GraphMorphism, Multigraph
+from hcov.multigraph import GraphMorphism, Multigraph
 from hcov.permgroup import (
     Catalog,
     Cosets,
@@ -46,7 +46,8 @@ class MaximalCover:
     element g is the end at vertex g<sigma> of edge g<tau>, so the edge e
     has the darts of its least member r and of r*tau. vertex_rep and
     edge_rep are the cosets of <sigma> and <tau> (vertex or edge id -> least
-    member, as a tuple).
+    member, as a tuple); their rights[0] are right multiplication by sigma
+    and by tau on element indices.
     """
 
     def __init__(self, group: PermutationGroup, tau, sigma, cover: HarmonicCover,
@@ -57,29 +58,25 @@ class MaximalCover:
         self.cover = cover
         self.vertex_rep = vertex_rep
         self.edge_rep = edge_rep
-        self._r_tau = group.element_index().right(tau)
+
+    def dart_ids(self) -> list[int]:
+        """dart_ids()[i] is the dart id of element i. Edge c has rank c and
+        ends (r<sigma>, r*tau<sigma>) for its least member r, so element i
+        of edge c is dart 2c at r<sigma> and dart 2c + 1 otherwise."""
+        vof, reps = self.vertex_rep.of, self.edge_rep.reps
+        first = [vof[r] for r in reps]
+        return [2 * c + (v != first[c]) for c, v in zip(self.edge_rep.of, vof)]
 
     @cached_property
     def dart_element(self) -> dict:
         """Dart -> element tuple, built on first use."""
-        index = self.group.element_index()
-        return {d: index.element(self.element_of(d)) for d in self.graph.darts()}
+        darts, index = self.graph.darts(), self.group.element_index()
+        return {darts[d]: index.element(i) for i, d in enumerate(self.dart_ids())}
 
     @cached_property
     def element_dart(self) -> dict:
         """Element tuple -> dart, built on first use."""
         return {g: d for d, g in self.dart_element.items()}
-
-    def dart_of(self, i: int) -> Dart:
-        """The dart of the element with index i."""
-        return Dart(self.edge_rep.of[i], self.vertex_rep.of[i])
-
-    def element_of(self, d: Dart) -> int:
-        """The index of the element of dart d; KeyError if d is no dart."""
-        if d.base not in self.graph.ends(d.edge):  # ends raises KeyError too
-            raise KeyError(d)
-        r = self.edge_rep.reps[d.edge]
-        return r if self.vertex_rep.of[r] == d.base else self._r_tau[r]
 
     @property
     def graph(self) -> Multigraph:
@@ -115,7 +112,7 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
     sigma_sub = G.subgroup([sigma], "<sigma>")
     vcos = left_cosets(G, sigma_sub)
     ecos = left_cosets(G, G.subgroup([tau], "<tau>"))
-    graph = _coset_graph(vcos, ecos, G.element_index().right(tau))
+    graph = _coset_graph(vcos, ecos, ecos.rights[0])
     left = G.element_index().left
     action = GraphAction(
         G,

@@ -102,11 +102,20 @@ class Multigraph:
         return self._incidence[v]
 
     def darts(self) -> list[Dart]:
-        out = []
-        for eid in sorted(self._edges):
-            u, v = self._edges[eid]
-            out.append(Dart(eid, u))
-            out.append(Dart(eid, v))
+        """Every dart, listed by dart id: the dart 2*r + end is the end
+        ends(e)[end] of the edge e of rank r in sorted edge order, so the
+        reverse of dart d is d ^ 1."""
+        return [Dart(e, x) for e in sorted(self._edges) for x in self._edges[e]]
+
+    def dart_bases(self) -> list[int]:
+        """The base vertex of every dart, indexed by dart id."""
+        return [x for e in sorted(self._edges) for x in self._edges[e]]
+
+    def vertex_darts(self) -> dict:
+        """Vertex -> the ids of its darts, ascending."""
+        out = {v: [] for v in self._vertices}
+        for d, v in enumerate(self.dart_bases()):
+            out[v].append(d)
         return out
 
     def reverse(self, d: Dart) -> Dart:

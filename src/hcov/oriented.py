@@ -4,7 +4,9 @@ maximal cover coming from its inertia generator.
 
 Rotations are defined on darts (directed edge-ends), which keeps parallel
 edges unambiguous; on simple graphs this is the usual cyclic ordering of the
-edges at a vertex.
+edges at a vertex. A dart is its integer position in Multigraph.darts(), so
+the reverse of dart d is d ^ 1; Dart tuples appear only at the boundary
+(from_rotation, rotation, JSON and DOT).
 """
 
 from __future__ import annotations
@@ -20,33 +22,56 @@ from hcov.multigraph import Dart, Multigraph
 
 
 class OrientedGraph:
-    """A 3-regular multigraph with a cyclic dart order at every vertex."""
+    """A 3-regular multigraph with a cyclic dart order at every vertex:
+    rot[d] is the id of the dart after dart d at its vertex. The constructor
+    checks that every vertex has degree 3 and that rot cycles exactly the
+    vertex's own three darts."""
 
-    def __init__(self, graph: Multigraph, rotation):
-        self.graph = graph
-        self.rotation = {v: tuple(ds) for v, ds in rotation.items()}
-        self._successor = None
+    def __init__(self, graph: Multigraph, rot):
+        self.graph, self.rot = graph, rot
         for v in graph.vertices:
-            darts = {Dart(e, v) for e in graph.incident_edges(v)}
             if graph.degree(v) != 3:
                 raise GraphError(f"vertex {v} has degree {graph.degree(v)}, not 3")
-            rot = self.rotation.get(v)
-            if rot is None or len(rot) != 3 or {Dart(*d) for d in rot} != darts:
+        base = graph.dart_bases()
+        n = len(base)
+        if len(rot) != n:
+            raise GraphError(f"rotation has {len(rot)} entries for {n} darts")
+        hit = bytearray(n)
+        for d, s in enumerate(rot):
+            # injective, fixed-point free and inside the vertex: a 3-cycle
+            if type(s) is not int or not 0 <= s < n or base[s] != base[d] or s == d or hit[s]:
+                raise GraphError(f"rotation at vertex {base[d]} is not a cyclic order of its darts")
+            hit[s] = 1
+
+    @classmethod
+    def from_rotation(cls, graph: Multigraph, rotation) -> "OrientedGraph":
+        """From the Dart form: vertex -> its three darts in cyclic order.
+        A vertex of another degree is left to the constructor's check."""
+        darts = graph.darts()
+        rot = [-1] * len(darts)
+        for v, own in graph.vertex_darts().items():
+            if len(own) != 3:
+                continue
+            ids = {darts[d]: d for d in own}
+            cyc = [ids.get(Dart(*d)) for d in rotation.get(v, ())]
+            if len(cyc) != 3 or set(cyc) != set(own):
                 raise GraphError(f"rotation at vertex {v} is not a cyclic order of its darts")
-            self.rotation[v] = tuple(Dart(*d) for d in rot)
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                rot[a] = b
+        return cls(graph, rot)
 
-    def rotation_successor(self, d: Dart) -> Dart:
-        rot = self.rotation[d.base]
-        return rot[(rot.index(d) + 1) % 3]
-
-    def darts(self):
-        return self.graph.darts()
+    @property
+    def rotation(self) -> dict:
+        """The Dart form: vertex -> its darts in cyclic order from the least."""
+        darts, rot = self.graph.darts(), self.rot
+        return {v: (darts[d], darts[rot[d]], darts[rot[rot[d]]])
+                for v, (d, *_) in sorted(self.graph.vertex_darts().items())}
 
     def to_json(self) -> dict:
         data = self.graph.to_json()
         data["rotation"] = {
-            str(v): [[d.edge, 0 if self.graph.ends(d.edge)[0] == d.base else 1] for d in rot]
-            for v, rot in sorted(self.rotation.items())
+            str(v): [[d.edge, self.graph.ends(d.edge).index(d.base)] for d in rot]
+            for v, rot in self.rotation.items()
         }
         return data
 
@@ -70,17 +95,12 @@ class OrientedGraph:
                 raise GraphError(f"oriented graph JSON: 'rotation.{v}' is no vertex id") from None
             if not isinstance(darts, list):
                 raise GraphError(f"oriented graph JSON: 'rotation.{v}' must be a list of darts")
-            rotation[vertex] = tuple(
-                _dart(graph, d, f"rotation.{v}.{i}") for i, d in enumerate(darts)
-            )
-        return cls(graph, rotation)
+            rotation[vertex] = [_dart(graph, d, f"rotation.{v}.{i}") for i, d in enumerate(darts)]
+        return cls.from_rotation(graph, rotation)
 
     def to_dot(self, name="G") -> str:
         """DOT text; the port attributes record each dart's rotation slot."""
-        slot = {}
-        for v, rot in self.rotation.items():
-            for i, d in enumerate(rot):
-                slot[d] = i
+        slot = {d: i for rot in self.rotation.values() for i, d in enumerate(rot)}
         lines = [f"graph {name} {{"]
         for v in self.graph.vertices:
             lines.append(f'  v{v} [label="{v}"];')
@@ -105,53 +125,41 @@ def _dart(graph: Multigraph, d, path) -> Dart:
     raise GraphError(f"oriented graph JSON: '{path}' must be [edge id, end 0 or 1], got {d!r}")
 
 
-def lht_successor(og: OrientedGraph, d: Dart) -> Dart:
-    """Left-hand-turn step: traverse d, then leave along the rotation
-    successor of the arriving end."""
-    arriving = og.graph.reverse(d)
-    return og.rotation_successor(arriving)
-
-
-def successor_permutation(og: OrientedGraph) -> dict:
-    succ = {d: lht_successor(og, d) for d in og.darts()}
-    if len(set(succ.values())) != len(succ):
-        raise GraphError("left-hand-turn step is not a permutation of the darts")
-    return succ
-
-
 @dataclass
 class LhtDecomposition:
-    """Minimal left-hand-turn paths as the cycles of the successor map."""
+    """Minimal left-hand-turn paths: the cycles of d -> rot[d ^ 1] (traverse
+    d, leave by the rotation successor of the arriving end) on dart ids.
+    orbit_number[d] is the index in orbits of the cycle through dart d."""
 
-    orbits: tuple  # tuple of tuples of darts
+    orbits: tuple  # tuple of tuples of dart ids
     L: int
+    orbit_number: list
 
-    def orbit_of(self, d: Dart):
-        for orbit in self.orbits:
-            if d in orbit:
-                return orbit
-        raise GraphError(f"unknown dart {d}")
+    def orbit_of(self, d: int) -> tuple:
+        if type(d) is not int or not 0 <= d < len(self.orbit_number):
+            raise GraphError(f"unknown dart {d}")
+        return self.orbits[self.orbit_number[d]]
 
 
 def lht_decomposition(og: OrientedGraph) -> LhtDecomposition:
-    succ = successor_permutation(og)
-    seen = set()
+    rot = og.rot
+    orbit_number = [-1] * len(rot)  # -1: not traced yet
     orbits = []
-    for d in sorted(succ):
-        if d in seen:
+    for d in range(len(rot)):
+        if orbit_number[d] >= 0:
             continue
-        orbit = [d]
-        seen.add(d)
-        cur = succ[d]
+        orbit_number[d] = c = len(orbits)
+        orbit, cur = [d], rot[d ^ 1]
         while cur != d:
+            if orbit_number[cur] >= 0:
+                raise GraphError("left-hand-turn step is not a permutation of the darts")
+            orbit_number[cur] = c
             orbit.append(cur)
-            seen.add(cur)
-            cur = succ[cur]
+            cur = rot[cur ^ 1]
         orbits.append(tuple(orbit))
-    total = sum(len(o) for o in orbits)
-    if total != 2 * len(og.graph.edges):
+    if sum(len(o) for o in orbits) != 2 * len(og.graph.edges):
         raise GraphError("orbit lengths do not sum to the dart count")
-    return LhtDecomposition(tuple(orbits), len(orbits))
+    return LhtDecomposition(tuple(orbits), len(orbits), orbit_number)
 
 
 @dataclass
@@ -178,12 +186,12 @@ def surface_genus(og: OrientedGraph) -> SurfaceGenusReport:
 
 def random_rotation(graph: Multigraph, rng: random.Random) -> OrientedGraph:
     """Uniformly random rotation system on a 3-regular graph."""
-    rotation = {}
-    for v in graph.vertices:
-        darts = [Dart(e, v) for e in graph.incident_edges(v)]
-        rng.shuffle(darts)
-        rotation[v] = tuple(darts)
-    return OrientedGraph(graph, rotation)
+    rot = [-1] * (2 * len(graph.edges))
+    for own in graph.vertex_darts().values():
+        rng.shuffle(own)
+        for a, b in zip(own, own[1:] + own[:1]):
+            rot[a] = b
+    return OrientedGraph(graph, rot)
 
 
 # -- the canonical orientation on a maximal cover ---------------------------
@@ -195,19 +203,15 @@ def canonical_orientation(mc: MaximalCover) -> OrientedGraph:
     three darts there, g -> g*sigma -> g*sigma^2; this is the conjugate
     inertia generator r*sigma*r^-1 of the vertex acting on the left, for
     any member r of its coset."""
-    r_sigma = mc.group.element_index().right(mc.sigma)
-    rotation = {}
-    for v in mc.graph.vertices:
-        d0 = min(Dart(e, v) for e in mc.graph.incident_edges(v))
-        i = mc.element_of(d0)
-        rot = [d0]
-        for _ in range(2):
-            i = r_sigma[i]
-            rot.append(mc.dart_of(i))
-        if {d.base for d in rot} != {v} or len(set(rot)) != 3:
+    vof = mc.vertex_rep.of
+    r_sigma = mc.vertex_rep.rights[0]  # <sigma> has the one generator sigma
+    dart = mc.dart_ids()
+    rot = [-1] * len(dart)
+    for i, j in enumerate(r_sigma):
+        if vof[j] != vof[i] or dart[j] == dart[i]:
             raise GraphError("right multiplication by sigma does not rotate the star")
-        rotation[v] = tuple(rot)
-    return OrientedGraph(mc.graph, rotation)
+        rot[dart[i]] = dart[j]
+    return OrientedGraph(mc.graph, rot)
 
 
 @dataclass
@@ -240,14 +244,5 @@ def theorem_44_check(mc: MaximalCover) -> Theorem44Report:
     hurwitz = k == 7
     if hurwitz and order != 84 * (report.surface_genus - 1):
         raise GraphError("Hurwitz identity |G| = 84(g-1) fails")
-    return Theorem44Report(
-        mc.group.name,
-        order,
-        k,
-        report.L,
-        report.surface_genus,
-        lhs,
-        rhs,
-        lhs == rhs,
-        hurwitz,
-    )
+    return Theorem44Report(mc.group.name, order, k, report.L, report.surface_genus,
+                           lhs, rhs, lhs == rhs, hurwitz)

@@ -37,21 +37,28 @@ def is_permutation(p) -> bool:
 
 
 def cycles_of(p) -> list[tuple]:
-    """Nontrivial cycles of p, each rotated to start at its minimum."""
-    if not is_permutation(p):
-        raise GroupError(f"{list(p)} is not a permutation")
-    seen = set()
+    """Nontrivial cycles of p, each rotated to start at its minimum.
+    GroupError unless p lists each of 0..len(p)-1 exactly once: every walk
+    meets only unseen ints in range and closes at its own start."""
+    n = len(p)
+    seen = bytearray(n)
     out = []
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
+    for i in range(n):
+        if seen[i]:
             continue
-        cyc = [i]
+        seen[i] = 1
         j = p[i]
-        while j != i:
-            seen.add(j)
-            cyc.append(j)
-            j = p[j]
-        out.append(tuple(cyc))
+        if j != i:
+            cyc = [i]
+            while j != i:
+                if type(j) is not int or not 0 <= j < n or seen[j]:
+                    raise GroupError(f"{list(p)} is not a permutation")
+                seen[j] = 1
+                cyc.append(j)
+                j = p[j]
+            out.append(tuple(cyc))
+        if type(j) is not int:  # the entry that closed the cycle, equal to i
+            raise GroupError(f"{list(p)} is not a permutation")
     return out
 
 
@@ -470,12 +477,14 @@ class Cosets(Sequence):
 
     A coset is an orbit of the index under right multiplication by H's
     generators. reps[c] is the index of coset c's least member, cosets are
-    numbered by increasing reps, and of[i] is the coset of element i. As a
-    sequence, cosets yield their least members as tuples.
+    numbered by increasing reps, and of[i] is the coset of element i.
+    rights[k] is index.right of H's k-th generator, kept for callers that
+    multiply by it again. As a sequence, cosets yield their least members
+    as tuples.
     """
 
     def __init__(self, index: ElementIndex, subgroup: PermutationGroup):
-        rights = [index.right(h) for h in subgroup.generators]
+        self.rights = rights = [index.right(h) for h in subgroup.generators]
         self.index = index
         self.of = of = [-1] * len(index)
         self.reps = []

@@ -337,11 +337,12 @@ def test_criterion_8_property_suites(catalog):
                 for tau, sigma in search_23_pairs(G).pairs[:2]:
                     mc = build_maximal(G, tau, sigma)
                     dec = lht_decomposition(canonical_orientation(mc))
+                    darts = mc.graph.darts()
                     ts = perm_mul(tau, sigma)
                     k = perm_order(ts)
                     for h in (perm_id(G.degree), tau, sigma):
-                        orbit = dec.orbit_of(mc.element_dart[h])
-                        labels = {mc.dart_element[d] for d in orbit}
+                        orbit = dec.orbit_of(darts.index(mc.element_dart[h]))
+                        labels = {mc.dart_element[darts[d]] for d in orbit}
                         assert labels == {perm_mul(h, perm_pow(ts, j)) for j in range(k)}
 
 

@@ -1,11 +1,14 @@
 """`hc ... --json` outputs pinned byte for byte.
 
-Each file under tests/data/golden holds the output of one command below.
-Cover graphs carry vertex and edge ids, which depend on how the group's
-elements are numbered, so these outputs pin that numbering as well as the
-counts.
+Each file under tests/data/golden holds the output of one command below, or
+the DOT file that `hc surface genus --dot` writes. Cover graphs carry vertex
+and edge ids, which depend on how the group's elements are numbered, so
+these outputs pin that numbering as well as the counts.
+tests/data/oriented_psl2_7.json is canonical_orientation(...).to_json() of
+the first product-order-7 pair of psl2(7), as a file.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from hcov.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+ORIENTED = Path(__file__).parent / "data" / "oriented_psl2_7.json"
 
 COMMANDS = {
     **{
@@ -22,14 +26,36 @@ COMMANDS = {
     "maximal_build_psl2_7.json": ("maximal", "build", "--group", "psl2:7"),
     "surface_check44_psl2_13.json": ("surface", "check44", "--group", "psl2:13"),
     "group_cosets_S4.json": ("group", "cosets", "--group", "S4", "--subgroup", "(0 1 2)"),
+    "surface_genus_psl2_7.json": ("surface", "genus", "--oriented", str(ORIENTED)),
 }
+DOT = {"surface_genus_psl2_7.dot": ("surface", "genus", "--oriented", str(ORIENTED))}
 
 
 def test_every_golden_file_has_a_command():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(COMMANDS)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*COMMANDS, *DOT])
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_matches_golden_file(capsys, name):
     assert main([*COMMANDS[name], "--json"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DOT))
+def test_dot_output_matches_golden_file(tmp_path, capsys, name):
+    out = tmp_path / name
+    assert main([*DOT[name], "--dot", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_canonical_orientation_json_matches_file():
+    from hcov.maximal import build_maximal
+    from hcov.oriented import OrientedGraph, canonical_orientation
+    from hcov.permgroup import psl2, search_23_pairs
+
+    G = psl2(7)
+    tau, sigma = search_23_pairs(G, product_order=7).pairs[0]
+    text = ORIENTED.read_text()
+    assert json.dumps(canonical_orientation(build_maximal(G, tau, sigma)).to_json()) + "\n" == text
+    assert OrientedGraph.from_json(text).to_json() == json.loads(text)

@@ -112,6 +112,17 @@ def test_darts():
     assert g.reverse(Dart(1, 1)) == Dart(1, 2)
 
 
+def test_dart_ids():
+    # dart 2*rank(edge) + end, in sorted edge order; the reverse is d ^ 1
+    g = Multigraph([4, 1, 2], [(9, (2, 1)), (3, (4, 1)), (5, (1, 2)), (7, (4, 2))])
+    darts = g.darts()
+    assert darts == [Dart(3, 4), Dart(3, 1), Dart(5, 1), Dart(5, 2),
+                     Dart(7, 4), Dart(7, 2), Dart(9, 2), Dart(9, 1)]
+    assert g.dart_bases() == [d.base for d in darts]
+    assert g.vertex_darts() == {4: [0, 4], 1: [1, 2, 7], 2: [3, 5, 6]}
+    assert all(g.reverse(d) == darts[i ^ 1] for i, d in enumerate(darts))
+
+
 def test_star():
     s = theta().star(1)
     assert s.center == 1

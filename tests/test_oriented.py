@@ -11,17 +11,75 @@ from hcov.oriented import (
     OrientedGraph,
     canonical_orientation,
     lht_decomposition,
-    lht_successor,
     random_rotation,
-    successor_permutation,
     surface_genus,
     theorem_44_check,
 )
-from hcov.permgroup import alternating, cyclic, perm_from_cycles, psl2, symmetric
+from hcov.permgroup import (
+    alternating,
+    cyclic,
+    perm_from_cycles,
+    psl2,
+    search_23_pairs,
+    symmetric,
+)
 
 S3 = symmetric(3)
 TAU = perm_from_cycles([(0, 1)], 3)
 SIGMA = perm_from_cycles([(0, 1, 2)], 3)
+
+
+# -- the Dart-level tracer: the oracle of the dart-id tracer in src ---------
+
+
+def lht_successor(rotation, graph, d: Dart) -> Dart:
+    """Left-hand-turn step: traverse d, then leave along the rotation
+    successor of the arriving end."""
+    arriving = graph.reverse(d)
+    rot = rotation[arriving.base]
+    return rot[(rot.index(arriving) + 1) % 3]
+
+
+def successor_permutation(og: OrientedGraph) -> dict:
+    rotation = og.rotation
+    succ = {d: lht_successor(rotation, og.graph, d) for d in og.graph.darts()}
+    if len(set(succ.values())) != len(succ):
+        raise GraphError("left-hand-turn step is not a permutation of the darts")
+    return succ
+
+
+def dart_orbits(succ: dict) -> set:
+    """The cycles of a Dart successor map, as a set of frozensets."""
+    seen, orbits = set(), set()
+    for d in sorted(succ):
+        if d in seen:
+            continue
+        orbit = [d]
+        cur = succ[d]
+        while cur != d:
+            orbit.append(cur)
+            cur = succ[cur]
+        seen.update(orbit)
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def int_successor(og: OrientedGraph, d: Dart) -> Dart:
+    """The dart-id step d -> rot[d ^ 1], converted at the boundary."""
+    darts = og.graph.darts()
+    return darts[og.rot[darts.index(d) ^ 1]]
+
+
+def assert_tracers_agree(og: OrientedGraph):
+    darts = og.graph.darts()
+    succ = successor_permutation(og)
+    assert {darts[d]: darts[og.rot[d ^ 1]] for d in range(len(darts))} == succ
+    dec = lht_decomposition(og)
+    orbits = dart_orbits(succ)
+    assert dec.L == len(orbits)
+    assert {frozenset(darts[d] for d in o) for o in dec.orbits} == orbits
+    for d in range(len(darts)):
+        assert d in dec.orbit_of(d)
 
 
 def k4_planar():
@@ -40,24 +98,78 @@ def k4_planar():
         2: (Dart(4, 2), Dart(1, 2), Dart(3, 2)),
         3: (Dart(5, 3), Dart(2, 3), Dart(4, 3)),
     }
-    return OrientedGraph(g, rotation)
+    return OrientedGraph.from_rotation(g, rotation)
 
 
 def test_rotation_validation():
     path = Multigraph([0, 1], [(0, (0, 1))])
     with pytest.raises(GraphError, match="degree"):
-        OrientedGraph(path, {0: (), 1: ()})
+        OrientedGraph.from_rotation(path, {0: (), 1: ()})
+    with pytest.raises(GraphError, match="degree"):
+        OrientedGraph(path, [1, 0])
     og = k4_planar()
     bad = dict(og.rotation)
     bad[0] = (Dart(0, 0), Dart(1, 0), Dart(3, 1))  # dart based elsewhere
     with pytest.raises(GraphError, match="rotation"):
-        OrientedGraph(og.graph, bad)
+        OrientedGraph.from_rotation(og.graph, bad)
+
+
+def bad_rotations(og: OrientedGraph):
+    """Broken copies of og's dart-id rotation: each changes the successors
+    at dart 0's vertex, and at most one other vertex."""
+    a = 0
+    b = og.rot[a]
+    c = og.rot[b]
+    far = next(d for d in range(len(og.rot)) if d not in (a, b, c))
+    yield "dart from another vertex", {a: far}
+    yield "successors swapped with another vertex", {a: og.rot[far], far: b}
+    yield "repeated dart", {a: b, b: b}
+    yield "repeated target", {c: b}
+    yield "2-cycle", {a: b, b: a, c: c}
+    yield "2-cycle, third dart moved away", {a: b, b: a, c: far}
+    yield "non-int dart", {a: float(b)}
+    yield "dart id out of range", {a: len(og.rot)}
+    yield "negative dart id", {a: b - len(og.rot)}  # aliases b as a list index
+
+
+def test_rotation_negative_controls():
+    og = k4_planar()
+    for what, change in bad_rotations(og):
+        rot = list(og.rot)
+        for d, s in change.items():
+            rot[d] = s
+        try:
+            OrientedGraph(og.graph, rot)
+        except GraphError as exc:
+            assert "is not a cyclic order of its darts" in str(exc), what
+        else:
+            pytest.fail(f"accepted a rotation with a {what}")
+    with pytest.raises(GraphError, match="rotation"):
+        OrientedGraph(og.graph, og.rot[:-1])
+    x, y, z = og.rotation[0]
+    for rot0 in (
+        (x, y, Dart(3, 1)),  # a dart of vertex 1
+        (x, y, y),  # repeated dart
+        (x, y),  # 2-cycle
+        (x, y, z, x),
+    ):
+        with pytest.raises(GraphError, match="rotation at vertex 0"):
+            OrientedGraph.from_rotation(og.graph, {**og.rotation, 0: rot0})
 
 
 def test_successor_is_bijection():
     og = k4_planar()
     succ = successor_permutation(og)
     assert sorted(succ.values()) == sorted(succ.keys())
+    n = len(og.rot)
+    assert sorted(og.rot[d ^ 1] for d in range(n)) == list(range(n))
+
+
+def test_tracer_rejects_a_broken_rotation():
+    og = k4_planar()
+    og.rot = [og.rot[0]] * len(og.rot)  # bypasses the constructor's check
+    with pytest.raises(GraphError, match="not a permutation"):
+        lht_decomposition(og)
 
 
 def test_k4_planar_traces_four_faces():
@@ -73,8 +185,10 @@ def test_theta_s3_successor_is_right_multiplication():
     mc = build_maximal(S3, TAU, SIGMA)
     og = canonical_orientation(mc)
     ts = perm_mul(TAU, SIGMA)
+    succ = successor_permutation(og)
     for d, h in mc.dart_element.items():
-        assert lht_successor(og, d) == mc.element_dart[perm_mul(h, ts)]
+        assert int_successor(og, d) == mc.element_dart[perm_mul(h, ts)]
+        assert succ[d] == mc.element_dart[perm_mul(h, ts)]
 
 
 def test_theta_s3_decomposition():
@@ -98,8 +212,6 @@ def test_a4_decomposition():
 
 
 def test_psl27_surface_genus_three():
-    from hcov.permgroup import search_23_pairs
-
     G = psl2(7)
     tau, sigma = search_23_pairs(G, product_order=7).pairs[0]
     mc = build_maximal(G, tau, sigma)
@@ -111,10 +223,12 @@ def test_psl27_surface_genus_three():
 
 def test_orbit_of_identity_dart_is_coset():
     mc = build_maximal(S3, TAU, SIGMA)
-    dec = lht_decomposition(canonical_orientation(mc))
+    og = canonical_orientation(mc)
+    dec = lht_decomposition(og)
+    darts = og.graph.darts()
     ident = perm_id(3)
-    orbit = dec.orbit_of(mc.element_dart[ident])
-    labels = {mc.dart_element[d] for d in orbit}
+    orbit = dec.orbit_of(darts.index(mc.element_dart[ident]))
+    labels = {mc.dart_element[darts[d]] for d in orbit}
     ts = perm_mul(TAU, SIGMA)
     assert labels == {perm_pow(ts, j) for j in range(2)}
 
@@ -150,12 +264,15 @@ def test_equivariance_of_canonical_orientation():
     og = canonical_orientation(mc)
     rng = random.Random(2)
     darts = list(mc.dart_element)
+    rotation = og.rotation
     for _ in range(25):
         g = rng.choice(mc.group.elements())
         d = rng.choice(darts)
-        lhs = mc.action.act_dart(g, lht_successor(og, d))
-        rhs = lht_successor(og, mc.action.act_dart(g, d))
+        lhs = mc.action.act_dart(g, int_successor(og, d))
+        rhs = int_successor(og, mc.action.act_dart(g, d))
         assert lhs == rhs
+        lhs = mc.action.act_dart(g, lht_successor(rotation, og.graph, d))
+        assert lhs == lht_successor(rotation, og.graph, mc.action.act_dart(g, d))
 
 
 def test_orbit_sums_for_random_rotations():
@@ -202,6 +319,7 @@ def test_oriented_json_round_trip():
     again = OrientedGraph.from_json(data)
     assert again.graph == og.graph
     assert again.rotation == og.rotation
+    assert again.rot == og.rot
     assert lht_decomposition(again).L == 4
 
 
@@ -209,3 +327,62 @@ def test_dot_ports():
     dot = k4_planar().to_dot()
     assert "tailport" in dot and "headport" in dot
     assert dot.count("--") == 6
+
+
+def test_orbit_of_rejects_unknown_darts():
+    dec = lht_decomposition(k4_planar())
+    for d in (-1, 12, 1.0, Dart(0, 0)):
+        with pytest.raises(GraphError, match="unknown dart"):
+            dec.orbit_of(d)
+
+
+def test_canonical_orientation_rejects_right_multiplication_by_tau():
+    mc = build_maximal(S3, TAU, SIGMA)
+    canonical_orientation(mc)
+    mc.vertex_rep.rights = [mc.edge_rep.rights[0]]
+    with pytest.raises(GraphError, match="does not rotate the star"):
+        canonical_orientation(mc)
+
+
+# -- the dart-id tracer against the Dart-level oracle -----------------------
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_tracers_agree_on_psl2_pairs(p):
+    G = psl2(p)
+    pairs = search_23_pairs(G).pairs
+    assert pairs
+    for tau, sigma in pairs:
+        assert_tracers_agree(canonical_orientation(build_maximal(G, tau, sigma)))
+
+
+def test_tracers_agree_on_catalog_maximal_covers(catalog):
+    covers = 0
+    for G in catalog.groups:
+        if G.order() <= 24:
+            for tau, sigma in search_23_pairs(G).pairs:
+                assert_tracers_agree(canonical_orientation(build_maximal(G, tau, sigma)))
+                covers += 1
+    assert covers > 0
+
+
+def cubic_multigraphs():
+    """3-regular graphs with edge ids that are neither contiguous nor in
+    edge order, parallel edges, and ends listed larger vertex first."""
+    yield Multigraph([5, 2], [(10, (5, 2)), (4, (2, 5)), (7, (5, 2))])  # theta
+    yield Multigraph(
+        [3, 0, 1, 2],
+        [(8, (1, 0)), (3, (0, 2)), (20, (3, 0)), (1, (2, 1)), (15, (2, 3)), (6, (1, 3))],
+    )  # K4
+    yield Multigraph(
+        [0, 1, 2, 3], [(9, (1, 0)), (2, (0, 1)), (30, (3, 2)), (4, (2, 3)), (11, (0, 2)), (5, (3, 1))]
+    )  # two doubled edges joined by two more
+
+
+def test_tracers_agree_on_random_rotations():
+    rng = random.Random(5)
+    graphs = list(cubic_multigraphs())
+    for i in range(50):
+        og = random_rotation(graphs[i % len(graphs)], rng)
+        assert_tracers_agree(og)
+        assert OrientedGraph.from_rotation(og.graph, og.rotation).rot == og.rot

@@ -24,6 +24,7 @@ from hcov.permgroup import (
     generates,
     group_from_spec,
     group_order,
+    is_permutation,
     left_cosets,
     load_catalog,
     load_default_catalog,
@@ -46,6 +47,32 @@ def test_cycle_notation_round_trip():
     assert cycle_string((0, 1, 2)) == "()"
     assert parse_cycle_string("(0 1)(2 3 4)", 5) == perm_from_cycles([(0, 1), (2, 3, 4)], 5)
     assert cycles_of(p) == [(0, 2, 4), (1, 3)]
+
+
+@pytest.mark.parametrize(
+    "p", [[1, 1], [0, 2], [0.0, 1], [True, 0], [1, 0.0], [-1, 0], [2, 0, 0], (1, 2, "0")]
+)
+def test_cycles_of_rejects_non_permutations(p):
+    with pytest.raises(GroupError, match="is not a permutation"):
+        cycles_of(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-1, 6), max_size=6),
+        st.integers(0, 6).flatmap(lambda n: st.permutations(range(n))),
+    )
+)
+def test_cycles_of_agrees_with_is_permutation(p):
+    try:
+        cycles = cycles_of(p)
+    except GroupError:
+        assert not is_permutation(p)
+        return
+    assert is_permutation(p)
+    assert perm_from_cycles(cycles, len(p)) == tuple(p)
+    assert all(len(c) > 1 and c[0] == min(c) for c in cycles)
 
 
 def test_group_order_examples():

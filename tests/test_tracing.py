@@ -27,3 +27,22 @@ def test_trace_targets_still_exist():
     finally:
         tracer.uninstall()
     assert tracing.unpatched()
+
+
+def test_traced_darts_count_each_dart_once():
+    # the benchmark's oriented.darts_traced sums the lengths of
+    # LhtDecomposition.orbits, which hold dart ids
+    from hcov import maximal, oriented
+    from hcov.permgroup import psl2, search_23_pairs
+
+    G = psl2(13)
+    tau, sigma = search_23_pairs(G, product_order=7).pairs[0]
+    mc = maximal.build_maximal(G, tau, sigma)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        report = oriented.theorem_44_check(mc)
+    finally:
+        tracer.uninstall()
+    assert report.holds
+    assert tracer.extra["darts_traced"] == 2 * len(mc.graph.edges) == G.order()
