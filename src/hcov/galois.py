@@ -526,10 +526,10 @@ def ramification_profile(c: HarmonicCover) -> RamificationProfile:
     at every vertex.
 
     m and the vertex orbit come from the validation of the cover's action:
-    its stored (chain of Stab_G(p), transversal) pair, whose index test
-    |Stab_G(p)| * |orbit| = |G| passed there. The fresh stabilizer
-    computation from both ends of each fiber is a test oracle in
-    tests/test_galois.py.
+    its stored Orbit, whose map phi from G's element index was found
+    equivariant there; m is the size of phi's fiber over the orbit's least
+    point. The fresh stabilizer computation from both ends of each fiber is
+    a test oracle in tests/test_galois.py.
 
     The per-vertex data and its checks are computed once per cover, on the
     first call, and stored on it; riemann_hurwitz_check,
@@ -554,10 +554,10 @@ def _vertex_profiles(c: HarmonicCover) -> dict:
         if len(degrees) != 1:
             raise CoverError(f"fiber over {x} has vertices of different vertical degree")
         v_count = degrees.pop()
-        stab, transversal = c.action.vertex_orbit_of[fiber[0]]
-        if transversal.keys() != set(fiber):
+        orbit = c.action.vertex_orbit_of[fiber[0]]
+        if orbit.transversal.keys() != set(fiber):
             raise CoverError(f"vertex orbit over {x} does not equal the fiber")
-        m = stab.order()
+        m = orbit.stabilizer_order()
         if m * f * n != order:
             raise CoverError(
                 f"identity violated over {x}: m*f*n = {m}*{f}*{n} != {order}"
@@ -583,7 +583,7 @@ def decomposition_group(c: HarmonicCover, y) -> Subgroup:
     delta = c.group.subgroup(sorted(schreier), name=f"Delta({y})")
     if delta.order() * len(transversal) != c.group.order():
         raise CoverError("decomposition group order check failed")
-    m = c.action.vertex_orbit_of[y][0].order()
+    m = c.action.vertex_orbit_of[y].stabilizer_order()
     if delta.order() % m != 0:
         raise CoverError("decomposition group does not contain the inertia group")
     return delta

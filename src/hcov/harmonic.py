@@ -1,25 +1,24 @@
 """Group actions on multigraphs: faithfulness, quotients, the dart-freeness
-harmonicity criterion, flipped edges, and flip/unflip model conversion.
+criterion of harmonicity, flipped edges, and flip/unflip model conversion.
 
-An action is specified by the images of the group's generators only; the
-action of an arbitrary element is derived by factoring it into a generator
-word through the stabilizer chain.
+An action is specified by the images of the group's generators only. Each
+orbit is read through the group's element index (`Orbit`), and the action
+of an arbitrary element is derived by factoring it into a generator word
+through the stabilizer chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress, repeat
+from operator import eq
+from typing import NamedTuple
 
 from hcov.errors import ActionError, MorphismError
-from hcov.kernel import mulclose, perm_inv, perm_mul, perm_order
+from hcov.kernel import perm_inv, perm_order
 from hcov.multigraph import Dart, GraphMorphism, Multigraph
-from hcov.permgroup import (
-    PermutationGroup,
-    StabilizerChain,
-    Subgroup,
-    group_from_spec,
-    schreier_orbit,
-)
+from hcov.permgroup import PermutationGroup, Subgroup, group_from_spec
 
 
 def _apply_word(word, maps, inv_maps, x):
@@ -29,21 +28,44 @@ def _apply_word(word, maps, inv_maps, x):
     return x
 
 
-def _maps(orbit, g, x, y) -> bool:
-    """True iff g maps x to y, orbit being the (chain of Stab_G(p),
-    transversal) pair of x's orbit: with x = u_x p and y = u_y p, iff y lies
-    in the orbit and u_y^-1 g u_x lies in Stab_G(p)."""
-    stab, transversal = orbit
-    u_y = transversal.get(y)
-    return u_y is not None and stab.contains(
-        perm_mul(perm_inv(u_y), perm_mul(g, transversal[x]))
-    )
+def _mul(left, word, j) -> int:
+    """The index of x_i * x_j, word being the element index's word(i)."""
+    for k in word:
+        j = left[k][j]
+    return j
 
 
-def _orbits(orbit_of) -> list:
-    """The distinct (chain, transversal) pairs of a point -> orbit map, by
-    least point; a transversal's first key is its orbit's least point."""
-    return [orbit for x, orbit in orbit_of.items() if next(iter(orbit[1])) == x]
+def _image(left, word, orbit, y):
+    """The image of the point y of orbit under x_i, word being word(i)."""
+    return orbit.phi[_mul(left, word, orbit.transversal[y])]
+
+
+class Orbit(NamedTuple):
+    """One orbit O of the group on vertices or edges, as a map from G's
+    element index: phi[i] = x_i(p), p = phi[0] the least point of O, and
+    transversal[y] the least index i with phi[i] = y.
+
+    An element x_i maps y = x_t(p), t = transversal[y], to phi[j], j the
+    index of x_i * x_t."""
+
+    phi: list
+    transversal: dict
+
+    @property
+    def point(self):
+        return self.phi[0]
+
+    def stabilizer(self) -> list:
+        """Stab_G(p) as element indices, the fiber of phi over p; the
+        identity 0 comes first."""
+        return list(compress(range(len(self.phi)), map(eq, self.phi, repeat(self.phi[0]))))
+
+    def stabilizer_order(self) -> int:
+        return self.phi.count(self.phi[0])
+
+
+def _size(orbit: Orbit) -> int:
+    return len(orbit.transversal)
 
 
 def _action_field(data, *path):
@@ -79,27 +101,30 @@ class GraphAction:
     vertex_images/edge_images hold one dict per group generator. The
     constructor verifies, exactly and at any group order, that the generator
     images define a genuine action and that it is faithful on every
-    connected component. Every group computation runs at G's own degree.
+    connected component. Every computation runs on G's element index
+    x_0, ..., x_{|G|-1} (x_0 the identity, left[k] left multiplication by
+    the k-th generator g_k).
 
-    Well-definedness is tested one orbit O of vertices or edges at a time.
-    The free group F on the generators acts on O through the maps; with p
-    the least point of O, they factor through G on O iff ker(F -> G) lies in
-    F_p, that is iff [G : image of F_p] = [F : F_p] = |O|. The image H of F_p
-    is generated by the images of its Schreier generators, so the test is
-    |H| * |O| = |G|, and once it passes H = Stab_G(p).
+    Well-definedness is tested one orbit O of vertices or edges at a time,
+    p the least point of O. The orbit map phi, phi[i] = x_i(p), is built
+    once along the index's walk tree and is onto O. The maps m_k factor
+    through G on O iff phi is equivariant, m_k(phi[i]) = phi[left[k][i]]
+    for every k and i: then a word in the m_k that is trivial in G fixes
+    every phi[i], and conversely phi(g_k x) = g_k(phi(x)) in any action.
 
-    Validation keeps what it computed: vertex_orbit_of and edge_orbit_of
-    map every point x to the (chain of Stab_G(p), transversal) pair of its
-    orbit, p the orbit's least point and the transversal's first key, u_x
-    the transversal element with u_x p = x. Harmonicity, flipped edges,
-    flip_all and the quotient by G read them, and whether g maps x to
-    y = u_y p is one test (_maps): y lies in x's orbit and u_y^-1 g u_x lies
-    in Stab_G(p).
+    Validation keeps each orbit as an Orbit: phi and a point -> least index
+    transversal. vertex_orbit_of and edge_orbit_of map every point to its
+    orbit. The stabilizer Stab_G(p) is the fiber of phi over p, of order
+    |G|/|O|; harmonicity, flipped edges, flip_all, the quotient by G and
+    the ramification profile read it.
 
-    A kernel element lies in every stabilizer, so only the smallest one is
-    enumerated, each member h tested on every point x (h maps x to x). On a
-    component (Def 2.3) the kernel is its pointwise stabilizer, and
-    components in one orbit are conjugate: one per orbit is tested.
+    A kernel element lies in every stabilizer, so only the stabilizer of
+    the point x with the largest orbit is enumerated, x_t Stab_G(p) x_t^-1
+    with t = transversal[x]. Each member h is tested point by point on
+    index products: h fixes y iff phi[index of h * x_s] = y, s =
+    transversal[y]. On a component (Def 2.3) the kernel is its pointwise
+    stabilizer, and components in one orbit are conjugate: one per orbit is
+    tested.
     """
 
     def __init__(
@@ -119,60 +144,72 @@ class GraphAction:
             self.edge_images
         ) != len(group.generators):
             raise ActionError("need exactly one vertex/edge image map per generator")
-        self.inverse_vertex_images = []
-        self.inverse_edge_images = []
         self._element_cache = {}
         self._harmonic_report = None
         self._validate_generator_maps()
         self._validate_action()
 
+    @cached_property
+    def inverse_vertex_images(self) -> list:
+        return [{b: a for a, b in m.items()} for m in self.vertex_images]
+
+    @cached_property
+    def inverse_edge_images(self) -> list:
+        return [{b: a for a, b in m.items()} for m in self.edge_images]
+
     # -- construction-time checks ----------------------------------------
 
     def _validate_generator_maps(self):
         vset = set(self.graph.vertices)
-        eset = set(self.graph.edges)
+        edges = self.graph.edges
+        eset = set(edges)
         for i, (vm, em) in enumerate(zip(self.vertex_images, self.edge_images)):
             if set(vm) != vset or set(vm.values()) != vset:
                 raise ActionError(f"generator {i}: vertex map is not a bijection")
             if set(em) != eset or set(em.values()) != eset:
                 raise ActionError(f"generator {i}: edge map is not a bijection")
-            for e, (u, v) in self.graph.edges.items():
+            image_ends = map(self.graph.ends, map(em.__getitem__, edges))
+            for e, (u, v), (a, b) in zip(edges, edges.values(), image_ends):
                 iu, iv = vm[u], vm[v]
-                if set(self.graph.ends(em[e])) != {iu, iv}:
+                if (iu != a or iv != b) and (iu != b or iv != a):
                     raise ActionError(
                         f"generator {i}: edge {e} maps to {em[e]} but endpoints map to"
                         f" ({iu}, {iv})"
                     )
-            self.inverse_vertex_images.append({b: a for a, b in vm.items()})
-            self.inverse_edge_images.append({b: a for a, b in em.items()})
 
     def _validate_action(self):
-        G = self.group
-        order = G.order()
-        where = []  # per kind: point -> (stabilizer chain, transversal) of its orbit
+        index = self.group.element_index()
+        where = []  # per kind: (point -> Orbit, the orbits by least point)
         for kind, maps, points in (
             ("vertex", self.vertex_images, self.graph.vertices),
             ("edge", self.edge_images, self.graph.edges),
         ):
-            found = {}
+            found, orbits = {}, []
             for p in sorted(points):
                 if p in found:
                     continue
-                transversal, schreier = schreier_orbit(p, maps, G.generators, G.identity)
-                stab = StabilizerChain(G.degree, schreier)
-                if stab.order() * len(transversal) != order:
-                    raise ActionError(
-                        f"generator images do not define an action: the orbit of {kind} {p}"
-                        f" has {len(transversal)} points, but the image of its stabilizer"
-                        f" has index {order // stab.order()} in the group"
-                    )
-                found.update(dict.fromkeys(transversal, (stab, transversal)))
-            where.append(found)
-        self.vertex_orbit_of, self.edge_orbit_of = where
+                phi = index.orbit_map(maps, p)
+                for k, (m, lk) in enumerate(zip(maps, index.left)):
+                    if list(map(m.__getitem__, phi)) != list(map(phi.__getitem__, lk)):
+                        raise ActionError(
+                            f"generator images do not define an action: on the orbit of"
+                            f" {kind} {p}, generator {k} does not act as left"
+                            " multiplication in the group"
+                        )
+                # written from the last index down, so the least one stays
+                orbit = Orbit(phi, dict(zip(reversed(phi), range(len(phi) - 1, -1, -1))))
+                found.update(dict.fromkeys(orbit.transversal, orbit))
+                orbits.append(orbit)
+            where.append((found, orbits))
+        self.vertex_orbit_of, self._vertex_orbits = where[0]
+        self.edge_orbit_of, self._edge_orbits = where[1]
         if not self.require_faithful:
             return
-        points = [(orbit, x) for found in where for x, orbit in found.items()]
-        if self._kernel_element(points) is not None:
+        # the kernel is normal: any point's stabilizer holds it, and the
+        # least point of the largest orbit has the smallest one
+        largest = max(self._vertex_orbits + self._edge_orbits, key=_size, default=None)
+        start = None if largest is None else (largest, largest.point)
+        if self._kernel_element(self.graph.vertices, self.graph.edges, start) is not None:
             raise ActionError("action is not faithful: a non-identity element acts trivially")
         comps = self.graph.connected_components()
         if len(comps) < 2:
@@ -187,30 +224,43 @@ class GraphAction:
         for ci, comp in enumerate(comps):
             if ci in done:
                 continue
-            done.update(cidx[v] for v in self.vertex_orbit_of[comp[0]][1])
+            done.update(cidx[v] for v in self.vertex_orbit_of[comp[0]].transversal)
             points = [(self.vertex_orbit_of[v], v) for v in comp]
             points += [(self.edge_orbit_of[e], e) for e in comp_edges[ci]]
-            if self._kernel_element(points) is not None:
+            start = max(points, key=lambda pt: _size(pt[0]))
+            if self._kernel_element(comp, comp_edges[ci], start) is not None:
                 raise ActionError(
                     f"action is not faithful on the component of vertex {comp[0]}:"
                     " a non-identity element fixes it pointwise"
                 )
 
-    def _kernel_element(self, points):
-        """A non-identity member fixing every point of `points`, or None.
+    def _kernel_element(self, vertices, edges, start):
+        """The index of a non-identity member fixing every given vertex and
+        edge, or None.
 
-        points lists (orbit, x), orbit being the (H, transversal) pair of x's
-        orbit. Such a member lies in the stabilizer u H u^-1 (u the
-        transversal element of x) of the point x with the largest orbit,
-        and it fixes y iff it maps y to y."""
-        gens = self.group.generators  # no points: every member fixes them
-        if points:
-            (stab, transversal), x = max(points, key=lambda pt: len(pt[0][1]))
-            u, u_inv = transversal[x], perm_inv(transversal[x])
-            # the first level's generators generate the whole of H
-            gens = [perm_mul(u, perm_mul(g, u_inv)) for lv in stab.levels[:1] for g, _ in lv.gens]
-        for h in mulclose(gens):
-            if h != self.group.identity and all(_maps(orbit, h, y, y) for orbit, y in points):
+        start is (orbit, x) for one of the given points x, None if there are
+        none. Such a member lies in the stabilizer x_t Stab_G(p) x_t^-1 of
+        x, t = transversal[x], which is smallest when x's orbit is the
+        largest. Each member is tested point by point, stopping at the first
+        point it moves."""
+        index = self.group.element_index()
+        left = index.left
+        points = [(self.vertex_orbit_of, vertices), (self.edge_orbit_of, edges)]
+        candidates = range(1, len(index))  # no points: every member fixes them
+        if start is not None:
+            orbit, x = start
+            t = orbit.transversal[x]
+            t_word = index.word(t)
+            t_inv = index.index_of(perm_inv(index.element(t)))
+            candidates = sorted(
+                _mul(left, t_word, _mul(left, index.word(s), t_inv))
+                for s in orbit.stabilizer()[1:]
+            )
+        for h in candidates:
+            word = index.word(h)
+            if all(
+                _image(left, word, orbit_of[y], y) == y for orbit_of, ys in points for y in ys
+            ):
                 return h
         return None
 
@@ -231,16 +281,11 @@ class GraphAction:
             self._element_cache[g] = (vm, em)
         return self._element_cache[g]
 
-    def act_dart(self, g, d: Dart) -> Dart:
-        vm, em = self.element_action(g)
-        return Dart(em[d.edge], vm[d.base])
-
     # -- orbits ------------------------------------------------------------
 
     def edge_orbits(self) -> list:
-        """The (stabilizer chain, transversal) pair of each edge orbit,
-        ordered by least edge."""
-        return _orbits(self.edge_orbit_of)
+        """The Orbit of each edge orbit, ordered by least edge."""
+        return list(self._edge_orbits)
 
     # -- serialization -------------------------------------------------------
 
@@ -289,16 +334,23 @@ class QuotientResult:
     removed_loops: list = field(default_factory=list)
 
 
-def _orbits_under(points, maps, H: PermutationGroup) -> list[list]:
-    """Orbits of the points under the maps of H's generators, each sorted,
-    ordered by least point."""
+def _orbits_under(points, maps) -> list[list]:
+    """Orbits of the points under the maps, each sorted, ordered by least
+    point."""
     seen = set()
     orbits = []
     for p in sorted(points):
-        if p not in seen:
-            transversal, _ = schreier_orbit(p, maps, H.generators, H.identity)
-            seen.update(transversal)
-            orbits.append(sorted(transversal))
+        if p in seen:
+            continue
+        seen.add(p)
+        orbit = [p]
+        for x in orbit:
+            for m in maps:
+                y = m[x]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        orbits.append(sorted(orbit))
     return orbits
 
 
@@ -309,15 +361,15 @@ def quotient(a: GraphAction, H: Subgroup | None = None) -> QuotientResult:
     endpoints fall into one vertex orbit are removed and recorded.
     """
     if H is None or H is a.group:
-        vorbits = [sorted(t) for _, t in _orbits(a.vertex_orbit_of)]
-        eorbits = [sorted(t) for _, t in _orbits(a.edge_orbit_of)]
+        vorbits = [sorted(o.transversal) for o in a._vertex_orbits]
+        eorbits = [sorted(o.transversal) for o in a._edge_orbits]
     else:
         for h in H.generators:
             if not a.group.contains(h):
                 raise ActionError(f"subgroup generator is not a member of {a.group.name}")
         actions = [a.element_action(h) for h in H.generators]
-        vorbits = _orbits_under(a.graph.vertices, [vm for vm, _ in actions], H)
-        eorbits = _orbits_under(a.graph.edges, [em for _, em in actions], H)
+        vorbits = _orbits_under(a.graph.vertices, [vm for vm, _ in actions])
+        eorbits = _orbits_under(a.graph.edges, [em for _, em in actions])
     vclass = {v: qi for qi, orbit in enumerate(vorbits) for v in orbit}
     removed = []
     emap_proj = {}
@@ -378,33 +430,27 @@ def is_harmonic_action(a: GraphAction) -> ActionHarmonicityReport:
     """True iff no non-identity element fixes a dart (stabilizers of directed
     edges are trivial).
 
-    Per edge orbit with a non-trivial stabilizer H of its least edge e = {u0,
-    v0}: a generator of H fixing u0 fixes a dart; one swapping u0 and v0
-    with order above 2 has a square fixing both; if all are such involutions
-    and |H| > 2, the product of two of them fixes both ends."""
+    Per edge orbit, with e = {u0, v0} its least edge: every member of
+    Stab(e) fixes or swaps u0 and v0, so the stabilizer of every dart over
+    the orbit is conjugate to that of the dart (e, u0), Stab(e) & Stab(u0).
+    Its least non-identity index, if any, is the witness."""
     if a._harmonic_report is not None:
         return a._harmonic_report
     report = ActionHarmonicityReport(True)
-    for stab, transversal in a.edge_orbits():
-        if stab.order() == 1:
+    index = a.group.element_index()
+    for orbit in a.edge_orbits():
+        if len(orbit.transversal) == len(index):
             continue
-        rep = next(iter(transversal))
+        rep = orbit.point
         u0 = a.graph.ends(rep)[0]
-        # the first level's generators generate the whole stabilizer
-        gens = [g for g, _ in stab.levels[0].gens]
-        witness = None
-        for g in gens:
-            if _maps(a.vertex_orbit_of[u0], g, u0, u0):
-                witness = g
-                break
-            if perm_order(g) != 2:
-                witness = perm_mul(g, g)
-                break
-        if witness is None and stab.order() > 2:
-            first, second = sorted(gens)[:2]
-            witness = perm_mul(first, second)
+        u0_orbit = a.vertex_orbit_of[u0]
+        witness = next(
+            (h for h in orbit.stabilizer()[1:]
+             if _image(index.left, index.word(h), u0_orbit, u0) == u0),
+            None,
+        )
         if witness is not None:
-            report = ActionHarmonicityReport(False, Dart(rep, u0), witness)
+            report = ActionHarmonicityReport(False, Dart(rep, u0), index.element(witness))
             break
     a._harmonic_report = report
     return report
@@ -438,9 +484,9 @@ def flipped_edges(a: GraphAction) -> set:
     if not is_harmonic_action(a):
         raise ActionError("flipped_edges requires a harmonic action")
     out = set()
-    for stab, transversal in a.edge_orbits():
-        if stab.order() == 2:
-            out.update(transversal)
+    for orbit in a.edge_orbits():
+        if orbit.stabilizer_order() == 2:
+            out.update(orbit.transversal)
     return out
 
 
@@ -503,25 +549,27 @@ def flip_all(a: GraphAction, skip_orbits=()) -> GraphAction:
     if flipped_edges(a):
         raise ActionError("flip_all expects an unflipped action")
     graph = a.graph
-    G = a.group
+    index = a.group.element_index()
     pair_maps = [_OnPairs(em) for em in a.edge_images]
     pair_of = {}
-    for _, transversal in a.edge_orbits():
-        rep = next(iter(transversal))
+    for orbit in a.edge_orbits():
+        rep = orbit.point
         if rep in skip_orbits:
             continue
         u0, v0 = graph.ends(rep)
+        u0_orbit = a.vertex_orbit_of[u0]
+        # edge stabilizers are trivial here: transversal[e] is the one
+        # element mapping rep to e
         partners = [
-            e for e in sorted(transversal)
-            if e != rep and set(graph.ends(e)) == {u0, v0} and perm_order(transversal[e]) == 2
-            and _maps(a.vertex_orbit_of[u0], transversal[e], u0, v0)
+            e for e, t in sorted(orbit.transversal.items())
+            if e != rep and set(graph.ends(e)) == {u0, v0}
+            and perm_order(index.element(t)) == 2
+            and _image(index.left, index.word(t), u0_orbit, u0) == v0
         ]
         if not partners:
             continue
-        # edge stabilizers are trivial here, so the orbit of the pair pairs
-        # each edge u rep with u partner
-        pairs, _ = schreier_orbit((rep, partners[0]), pair_maps, G.generators, G.identity)
-        pairing = {e: f for e, f in pairs}
+        # so the orbit of the pair pairs each edge x_i rep with x_i partner
+        pairing = dict(index.orbit_map(pair_maps, (rep, partners[0])))
         for e, f in pairing.items():
             if pairing.get(f) != e or f == e:
                 raise ActionError("flip pairing is not a perfect matching")

@@ -398,8 +398,9 @@ class ElementIndex:
     in base degree, which sorts the same way.
 
     left[k][i] is the index of g_k * x_i, for the group's k-th generator
-    g_k. right(h)[i], the index of x_i * h, comes from the walk's tree: when
-    x = g_k * parent(x), x * h = g_k * (parent(x) * h).
+    g_k. Maps out of the group come from the walk's tree: when x = g_k *
+    parent(x), x * h = g_k * (parent(x) * h) gives right(h)[i], the index of
+    x_i * h, and x(p) = g_k(parent(x)(p)) gives orbit_map, i -> x_i(p).
     """
 
     def __init__(self, G: PermutationGroup):
@@ -462,14 +463,33 @@ class ElementIndex:
             raise KeyError(g)
         return i
 
-    def right(self, h) -> list:
-        """right(h)[i] is the index of x_i * h."""
-        out = [0] * len(self.keys)
-        out[0] = self.index_of(h)
-        left, parent, via = self.left, self._parent, self._via
+    def orbit_map(self, maps, point) -> list:
+        """out[i] is the image of point under x_i, when generator k sends a
+        point y to maps[k][y] (a list, a dict or any indexable object).
+
+        One pass over the walk's tree: out[0] = point and, as x = g_k *
+        parent(x), out[x] = maps[k][out[parent(x)]]."""
+        out = [point] * len(self.keys)
+        parent, via = self._parent, self._via
         for x in self._walk[1:]:
-            out[x] = left[via[x]][out[parent[x]]]
+            out[x] = maps[via[x]][out[parent[x]]]
         return out
+
+    def word(self, i: int) -> list:
+        """The generator numbers on the walk's tree path from the identity
+        to element i, first step first: x_i = g_{w[-1]} * ... * g_{w[0]},
+        so left-multiplying x_j by g_{w[0]}, then g_{w[1]}, ... gives x_i * x_j."""
+        w = []
+        while i:
+            w.append(self._via[i])
+            i = self._parent[i]
+        w.reverse()
+        return w
+
+    def right(self, h) -> list:
+        """right(h)[i] is the index of x_i * h: the orbit map of h's index,
+        G acting on its index by left multiplication."""
+        return self.orbit_map(self.left, self.index_of(h))
 
 
 class Cosets(Sequence):

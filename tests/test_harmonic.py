@@ -27,8 +27,12 @@ from hcov.multigraph import Multigraph, are_isomorphic, is_harmonic, morphism_de
 from hcov.permgroup import (
     StabilizerChain,
     cyclic,
+    dihedral,
     direct_product,
+    left_cosets,
     perm_from_cycles,
+    psl2,
+    schreier_orbit,
     search_23_pairs,
     symmetric,
 )
@@ -600,3 +604,234 @@ def test_validation_matches_oracle_on_perturbed_edge_images(data, perturbation_b
         except ActionError:
             pass
     assert len(verdicts) == 1
+
+
+# -- oracle: the tuple-transversal validation -----------------------------------
+
+
+def _maps(orbit, g, x, y) -> bool:
+    """True iff g maps x to y, orbit being the (chain of Stab_G(p),
+    transversal) pair of x's orbit: with x = u_x p and y = u_y p, iff y lies
+    in the orbit and u_y^-1 g u_x lies in Stab_G(p)."""
+    stab, transversal = orbit
+    u_y = transversal.get(y)
+    return u_y is not None and stab.contains(
+        perm_mul(perm_inv(u_y), perm_mul(g, transversal[x]))
+    )
+
+
+def _tuple_kernel_element(a, points):
+    """A non-identity member fixing every (orbit, x) of points, or None: the
+    members of the stabilizer u H u^-1 of the point x with the largest
+    orbit, u its transversal permutation, each tested with _maps."""
+    gens = a.group.generators  # no points: every member fixes them
+    if points:
+        (stab, transversal), x = max(points, key=lambda pt: len(pt[0][1]))
+        u, u_inv = transversal[x], perm_inv(transversal[x])
+        gens = [perm_mul(u, perm_mul(g, u_inv)) for lv in stab.levels[:1] for g, _ in lv.gens]
+    for h in mulclose(gens):
+        if h != a.group.identity and all(_maps(orbit, h, y, y) for orbit, y in points):
+            return h
+    return None
+
+
+def _tuple_validation(a):
+    """The action's validation on tuple transversals, apart from its element
+    index: per orbit, schreier_orbit from the least point p gives one
+    transversal permutation per point and the Schreier generators of a
+    StabilizerChain H, and the orbit-stabilizer test is |H| * |O| = |G|.
+    Faithfulness (global, then per component orbit) enumerates the smallest
+    stabilizer. Returns the per-kind point -> (chain, transversal) maps, or
+    raises ActionError with the validation's wording."""
+    G = a.group
+    where = []
+    for kind, maps, points in (
+        ("vertex", a.vertex_images, a.graph.vertices),
+        ("edge", a.edge_images, a.graph.edges),
+    ):
+        found = {}
+        for p in sorted(points):
+            if p in found:
+                continue
+            transversal, schreier = schreier_orbit(p, maps, G.generators, G.identity)
+            stab = StabilizerChain(G.degree, schreier)
+            if stab.order() * len(transversal) != G.order():
+                raise ActionError(f"generator images do not define an action: {kind} {p}")
+            found.update(dict.fromkeys(transversal, (stab, transversal)))
+        where.append(found)
+    vertex_orbit_of, edge_orbit_of = where
+    if not a.require_faithful:
+        return where
+    points = [(orbit, x) for found in where for x, orbit in found.items()]
+    if _tuple_kernel_element(a, points) is not None:
+        raise ActionError("action is not faithful")
+    comps = a.graph.connected_components()
+    cidx = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    done = set()
+    for ci, comp in enumerate(comps if len(comps) > 1 else []):
+        if ci in done:
+            continue
+        done.update(cidx[v] for v in vertex_orbit_of[comp[0]][1])
+        points = [(vertex_orbit_of[v], v) for v in comp]
+        points += [(edge_orbit_of[e], e) for e in a.graph.edges if cidx[a.graph.ends(e)[0]] == ci]
+        if _tuple_kernel_element(a, points) is not None:
+            raise ActionError("action is not faithful on the component")
+    return where
+
+
+def _assert_same_orbits(a, where):
+    """Every point's Orbit is that of its least point, with the oracle's
+    points; its stabilizer has the oracle's order, and every member of it
+    lies in the oracle's chain."""
+    index = a.group.element_index()
+    for orbit_of, oracle in zip((a.vertex_orbit_of, a.edge_orbit_of), where):
+        assert orbit_of.keys() == oracle.keys()
+        for x, orbit in orbit_of.items():
+            assert x in orbit.transversal and orbit_of[orbit.point] is orbit
+            if x != orbit.point:
+                continue
+            stab, transversal = oracle[x]
+            assert orbit.transversal.keys() == transversal.keys()
+            assert orbit.point == min(transversal)
+            members = orbit.stabilizer()
+            assert len(members) == orbit.stabilizer_order() == stab.order()
+            assert all(stab.contains(index.element(i)) for i in members)
+
+
+@contextmanager
+def _tuple_differential():
+    """Check every GraphAction validated inside the block against the
+    tuple-transversal validation: the same verdict kind and, when valid,
+    the same orbits and stabilizers; yields the list of verdicts seen."""
+    verdicts = []
+    validate = GraphAction._validate_action
+
+    def checked(self):
+        try:
+            where = _tuple_validation(self)
+        except ActionError as err:
+            expected = _error_kind(err)
+        else:
+            expected = None
+        try:
+            validate(self)
+        except ActionError as err:
+            verdicts.append(_error_kind(err))
+            assert verdicts[-1] == expected
+            raise
+        verdicts.append(None)
+        assert expected is None
+        _assert_same_orbits(self, where)
+
+    with mock.patch.object(GraphAction, "_validate_action", checked):
+        yield verdicts
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_orbits_match_tuple_oracle_on_figures(name, catalog):
+    data = load_figure(name)
+    with _tuple_differential() as verdicts:
+        if "vertex_images" in data:
+            a = GraphAction.from_json(data, catalog)
+            if is_harmonic_action(a):
+                flip_all(unflip(a))
+        elif "multisets" in data:
+            for flipped in (False, True):
+                cover_from_spec(dict(data, flipped=flipped), catalog)
+    if "source" in data:
+        assert not verdicts  # a graph morphism: no action to validate
+    else:
+        assert verdicts and set(verdicts) == {None}
+
+
+def test_orbits_match_tuple_oracle_on_criterion_4_covers(catalog):
+    from test_galois import criterion_4_covers
+
+    with _tuple_differential() as verdicts:
+        for _ in zip(range(100), criterion_4_covers(catalog)):
+            pass
+    assert len(verdicts) == 100 and set(verdicts) == {None}
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_orbits_match_tuple_oracle_on_psl2_maximal_covers(p):
+    G = psl2(p)
+    with _tuple_differential() as verdicts:
+        for tau, sigma in search_23_pairs(G).pairs:
+            build_maximal(G, tau, sigma)
+    assert len(verdicts) == len(search_23_pairs(G).pairs) and set(verdicts) == {None}
+
+
+# -- negative controls: bijections that respect endpoints but no action ----------
+
+TRIANGLE = Multigraph([0, 1, 2], [(0, (0, 1)), (1, (1, 2)), (2, (2, 0))])
+
+
+@pytest.mark.parametrize(
+    "group, graph, vmaps, emaps, orbit",
+    [
+        # the generator of Z2 rotates the triangle: its cube, not its square,
+        # is the identity on the vertex orbit {0, 1, 2}
+        (cyclic(2), TRIANGLE, [{0: 1, 1: 2, 2: 0}], [{0: 1, 1: 2, 2: 0}], "vertex 0"),
+        # both generators of V4 act as involutions on the vertices, but the
+        # second cycles the four parallel edges: b^2 = 1 fails on edge 1's orbit
+        (
+            V4, FOUR_PARALLEL, [{1: 2, 2: 1}, {1: 1, 2: 2}],
+            [{1: 2, 2: 1, 3: 4, 4: 3}, {1: 3, 3: 2, 2: 4, 4: 1}], "edge 1",
+        ),
+    ],
+)
+def test_relation_breaking_maps_are_rejected(group, graph, vmaps, emaps, orbit):
+    for context in (_differential, _tuple_differential):
+        with context() as verdicts:
+            with pytest.raises(ActionError, match=f"do not define an action.*{orbit}\\b"):
+                GraphAction(group, graph, vmaps, emaps)
+        assert verdicts == ["action"]
+
+
+def _induced_digons(G, H, K, shift):
+    """G acting on one digon per left coset of H: an element of H swaps its
+    coset's two parallel edges iff it is not in K. The edge ids of coset c
+    are those of coset c + shift, so the least edge lies outside the
+    component of vertex 0 (coset H) when shift > 0."""
+    index = G.element_index()
+    cosets = left_cosets(G, H)
+    n = len(cosets)
+    reps = [index.element(r) for r in cosets.reps]
+
+    def edge(c, j):
+        return 2 * ((c + shift) % n) + j
+
+    vmaps, emaps = [], []
+    for g in G.generators:
+        vm, em = {}, {}
+        for c, r in enumerate(reps):
+            gr = perm_mul(g, r)
+            d = cosets.of[index.index_of(gr)]
+            swap = not K.contains(perm_mul(perm_inv(reps[d]), gr))
+            vm.update({2 * c: 2 * d, 2 * c + 1: 2 * d + 1})
+            em.update({edge(c, j): edge(d, j ^ swap) for j in (0, 1)})
+        vmaps.append(vm)
+        emaps.append(em)
+    edges = [(edge(c, j), (2 * c, 2 * c + 1)) for c in range(n) for j in (0, 1)]
+    graph = Multigraph(range(2 * n), edges)
+    return graph, vmaps, emaps
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_component_kernel_from_the_right_stabilizer(shift):
+    # D4 = <r, s> on the digons of its two cosets of H = {1, r^2, s, r^2 s}:
+    # K = <s> fixes the digon of H pointwise but is not normal, so the kernel
+    # on that component lies in the stabilizer of its own edges, not in that
+    # of the edge orbit's least edge once it sits on the other digon
+    G = dihedral(4)
+    r, s = G.generators
+    r2 = perm_mul(r, r)
+    H, K = G.subgroup([r2, s]), G.subgroup([s])
+    assert not all(K.contains(perm_mul(g, perm_mul(s, perm_inv(g)))) for g in G.generators)
+    graph, vmaps, emaps = _induced_digons(G, H, K, shift)
+    for context in (_differential, _tuple_differential):
+        with context() as verdicts:
+            with pytest.raises(ActionError, match="not faithful on the component of vertex 0"):
+                GraphAction(G, graph, vmaps, emaps)
+        assert verdicts == ["component"]

@@ -119,8 +119,8 @@ def test_pair_recoverable_from_cover():
     # the inertia generator plus any flipping involution regenerate the group
     mc = build_maximal(S3, TAU, SIGMA)
     sigma = mc.cover.inertia.assignment[0].generators[0]
-    stab, _ = mc.action.edge_orbits()[0]
-    t = next(p for lv in stab.levels for p, w in lv.gens if p != mc.group.identity)
+    orbit = mc.action.edge_orbits()[0]
+    t = mc.group.element_index().element(orbit.stabilizer()[1])
     assert perm_order(t) == 2
     assert perm_order(sigma) == 3
     assert generates(mc.group, [t, sigma])
