@@ -371,6 +371,10 @@ def _row_text(row):
 
 
 def cmd_maximal_table(args):
+    if args.genus_from < 2:
+        raise HcError(f"--from must be at least 2 (the least genus), got {args.genus_from}")
+    if args.genus_from > args.genus_to:
+        raise HcError(f"--from {args.genus_from} exceeds --to {args.genus_to}: the table is empty")
     catalog = load_catalog_arg(args)
     rows = maximal.classification_table(args.genus_from, args.genus_to, catalog, jobs=args.jobs)
     payload = {"rows": [_row_payload(r) for r in rows]}

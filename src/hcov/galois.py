@@ -314,10 +314,9 @@ class HarmonicCover:
         pass over the projection on first use."""
         vertical = {x: [] for x in self.base.vertices}
         vertex_map = self.projection.vertex_map
-        for e, img in sorted(self.projection.edge_map.items()):
-            if img is None:
-                ends = self.graph.ends(e)
-                vertical[vertex_map[ends[0]]].append((e, ends))
+        for e in self.projection.vertical_edges:
+            ends = self.graph.ends(e)
+            vertical[vertex_map[ends[0]]].append((e, ends))
         return {x: Multigraph(self.fiber_index[x], edges) for x, edges in vertical.items()}
 
     @cached_property

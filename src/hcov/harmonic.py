@@ -3,29 +3,20 @@ criterion of harmonicity, flipped edges, and flip/unflip model conversion.
 
 An action is specified by the images of the group's generators only. Each
 orbit is read through the group's element index (`Orbit`), and the action
-of an arbitrary element is derived by factoring it into a generator word
-through the stabilizer chain.
+of an arbitrary element is read from those orbits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress, repeat
 from operator import eq
 from typing import NamedTuple
 
-from hcov.errors import ActionError, MorphismError
+from hcov.errors import ActionError, GroupError, MorphismError
 from hcov.kernel import perm_inv, perm_order
 from hcov.multigraph import Dart, GraphMorphism, Multigraph
-from hcov.permgroup import PermutationGroup, Subgroup, group_from_spec
-
-
-def _apply_word(word, maps, inv_maps, x):
-    """Apply a generator word (rightmost factor first) to a point."""
-    for i, inv in reversed(word):
-        x = inv_maps[i][x] if inv else maps[i][x]
-    return x
+from hcov.permgroup import PermutationGroup, Subgroup, cycle_string, group_from_spec
 
 
 def _mul(left, word, j) -> int:
@@ -107,10 +98,11 @@ class GraphAction:
 
     Well-definedness is tested one orbit O of vertices or edges at a time,
     p the least point of O. The orbit map phi, phi[i] = x_i(p), is built
-    once along the index's walk tree and is onto O. The maps m_k factor
-    through G on O iff phi is equivariant, m_k(phi[i]) = phi[left[k][i]]
-    for every k and i: then a word in the m_k that is trivial in G fixes
-    every phi[i], and conversely phi(g_k x) = g_k(phi(x)) in any action.
+    once along the index's walk tree and is onto O. The maps m_k extend
+    to an action of G on O iff phi is equivariant, m_k(phi[i]) =
+    phi[left[k][i]] for every k and i: then a word in the m_k that is
+    trivial in G fixes every phi[i], and conversely phi(g_k x) =
+    g_k(phi(x)) in any action.
 
     Validation keeps each orbit as an Orbit: phi and a point -> least index
     transversal. vertex_orbit_of and edge_orbit_of map every point to its
@@ -144,18 +136,9 @@ class GraphAction:
             self.edge_images
         ) != len(group.generators):
             raise ActionError("need exactly one vertex/edge image map per generator")
-        self._element_cache = {}
         self._harmonic_report = None
         self._validate_generator_maps()
         self._validate_action()
-
-    @cached_property
-    def inverse_vertex_images(self) -> list:
-        return [{b: a for a, b in m.items()} for m in self.vertex_images]
-
-    @cached_property
-    def inverse_edge_images(self) -> list:
-        return [{b: a for a, b in m.items()} for m in self.edge_images]
 
     # -- construction-time checks ----------------------------------------
 
@@ -270,16 +253,17 @@ class GraphAction:
         return len(self.group.generators)
 
     def element_action(self, g) -> tuple[dict, dict]:
-        """(vertex map, edge map) of an arbitrary group member."""
-        g = tuple(g)
-        if g not in self._element_cache:
-            word = self.group.element_word(g)
-            vm = {v: _apply_word(word, self.vertex_images, self.inverse_vertex_images, v)
-                  for v in self.graph.vertices}
-            em = {e: _apply_word(word, self.edge_images, self.inverse_edge_images, e)
-                  for e in self.graph.edges}
-            self._element_cache[g] = (vm, em)
-        return self._element_cache[g]
+        """(vertex map, edge map) of an arbitrary group member, read from the
+        validated orbits; GroupError if g is not a member."""
+        index = self.group.element_index()
+        try:
+            word = index.word(index.index_of(g))
+        except KeyError:
+            raise GroupError(f"{cycle_string(g)} is not a member of {self.group.name}") from None
+        left, vorbit, eorbit = index.left, self.vertex_orbit_of, self.edge_orbit_of
+        vm = {v: _image(left, word, vorbit[v], v) for v in self.graph.vertices}
+        em = {e: _image(left, word, eorbit[e], e) for e in self.graph.edges}
+        return vm, em
 
     # -- orbits ------------------------------------------------------------
 

@@ -91,49 +91,25 @@ def parse_cycle_string(s: str, degree: int) -> tuple:
 
 # -- stabilizer chain (deterministic Schreier-Sims) -------------------------
 
-# Words are tuples of (generator_index, inverted); the element is the
-# right-to-left product of the listed generators, so word concatenation
-# matches perm_mul order.
-
-
-def _invert_word(word):
-    return tuple((i, not inv) for i, inv in reversed(word))
-
 
 class _Level:
     __slots__ = ("point", "gens", "transversal")
 
     def __init__(self, point):
         self.point = point
-        self.gens = []  # list of (perm, word)
-        self.transversal = {}  # orbit point -> (perm u with u[self.point]=pt, word)
+        self.gens = []
+        self.transversal = {}  # orbit point pt -> u with u[self.point] = pt
 
 
 class StabilizerChain:
-    """Incremental deterministic Schreier-Sims over tuple permutations.
+    """Incremental deterministic Schreier-Sims over tuple permutations. A
+    level's base point is the least point its first generator moves."""
 
-    Base points are the least moved point by default. prefer_points_from
-    biases the choice to coordinates >= that offset while any of them is
-    moved, so that the pointwise stabilizer of the points >= the offset is
-    nontrivial iff some level's point lies below it. Only the test oracle
-    for GraphAction's validation uses it now: on a group acting on a large
-    block it puts a block-sized orbit at the top level.
-
-    With track_words, every installed generator and transversal element
-    carries a word over the original generators. A Schreier generator's
-    word u_c^-1 s u_b is built only once it fails to sift through the
-    levels below and is installed; the many that sift to the identity get
-    none.
-    """
-
-    def __init__(self, degree, generators=(), track_words=False, prefer_points_from=None):
+    def __init__(self, degree, generators=()):
         self.degree = degree
-        self.track = track_words
-        self.prefer = prefer_points_from
         self.levels: list[_Level] = []
-        for i, g in enumerate(generators):
-            word = ((i, False),) if track_words else ()
-            self.add_generator(tuple(g), word)
+        for g in generators:
+            self.add_generator(g)
 
     def order(self) -> int:
         n = 1
@@ -141,24 +117,17 @@ class StabilizerChain:
             n *= len(lv.transversal)
         return n
 
-    def add_generator(self, g, word=()):
+    def add_generator(self, g):
         g = tuple(g)
         if self._sift(g, 0) is not None:
-            self._install(0, g, word)
+            self._install(0, g)
 
-    def _install(self, level, g, word):
+    def _install(self, level, g):
         """Install g, which fixes all base points above `level` and does not
         sift through the chain from there, at `level`."""
         if level == len(self.levels):
-            moved = [i for i in range(self.degree) if g[i] != i]
-            if self.prefer is not None:
-                preferred = [i for i in moved if i >= self.prefer]
-                point = preferred[0] if preferred else moved[0]
-            else:
-                point = moved[0]
-            self.levels.append(_Level(point))
-        lv = self.levels[level]
-        lv.gens.append((g, word))
+            self.levels.append(_Level(next(i for i in range(self.degree) if g[i] != i)))
+        self.levels[level].gens.append(g)
         self._close_level(level)
 
     def _sift(self, g, level):
@@ -174,66 +143,39 @@ class StabilizerChain:
             b = g[lv.point]
             if b not in lv.transversal:
                 return g
-            g = perm_mul(perm_inv(lv.transversal[b][0]), g)
+            g = perm_mul(perm_inv(lv.transversal[b]), g)
             level += 1
 
     def _close_level(self, level):
         lv = self.levels[level]
-        ident = perm_id(self.degree)
         # rebuild the orbit/transversal from scratch (cheap at these degrees)
-        lv.transversal = {lv.point: (ident, ())}
+        lv.transversal = {lv.point: perm_id(self.degree)}
         frontier = [lv.point]
         while frontier:
             b = frontier.pop(0)
-            u, uw = lv.transversal[b]
-            for s, sw in lv.gens:
+            u = lv.transversal[b]
+            for s in lv.gens:
                 c = s[b]
                 if c not in lv.transversal:
-                    nw = (sw + uw) if self.track else ()
-                    lv.transversal[c] = (perm_mul(s, u), nw)
+                    lv.transversal[c] = perm_mul(s, u)
                     frontier.append(c)
-        # all Schreier generators must sift through the rest of the chain;
-        # the word of one that does not is built only when it is installed
+        # all Schreier generators must sift through the rest of the chain
         inv_cache = {}
         for b in sorted(lv.transversal):
-            u, uw = lv.transversal[b]
-            for s, sw in lv.gens:
+            u = lv.transversal[b]
+            for s in lv.gens:
                 c = s[b]
                 uc_inv = inv_cache.get(c)
                 if uc_inv is None:
-                    uc_inv = inv_cache[c] = perm_inv(lv.transversal[c][0])
+                    uc_inv = inv_cache[c] = perm_inv(lv.transversal[c])
                 schreier = perm_mul(uc_inv, perm_mul(s, u))
-                if self._sift(schreier, level + 1) is None:
-                    continue
-                ucw = lv.transversal[c][1]
-                w = (_invert_word(ucw) + sw + uw) if self.track else ()
-                self._install(level + 1, schreier, w)
+                if self._sift(schreier, level + 1) is not None:
+                    self._install(level + 1, schreier)
 
     def contains(self, p) -> bool:
         if len(p) != self.degree:
             return False
         return self._sift(tuple(p), 0) is None
-
-    def factor(self, p):
-        """Word over the original generators with product p; GroupError if p
-        is not a member. Requires track_words=True."""
-        if not self.track:
-            raise GroupError("chain was built without word tracking")
-        word = []
-        g = tuple(p)
-        ident = perm_id(self.degree)
-        for lv in self.levels:
-            if g == ident:
-                break
-            b = g[lv.point]
-            if b not in lv.transversal:
-                raise GroupError("element is not a member")
-            u, uw = lv.transversal[b]
-            word.extend(uw)
-            g = perm_mul(perm_inv(u), g)
-        if g != ident:
-            raise GroupError("element is not a member")
-        return tuple(word)
 
 
 # -- orbits -----------------------------------------------------------------
@@ -296,7 +238,7 @@ class PermutationGroup:
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self.generators, track_words=True)
+            self._chain = StabilizerChain(self.degree, self.generators)
         return self._chain
 
     def order(self) -> int:
@@ -326,25 +268,6 @@ class PermutationGroup:
             raise GroupError(f"{cycle_string(p)} is not a member of {self.name}")
         return perm_order(p)
 
-    def element_word(self, p):
-        """Factor a member as a word over the generators (index, inverted)."""
-        return self.chain().factor(p)
-
-    def conjugacy_class(self, p) -> tuple:
-        """Conjugacy class of a member, sorted."""
-        p = tuple(p)
-        cls = {p}
-        queue = [p]
-        conjugators = [(g, perm_inv(g)) for g in self.generators]
-        while queue:
-            x = queue.pop()
-            for g, ginv in conjugators:
-                y = perm_mul(g, perm_mul(x, ginv))
-                if y not in cls:
-                    cls.add(y)
-                    queue.append(y)
-        return tuple(sorted(cls))
-
     def subgroup(self, generators, name: str = "") -> "Subgroup":
         return Subgroup(self, generators, name)
 
@@ -364,10 +287,6 @@ class Subgroup(PermutationGroup):
             if not parent.contains(g):
                 raise GroupError(f"{cycle_string(g)} is not a member of {parent.name}")
         self.parent = parent
-
-
-def group_order(G: PermutationGroup) -> int:
-    return G.order()
 
 
 def element_order(G: PermutationGroup, p) -> int:
@@ -451,8 +370,7 @@ class ElementIndex:
         images.reverse()
         g = self.group.identity
         for lv in self.group.chain().levels:
-            u, _ = lv.transversal[g.index(images[lv.point])]
-            g = perm_mul(g, u)
+            g = perm_mul(g, lv.transversal[g.index(images[lv.point])])
         return g
 
     def index_of(self, g) -> int:
@@ -668,7 +586,7 @@ def _elements_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
     tail, depth = [ident], len(levels)
     while True:
         depth -= 1
-        tail = [perm_mul(u, t) for u, _ in levels[depth].transversal.values() for t in tail]
+        tail = [perm_mul(u, t) for u in levels[depth].transversal.values() for t in tail]
         if depth == 0 or (len(tail) * len(levels[depth - 1].transversal)) ** 2 > order:
             break
     base = levels[0].point
@@ -681,7 +599,7 @@ def _elements_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
         if level == depth:
             yield prefix
             return
-        for u, _ in levels[level].transversal.values():
+        for u in levels[level].transversal.values():
             yield from heads(perm_mul(prefix, u), level + 1)
 
     for head in heads(ident, 0):
@@ -1061,6 +979,8 @@ def group_from_spec(
         kind = kind.lower()
         if kind == "prod":
             left, _, right = arg.partition(",")
+            if not left.strip() or not right.strip():
+                raise GroupError(f"unknown group {spec!r}: prod needs two factors A,B")
             return direct_product(
                 group_from_spec(left.strip(), catalog, allow_large_psl2),
                 group_from_spec(right.strip(), catalog, allow_large_psl2),

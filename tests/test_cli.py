@@ -317,6 +317,22 @@ def test_non_positive_orders_exit_one(capsys, argv, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("maximal", "table", "--from", "3", "--to", "2"), "--from 3 exceeds --to 2"),
+        (("maximal", "table", "--from", "0", "--to", "3"), "--from must be at least 2"),
+        (("group", "order", "--group", "prod:S3"), "'prod:S3': prod needs two factors A,B"),
+        (("group", "order", "--group", "prod:S3,"), "'prod:S3,': prod needs two factors A,B"),
+    ],
+)
+def test_malformed_flag_value_exits_one_naming_it(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and named in err
+
+
 def test_surface_check44_hurwitz_psl2_41(capsys):
     # past the psl2 cap: genus 1 + |G|/84 again
     code, out, _ = run(

@@ -9,6 +9,7 @@ the first product-order-7 pair of psl2(7), as a file.
 """
 
 import json
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hcov.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 ORIENTED = Path(__file__).parent / "data" / "oriented_psl2_7.json"
+FIG3_S3 = files("hcov").joinpath("data/figures/fig3_s3_action.json")
 
 COMMANDS = {
     **{
@@ -27,6 +29,12 @@ COMMANDS = {
     "surface_check44_psl2_13.json": ("surface", "check44", "--group", "psl2:13"),
     "group_cosets_S4.json": ("group", "cosets", "--group", "S4", "--subgroup", "(0 1 2)"),
     "surface_genus_psl2_7.json": ("surface", "genus", "--oriented", str(ORIENTED)),
+    **{
+        f"action_quotient_fig3_s3_order{n}.json": (
+            "action", "quotient", "--action", str(FIG3_S3), "--subgroup", subgroup
+        )
+        for n, subgroup in ((2, "(0 1)"), (3, "(0 1 2)"))
+    },
 }
 DOT = {"surface_genus_psl2_7.dot": ("surface", "genus", "--oriented", str(ORIENTED))}
 

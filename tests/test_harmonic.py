@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_figure
-from hcov.errors import ActionError
+from hcov.errors import ActionError, GroupError
 from hcov.galois import SymmetricMultiset, cayley, cover_from_spec
 from hcov.harmonic import (
     GraphAction,
@@ -93,6 +93,13 @@ def test_element_action_is_homomorphism(catalog):
         vgh, egh = a.element_action(perm_mul(g, h))
         assert vgh == {v: vg[vh[v]] for v in vh}
         assert egh == {e: eg[eh[e]] for e in eh}
+
+
+def test_element_action_of_a_non_member_raises():
+    a = fig3_z6_action()
+    outside = perm_from_cycles([(0, 2)], a.group.degree)
+    with pytest.raises(GroupError, match=r"\(0 2\) is not a member of Z6"):
+        a.element_action(outside)
 
 
 def test_fig2_not_harmonic_with_witness():
@@ -288,9 +295,10 @@ def _oracle_kind(group, graph, vertex_images, edge_images, require_faithful=True
     """Verdict of validating on the whole extended group, computed apart from
     GraphAction: None (valid), "action", "faithful" or "component".
 
-    Well-definedness and global faithfulness come from one chain whose base
-    points are preferred in the action block; faithfulness on components
-    from a search over every element of the extended group.
+    Well-definedness holds iff the extended group E has order |G|; then E
+    is isomorphic to G, and the action is faithful iff E's image on the
+    action block, a chain of its own, has order |G| too. Faithfulness on
+    components comes from a search over every element of E.
     """
     n = group.degree
     vs, es = sorted(graph.vertices), sorted(graph.edges)
@@ -303,12 +311,12 @@ def _oracle_kind(group, graph, vertex_images, edge_images, require_faithful=True
         for g, vm, em in zip(group.generators, vertex_images, edge_images)
     ]
     degree = n + len(vs) + len(es)
-    chain = StabilizerChain(degree, ext_gens, prefer_points_from=n)
-    if chain.order() != group.order():
+    if StabilizerChain(degree, ext_gens).order() != group.order():
         return "action"
     if not require_faithful:
         return None
-    if any(lv.point < n for lv in chain.levels):
+    block = [tuple(x - n for x in g[n:]) for g in ext_gens]
+    if StabilizerChain(degree - n, block).order() != group.order():
         return "faithful"
     comps = graph.connected_components()
     if len(comps) > 1:
@@ -369,10 +377,11 @@ def _harmonic_oracle(a):
     generator word per edge, and every Schreier generator of the least edge's
     stabilizer is applied, as a word, to that edge's first end."""
     gens, ident = a.group.generators, a.group.identity
+    inverse_vertex_images = [{b: x for x, b in m.items()} for m in a.vertex_images]
 
     def apply_word(word, x):
         for i, inv in reversed(word):
-            x = a.inverse_vertex_images[i][x] if inv else a.vertex_images[i][x]
+            x = inverse_vertex_images[i][x] if inv else a.vertex_images[i][x]
         return x
 
     harmonic, flipped = True, set()
@@ -628,7 +637,7 @@ def _tuple_kernel_element(a, points):
     if points:
         (stab, transversal), x = max(points, key=lambda pt: len(pt[0][1]))
         u, u_inv = transversal[x], perm_inv(transversal[x])
-        gens = [perm_mul(u, perm_mul(g, u_inv)) for lv in stab.levels[:1] for g, _ in lv.gens]
+        gens = [perm_mul(u, perm_mul(g, u_inv)) for lv in stab.levels[:1] for g in lv.gens]
     for h in mulclose(gens):
         if h != a.group.identity and all(_maps(orbit, h, y, y) for orbit, y in points):
             return h

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcov import permgroup
 from hcov.errors import CatalogError, GroupError
 from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order, perm_pow
 from hcov.permgroup import (
@@ -23,7 +22,6 @@ from hcov.permgroup import (
     element_order,
     generates,
     group_from_spec,
-    group_order,
     is_permutation,
     left_cosets,
     load_catalog,
@@ -76,12 +74,12 @@ def test_cycles_of_agrees_with_is_permutation(p):
 
 
 def test_group_order_examples():
-    assert group_order(symmetric(3)) == 6
-    assert group_order(alternating(4)) == 12
+    assert symmetric(3).order() == 6
+    assert alternating(4).order() == 12
     G = psl2(7)
     # independent oracle: full closure enumeration
     assert len(mulclose(G.generators)) == 168
-    assert group_order(G) == 168
+    assert G.order() == 168
 
 
 def _chain_elements(chain: StabilizerChain):
@@ -92,7 +90,7 @@ def _chain_elements(chain: StabilizerChain):
         if level == len(chain.levels):
             yield prefix
             return
-        for u, _ in chain.levels[level].transversal.values():
+        for u in chain.levels[level].transversal.values():
             yield from walk(perm_mul(prefix, u), level + 1)
 
     return walk(perm_id(chain.degree), 0)
@@ -241,22 +239,6 @@ def test_all_subgroups_counts():
         all_subgroups(psl2(7))
 
 
-def test_element_word_factors_members():
-    import random
-
-    rng = random.Random(5)
-    for G in (symmetric(4), psl2(5)):
-        els = G.elements()
-        for _ in range(20):
-            g = rng.choice(els)
-            word = G.element_word(g)
-            acc = G.identity
-            for i, inv in word:
-                gen = G.generators[i]
-                acc = perm_mul(acc, perm_inv(gen) if inv else gen)
-            assert acc == g
-
-
 def test_catalog_counts_and_names():
     cat = load_default_catalog()
     assert len(cat.by_order(6)) == 2
@@ -310,9 +292,25 @@ def test_group_from_spec():
 # -- pair search against the one-chain-per-(a, b) oracle ---------------------
 
 
+def conjugacy_class(G, p) -> tuple:
+    """The conjugacy class of a member p of G, sorted: the closure of {p}
+    under conjugation by the generators."""
+    cls = {p}
+    queue = [p]
+    conjugators = [(g, perm_inv(g)) for g in G.generators]
+    while queue:
+        x = queue.pop()
+        for g, ginv in conjugators:
+            y = perm_mul(g, perm_mul(x, ginv))
+            if y not in cls:
+                cls.add(y)
+                queue.append(y)
+    return tuple(sorted(cls))
+
+
 def search_pairs_oracle(G, order_a=2, order_b=3, product_order=None, all_first=False):
     """The pair search without the centralizer reduction: class
-    representatives from G.conjugacy_class, and one chain per (a, b).
+    representatives from conjugacy_class, and one chain per (a, b).
     Returns (pairs, total, classes_searched)."""
     elements = G.elements()
     bs = [p for p in elements if perm_order(p) == order_b]
@@ -324,7 +322,7 @@ def search_pairs_oracle(G, order_a=2, order_b=3, product_order=None, all_first=F
         for p in elements:
             if p in seen or perm_order(p) != order_a:
                 continue
-            cls = G.conjugacy_class(p)
+            cls = conjugacy_class(G, p)
             seen.update(cls)
             firsts.append((cls[0], len(cls)))
         firsts.sort()
@@ -401,33 +399,23 @@ def test_element_scan_counts_match_closed_forms():
         assert (len(firsts), len(bs)) == (involutions, threes), G.name
 
 
-def _word_product(G, word):
-    p = G.identity
-    for i, inverted in word:
-        g = G.generators[i]
-        p = perm_mul(p, perm_inv(g) if inverted else g)
-    return p
-
-
-def test_chain_words_multiply_out():
+def test_index_words_multiply_out():
+    # word(i) lists generator numbers first step first: left-multiplying
+    # the identity by each in turn gives element(i)
     for G in [*load_default_catalog().groups, symmetric(6), alternating(7), psl2(13)]:
-        for lv in G.chain().levels:
-            for g, word in lv.gens:
-                assert _word_product(G, word) == g, G.name
-            for u, word in lv.transversal.values():
-                assert _word_product(G, word) == u, G.name
-        for p in G.elements():
-            assert _word_product(G, G.element_word(p)) == p, G.name
+        index = G.element_index()
+        for i in range(len(index)):
+            p = G.identity
+            for k in index.word(i):
+                p = perm_mul(G.generators[k], p)
+            assert p == index.element(i), (G.name, i)
 
 
-def test_chain_builds_words_only_for_installed_generators(monkeypatch):
-    calls = []
-    invert = permgroup._invert_word
-    monkeypatch.setattr(permgroup, "_invert_word", lambda word: calls.append(1) or invert(word))
-    chain = symmetric(8).chain()
-    installed = sum(len(lv.gens) for lv in chain.levels[1:])
-    assert chain.order() == 40320
-    assert 0 < len(calls) <= installed
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_psl2_hurwitz_pairs_follow_macbeath(p):
+    # Macbeath (1969), prime part: PSL(2,p) is (2,3,7)-generated iff p = 7
+    # or p = +-1 (mod 7)
+    assert bool(search_23_pairs(psl2(p), product_order=7)) == (p in (7, 13, 29))
 
 
 PROPERTY_GROUPS = {
