@@ -11,9 +11,9 @@ from this checkout's src/ as a child process, taking the best of 3 runs up
 to p = 71 and a single run above. Each run is forked off first, so the
 fork's resource.getrusage(RUSAGE_CHILDREN) holds that one command's peak
 RSS and nothing else. Times are raw wall-clock seconds. One row per p is
-appended: the commit (`git describe --always --dirty`, so `<commit>-dirty`
-measures uncommitted changes on top of that commit), p, |G|, wall_s,
-peak_rss_mb, the number of runs and the machine.
+appended: the commit (see commit_label; `<commit>-dirty` measures
+uncommitted changes on top of that commit), p, |G|, wall_s, peak_rss_mb,
+the number of runs and the machine.
 """
 
 from __future__ import annotations
@@ -66,10 +66,24 @@ def _run(p: int) -> dict:
             "order": report["order"]}
 
 
+def commit_label(root: Path) -> str:
+    """`git describe --always` of the checkout at root, with `-dirty` appended
+    when a tracked file other than BENCH_hurwitz.json has changes. The rows
+    this script appends there change no measured code, so a second run on a
+    clean commit keeps that commit's label."""
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    changed = git("status", "--porcelain", "--untracked-files=no", "--",
+                  ".", f":(exclude){OUT.name}")
+    return git("describe", "--always") + ("-dirty" if changed else "")
+
+
 def main() -> int:
-    commit = subprocess.run(
-        ["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True, text=True,
-    ).stdout.strip()
+    commit = commit_label(ROOT)
     machine = f"{platform.machine()}, {os.cpu_count()} cpus, Python {platform.python_version()}"
     rows = json.loads(OUT.read_text()) if OUT.exists() else []
     for p in PRIMES:

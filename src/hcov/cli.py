@@ -35,7 +35,6 @@ def common_parser():
     p.add_argument("--jobs", type=int, default=1, help="parallel candidate evaluation")
     p.add_argument("--catalog", default=None, help="catalog file (default: bundled)")
     p.add_argument("--out", default=None, help="also write the JSON payload to a file")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
     p.add_argument(
         "--allow-large-psl2", action="store_true", help="lift the psl2 prime cap"
     )

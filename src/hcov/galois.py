@@ -1,6 +1,7 @@
-"""Concrete harmonic Galois theory over trees: Cayley fibers, inertia
-collapse, cover assembly, ramification profiles, the multiplicative identity
-deg = m*f*n, the Riemann-Hurwitz count, and branch-locus classification.
+"""Concrete harmonic Galois theory over trees: Cayley fibers collapsed onto
+inertia cosets, cover assembly, ramification profiles, the multiplicative
+identity deg = m*f*n, the Riemann-Hurwitz count, and branch-locus
+classification.
 
 All rational arithmetic is exact (fractions.Fraction); no floats.
 """
@@ -24,7 +25,6 @@ from hcov.permgroup import (
     generates,
     is_permutation,
     left_cosets,
-    schreier_orbit,
 )
 
 logger = logging.getLogger("hcov")
@@ -131,22 +131,22 @@ class InertiaStructure:
         return H
 
 
-# -- Cayley graphs and the collapse functor -----------------------------------
+# -- Cayley fibers and their collapse -----------------------------------------
 
 
 @dataclass
 class LabeledAction:
-    """A Cayley graph of G or a collapse of one, with G's generators acting
-    on it: one vertex and one edge image map per generator, as in
-    GraphAction.
+    """A Cayley fiber collapsed onto the left cosets G/I, with G's
+    generators acting on it: one vertex and one edge image map per
+    generator, as in GraphAction. With I trivial it is the Cayley graph.
 
-    cayley and collapse do not validate the maps. build_cover copies every
-    fiber into the total graph, and the total GraphAction's validation
-    covers each fiber's vertices and vertical edges: bijective,
+    collapse does not validate the maps. build_cover copies every fiber
+    into the total graph, and the total GraphAction's validation covers
+    each fiber's vertices and vertical edges: bijective,
     incidence-preserving generator maps, the orbit-stabilizer index test
     on every orbit, and faithfulness on the whole graph and each component.
-    The per-fiber validation survives as a test oracle in
-    tests/test_galois.py.
+    The per-fiber validation survives as a test oracle,
+    tests/conftest.fiber_action.
 
     Group elements are named by their index in G.element_index(). Each
     vertex is labeled by the least element of its coset, and vertex_of[i]
@@ -161,79 +161,36 @@ class LabeledAction:
     removed_loops: list = field(default_factory=list)
     vertex_of: list = field(default_factory=list)  # element index -> vertex id
 
-    @cached_property
-    def action(self) -> GraphAction:
-        """The fiber's action on its own, validated on first use.
-        Faithfulness is required of a regular action only: a collapsed
-        fiber's isolated coset vertices carry their inertia."""
-        G = self.group
-        regular = len(self.graph.vertices) == G.order()
-        return GraphAction(
-            G, self.graph, self.vertex_images, self.edge_images, require_faithful=regular
-        )
 
+def collapse(G: PermutationGroup, I: Subgroup, S: SymmetricMultiset) -> LabeledAction:
+    """The Cayley graph of G on a symmetric multiset, collapsed onto the left
+    cosets G/I, with the left-multiplication action (not validated here;
+    see LabeledAction).
 
-def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
-    """Cayley graph of G on a symmetric multiset, with the left-multiplication
-    action (not validated here; see LabeledAction).
-
-    One vertex per group element, numbered by its index. Each inverse pair
-    {rho, rho^-1} with rho != rho^-1 contributes one edge {g, g*rho} per
-    element and multiplicity step (the rho- and rho^-1-edges are
-    identified); each involution contributes unidentified edges, so
+    Each inverse pair {rho, rho^-1} with rho != rho^-1 contributes one edge
+    {g, g*rho} per element and multiplicity step (the rho- and rho^-1-edges
+    are identified); each involution contributes unidentified edges, so
     parallel doubles appear. The u-th such unit's edge at element i is
-    u*|G| + i, and generator k maps it to u*|G| + left[k][i].
+    u*|G| + i, and generator k maps it to u*|G| + left[k][i]. Its ends are
+    the cosets of g and g*rho; an edge inside one coset is not built but
+    recorded in removed_loops, so the surviving edge ids stay auditable.
     """
     index = G.element_index()
     n = len(index)
-    pairs, invs = S.units()
-    units = pairs + invs
-    edges = []
-    for u, (rho, _) in enumerate(units):
-        edges += [(u * n + i, (i, y)) for i, y in enumerate(index.right(rho))]
-    vertex_images = [dict(enumerate(lk)) for lk in index.left]
-    edge_images = [
-        {u * n + i: u * n + y for u in range(len(units)) for i, y in enumerate(lk)}
-        for lk in index.left
-    ]
-    return LabeledAction(
-        G,
-        Multigraph(range(n), edges),
-        vertex_images,
-        edge_images,
-        {i: i for i in range(n)},
-        vertex_of=list(range(n)),
-    )
-
-
-def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> LabeledAction:
-    """Push the vertex set G onto the left cosets G/I, removing loop edges.
-
-    The input graph's vertices must be labeled bijectively by the elements
-    of G; edge ids survive unchanged, which keeps the collapse auditable.
-    The image maps are not validated here (see LabeledAction); on its own a
-    collapsed fiber need not be faithful, only the assembled total action
-    must be.
-    """
-    labels = labeled.vertex_labels
-    if sorted(labels.values()) != list(range(G.order())):
-        raise CoverError("collapse input vertices are not labeled bijectively by G")
     cosets = left_cosets(G, I)
-    old_graph = labeled.graph
-    new_v = {v: cosets.of[labels[v]] for v in old_graph.vertices}
+    of = cosets.of
+    pairs, invs = S.units()
     edges = []
     removed = []
-    for e in sorted(old_graph.edges):
-        u, v = old_graph.ends(e)
-        if new_v[u] == new_v[v]:
-            removed.append({"edge": e, "coset": new_v[u]})
-        else:
-            edges.append((e, (new_v[u], new_v[v])))
-    kept = [e for e, _ in edges]
-    vertex_images = [
-        {c: cosets.of[lk[r]] for c, r in enumerate(cosets.reps)} for lk in G.element_index().left
-    ]
-    edge_images = [{e: em[e] for e in kept} for em in labeled.edge_images]
+    for u, (rho, _) in enumerate(pairs + invs):
+        for i, y in enumerate(index.right(rho)):
+            e = u * n + i
+            if of[i] == of[y]:
+                removed.append({"edge": e, "coset": of[i]})
+            else:
+                edges.append((e, (of[i], of[y])))
+    vertex_images = [{c: of[lk[r]] for c, r in enumerate(cosets.reps)} for lk in index.left]
+    edge_images = [{e: e - e % n + lk[e % n] for e, _ in edges} for lk in index.left]
     return LabeledAction(
         G,
         Multigraph(range(len(cosets)), edges),
@@ -241,8 +198,14 @@ def collapse(G: PermutationGroup, I: Subgroup, labeled: LabeledAction) -> Labele
         edge_images,
         dict(enumerate(cosets.reps)),
         removed,
-        cosets.of,
+        of,
     )
+
+
+def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
+    """Cayley graph of G on a symmetric multiset: its collapse by the trivial
+    subgroup, whose cosets are the elements, numbered by their index."""
+    return collapse(G, G.trivial_subgroup(), S)
 
 
 # -- covers --------------------------------------------------------------------
@@ -343,14 +306,15 @@ def build_cover(
     """Assemble the harmonic G-cover of a tree from per-vertex inertia
     subgroups and symmetric multisets.
 
-    The fiber over x is collapse(G, I_x, cayley(G, S_x)); one horizontal edge
-    per group element joins g*I_x to g*I_x' over each base edge {x, x'}.
-    Entries of S_x lying in I_x are dropped with a warning (they would only
-    produce loops). The fibers' image maps are validated once, by the total
-    GraphAction: one per cover, and a second from flip_all when flipped.
-    Every statistic of the cover reads the orbits that validation stored.
-    Harmonicity and the per-edge degree are verified before returning; a
-    disconnected result is reported, not an error.
+    The fiber over x is collapse(G, I_x, S_x): the Cayley graph Cay(G, S_x)
+    collapsed onto G/I_x, built once. One horizontal edge per group element
+    joins g*I_x to g*I_x' over each base edge {x, x'}. Entries of S_x lying
+    in I_x are dropped with a warning (they would only produce loops). The
+    fibers' image maps are validated once, by the total GraphAction: one per
+    cover, and a second from flip_all when flipped. Every statistic of the
+    cover reads the orbits that validation stored. Harmonicity and the
+    per-edge degree are verified before returning; a disconnected result is
+    reported, not an error.
     """
     if not base.is_connected():
         raise CoverError("base must be connected")
@@ -373,7 +337,7 @@ def build_cover(
             msg = f"dropped multiset entries lying in the inertia group at vertex {x}"
             warnings.append(msg)
             logger.warning(msg)
-        fibers[x] = collapse(G, I_x, cayley(G, trimmed))
+        fibers[x] = collapse(G, I_x, trimmed)
         multisets[x] = trimmed
 
     offset = {}
@@ -567,27 +531,6 @@ def _vertex_profiles(c: HarmonicCover) -> dict:
     return out
 
 
-def decomposition_group(c: HarmonicCover, y) -> Subgroup:
-    """Setwise stabilizer of the fiber component containing the vertex y."""
-    x = c.projection.vertex_map[y]
-    sub = c.fiber_subgraph(x)
-    comps = sub.connected_components()
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    comp_maps = [
-        [comp_of[vm[comp[0]]] for comp in comps] for vm in c.action.vertex_images
-    ]
-    transversal, schreier = schreier_orbit(
-        comp_of[y], comp_maps, c.group.generators, c.group.identity
-    )
-    delta = c.group.subgroup(sorted(schreier), name=f"Delta({y})")
-    if delta.order() * len(transversal) != c.group.order():
-        raise CoverError("decomposition group order check failed")
-    m = c.action.vertex_orbit_of[y].stabilizer_order()
-    if delta.order() % m != 0:
-        raise CoverError("decomposition group does not contain the inertia group")
-    return delta
-
-
 # -- Riemann-Hurwitz and maximality ---------------------------------------------
 
 
@@ -667,16 +610,16 @@ def cover_from_spec(data, catalog=None) -> HarmonicCover:
     {"group":..., "base":{"tree":graph}, "inertia":{x:[perm...]},
      "multisets":{x:[[perm,mult]...]}, "flipped":bool}.
 
-    A missing field or a malformed vertex-keyed entry raises CoverError
-    naming its path."""
+    A missing field, a malformed vertex-keyed entry, a key that is not a
+    base vertex or a non-boolean flipped raises CoverError naming its path."""
     G = group_from_spec_lazy(_spec_field(data, "group"), catalog)
     base = Multigraph.from_json(_spec_field(data, "base.tree"))
     inertia = {}
-    for x, gens in _vertex_keyed(data, "inertia"):
+    for x, gens in _vertex_keyed(data, "inertia", base):
         _check_entries(gens, f"inertia.{x}", lambda g: isinstance(g, list), "a permutation")
         inertia[x] = G.subgroup([tuple(g) for g in gens])
     multisets = {}
-    for x, entries in _vertex_keyed(data, "multisets"):
+    for x, entries in _vertex_keyed(data, "multisets", base):
         _check_entries(
             entries,
             f"multisets.{x}",
@@ -684,7 +627,10 @@ def cover_from_spec(data, catalog=None) -> HarmonicCover:
             "a [permutation, multiplicity] pair",
         )
         multisets[x] = SymmetricMultiset.from_json(entries)
-    return build_cover(G, base, inertia, multisets, bool(data.get("flipped", False)))
+    flipped = data.get("flipped", False)
+    if not isinstance(flipped, bool):
+        raise CoverError(f"cover spec: flipped must be true or false, got {flipped!r}")
+    return build_cover(G, base, inertia, multisets, flipped)
 
 
 def _spec_field(data, path):
@@ -696,9 +642,10 @@ def _spec_field(data, path):
     return data
 
 
-def _vertex_keyed(data, name):
+def _vertex_keyed(data, name, base):
     """(base vertex, value) pairs of the optional object field `name`; a
-    value that is not a list, or a key that is not an integer, is an error."""
+    value that is not a list, or a key that is not an integer vertex of
+    base, is an error."""
     field = data.get(name, {})
     if not isinstance(field, dict):
         raise CoverError(f"cover spec: {name!r} must be an object keyed by base vertex")
@@ -707,6 +654,8 @@ def _vertex_keyed(data, name):
             x = int(key)
         except ValueError:
             raise CoverError(f"cover spec: {name}.{key} is not an integer base vertex") from None
+        if not base.has_vertex(x):
+            raise CoverError(f"cover spec: {name}.{key} is not a base vertex")
         if not isinstance(value, list):
             raise CoverError(f"cover spec: {name}.{key} must be a list")
         yield x, value

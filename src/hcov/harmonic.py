@@ -13,7 +13,7 @@ from itertools import compress, repeat
 from operator import eq
 from typing import NamedTuple
 
-from hcov.errors import ActionError, GroupError, MorphismError
+from hcov.errors import ActionError, GroupError
 from hcov.kernel import perm_inv, perm_order
 from hcov.multigraph import Dart, GraphMorphism, Multigraph
 from hcov.permgroup import PermutationGroup, Subgroup, cycle_string, group_from_spec
@@ -373,26 +373,6 @@ def quotient(a: GraphAction, H: Subgroup | None = None) -> QuotientResult:
     qgraph = Multigraph(range(len(vorbits)), qedges)
     projection = GraphMorphism(a.graph, qgraph, vclass, emap_proj)
     return QuotientResult(qgraph, projection, removed)
-
-
-def induced_quotient_morphism(a: GraphAction, H: Subgroup, K: Subgroup) -> GraphMorphism:
-    """The morphism H\\Y -> K\\Y induced by H <= K."""
-    for h in H.generators:
-        if not K.contains(h):
-            raise MorphismError("H is not contained in K")
-    qH = quotient(a, H)
-    qK = quotient(a, K)
-    vrep = {}
-    for v in a.graph.vertices:
-        vrep.setdefault(qH.projection.vertex_map[v], v)
-    erep = {}
-    for e in a.graph.edges:
-        img = qH.projection.edge_map[e]
-        if img is not None:
-            erep.setdefault(img, e)
-    vmap = {hv: qK.projection.vertex_map[vrep[hv]] for hv in qH.quotient.vertices}
-    emap = {he: qK.projection.edge_map[erep[he]] for he in qH.quotient.edges}
-    return GraphMorphism(qH.quotient, qK.quotient, vmap, emap)
 
 
 # -- harmonicity ----------------------------------------------------------------

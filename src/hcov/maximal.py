@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from hcov.errors import CatalogError, CoverError, GroupError
 from hcov.galois import (
@@ -66,17 +65,6 @@ class MaximalCover:
         vof, reps = self.vertex_rep.of, self.edge_rep.reps
         first = [vof[r] for r in reps]
         return [2 * c + (v != first[c]) for c, v in zip(self.edge_rep.of, vof)]
-
-    @cached_property
-    def dart_element(self) -> dict:
-        """Dart -> element tuple, built on first use."""
-        darts, index = self.graph.darts(), self.group.element_index()
-        return {darts[d]: index.element(i) for i, d in enumerate(self.dart_ids())}
-
-    @cached_property
-    def element_dart(self) -> dict:
-        """Element tuple -> dart, built on first use."""
-        return {g: d for d, g in self.dart_element.items()}
 
     @property
     def graph(self) -> Multigraph:

@@ -172,39 +172,6 @@ class Multigraph:
             raise GraphError("genus is defined for connected graphs only")
         return len(self._edges) - len(self._vertices) + 1
 
-    # -- local surgery (used by subdivision-invariance checks) -----------
-
-    def subdivide_edge(self, eid: int) -> "Multigraph":
-        """Replace edge eid by a path of two edges through a fresh vertex."""
-        u, v = self._edges[eid]
-        new_v = max(self._vertices) + 1 if self._vertices else 0
-        new_e = max(self._edges) + 1 if self._edges else 0
-        edges = [(e, ends) for e, ends in self._edges.items() if e != eid]
-        edges.append((new_e, (u, new_v)))
-        edges.append((new_e + 1, (new_v, v)))
-        return Multigraph(self._vertices + (new_v,), edges)
-
-    def smooth_vertex(self, v: int) -> "Multigraph":
-        """Remove a degree-2 vertex, merging its two edges into one.
-
-        The two neighbours must be distinct (otherwise the merge would
-        create a loop).
-        """
-        inc = self._incidence[v]
-        if len(inc) != 2:
-            raise GraphError(f"vertex {v} has degree {len(inc)}, not 2")
-        e1, e2 = inc
-        if e1 == e2:
-            raise GraphError("cannot smooth a vertex on a parallel pair to itself")
-        a = self.other_end(e1, v)
-        b = self.other_end(e2, v)
-        if a == b:
-            raise GraphError("smoothing would create a loop")
-        new_e = max(self._edges) + 1
-        edges = [(e, ends) for e, ends in self._edges.items() if e not in (e1, e2)]
-        edges.append((new_e, (a, b)))
-        return Multigraph(tuple(w for w in self._vertices if w != v), edges)
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -346,17 +313,6 @@ class GraphMorphism:
         return cls(source, target, vmap, emap)
 
 
-def compose(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
-    """Composite morphism outer∘inner (inner applied first)."""
-    if inner.target is not outer.source and inner.target != outer.source:
-        raise MorphismError("morphisms are not composable")
-    vmap = {v: outer.vertex_map[img] for v, img in inner.vertex_map.items()}
-    emap = {}
-    for e, img in inner.edge_map.items():
-        emap[e] = None if img is None else outer.edge_map[img]
-    return GraphMorphism(inner.source, outer.target, vmap, emap)
-
-
 @dataclass
 class HarmonicityReport:
     """Verdict of the harmonicity test, with a witness on failure.
@@ -393,31 +349,6 @@ def is_harmonic(m: GraphMorphism) -> HarmonicityReport:
             hi = max(target_edges, key=lambda te: counts[te])
             return HarmonicityReport(False, (y, hi, lo, counts[hi], counts[lo]))
     return HarmonicityReport(True, None, tuple(m.degenerate_vertices()))
-
-
-def morphism_degree(m: GraphMorphism) -> int:
-    """Degree of a harmonic morphism.
-
-    For a target with more than one vertex this is the preimage count of any
-    target edge (checked to be independent of the edge); for the point graph
-    it is the number of source vertices.
-    """
-    if not m.target.is_connected():
-        raise MorphismError("degree requires a connected target")
-    if not is_harmonic(m):
-        raise MorphismError("degree is defined for harmonic morphisms only")
-    if len(m.target.vertices) == 1:
-        return len(m.source.vertices)
-    counts = {te: 0 for te in m.target.edges}
-    for e, img in m.edge_map.items():
-        if img is not None:
-            counts[img] += 1
-    values = sorted(set(counts.values()))
-    if len(values) != 1:
-        raise MorphismError(
-            f"preimage counts differ across target edges ({values}); input is not harmonic"
-        )
-    return values[0]
 
 
 # -- isomorphism (small graphs; backtracking with degree refinement) -------

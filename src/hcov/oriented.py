@@ -12,7 +12,6 @@ the reverse of dart d is d ^ 1; Dart tuples appear only at the boundary
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 
 from hcov.errors import GraphError
@@ -182,16 +181,6 @@ def surface_genus(og: OrientedGraph) -> SurfaceGenusReport:
     if g < 0:
         raise GraphError(f"surface genus came out negative ({g}); invalid rotation data")
     return SurfaceGenusReport(nv, L, g)
-
-
-def random_rotation(graph: Multigraph, rng: random.Random) -> OrientedGraph:
-    """Uniformly random rotation system on a 3-regular graph."""
-    rot = [-1] * (2 * len(graph.edges))
-    for own in graph.vertex_darts().values():
-        rng.shuffle(own)
-        for a, b in zip(own, own[1:] + own[:1]):
-            rot[a] = b
-    return OrientedGraph(graph, rot)
 
 
 # -- the canonical orientation on a maximal cover ---------------------------

@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import load_figure
+from conftest import dart_element, element_dart, load_figure, random_rotation
 from hcov.cli import main as hc_main
 from hcov.galois import (
     SymmetricMultiset,
@@ -36,7 +36,6 @@ from hcov.multigraph import GraphMorphism, Multigraph, are_isomorphic, is_harmon
 from hcov.oriented import (
     canonical_orientation,
     lht_decomposition,
-    random_rotation,
     surface_genus,
     theorem_44_check,
 )
@@ -340,9 +339,11 @@ def test_criterion_8_property_suites(catalog):
                     darts = mc.graph.darts()
                     ts = perm_mul(tau, sigma)
                     k = perm_order(ts)
+                    to_element = dart_element(mc)
+                    to_dart = element_dart(mc)
                     for h in (perm_id(G.degree), tau, sigma):
-                        orbit = dec.orbit_of(darts.index(mc.element_dart[h]))
-                        labels = {mc.dart_element[darts[d]] for d in orbit}
+                        orbit = dec.orbit_of(darts.index(to_dart[h]))
+                        labels = {to_element[darts[d]] for d in orbit}
                         assert labels == {perm_mul(h, perm_pow(ts, j)) for j in range(k)}
 
 

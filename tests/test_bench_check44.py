@@ -1,0 +1,51 @@
+"""The commit label of benchmarks/bench_check44.py, on a temporary git repo."""
+
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_check44.py"
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench_check44", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def git(root, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com", *args],
+        cwd=root, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
+@pytest.fixture
+def repo(tmp_path):
+    git(tmp_path, "init", "-q")
+    (tmp_path / "code.py").write_text("x = 1\n")
+    (tmp_path / "BENCH_hurwitz.json").write_text("[]\n")
+    git(tmp_path, "add", "code.py", "BENCH_hurwitz.json")
+    git(tmp_path, "commit", "-q", "-m", "seed")
+    return tmp_path
+
+
+def test_label_ignores_appended_bench_rows_and_untracked_files(repo):
+    label = load_bench().commit_label
+    head = git(repo, "describe", "--always")
+    assert label(repo) == head
+    (repo / "BENCH_hurwitz.json").write_text('[\n{"p": 29}\n]\n')
+    (repo / "scratch.txt").write_text("untracked\n")
+    assert label(repo) == head
+
+
+@pytest.mark.parametrize("staged", [False, True])
+def test_label_marks_tracked_code_changes_dirty(repo, staged):
+    label = load_bench().commit_label
+    (repo / "code.py").write_text("x = 2\n")
+    if staged:
+        git(repo, "add", "code.py")
+    assert label(repo) == git(repo, "describe", "--always") + "-dirty"

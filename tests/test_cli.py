@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcov
+from conftest import load_figure
 from hcov.cli import main
 
 
@@ -390,6 +391,12 @@ def run_process(*argv):
 
 
 S3_POINT = {"group": "S3", "base": {"tree": {"vertices": [0], "edges": []}}}
+S3_PATH = {
+    "group": "S3",
+    "base": {"tree": {"vertices": [0, 1, 2], "edges": [
+        {"id": 0, "ends": [0, 1]}, {"id": 1, "ends": [1, 2]},
+    ]}},
+}
 
 
 @pytest.mark.parametrize(
@@ -443,10 +450,12 @@ def test_group_search_with_huge_order_builds_nothing_that_large():
             {"group": "S3", "base": {"tree": {"vertices": [0, 1], "edges": [{"id": 0}]}}},
             "needs the fields 'id' and 'ends'",
         ),
-        (dict(S3_POINT, multisets={"2": [5]}), "multisets.2.0"),
-        (dict(S3_POINT, multisets={"2": [[[1, 0, 2]]]}), "multisets.2.0"),
-        (dict(S3_POINT, inertia={"1": [7]}), "inertia.1.0"),
+        (dict(S3_PATH, multisets={"2": [5]}), "multisets.2.0"),
+        (dict(S3_PATH, multisets={"2": [[[1, 0, 2]]]}), "multisets.2.0"),
+        (dict(S3_PATH, inertia={"1": [7]}), "inertia.1.0"),
         (dict(S3_POINT, group="A4", multisets={"0": [[[1, 0, 2, 3], 1]]}), "not a member of A4"),
+        (dict(S3_POINT, inertia={"9": [[1, 2, 0]]}), "inertia.9 is not a base vertex"),
+        (dict(S3_POINT, multisets={"9": [[[1, 0, 2], 1]]}), "multisets.9 is not a base vertex"),
     ],
 )
 def test_malformed_cover_spec_exits_one(capsys, tmp_path, spec, named):
@@ -456,6 +465,17 @@ def test_malformed_cover_spec_exits_one(capsys, tmp_path, spec, named):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and named in err
+
+
+def test_cover_build_rejects_a_non_boolean_flipped(capsys, tmp_path):
+    # the string "false" is truthy: read as a flag it would build the
+    # flipped fig4 cover (15 edges instead of 18)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(load_figure("fig4.json"), flipped="false")))
+    code, out, err = run(capsys, "cover", "build", "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: cover spec: flipped must be true or false, got 'false'\n"
 
 
 ACTION_SPECS = {

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from conftest import fiber_action, load_figure
+from conftest import dart_element, element_dart, fiber_action, load_figure
 from hcov.galois import SymmetricMultiset, build_cover, cayley, collapse, cover_from_spec
 from hcov.harmonic import GraphAction, flip_all
 from hcov.kernel import perm_inv, perm_mul
@@ -197,13 +197,13 @@ def assert_same_action(action, graph, vimg, eimg):
 
 def check_maximal(G, tau, sigma):
     mc = build_maximal(G, tau, sigma)
-    graph, vimg, eimg, vreps, ereps, dart_element = tuple_maximal(G, tau, sigma)
+    graph, vimg, eimg, vreps, ereps, darts = tuple_maximal(G, tau, sigma)
     assert_same_action(mc.action, graph, vimg, eimg)
     assert list(mc.vertex_rep) == vreps
     assert list(mc.edge_rep) == ereps
-    assert dict(mc.dart_element) == dart_element
-    assert dict(mc.element_dart) == {g: d for d, g in dart_element.items()}
-    rotation = conjugation_rotation(graph, sigma, vreps, dart_element)
+    assert dart_element(mc) == darts
+    assert element_dart(mc) == {g: d for d, g in darts.items()}
+    rotation = conjugation_rotation(graph, sigma, vreps, darts)
     assert canonical_orientation(mc).rotation == rotation
 
 
@@ -229,7 +229,7 @@ def check_cover(cover, flipped):
         lab = cayley(G, cover.multisets[x])
         assert_same_action(lab, *fiber[:3])
         graph, vimg, eimg, _, reps, vertex_of = tuple_collapse(G, inertia[x], fiber)
-        out = collapse(G, inertia[x], lab)
+        out = collapse(G, inertia[x], cover.multisets[x])
         assert_same_action(out, graph, vimg, eimg)
         fiber_action(lab, faithful=True)
         fiber_action(out, faithful=False)

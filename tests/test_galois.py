@@ -15,7 +15,6 @@ from hcov.galois import (
     classify_branch_locus,
     collapse,
     cover_from_spec,
-    decomposition_group,
     profile_to_json,
     ramification_profile,
     riemann_hurwitz_check,
@@ -85,8 +84,9 @@ def test_cayley_sigma_pair():
     comps = g.connected_components()
     assert [len(c) for c in comps] == [3, 3]
     assert all(g.degree(v) == 2 for v in g.vertices)
-    assert is_harmonic_action(lab.action)
-    assert flipped_edges(lab.action) == set()
+    action = fiber_action(lab, faithful=True)
+    assert is_harmonic_action(action)
+    assert flipped_edges(action) == set()
 
 
 def test_cayley_involution_parallel_pairs():
@@ -116,33 +116,28 @@ def test_cayley_z6_half_turn():
 
 
 def test_collapse_tau_cayley_by_sigma():
-    lab = cayley(S3, SymmetricMultiset([TAU]))
-    out = collapse(S3, S3.subgroup([SIGMA]), lab)
+    out = collapse(S3, S3.subgroup([SIGMA]), SymmetricMultiset([TAU]))
     assert len(out.graph.vertices) == 2
     assert len(out.graph.edges) == 6
     assert not out.removed_loops
 
 
 def test_collapse_sigma_cayley_by_sigma_kills_all_edges():
-    lab = cayley(S3, SymmetricMultiset([SIGMA, SIGMA2]))
-    out = collapse(S3, S3.subgroup([SIGMA]), lab)
+    out = collapse(S3, S3.subgroup([SIGMA]), SymmetricMultiset([SIGMA, SIGMA2]))
     assert len(out.graph.vertices) == 2
     assert len(out.graph.edges) == 0
     assert len(out.removed_loops) == 6
 
 
 def test_collapse_by_trivial_subgroup_is_identity():
-    lab = cayley(S3, SymmetricMultiset([TAU]))
-    out = collapse(S3, S3.trivial_subgroup(), lab)
-    assert are_isomorphic(out.graph, lab.graph)
-    assert sorted(out.vertex_labels.values()) == sorted(lab.vertex_labels.values())
-
-
-def test_collapse_requires_element_labels():
-    lab = cayley(S3, SymmetricMultiset([TAU]))
-    broken = dataclasses.replace(lab, vertex_labels={v: 0 for v in lab.graph.vertices})
-    with pytest.raises(CoverError, match="bijectively"):
-        collapse(S3, S3.subgroup([SIGMA]), broken)
+    # every element is its own vertex, and every Cayley edge {g, g*tau} survives
+    out = collapse(S3, S3.trivial_subgroup(), SymmetricMultiset([TAU]))
+    index = S3.element_index()
+    assert out.vertex_labels == {i: i for i in range(6)}
+    assert out.vertex_of == list(range(6))
+    assert out.vertex_images == [dict(enumerate(lk)) for lk in index.left]
+    assert dict(out.graph.edges) == dict(enumerate(zip(range(6), index.right(TAU))))
+    assert not out.removed_loops
 
 
 # -- cover assembly -------------------------------------------------------------------
@@ -224,6 +219,27 @@ def test_fig4_profile(catalog):
     prof = ramification_profile(c)
     assert prof.per_vertex[1].as_dict() == {"m": 1, "f": 3, "n": 2, "v": 2, "w": 2}
     assert prof.per_vertex[2].as_dict() == {"m": 1, "f": 2, "n": 3, "v": 2, "w": 2}
+
+
+def decomposition_group(c, y):
+    """Setwise stabilizer of the fiber component containing the vertex y."""
+    x = c.projection.vertex_map[y]
+    sub = c.fiber_subgraph(x)
+    comps = sub.connected_components()
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    comp_maps = [
+        [comp_of[vm[comp[0]]] for comp in comps] for vm in c.action.vertex_images
+    ]
+    transversal, schreier = schreier_orbit(
+        comp_of[y], comp_maps, c.group.generators, c.group.identity
+    )
+    delta = c.group.subgroup(sorted(schreier), name=f"Delta({y})")
+    if delta.order() * len(transversal) != c.group.order():
+        raise CoverError("decomposition group order check failed")
+    m = c.action.vertex_orbit_of[y].stabilizer_order()
+    if delta.order() % m != 0:
+        raise CoverError("decomposition group does not contain the inertia group")
+    return delta
 
 
 def test_decomposition_groups_fig6(catalog):
@@ -362,9 +378,9 @@ def check_against_oracles(cover):
     for x, fiber in cover.fiber_index.items():
         for v in (min(fiber), max(fiber)):
             assert stabilizer_oracle(cover.action, v) == (profile.per_vertex[x].m, set(fiber))
-        lab = cayley(G, cover.multisets[x])
-        fiber_action(lab, faithful=True)
-        fiber_action(collapse(G, cover.inertia.subgroup_at(G, x), lab), faithful=False)
+        S = cover.multisets[x]
+        fiber_action(cayley(G, S), faithful=True)
+        fiber_action(collapse(G, cover.inertia.subgroup_at(G, x), S), faithful=False)
 
 
 def criterion_4_covers(catalog):
@@ -457,8 +473,8 @@ def test_corrupted_fiber_fails_the_total_validation(corrupt, message, monkeypatc
     # must still fail, in the validation of the assembled action
     original = galois.collapse
 
-    def corrupted_collapse(G, I, labeled):
-        fiber = original(G, I, labeled)
+    def corrupted_collapse(G, I, S):
+        fiber = original(G, I, S)
         images = [dict(vm) for vm in fiber.vertex_images]
         corrupt(images[0])
         return dataclasses.replace(fiber, vertex_images=images)

@@ -8,22 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_figure
-from hcov.errors import ActionError, GroupError
+from conftest import compose, fiber_action, load_figure, morphism_degree
+from hcov.errors import ActionError, GroupError, MorphismError
 from hcov.galois import SymmetricMultiset, cayley, cover_from_spec
 from hcov.harmonic import (
     GraphAction,
     flip_all,
     flipped_edges,
     harmonic_by_subgroup_quotients,
-    induced_quotient_morphism,
     is_harmonic_action,
     quotient,
     unflip,
 )
 from hcov.kernel import mulclose, perm_inv, perm_mul, perm_order
 from hcov.maximal import build_maximal
-from hcov.multigraph import Multigraph, are_isomorphic, is_harmonic, morphism_degree
+from hcov.multigraph import GraphMorphism, Multigraph, are_isomorphic, is_harmonic
 from hcov.permgroup import (
     StabilizerChain,
     cyclic,
@@ -231,11 +230,30 @@ def test_edge_stabilizers_at_most_two(catalog):
             assert order // len(transversal) in (1, 2)
 
 
+def induced_quotient_morphism(a: GraphAction, H, K) -> GraphMorphism:
+    """The morphism H\\Y -> K\\Y induced by H <= K."""
+    for h in H.generators:
+        if not K.contains(h):
+            raise MorphismError("H is not contained in K")
+    qH = quotient(a, H)
+    qK = quotient(a, K)
+    vrep = {}
+    for v in a.graph.vertices:
+        vrep.setdefault(qH.projection.vertex_map[v], v)
+    erep = {}
+    for e in a.graph.edges:
+        img = qH.projection.edge_map[e]
+        if img is not None:
+            erep.setdefault(img, e)
+    vmap = {hv: qK.projection.vertex_map[vrep[hv]] for hv in qH.quotient.vertices}
+    emap = {he: qK.projection.edge_map[erep[he]] for he in qH.quotient.edges}
+    return GraphMorphism(qH.quotient, qK.quotient, vmap, emap)
+
+
 def test_quotient_tower_degrees_multiply(catalog):
     # random small towers H <= K inside harmonic actions: the degree of the
     # composite quotient morphism is the product of the two degrees
     from hcov.galois import SymmetricMultiset, build_cover
-    from hcov.multigraph import compose
     from hcov.permgroup import all_subgroups, alternating
 
     S3 = fig3_s3_action(catalog).group
@@ -573,8 +591,8 @@ def perturbation_bases(catalog):
         fig3_z6_action(),
         fig3_s3_action(catalog),
         unflip(build_maximal(symmetric(3), tau, sigma).action),
-        cayley(symmetric(3), SymmetricMultiset([(tau, 2)])).action,
-        cayley(cyclic(4), SymmetricMultiset([((2, 3, 0, 1), 2)])).action,
+        fiber_action(cayley(symmetric(3), SymmetricMultiset([(tau, 2)])), faithful=True),
+        fiber_action(cayley(cyclic(4), SymmetricMultiset([((2, 3, 0, 1), 2)])), faithful=True),
     ]
     return [(a.group, a.graph, a.vertex_images, a.edge_images) for a in actions] + [
         (cyclic(2), THETA, [{1: 2, 2: 1}], [{1: 1, 2: 2, 3: 3}]),

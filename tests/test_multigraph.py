@@ -3,18 +3,17 @@ import random
 
 import pytest
 
+from conftest import compose, morphism_degree
 from hcov.errors import GraphError, MorphismError
 from hcov.multigraph import (
     Dart,
     GraphMorphism,
     Multigraph,
     are_isomorphic,
-    compose,
     connected_components,
     find_isomorphism,
     genus,
     is_harmonic,
-    morphism_degree,
 )
 
 
@@ -130,28 +129,64 @@ def test_star():
     assert sorted(s.incident_edges) == [1, 2, 3]
 
 
+# -- local surgery for the subdivision-invariance checks ----------------------
+
+
+def subdivide_edge(g: Multigraph, eid: int) -> Multigraph:
+    """Replace edge eid by a path of two edges through a fresh vertex."""
+    u, v = g.ends(eid)
+    new_v = max(g.vertices) + 1 if g.vertices else 0
+    new_e = max(g.edges) + 1 if g.edges else 0
+    edges = [(e, ends) for e, ends in g.edges.items() if e != eid]
+    edges.append((new_e, (u, new_v)))
+    edges.append((new_e + 1, (new_v, v)))
+    return Multigraph(g.vertices + (new_v,), edges)
+
+
+def smooth_vertex(g: Multigraph, v: int) -> Multigraph:
+    """Remove a degree-2 vertex, merging its two edges into one.
+
+    The two neighbours must be distinct (otherwise the merge would
+    create a loop).
+    """
+    inc = g.incident_edges(v)
+    if len(inc) != 2:
+        raise GraphError(f"vertex {v} has degree {len(inc)}, not 2")
+    e1, e2 = inc
+    if e1 == e2:
+        raise GraphError("cannot smooth a vertex on a parallel pair to itself")
+    a = g.other_end(e1, v)
+    b = g.other_end(e2, v)
+    if a == b:
+        raise GraphError("smoothing would create a loop")
+    new_e = max(g.edges) + 1
+    edges = [(e, ends) for e, ends in g.edges.items() if e not in (e1, e2)]
+    edges.append((new_e, (a, b)))
+    return Multigraph(tuple(w for w in g.vertices if w != v), edges)
+
+
 def test_subdivide_then_smooth_preserves_genus():
     rng = random.Random(11)
     g = fig4_graph()
     for _ in range(10):
         e = rng.choice(list(g.edges))
-        sub = g.subdivide_edge(e)
+        sub = subdivide_edge(g, e)
         assert sub.genus() == g.genus()
         new_v = max(sub.vertices)
-        back = sub.smooth_vertex(new_v)
+        back = smooth_vertex(sub, new_v)
         assert back.genus() == g.genus()
         assert len(back.vertices) == len(g.vertices)
 
 
 def test_smooth_vertex_guards():
     path = Multigraph([0, 1, 2], [(0, (0, 1)), (1, (1, 2))])
-    smoothed = path.smooth_vertex(1)
+    smoothed = smooth_vertex(path, 1)
     assert len(smoothed.edges) == 1
     with pytest.raises(GraphError):
-        theta().smooth_vertex(1)  # degree 3
+        smooth_vertex(theta(), 1)  # degree 3
     pair = Multigraph([0, 1], [(0, (0, 1)), (1, (0, 1))])
     with pytest.raises(GraphError, match="loop"):
-        pair.smooth_vertex(0)
+        smooth_vertex(pair, 0)
 
 
 def test_json_round_trip_and_loop_rejection():

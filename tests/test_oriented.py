@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import dart_element, element_dart, random_rotation
 from hcov.errors import GraphError
 from hcov.kernel import perm_id, perm_mul, perm_pow
 from hcov.maximal import build_maximal
@@ -11,7 +12,6 @@ from hcov.oriented import (
     OrientedGraph,
     canonical_orientation,
     lht_decomposition,
-    random_rotation,
     surface_genus,
     theorem_44_check,
 )
@@ -192,9 +192,10 @@ def test_theta_s3_successor_is_right_multiplication():
     og = canonical_orientation(mc)
     ts = perm_mul(TAU, SIGMA)
     succ = successor_permutation(og)
-    for d, h in mc.dart_element.items():
-        assert int_successor(og, d) == mc.element_dart[perm_mul(h, ts)]
-        assert succ[d] == mc.element_dart[perm_mul(h, ts)]
+    to_dart = element_dart(mc)
+    for d, h in dart_element(mc).items():
+        assert int_successor(og, d) == to_dart[perm_mul(h, ts)]
+        assert succ[d] == to_dart[perm_mul(h, ts)]
 
 
 def test_theta_s3_decomposition():
@@ -233,8 +234,9 @@ def test_orbit_of_identity_dart_is_coset():
     dec = lht_decomposition(og)
     darts = og.graph.darts()
     ident = perm_id(3)
-    orbit = dec.orbit_of(darts.index(mc.element_dart[ident]))
-    labels = {mc.dart_element[darts[d]] for d in orbit}
+    orbit = dec.orbit_of(darts.index(element_dart(mc)[ident]))
+    to_element = dart_element(mc)
+    labels = {to_element[darts[d]] for d in orbit}
     ts = perm_mul(TAU, SIGMA)
     assert labels == {perm_pow(ts, j) for j in range(2)}
 
@@ -269,7 +271,7 @@ def test_equivariance_of_canonical_orientation():
     mc = build_maximal(S4, t, s)
     og = canonical_orientation(mc)
     rng = random.Random(2)
-    darts = list(mc.dart_element)
+    darts = list(dart_element(mc))
     rotation = og.rotation
     for _ in range(25):
         g = rng.choice(mc.group.elements())
