@@ -1,19 +1,21 @@
 """Wall time and peak RSS of `hc surface check44` on PSL(2,p), appended to
 BENCH_hurwitz.json at the repository root.
 
-    python3 benchmarks/bench_check44.py
+    python3 benchmarks/bench_check44.py [CHECKOUT]
 
 For p = 29, 43, 71 and 83 it runs
 
     hc surface check44 --allow-large-psl2 --product-order 7 --group psl2:p --json
 
-from this checkout's src/ as a child process, taking the best of 3 runs up
-to p = 71 and a single run above. Each run is forked off first, so the
-fork's resource.getrusage(RUSAGE_CHILDREN) holds that one command's peak
-RSS and nothing else. Times are raw wall-clock seconds. One row per p is
-appended: the commit (see commit_label; `<commit>-dirty` measures
-uncommitted changes on top of that commit), p, |G|, wall_s, peak_rss_mb,
-the number of runs and the machine.
+three times from CHECKOUT's src/ (default: this checkout) as a child
+process. Each run is forked off first, so the fork's
+resource.getrusage(RUSAGE_CHILDREN) holds that one command's peak RSS and
+nothing else. Times are raw wall-clock seconds. One row per p is appended:
+CHECKOUT's commit (see commit_label; `<commit>-dirty` measures uncommitted
+changes on top of that commit), p, |G|, the median wall_s and peak_rss_mb
+of the runs, their number and the machine. Passing another checkout, such
+as a clone of the parent commit, measures both sides with the same script;
+alternating the two gives rows that can be compared.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -30,16 +33,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_hurwitz.json"
 PRIMES = (29, 43, 71, 83)
-BEST_OF_3_UP_TO = 71
+RUNS = 3
 
 
-def _run(p: int) -> dict:
-    """One check44 run in a forked child: (wall_s, peak_rss_mb, |G|)."""
+def _run(checkout: Path, p: int) -> dict:
+    """One check44 run of checkout's src/ in a forked child: (wall_s,
+    peak_rss_mb, |G|)."""
     cmd = [
         sys.executable, "-m", "hcov.cli", "surface", "check44", "--allow-large-psl2",
         "--product-order", "7", "--group", f"psl2:{p}", "--json",
     ]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the fork: run the command, report, exit
@@ -82,27 +86,31 @@ def commit_label(root: Path) -> str:
     return git("describe", "--always") + ("-dirty" if changed else "")
 
 
-def main() -> int:
-    commit = commit_label(ROOT)
+def row(commit: str, p: int, runs: list, machine: str) -> dict:
+    """The row of one p: the median wall_s and peak_rss_mb of its runs."""
+    return {
+        "commit": commit,
+        "p": p,
+        "order": runs[0]["order"],
+        "wall_s": round(statistics.median(r["wall_s"] for r in runs), 3),
+        "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
+        "runs": len(runs),
+        "stat": "median",
+        "machine": machine,
+    }
+
+
+def main(argv) -> int:
+    checkout = Path(argv[0]).resolve() if argv else ROOT
+    commit = commit_label(checkout)
     machine = f"{platform.machine()}, {os.cpu_count()} cpus, Python {platform.python_version()}"
     rows = json.loads(OUT.read_text()) if OUT.exists() else []
     for p in PRIMES:
-        runs = [_run(p) for _ in range(3 if p <= BEST_OF_3_UP_TO else 1)]
-        best = min(runs, key=lambda r: r["wall_s"])
-        row = {
-            "commit": commit,
-            "p": p,
-            "order": best["order"],
-            "wall_s": round(best["wall_s"], 3),
-            "peak_rss_mb": round(min(r["peak_rss_mb"] for r in runs), 1),
-            "runs": len(runs),
-            "machine": machine,
-        }
-        print(json.dumps(row), flush=True)
-        rows.append(row)
-    OUT.write_text("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n")
+        rows.append(row(commit, p, [_run(checkout, p) for _ in range(RUNS)], machine))
+        print(json.dumps(rows[-1]), flush=True)
+    OUT.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

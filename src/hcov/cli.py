@@ -8,6 +8,7 @@ with a structured message, usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -302,11 +303,11 @@ def _pick_pair(G, args):
         tau, sigma = parse_pair(args.pair, G.degree)
         return tau, sigma
     check_positive("--product-order", args.product_order)
-    res = permgroup.search_23_pairs(G, product_order=args.product_order)
-    if not res.pairs:
+    pair = permgroup.first_pair(G, 2, 3, args.product_order)
+    if pair is None:
         raise HcError(f"{G.name} has no (2,3)-generating pair"
                       + (f" with product order {args.product_order}" if args.product_order else ""))
-    return res.pairs[0]
+    return pair
 
 
 def cmd_maximal_build(args):
@@ -545,9 +546,14 @@ def build_parser():
     return root
 
 
+@functools.cache
+def _parser():
+    """build_parser(), built once per process, on the first main() call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = args.fn(args)
     except HcError as exc:

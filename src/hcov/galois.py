@@ -314,7 +314,8 @@ def build_cover(
     cover, and a second from flip_all when flipped. Every statistic of the
     cover reads the orbits that validation stored. Harmonicity and the
     per-edge degree are verified before returning; a disconnected result is
-    reported, not an error.
+    reported, not an error. An inertia or multiset key that is not a base
+    vertex is a CoverError, worded as in cover_from_spec.
     """
     if not base.is_connected():
         raise CoverError("base must be connected")
@@ -323,6 +324,9 @@ def build_cover(
     if isinstance(inertia, dict) or inertia is None:
         inertia = InertiaStructure(inertia or {})
     multisets = dict(multisets or {})
+    for name, keys in (("inertia", inertia.assignment), ("multisets", multisets)):
+        for x in keys:
+            _check_base_vertex(base, x, f"{name}.{x}")
     warnings = []
     empty = SymmetricMultiset([])
     fibers = {}
@@ -654,11 +658,17 @@ def _vertex_keyed(data, name, base):
             x = int(key)
         except ValueError:
             raise CoverError(f"cover spec: {name}.{key} is not an integer base vertex") from None
-        if not base.has_vertex(x):
-            raise CoverError(f"cover spec: {name}.{key} is not a base vertex")
+        _check_base_vertex(base, x, f"{name}.{key}")
         if not isinstance(value, list):
             raise CoverError(f"cover spec: {name}.{key} must be a list")
         yield x, value
+
+
+def _check_base_vertex(base, x, path):
+    """CoverError naming path, the inertia or multisets entry keyed by x,
+    unless x is a vertex of base."""
+    if not base.has_vertex(x):
+        raise CoverError(f"cover spec: {path} is not a base vertex")
 
 
 def _check_entries(entries, path, ok, what):

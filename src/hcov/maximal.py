@@ -29,6 +29,7 @@ from hcov.permgroup import (
     PairSearch,
     PermutationGroup,
     alternating,
+    first_pair,
     generates,
     left_cosets,
     search_23_pairs,
@@ -232,7 +233,8 @@ def classification_table(g_from: int, g_to: int, catalog: Catalog, jobs: int = 1
 
 
 def miller_check(family: str, n: int) -> bool:
-    """Exhaustive (2,3)-generation test for A_n or S_n, 3 <= n <= 8."""
+    """(2,3)-generation test for A_n or S_n, 3 <= n <= 8: exhaustive when
+    there is no pair, and stopping at the first pair otherwise."""
     if not 3 <= n <= 8:
         raise GroupError("miller_check supports 3 <= n <= 8")
     if family == "alternating":
@@ -241,7 +243,7 @@ def miller_check(family: str, n: int) -> bool:
         G = symmetric(n)
     else:
         raise GroupError("family must be 'alternating' or 'symmetric'")
-    return bool(search_23_pairs(G))
+    return first_pair(G) is not None
 
 
 def genus12_check(catalog: Catalog) -> bool:

@@ -93,12 +93,13 @@ def parse_cycle_string(s: str, degree: int) -> tuple:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverse")
 
     def __init__(self, point):
         self.point = point
         self.gens = []
         self.transversal = {}  # orbit point pt -> u with u[self.point] = pt
+        self.inverse = {}  # orbit point pt -> u^-1, for the same u
 
 
 class StabilizerChain:
@@ -141,15 +142,17 @@ class StabilizerChain:
                 return g
             lv = self.levels[level]
             b = g[lv.point]
-            if b not in lv.transversal:
+            u_inv = lv.inverse.get(b)
+            if u_inv is None:
                 return g
-            g = perm_mul(perm_inv(lv.transversal[b]), g)
+            g = perm_mul(u_inv, g)
             level += 1
 
     def _close_level(self, level):
         lv = self.levels[level]
         # rebuild the orbit/transversal from scratch (cheap at these degrees)
         lv.transversal = {lv.point: perm_id(self.degree)}
+        lv.inverse = {}
         frontier = [lv.point]
         while frontier:
             b = frontier.pop(0)
@@ -159,16 +162,17 @@ class StabilizerChain:
                 if c not in lv.transversal:
                     lv.transversal[c] = perm_mul(s, u)
                     frontier.append(c)
+        # an inverse that is already a transversal element, as for an
+        # involution or the powers of a single generator, shares its tuple
+        for c, u in lv.transversal.items():
+            v = perm_inv(u)
+            w = lv.transversal.get(v[lv.point])
+            lv.inverse[c] = w if w == v else v
         # all Schreier generators must sift through the rest of the chain
-        inv_cache = {}
         for b in sorted(lv.transversal):
             u = lv.transversal[b]
             for s in lv.gens:
-                c = s[b]
-                uc_inv = inv_cache.get(c)
-                if uc_inv is None:
-                    uc_inv = inv_cache[c] = perm_inv(lv.transversal[c])
-                schreier = perm_mul(uc_inv, perm_mul(s, u))
+                schreier = perm_mul(lv.inverse[s[b]], perm_mul(s, u))
                 if self._sift(schreier, level + 1) is not None:
                     self._install(level + 1, schreier)
 
@@ -305,6 +309,40 @@ def generates(G: PermutationGroup, elems) -> bool:
 # -- element index and cosets -------------------------------------------------
 
 
+def _digit_table(g, digits, unit, rows):
+    """Row v holds the key that g's images of v's base-degree digits make:
+    for v = sum of d_j * degree**j over j < digits, table[v] = sum of
+    g[d_j] * degree**j * unit. A list when it has at most `rows` rows, else
+    a _LazyDigitTable."""
+    n = len(g)
+    if n**digits > rows:
+        return _LazyDigitTable(g, digits, unit)
+    table = [0]
+    for j in reversed(range(digits)):
+        w = unit * n**j
+        images = [x * w for x in g]
+        table = [t + y for t in table for y in images]
+    return table
+
+
+class _LazyDigitTable(dict):
+    """A _digit_table too large to list, each row computed when first read."""
+
+    __slots__ = ("g", "digits", "unit")
+
+    def __init__(self, g, digits, unit):
+        self.g, self.digits, self.unit = g, digits, unit
+
+    def __missing__(self, v):
+        n, w, key, rest = len(self.g), self.unit, 0, v
+        for _ in range(self.digits):
+            rest, d = divmod(rest, n)
+            key += self.g[d] * w
+            w *= n
+        self[v] = key
+        return key
+
+
 class ElementIndex:
     """The elements of a group numbered 0..|G|-1 in lexicographic order.
 
@@ -316,6 +354,12 @@ class ElementIndex:
     element 0. keys[i] reads element i's images as the digits of a number
     in base degree, which sorts the same way.
 
+    The walk computes keys, never image tuples. It splits a key into its
+    last s digits and the m - s before them, s the most digits whose
+    _digit_table has at most max(|G|, degree) rows; the key of g_k * x is
+    then one row of each of g_k's two tables added up. One sort of the keys
+    found numbers the elements.
+
     left[k][i] is the index of g_k * x_i, for the group's k-th generator
     g_k. Maps out of the group come from the walk's tree: when x = g_k *
     parent(x), x * h = g_k * (parent(x) * h) gives right(h)[i], the index of
@@ -324,29 +368,38 @@ class ElementIndex:
 
     def __init__(self, G: PermutationGroup):
         self.group = G
-        gens = G.generators
-        start = tuple(range(max((lv.point for lv in G.chain().levels), default=-1) + 1))
-        found = {start: 0}
-        images = [start]  # in walk order
+        n = G.degree
+        self._m = m = max((lv.point for lv in G.chain().levels), default=-1) + 1
+        rows = max(G.order(), n)
+        s = 0
+        while s < m and n ** (s + 1) <= rows:
+            s += 1
+        unit = n**s
+        lefts = [[] for _ in G.generators]
+        steps = [
+            (k, _digit_table(g, m - s, unit, rows), _digit_table(g, s, 1, rows), lk.append)
+            for k, (g, lk) in enumerate(zip(G.generators, lefts))
+        ]
+        start = self._key(range(m))
+        keys, found = [start], {start: 0}  # in walk order
         parent, via = [0], [-1]
-        left = [[] for _ in gens]
-        for b, x in enumerate(images):
-            for k, s in enumerate(gens):
-                y = tuple(map(s.__getitem__, x))
+        for b, x in enumerate(keys):
+            high, low = divmod(x, unit)
+            for k, high_rows, low_rows, add in steps:
+                y = high_rows[high] + low_rows[low]
                 c = found.get(y)
                 if c is None:
-                    c = found[y] = len(images)
-                    images.append(y)
+                    c = found[y] = len(keys)
+                    keys.append(y)
                     parent.append(b)
                     via.append(k)
-                left[k].append(c)
-        walk = sorted(range(len(images)), key=images.__getitem__)
+                add(c)
+        walk = sorted(range(len(keys)), key=keys.__getitem__)
         rank = [0] * len(walk)
         for i, b in enumerate(walk):
             rank[b] = i
-        self._m = len(start)
-        self.keys = [self._key(images[b]) for b in walk]  # sorted
-        self.left = [[rank[lk[b]] for b in walk] for lk in left]
+        self.keys = [keys[b] for b in walk]  # sorted
+        self.left = [[rank[lk[b]] for b in walk] for lk in lefts]
         self._walk = rank  # element indices in walk order
         self._parent = [rank[parent[b]] for b in walk]
         self._via = [via[b] for b in walk]
@@ -537,6 +590,22 @@ def _conjugacy_classes(G: PermutationGroup, members):
         yield p, transversal, centralizer
 
 
+def _mark_orbit(bs, i, conjugators, seen) -> list:
+    """The positions in bs of the orbit of bs[i] under conjugation by the
+    (c, c^-1) pairs `conjugators`, bs sorted and closed under it; each is
+    marked in `seen`."""
+    seen[i] = 1
+    orbit = [i]
+    for j in orbit:
+        x = bs[j]
+        for c, c_inv in conjugators:
+            k = bisect_left(bs, perm_mul(c, perm_mul(x, c_inv)))
+            if not seen[k]:
+                seen[k] = 1
+                orbit.append(k)
+    return orbit
+
+
 def _generating_partners(G, order, a, bs, centralizer, product_order) -> bytearray:
     """verdicts[i] = 1 iff <a, bs[i]> = G (and |a bs[i]| = product_order),
     for a sorted list bs closed under conjugation by the centralizer of a.
@@ -548,21 +617,34 @@ def _generating_partners(G, order, a, bs, centralizer, product_order) -> bytearr
     for i, b in enumerate(bs):
         if seen[i]:
             continue
-        seen[i] = 1
-        orbit = [i]
-        for j in orbit:
-            x = bs[j]
-            for c, c_inv in conjugators:
-                k = bisect_left(bs, perm_mul(c, perm_mul(x, c_inv)))
-                if not seen[k]:
-                    seen[k] = 1
-                    orbit.append(k)
+        orbit = _mark_orbit(bs, i, conjugators, seen)
         if product_order is not None and perm_order(perm_mul(a, b)) != product_order:
             continue
         if StabilizerChain(G.degree, (a, b)).order() == order:
             for k in orbit:
                 verdicts[k] = 1
     return verdicts
+
+
+def _first_partner(G, order, a, bs, centralizer, product_order):
+    """The least b in the sorted list bs with <a, b> = G (and |a b| =
+    product_order), or None. A b that fails the chain test rules out its
+    orbit under the centralizer of a, as in _generating_partners; the
+    centralizer's generators come from calling centralizer(), once, at the
+    first such failure."""
+    conjugators = None
+    seen = bytearray(len(bs))
+    for i, b in enumerate(bs):
+        if seen[i] or (
+            product_order is not None and perm_order(perm_mul(a, b)) != product_order
+        ):
+            continue
+        if StabilizerChain(G.degree, (a, b)).order() == order:
+            return b
+        if conjugators is None:
+            conjugators = [(c, perm_inv(c)) for c in centralizer()]
+        _mark_orbit(bs, i, conjugators, seen)
+    return None
 
 
 def _elements_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
@@ -675,6 +757,40 @@ def search_pairs(
                  for b, ok in zip(bs, verdicts) if ok]
         pairs += [(x, bs[k]) for k in sorted(moved)]
     return PairSearch(G.name, pairs, len(pairs), product_order, len(firsts))
+
+
+def first_pair(
+    G: PermutationGroup,
+    order_a: int = 2,
+    order_b: int = 3,
+    product_order: int | None = None,
+):
+    """search_pairs(G, order_a, order_b, product_order).pairs[0], or None
+    when that search finds no pair, without the rest of the search.
+
+    The least element a of order order_a is the first class's
+    representative. Its partner is the least b, in sorted order, that
+    passes the search's tests; the first class is computed only when a
+    chain test fails, for its centralizer (see _first_partner), or when a
+    has no partner. Then the later class representatives are tried in
+    order.
+    """
+    order = G.order()
+    firsts, bs = _elements_of_orders(G.chain(), order_a, order_b)
+    if not firsts:
+        return None
+    classes = _conjugacy_classes(G, firsts)
+    first = firsts[0]
+    b = _first_partner(G, order, first, bs, lambda: next(classes)[2], product_order)
+    if b is not None:
+        return first, b
+    for a, _, centralizer in classes:
+        if a == first:  # the first class, when no chain test needed it
+            continue
+        b = _first_partner(G, order, a, bs, lambda c=centralizer: c, product_order)
+        if b is not None:
+            return a, b
+    return None
 
 
 def search_23_pairs(

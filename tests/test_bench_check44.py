@@ -1,4 +1,5 @@
-"""The commit label of benchmarks/bench_check44.py, on a temporary git repo."""
+"""benchmarks/bench_check44.py: the commit label, on a temporary git repo,
+and the median row of a prime's runs."""
 
 import importlib.util
 import subprocess
@@ -49,3 +50,15 @@ def test_label_marks_tracked_code_changes_dirty(repo, staged):
     if staged:
         git(repo, "add", "code.py")
     assert label(repo) == git(repo, "describe", "--always") + "-dirty"
+
+
+def test_row_takes_the_median_of_the_runs():
+    runs = [
+        {"wall_s": 0.5, "peak_rss_mb": 30.0, "order": 12180},
+        {"wall_s": 0.3, "peak_rss_mb": 31.0, "order": 12180},
+        {"wall_s": 0.9, "peak_rss_mb": 29.0, "order": 12180},
+    ]
+    assert load_bench().row("abc1234", 29, runs, "machine") == {
+        "commit": "abc1234", "p": 29, "order": 12180, "wall_s": 0.5, "peak_rss_mb": 30.0,
+        "runs": 3, "stat": "median", "machine": "machine",
+    }

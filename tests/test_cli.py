@@ -712,6 +712,41 @@ def test_mutated_oriented_graph_never_tracebacks(tmp_path_factory, data):
     _exits_zero_or_one(tmp_path_factory, ["surface", "genus", "--oriented"], _mutated(data, spec))
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["maximal", "build", "--group", "alt:6"], "A6 has no (2,3)-generating pair"),
+        (
+            ["surface", "check44", "--group", "S3", "--product-order", "7"],
+            "S3 has no (2,3)-generating pair with product order 7",
+        ),
+    ],
+)
+def test_no_pair_error_text(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert run(capsys, *argv, "--json") == (
+        1, "", json.dumps({"status": "fail", "error": message}) + "\n"
+    )
+
+
+def test_calls_in_one_process_match_separate_processes(capsys):
+    # the parser is built once per process and reused by every later call
+    calls = [
+        ["group", "order", "--group", "S4", "--json"],
+        ["group", "order", "--group", "S4"],
+        ["group", "order", "--group", "nosuch"],
+        ["group", "order"],
+        ["group", "search", "--group", "S3", "--json"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == run_process(*HC, *argv), argv
+
+
 def test_closed_pipe_exits_quietly():
     # S8's 40320 lines overfill the pipe, so hc is still writing when head exits
     hc = shlex.join([*HC, "group", "elements", "--group", "sym:8"])

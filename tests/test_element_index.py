@@ -8,7 +8,8 @@ representatives, dicts from every element to its coset representative and
 from edge labels to edge ids, and the rotation from the conjugate
 r*sigma*r^-1 of each vertex's representative, checked to be independent of
 the representative. Both must give identical ids, ends, image maps, labels
-and rotations.
+and rotations. The index itself is checked against the walk it replaced,
+which built an image tuple per element and step.
 """
 
 import random
@@ -26,6 +27,7 @@ from hcov.permgroup import (
     alternating,
     cyclic,
     dihedral,
+    direct_product,
     left_cosets,
     perm_from_cycles,
     psl2,
@@ -283,6 +285,66 @@ def test_catalog_covers_match_the_tuple_construction(catalog):
 
 
 # -- the index itself -----------------------------------------------------------------
+
+
+def tuple_walk_index(G):
+    """(keys, left, walk, parent, via) of G's element index, from a
+    breadth-first walk over image tuples of the points up to the largest
+    base point, sorted as tuples; each key is read from its tuple digit by
+    digit."""
+    gens = G.generators
+    start = tuple(range(max((lv.point for lv in G.chain().levels), default=-1) + 1))
+    found = {start: 0}
+    images = [start]  # in walk order
+    parent, via = [0], [-1]
+    left = [[] for _ in gens]
+    for b, x in enumerate(images):
+        for k, s in enumerate(gens):
+            y = tuple(s[i] for i in x)
+            c = found.get(y)
+            if c is None:
+                c = found[y] = len(images)
+                images.append(y)
+                parent.append(b)
+                via.append(k)
+            left[k].append(c)
+    walk = sorted(range(len(images)), key=images.__getitem__)
+    rank = [0] * len(walk)
+    for i, b in enumerate(walk):
+        rank[b] = i
+    keys = []
+    for b in walk:
+        key = 0
+        for x in images[b]:
+            key = key * G.degree + x
+        keys.append(key)
+    return (
+        keys,
+        [[rank[lk[b]] for b in walk] for lk in left],
+        rank,
+        [rank[parent[b]] for b in walk],
+        [via[b] for b in walk],
+    )
+
+
+def index_oracle_groups(catalog):
+    return [
+        *catalog.groups,
+        *(symmetric(n) for n in range(1, 9)),
+        *(alternating(n) for n in range(1, 9)),
+        *(psl2(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
+        direct_product(symmetric(4), psl2(7)),
+        cyclic(1),
+    ]
+
+
+def test_index_matches_the_tuple_walk(catalog):
+    # covers list-only digit tables (PSL(2,p), S_n, A_n) and the lazily
+    # filled ones of many-digit groups (most catalog groups, S4xPSL(2,7))
+    for G in index_oracle_groups(catalog):
+        index = G.element_index()
+        got = (index.keys, index.left, index._walk, index._parent, index._via)
+        assert got == tuple_walk_index(G), G.name
 
 
 @pytest.mark.parametrize(

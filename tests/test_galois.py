@@ -197,6 +197,23 @@ def test_disconnected_cover_reported_not_error():
     assert len(c.graph.connected_components()) == 2
 
 
+@pytest.mark.parametrize(
+    "inertia, multisets, named",
+    [
+        ({9: [TAU]}, {1: [TAU], 9: [TAU]}, "cover spec: inertia.9 is not a base vertex"),
+        ({}, {1: [TAU], 9: [TAU]}, "cover spec: multisets.9 is not a base vertex"),
+    ],
+)
+def test_build_cover_rejects_keys_off_the_base(inertia, multisets, named):
+    # the same check and wording as a cover spec's keys
+    inertia = {x: S3.subgroup(gens) for x, gens in inertia.items()}
+    multisets = {x: SymmetricMultiset(entries) for x, entries in multisets.items()}
+    for given in (inertia, galois.InertiaStructure(inertia)):
+        with pytest.raises(CoverError) as err:
+            build_cover(S3, single_edge_base(), given, multisets)
+        assert str(err.value) == named
+
+
 def test_build_cover_rejects_non_tree():
     theta = Multigraph([1, 2], [(1, (1, 2)), (2, (1, 2)), (3, (1, 2))])
     with pytest.raises(CoverError, match="tree"):

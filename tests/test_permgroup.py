@@ -20,6 +20,7 @@ from hcov.permgroup import (
     dihedral,
     direct_product,
     element_order,
+    first_pair,
     generates,
     group_from_spec,
     is_permutation,
@@ -101,6 +102,12 @@ def test_chain_order_matches_closure_for_catalog():
         closure = mulclose(G.generators)
         assert G.order() == len(closure)
         assert sorted(_chain_elements(G.chain())) == sorted(closure)
+
+
+def test_chain_levels_keep_transversal_inverses():
+    for G in [*load_default_catalog().groups, symmetric(7), alternating(8), psl2(13)]:
+        for lv in G.chain().levels:
+            assert lv.inverse == {pt: perm_inv(u) for pt, u in lv.transversal.items()}, G.name
 
 
 def test_element_order_examples():
@@ -353,6 +360,19 @@ def test_search_pairs_matches_oracle():
                     got = (res.pairs, res.total, res.classes_searched)
                     want = search_pairs_oracle(G, *orders, product_order, all_first)
                     assert got == want, (G.name, orders, product_order, all_first)
+
+
+@pytest.mark.parametrize("product_order", [None, 7])
+def test_first_pair_is_the_full_search_first_pair(product_order):
+    groups = [
+        *load_default_catalog().groups,
+        *(symmetric(n) for n in range(3, 9)),
+        *(alternating(n) for n in range(4, 9)),
+        *(psl2(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
+    ]
+    for G in groups:
+        pairs = search_23_pairs(G, product_order=product_order).pairs
+        assert first_pair(G, 2, 3, product_order) == (pairs[0] if pairs else None), G.name
 
 
 SCAN_ORDERS = ((1, 1), (1, 3), (2, 3), (2, 4), (3, 3), (2, 7), (4, 6), (5, 5))
