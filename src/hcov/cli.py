@@ -303,7 +303,7 @@ def _pick_pair(G, args):
         tau, sigma = parse_pair(args.pair, G.degree)
         return tau, sigma
     check_positive("--product-order", args.product_order)
-    pair = permgroup.first_pair(G, 2, 3, args.product_order)
+    pair = permgroup.first_pair(G, args.product_order)
     if pair is None:
         raise HcError(f"{G.name} has no (2,3)-generating pair"
                       + (f" with product order {args.product_order}" if args.product_order else ""))
@@ -548,7 +548,9 @@ def build_parser():
 
 @functools.cache
 def _parser():
-    """build_parser(), built once per process, on the first main() call."""
+    """build_parser(), built once per process, on the first main() call.
+    Only a process that calls main() more than once, as a benchmark harness
+    or a test does, saves anything; one `hc` run builds it once either way."""
     return build_parser()
 
 

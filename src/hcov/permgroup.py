@@ -759,24 +759,18 @@ def search_pairs(
     return PairSearch(G.name, pairs, len(pairs), product_order, len(firsts))
 
 
-def first_pair(
-    G: PermutationGroup,
-    order_a: int = 2,
-    order_b: int = 3,
-    product_order: int | None = None,
-):
-    """search_pairs(G, order_a, order_b, product_order).pairs[0], or None
-    when that search finds no pair, without the rest of the search.
+def first_pair(G: PermutationGroup, product_order: int | None = None):
+    """search_23_pairs(G, product_order).pairs[0], or None when that search
+    finds no pair, without the rest of the search.
 
-    The least element a of order order_a is the first class's
-    representative. Its partner is the least b, in sorted order, that
-    passes the search's tests; the first class is computed only when a
-    chain test fails, for its centralizer (see _first_partner), or when a
-    has no partner. Then the later class representatives are tried in
-    order.
+    The least involution a is the first class's representative. Its
+    partner is the least b of order 3, in sorted order, that passes the
+    search's tests; the first class is computed only when a chain test
+    fails, for its centralizer (see _first_partner), or when a has no
+    partner. Then the later class representatives are tried in order.
     """
     order = G.order()
-    firsts, bs = _elements_of_orders(G.chain(), order_a, order_b)
+    firsts, bs = _elements_of_orders(G.chain(), 2, 3)
     if not firsts:
         return None
     classes = _conjugacy_classes(G, firsts)

@@ -372,7 +372,7 @@ def test_first_pair_is_the_full_search_first_pair(product_order):
     ]
     for G in groups:
         pairs = search_23_pairs(G, product_order=product_order).pairs
-        assert first_pair(G, 2, 3, product_order) == (pairs[0] if pairs else None), G.name
+        assert first_pair(G, product_order) == (pairs[0] if pairs else None), G.name
 
 
 SCAN_ORDERS = ((1, 1), (1, 3), (2, 3), (2, 4), (3, 3), (2, 7), (4, 6), (5, 5))
