@@ -36,13 +36,10 @@ PRIMES = (29, 43, 71, 83)
 RUNS = 3
 
 
-def _run(checkout: Path, p: int) -> dict:
-    """One check44 run of checkout's src/ in a forked child: (wall_s,
-    peak_rss_mb, |G|)."""
-    cmd = [
-        sys.executable, "-m", "hcov.cli", "surface", "check44", "--allow-large-psl2",
-        "--product-order", "7", "--group", f"psl2:{p}", "--json",
-    ]
+def measure(cmd: list, checkout: Path) -> dict:
+    """Run cmd with checkout's src/ importable in a forked child; returns its
+    stdout, wall_s and peak_rss_mb. The fork runs nothing but cmd, so its
+    getrusage(RUSAGE_CHILDREN) peak belongs to that one command."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     read_end, write_end = os.pipe()
     pid = os.fork()
@@ -62,19 +59,29 @@ def _run(checkout: Path, p: int) -> dict:
         result = json.load(inp)
     os.waitpid(pid, 0)
     if result["returncode"] != 0:
-        raise SystemExit(f"check44 psl2:{p} failed:\n{result['stderr']}")
-    report = json.loads(result["stdout"])
+        raise SystemExit(f"{' '.join(cmd[1:])} failed:\n{result['stderr']}")
+    return {"stdout": result["stdout"], "wall_s": result["wall_s"],
+            "peak_rss_mb": result["rss_kb"] / 1024}
+
+
+def _run(checkout: Path, p: int) -> dict:
+    """One check44 run of checkout's src/: (wall_s, peak_rss_mb, |G|)."""
+    cmd = [
+        sys.executable, "-m", "hcov.cli", "surface", "check44", "--allow-large-psl2",
+        "--product-order", "7", "--group", f"psl2:{p}", "--json",
+    ]
+    result = measure(cmd, checkout)
+    report = json.loads(result.pop("stdout"))
     if not report["holds"]:
         raise SystemExit(f"check44 psl2:{p}: the surface identity does not hold")
-    return {"wall_s": result["wall_s"], "peak_rss_mb": result["rss_kb"] / 1024,
-            "order": report["order"]}
+    return dict(result, order=report["order"])
 
 
 def commit_label(root: Path) -> str:
     """`git describe --always` of the checkout at root, with `-dirty` appended
-    when a tracked file other than BENCH_hurwitz.json has changes. The rows
-    this script appends there change no measured code, so a second run on a
-    clean commit keeps that commit's label."""
+    when a tracked file other than a BENCH_*.json has changes. The rows the
+    benchmark scripts append there change no measured code, so a second run
+    on a clean commit keeps that commit's label."""
 
     def git(*args):
         return subprocess.run(
@@ -82,7 +89,7 @@ def commit_label(root: Path) -> str:
         ).stdout.strip()
 
     changed = git("status", "--porcelain", "--untracked-files=no", "--",
-                  ".", f":(exclude){OUT.name}")
+                  ".", ":(exclude,glob)BENCH_*.json")
     return git("describe", "--always") + ("-dirty" if changed else "")
 
 

@@ -557,6 +557,7 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        check_positive("--jobs", getattr(args, "jobs", None))
         result = args.fn(args)
     except HcError as exc:
         if getattr(args, "json", False):

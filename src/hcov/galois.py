@@ -9,9 +9,11 @@ All rational arithmetic is exact (fractions.Fraction); no floats.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from hcov.errors import CoverError, GroupError
 from hcov.harmonic import GraphAction, flip_all, is_harmonic_action, quotient
@@ -41,18 +43,7 @@ class SymmetricMultiset:
         """entries: iterable of permutations, or of (permutation, multiplicity)."""
         counts = {}
         for item in entries:
-            if item and isinstance(item[0], (tuple, list)):
-                p, mult = tuple(item[0]), item[1]
-                if type(mult) is not int:
-                    raise GroupError(
-                        f"multiset entry {list(p)}: multiplicity {mult!r} is not an integer"
-                    )
-            else:
-                p, mult = tuple(item), 1
-            if not is_permutation(p):
-                raise GroupError(f"multiset entry {list(p)} is not a permutation")
-            if mult < 0:
-                raise GroupError("multiplicities must be non-negative")
+            p, mult = self._entry(item)
             if mult:
                 counts[p] = counts.get(p, 0) + mult
         for p, mult in counts.items():
@@ -64,6 +55,23 @@ class SymmetricMultiset:
                     f" {mult}, its inverse {counts.get(perm_inv(p), 0)}"
                 )
         self.counts = dict(sorted(counts.items()))
+
+    @staticmethod
+    def _entry(item) -> tuple:
+        """(permutation, multiplicity) of one entry; GroupError if malformed."""
+        if item and isinstance(item[0], (tuple, list)):
+            p, mult = tuple(item[0]), item[1]
+            if type(mult) is not int:
+                raise GroupError(
+                    f"multiset entry {list(p)}: multiplicity {mult!r} is not an integer"
+                )
+        else:
+            p, mult = tuple(item), 1
+        if not is_permutation(p):
+            raise GroupError(f"multiset entry {list(p)} is not a permutation")
+        if mult < 0:
+            raise GroupError("multiplicities must be non-negative")
+        return p, mult
 
     def __bool__(self):
         return bool(self.counts)
@@ -95,10 +103,11 @@ class SymmetricMultiset:
         return pairs, invs
 
     def without(self, subgroup: PermutationGroup) -> "SymmetricMultiset":
-        """Copy with every entry lying in the subgroup removed."""
-        return SymmetricMultiset(
-            [(p, m) for p, m in self.counts.items() if not subgroup.contains(p)]
-        )
+        """Copy with every entry lying in the subgroup removed, not checked
+        again: a subgroup is closed under inverses, so the rest is symmetric."""
+        out = SymmetricMultiset.__new__(SymmetricMultiset)
+        out.counts = {p: m for p, m in self.counts.items() if not subgroup.contains(p)}
+        return out
 
     def to_json(self):
         return [[list(p), m] for p, m in self.counts.items()]
@@ -136,30 +145,39 @@ class InertiaStructure:
 
 @dataclass
 class LabeledAction:
-    """A Cayley fiber collapsed onto the left cosets G/I, with G's
-    generators acting on it: one vertex and one edge image map per
-    generator, as in GraphAction. With I trivial it is the Cayley graph.
+    """A Cayley fiber collapsed onto the left cosets G/I, as flat arrays
+    over G.element_index(): vertex c is the coset of its least member
+    reps[c], vertex_of[i] the vertex of element i, and edge edges[j]
+    (ascending) joins ends[j]. Generator k maps edge u*|G| + i to
+    u*|G| + left[k][i]. With I trivial it is the Cayley graph.
 
-    collapse does not validate the maps. build_cover copies every fiber
-    into the total graph, and the total GraphAction's validation covers
-    each fiber's vertices and vertical edges: bijective,
-    incidence-preserving generator maps, the orbit-stabilizer index test
-    on every orbit, and faithfulness on the whole graph and each component.
-    The per-fiber validation survives as a test oracle,
-    tests/conftest.fiber_action.
-
-    Group elements are named by their index in G.element_index(). Each
-    vertex is labeled by the least element of its coset, and vertex_of[i]
-    is the vertex of element i's coset.
+    graph, vertex_images and edge_images (dicts per generator, as in
+    GraphAction) are lazy, built on first read; build_cover reads only the
+    arrays. Nothing here is validated: the total GraphAction's validation
+    covers each fiber's vertices and vertical edges. The per-fiber
+    validation survives as a test oracle, tests/conftest.fiber_action.
     """
 
     group: PermutationGroup
-    graph: Multigraph
-    vertex_images: list  # per generator: vertex id -> image
-    edge_images: list  # per generator: edge id -> image
-    vertex_labels: dict  # vertex id -> element index
+    vertex_of: list  # element index -> vertex id
+    reps: list  # vertex id -> element index
+    edges: list  # surviving edge ids, ascending
+    ends: list  # (u, v) per surviving edge
     removed_loops: list = field(default_factory=list)
-    vertex_of: list = field(default_factory=list)  # element index -> vertex id
+
+    @cached_property
+    def graph(self) -> Multigraph:
+        return Multigraph(range(len(self.reps)), zip(self.edges, self.ends))
+
+    @cached_property
+    def vertex_images(self) -> list:
+        of, left = self.vertex_of, self.group.element_index().left
+        return [{c: of[lk[r]] for c, r in enumerate(self.reps)} for lk in left]
+
+    @cached_property
+    def edge_images(self) -> list:
+        n, left = len(self.vertex_of), self.group.element_index().left
+        return [{e: e - e % n + lk[e % n] for e in self.edges} for lk in left]
 
 
 def collapse(G: PermutationGroup, I: Subgroup, S: SymmetricMultiset) -> LabeledAction:
@@ -171,35 +189,26 @@ def collapse(G: PermutationGroup, I: Subgroup, S: SymmetricMultiset) -> LabeledA
     {g, g*rho} per element and multiplicity step (the rho- and rho^-1-edges
     are identified); each involution contributes unidentified edges, so
     parallel doubles appear. The u-th such unit's edge at element i is
-    u*|G| + i, and generator k maps it to u*|G| + left[k][i]. Its ends are
-    the cosets of g and g*rho; an edge inside one coset is not built but
-    recorded in removed_loops, so the surviving edge ids stay auditable.
+    u*|G| + i. Its ends are the cosets of g and g*rho; an edge inside one
+    coset is not built but recorded in removed_loops, so the surviving edge
+    ids stay auditable.
     """
     index = G.element_index()
     n = len(index)
     cosets = left_cosets(G, I)
     of = cosets.of
     pairs, invs = S.units()
-    edges = []
-    removed = []
-    for u, (rho, _) in enumerate(pairs + invs):
-        for i, y in enumerate(index.right(rho)):
-            e = u * n + i
-            if of[i] == of[y]:
-                removed.append({"edge": e, "coset": of[i]})
+    edges, ends, removed = [], [], []
+    for u, (rho, j) in enumerate(pairs + invs):
+        if j == 0:  # a multiplicity step j > 0 repeats step 0's ends
+            rho_ends = list(enumerate(zip(of, map(of.__getitem__, index.right(rho)))))
+        for i, (a, b) in rho_ends:
+            if a == b:
+                removed.append({"edge": u * n + i, "coset": a})
             else:
-                edges.append((e, (of[i], of[y])))
-    vertex_images = [{c: of[lk[r]] for c, r in enumerate(cosets.reps)} for lk in index.left]
-    edge_images = [{e: e - e % n + lk[e % n] for e, _ in edges} for lk in index.left]
-    return LabeledAction(
-        G,
-        Multigraph(range(len(cosets)), edges),
-        vertex_images,
-        edge_images,
-        dict(enumerate(cosets.reps)),
-        removed,
-        of,
-    )
+                edges.append(u * n + i)
+                ends.append((a, b))
+    return LabeledAction(G, of, cosets.reps, edges, ends, removed)
 
 
 def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
@@ -214,8 +223,8 @@ def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
 class HarmonicCover:
     """A harmonic G-cover of a tree, assembled fiber by fiber.
 
-    Carries the total action, the projection onto the base and per-fiber
-    vertex indices.
+    Carries the total action, the projection onto the base and, per fiber,
+    its vertex ids and the ends of its vertical edges (the profile's input).
     """
 
     def __init__(
@@ -227,6 +236,7 @@ class HarmonicCover:
         action: GraphAction,
         projection: GraphMorphism,
         fiber_index: dict,
+        fiber_edges: dict,
         flipped: bool,
         warnings: list,
     ):
@@ -237,6 +247,7 @@ class HarmonicCover:
         self.action = action
         self.projection = projection
         self.fiber_index = fiber_index
+        self.fiber_edges = fiber_edges
         self.flipped = flipped
         self.warnings = list(warnings)
 
@@ -268,19 +279,11 @@ class HarmonicCover:
         return values.pop()
 
     def fiber_subgraph(self, x) -> Multigraph:
-        """The fiber over x with its vertical edges (built once per cover)."""
-        return self._fiber_subgraphs[x]
-
-    @cached_property
-    def _fiber_subgraphs(self) -> dict:
-        """Base vertex -> its fiber with the vertical edges over it, from one
-        pass over the projection on first use."""
-        vertical = {x: [] for x in self.base.vertices}
-        vertex_map = self.projection.vertex_map
-        for e in self.projection.vertical_edges:
-            ends = self.graph.ends(e)
-            vertical[vertex_map[ends[0]]].append((e, ends))
-        return {x: Multigraph(self.fiber_index[x], edges) for x, edges in vertical.items()}
+        """The fiber over x with its vertical edges, read off the projection:
+        the test oracle for the fiber_edges that the profile reads."""
+        ends, over = self.graph.edges, self.projection.vertex_map
+        vertical = [e for e in self.projection.vertical_edges if over[ends[e][0]] == x]
+        return Multigraph(self.fiber_index[x], [(e, ends[e]) for e in vertical])
 
     @cached_property
     def _per_vertex(self) -> dict:
@@ -344,72 +347,51 @@ def build_cover(
         fibers[x] = collapse(G, I_x, trimmed)
         multisets[x] = trimmed
 
-    offset = {}
-    fiber_index = {}
-    counter = 0
-    for x in base.vertices:
-        offset[x] = counter
-        counter += len(fibers[x].graph.vertices)
-        fiber_index[x] = tuple(range(offset[x], counter))
-
-    # vertical edges keep their fiber's order and images; the horizontal
-    # edge of element i over a base edge is that edge's first id plus i
+    # vertices and vertical edges fiber by fiber, then one horizontal edge
+    # per element over each base edge; each generator's image list follows
     index = G.element_index()
-    edges = []
-    proj_edge = {}
-    vertex_images = [{} for _ in index.left]
-    edge_images = [{} for _ in index.left]
+    n, left = len(index), index.left
+    fiber_index, vertical = {}, {}
+    vertex_base, ends = [], []  # by vertex id, by edge id
+    vertex_images, edge_images = [[] for _ in left], [[] for _ in left]
     for x in base.vertices:
-        fib = fibers[x]
-        eid = {e: len(edges) + j for j, e in enumerate(sorted(fib.graph.edges))}
-        for vm, fvm in zip(vertex_images, fib.vertex_images):
-            vm.update((offset[x] + v, offset[x] + img) for v, img in fvm.items())
-        for e, ge in eid.items():
-            u, v = fib.graph.ends(e)
-            edges.append((ge, (offset[x] + u, offset[x] + v)))
-            proj_edge[ge] = None
-            for em, fem in zip(edge_images, fib.edge_images):
-                em[ge] = eid[fem[e]]
+        fib, o, first = fibers[x], len(vertex_base), len(ends)
+        vertex_base += [x] * len(fib.reps)
+        fiber_index[x] = tuple(range(o, len(vertex_base)))
+        for vm, lk in zip(vertex_images, left):
+            vm += [o + fib.vertex_of[lk[r]] for r in fib.reps]
+        # the fiber's edge u*n + i keeps its rank in fib.edges
+        rank = dict(zip(fib.edges, range(first, first + len(fib.edges))))
+        split = [divmod(e, n) for e in fib.edges]
+        for em, lk in zip(edge_images, left):
+            em += [rank[u * n + lk[i]] for u, i in split]
+        ends += [(o + a, o + b) for a, b in fib.ends]
+        vertical[x] = range(first, len(ends))
+    proj_edge = [None] * len(ends)
     for b in sorted(base.edges):
         x, y = base.ends(b)
-        x_of, y_of = fibers[x].vertex_of, fibers[y].vertex_of
-        first = len(edges)
-        for i in range(len(index)):
-            edges.append((first + i, (offset[x] + x_of[i], offset[y] + y_of[i])))
-            proj_edge[first + i] = b
-        for em, lk in zip(edge_images, index.left):
-            em.update((first + i, first + y) for i, y in enumerate(lk))
+        ox, oy, first = fiber_index[x][0], fiber_index[y][0], len(ends)
+        ends += [(ox + u, oy + v) for u, v in zip(fibers[x].vertex_of, fibers[y].vertex_of)]
+        proj_edge += [b] * n
+        for em, lk in zip(edge_images, left):
+            em += [first + j for j in lk]
 
-    total = Multigraph(range(counter), edges)
-    action = GraphAction(G, total, vertex_images, edge_images)
-
-    projection = GraphMorphism(
-        total,
-        base,
-        {v: x for x in base.vertices for v in fiber_index[x]},
-        proj_edge,
-    )
-
+    total = Multigraph(range(len(vertex_base)), enumerate(ends))
+    action = GraphAction(G, total, [dict(enumerate(vm)) for vm in vertex_images],
+                         [dict(enumerate(em)) for em in edge_images])
+    vertex_map = dict(enumerate(vertex_base))
+    projection = GraphMorphism(total, base, vertex_map, dict(enumerate(proj_edge)))
     if flipped:
         action = flip_all(action)
         projection = GraphMorphism(
-            action.graph,
-            base,
-            projection.vertex_map,
-            {e: proj_edge[e] for e in action.graph.edges},
+            action.graph, base, vertex_map, {e: proj_edge[e] for e in action.graph.edges}
         )
+    # the ends of each fiber's vertical edges that survive flip_all
+    kept = action.graph.edges
+    fiber_edges = {x: [kept[e] for e in ids if e in kept] for x, ids in vertical.items()}
 
-    cover = HarmonicCover(
-        base,
-        G,
-        inertia,
-        multisets,
-        action,
-        projection,
-        fiber_index,
-        flipped,
-        warnings,
-    )
+    cover = HarmonicCover(base, G, inertia, multisets, action, projection, fiber_index,
+                          fiber_edges, flipped, warnings)
     _verify_cover(cover)
     return cover
 
@@ -419,28 +401,25 @@ def _verify_cover(cover: HarmonicCover):
     if not is_harmonic_action(cover.action):
         raise CoverError("constructed cover action is not harmonic")
     order = cover.group.order()
-    counts = {b: 0 for b in cover.base.edges}
-    for e, img in cover.projection.edge_map.items():
-        if img is not None:
-            counts[img] += 1
-    for b, c in counts.items():
-        if c != order:
-            raise CoverError(f"base edge {b} has {c} preimages, expected {order}")
+    counts = Counter(cover.projection.edge_map.values())
+    for b in cover.base.edges:
+        if counts[b] != order:
+            raise CoverError(f"base edge {b} has {counts[b]} preimages, expected {order}")
     q = quotient(cover.action)
     if len(q.quotient.vertices) != len(cover.base.vertices) or len(
         q.quotient.edges
     ) != len(cover.base.edges):
         raise CoverError("quotient by the full group does not match the base")
-    # the orbit classes must realize the base incidence through the projection
-    orbit_to_base = {}
-    for v in cover.graph.vertices:
-        ov = q.projection.vertex_map[v]
-        bx = cover.projection.vertex_map[v]
-        if orbit_to_base.setdefault(ov, bx) != bx:
-            raise CoverError("a vertex orbit projects to two base vertices")
-    for e in cover.graph.edges:
-        oe = q.projection.edge_map[e]
-        be = cover.projection.edge_map[e]
+    # the orbit classes must realize the base incidence through the projection;
+    # each distinct (orbit, base) pair of a vertex or an edge is checked once
+    vertices, edges = cover.graph.vertices, cover.graph.edges
+    pairs = set(zip(map(q.projection.vertex_map.__getitem__, vertices),
+                    map(cover.projection.vertex_map.__getitem__, vertices)))
+    orbit_to_base = dict(pairs)
+    if len(orbit_to_base) != len(pairs):
+        raise CoverError("a vertex orbit projects to two base vertices")
+    for oe, be in set(zip(map(q.projection.edge_map.__getitem__, edges),
+                          map(cover.projection.edge_map.__getitem__, edges))):
         if (oe is None) != (be is None):
             raise CoverError("vertical edges disagree between quotient and projection")
         if oe is not None:
@@ -506,18 +485,26 @@ def ramification_profile(c: HarmonicCover) -> RamificationProfile:
 
 
 def _vertex_profiles(c: HarmonicCover) -> dict:
+    """n, f and v from each fiber's vertical edge ends, c.fiber_edges[x]."""
     order = c.group.order()
     out = {}
     for x in c.base.vertices:
-        fiber = c.fiber_index[x]
-        sub = c.fiber_subgraph(x)
-        comps = sub.connected_components()
-        n = len(comps)
-        sizes = {len(comp) for comp in comps}
-        if len(sizes) != 1:
+        fiber, edges = c.fiber_index[x], c.fiber_edges[x]
+        comp = {y: {y} for y in fiber}  # y's component, merged edge by edge
+        for u, v in edges:
+            cu, cv = comp[u], comp[v]
+            if cu is not cv:
+                if len(cu) < len(cv):
+                    cu, cv = cv, cu
+                cu |= cv
+                comp.update(dict.fromkeys(cv, cu))
+        sizes = {id(cu): len(cu) for cu in comp.values()}  # one entry per component
+        n = len(sizes)
+        if len(set(sizes.values())) != 1:
             raise CoverError(f"fiber over {x} has components of different sizes")
-        f = sizes.pop()
-        degrees = {sub.degree(v) for v in fiber}
+        f = len(comp[fiber[0]])
+        degree = Counter(chain.from_iterable(edges))
+        degrees = set(map(degree.__getitem__, fiber))
         if len(degrees) != 1:
             raise CoverError(f"fiber over {x} has vertices of different vertical degree")
         v_count = degrees.pop()
@@ -614,13 +601,16 @@ def cover_from_spec(data, catalog=None) -> HarmonicCover:
     {"group":..., "base":{"tree":graph}, "inertia":{x:[perm...]},
      "multisets":{x:[[perm,mult]...]}, "flipped":bool}.
 
-    A missing field, a malformed vertex-keyed entry, a key that is not a
-    base vertex or a non-boolean flipped raises CoverError naming its path."""
+    A missing field, a malformed vertex-keyed entry (an inertia generator
+    that is no member of the group, a malformed multiset entry), a key that
+    is not a base vertex or a non-boolean flipped raises CoverError naming
+    its path."""
     G = group_from_spec_lazy(_spec_field(data, "group"), catalog)
     base = Multigraph.from_json(_spec_field(data, "base.tree"))
     inertia = {}
     for x, gens in _vertex_keyed(data, "inertia", base):
-        _check_entries(gens, f"inertia.{x}", lambda g: isinstance(g, list), "a permutation")
+        _check_entries(gens, f"inertia.{x}", lambda g: isinstance(g, list), "a permutation",
+                       lambda g: G.subgroup([tuple(g)]))
         inertia[x] = G.subgroup([tuple(g) for g in gens])
     multisets = {}
     for x, entries in _vertex_keyed(data, "multisets", base):
@@ -629,6 +619,7 @@ def cover_from_spec(data, catalog=None) -> HarmonicCover:
             f"multisets.{x}",
             lambda e: isinstance(e, list) and len(e) == 2 and isinstance(e[0], list),
             "a [permutation, multiplicity] pair",
+            SymmetricMultiset._entry,
         )
         multisets[x] = SymmetricMultiset.from_json(entries)
     flipped = data.get("flipped", False)
@@ -671,10 +662,16 @@ def _check_base_vertex(base, x, path):
         raise CoverError(f"cover spec: {path} is not a base vertex")
 
 
-def _check_entries(entries, path, ok, what):
+def _check_entries(entries, path, ok, what, check):
+    """Each entry must pass ok, then check; a GroupError from check is
+    reported as a CoverError naming the entry's path."""
     for i, entry in enumerate(entries):
         if not ok(entry):
             raise CoverError(f"cover spec: {path}.{i} must be {what}, got {entry!r}")
+        try:
+            check(entry)
+        except GroupError as exc:
+            raise CoverError(f"cover spec: {path}.{i}: {exc}") from None
 
 
 def group_from_spec_lazy(spec, catalog=None):

@@ -144,15 +144,15 @@ class GraphAction:
 
     def _validate_generator_maps(self):
         vset = set(self.graph.vertices)
-        edges = self.graph.edges
+        edges = self.graph._edges
         eset = set(edges)
         for i, (vm, em) in enumerate(zip(self.vertex_images, self.edge_images)):
             if set(vm) != vset or set(vm.values()) != vset:
                 raise ActionError(f"generator {i}: vertex map is not a bijection")
             if set(em) != eset or set(em.values()) != eset:
                 raise ActionError(f"generator {i}: edge map is not a bijection")
-            image_ends = map(self.graph.ends, map(em.__getitem__, edges))
-            for e, (u, v), (a, b) in zip(edges, edges.values(), image_ends):
+            image_ends = map(edges.__getitem__, map(em.__getitem__, edges))
+            for (e, (u, v)), (a, b) in zip(edges.items(), image_ends):
                 iu, iv = vm[u], vm[v]
                 if (iu != a or iv != b) and (iu != b or iv != a):
                     raise ActionError(
@@ -358,18 +358,14 @@ def quotient(a: GraphAction, H: Subgroup | None = None) -> QuotientResult:
     removed = []
     emap_proj = {}
     qedges = []
-    qi = 0
     for orbit in eorbits:
         u, v = a.graph.ends(orbit[0])
         if vclass[u] == vclass[v]:
             removed.append({"edges": list(orbit), "vertex": vclass[u]})
-            for e in orbit:
-                emap_proj[e] = None
+            emap_proj.update(dict.fromkeys(orbit))
         else:
-            qedges.append((qi, (vclass[u], vclass[v])))
-            for e in orbit:
-                emap_proj[e] = qi
-            qi += 1
+            emap_proj.update(dict.fromkeys(orbit, len(qedges)))
+            qedges.append((len(qedges), (vclass[u], vclass[v])))
     qgraph = Multigraph(range(len(vorbits)), qedges)
     projection = GraphMorphism(a.graph, qgraph, vclass, emap_proj)
     return QuotientResult(qgraph, projection, removed)

@@ -122,6 +122,7 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
         action,
         projection,
         {0: tuple(graph.vertices)},
+        {0: list(graph.edges.values())},
         True,
         [],
     )

@@ -144,6 +144,7 @@ class Multigraph:
 
     @cached_property
     def _components(self) -> tuple[tuple[int, ...], ...]:
+        edges, incidence = self._edges, self._incidence
         seen = set()
         comps = []
         for start in self._vertices:
@@ -153,8 +154,9 @@ class Multigraph:
             queue = [start]
             while queue:
                 v = queue.pop()
-                for eid in self._incidence[v]:
-                    w = self.other_end(eid, v)
+                for eid in incidence[v]:
+                    a, b = edges[eid]
+                    w = b if a == v else a
                     if w not in comp:
                         comp.add(w)
                         queue.append(w)
@@ -250,32 +252,31 @@ class GraphMorphism:
         self._validate()
 
     def _validate(self):
+        vertex_map, edge_map = self.vertex_map, self.edge_map
+        target_vertices, target_ends = self.target._incidence, self.target._edges
         for v in self.source.vertices:
-            if v not in self.vertex_map:
+            if v not in vertex_map:
                 raise MorphismError(f"vertex {v} has no image")
-            if not self.target.has_vertex(self.vertex_map[v]):
+            if vertex_map[v] not in target_vertices:
                 raise MorphismError(f"vertex {v} maps outside the target")
-        for e, (y1, y2) in self.source.edges.items():
-            if e not in self.edge_map:
+        for e, (y1, y2) in self.source._edges.items():
+            if e not in edge_map:
                 raise MorphismError(f"edge {e} has no image")
-            img = self.edge_map[e]
-            f1, f2 = self.vertex_map[y1], self.vertex_map[y2]
+            img = edge_map[e]
+            f1, f2 = vertex_map[y1], vertex_map[y2]
             if img is None:
                 if f1 != f2:
                     raise MorphismError(
                         f"edge {e} marked vertical but endpoints map to {f1} != {f2}"
                     )
-            else:
-                if img not in self.target.edges:
-                    raise MorphismError(f"edge {e} maps to unknown edge {img}")
-                if f1 == f2:
-                    raise MorphismError(
-                        f"edge {e} maps to an edge but endpoints collapse to {f1}"
-                    )
-                if set(self.target.ends(img)) != {f1, f2}:
-                    raise MorphismError(
-                        f"edge {e}: image edge {img} does not join {f1} and {f2}"
-                    )
+                continue
+            ends = target_ends.get(img)
+            if ends is None:
+                raise MorphismError(f"edge {e} maps to unknown edge {img}")
+            if f1 == f2:
+                raise MorphismError(f"edge {e} maps to an edge but endpoints collapse to {f1}")
+            if ends != (f1, f2) and ends != (f2, f1):
+                raise MorphismError(f"edge {e}: image edge {img} does not join {f1} and {f2}")
 
     @classmethod
     def identity(cls, g: Multigraph) -> "GraphMorphism":

@@ -102,9 +102,15 @@ class _Level:
         self.inverse = {}  # orbit point pt -> u^-1, for the same u
 
 
+class _OrderReached(Exception):
+    pass
+
+
 class StabilizerChain:
     """Incremental deterministic Schreier-Sims over tuple permutations. A
     level's base point is the least point its first generator moves."""
+
+    _stop_at = None  # see _OrderProbe
 
     def __init__(self, degree, generators=()):
         self.degree = degree
@@ -162,6 +168,8 @@ class StabilizerChain:
                 if c not in lv.transversal:
                     lv.transversal[c] = perm_mul(s, u)
                     frontier.append(c)
+        if self._stop_at is not None and self.order() >= self._stop_at:
+            raise _OrderReached
         # an inverse that is already a transversal element, as for an
         # involution or the powers of a single generator, shares its tuple
         for c, u in lv.transversal.items():
@@ -303,7 +311,26 @@ def generates(G: PermutationGroup, elems) -> bool:
     for p in elems:
         if not G.contains(p):
             raise GroupError(f"{cycle_string(p)} is not a member of {G.name}")
-    return StabilizerChain(G.degree, elems).order() == G.order()
+    return _generates_order(G.degree, elems, G.order())
+
+
+def _generates_order(degree, gens, order) -> bool:
+    """True iff gens, members of a group of the given order, generate it.
+    Each basic orbit of a chain under construction is at most the true
+    index at its level, so the build stops once their lengths multiply to
+    the order."""
+    try:
+        return _OrderProbe(degree, gens, order).order() == order
+    except _OrderReached:
+        return True
+
+
+class _OrderProbe(StabilizerChain):
+    """A chain whose construction raises _OrderReached at stop_at."""
+
+    def __init__(self, degree, generators, stop_at):
+        self._stop_at = stop_at
+        super().__init__(degree, generators)
 
 
 # -- element index and cosets -------------------------------------------------
@@ -484,6 +511,11 @@ class Cosets(Sequence):
                 continue
             c = of[i] = len(self.reps)
             self.reps.append(i)
+            if len(rights) == 1:  # H cyclic: the coset is i's cycle under its one right map
+                y = rights[0][i]
+                while y != i:
+                    of[y], y = c, rights[0][y]
+                continue
             stack = [i]
             while stack:
                 x = stack.pop()
@@ -585,7 +617,7 @@ def _conjugacy_classes(G: PermutationGroup, members):
         # the last one kept lies outside the group of all the others
         for s in centralizer[:-1]:
             rest = [r for r in centralizer if r != s]
-            if StabilizerChain(G.degree, rest).order() == chain.order():
+            if _generates_order(G.degree, rest, chain.order()):
                 centralizer = rest
         yield p, transversal, centralizer
 
@@ -620,7 +652,7 @@ def _generating_partners(G, order, a, bs, centralizer, product_order) -> bytearr
         orbit = _mark_orbit(bs, i, conjugators, seen)
         if product_order is not None and perm_order(perm_mul(a, b)) != product_order:
             continue
-        if StabilizerChain(G.degree, (a, b)).order() == order:
+        if _generates_order(G.degree, (a, b), order):
             for k in orbit:
                 verdicts[k] = 1
     return verdicts
@@ -639,7 +671,7 @@ def _first_partner(G, order, a, bs, centralizer, product_order):
             product_order is not None and perm_order(perm_mul(a, b)) != product_order
         ):
             continue
-        if StabilizerChain(G.degree, (a, b)).order() == order:
+        if _generates_order(G.degree, (a, b), order):
             return b
         if conjugators is None:
             conjugators = [(c, perm_inv(c)) for c in centralizer()]

@@ -1,17 +1,18 @@
-"""benchmarks/bench_check44.py: the commit label, on a temporary git repo,
-and the median row of a prime's runs."""
+"""benchmarks/bench_check44.py and bench_covers.py: the commit label, on a
+temporary git repo, the fork-and-measure helper, and the median rows."""
 
 import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_check44.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def load_bench():
-    spec = importlib.util.spec_from_file_location("bench_check44", SCRIPT)
+def load_bench(name="bench_check44"):
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -61,4 +62,32 @@ def test_row_takes_the_median_of_the_runs():
     assert load_bench().row("abc1234", 29, runs, "machine") == {
         "commit": "abc1234", "p": 29, "order": 12180, "wall_s": 0.5, "peak_rss_mb": 30.0,
         "runs": 3, "stat": "median", "machine": "machine",
+    }
+
+
+def test_label_ignores_every_bench_file(repo):
+    (repo / "BENCH_covers.json").write_text("[]\n")
+    git(repo, "add", "BENCH_covers.json")
+    git(repo, "commit", "-q", "-m", "covers rows")
+    head = git(repo, "describe", "--always")
+    (repo / "BENCH_covers.json").write_text('[\n{"covers": 200}\n]\n')
+    assert load_bench().commit_label(repo) == head
+
+
+def test_measure_reports_the_command_output_time_and_memory():
+    root = Path(__file__).resolve().parents[1]
+    result = load_bench().measure([sys.executable, "-c", "print('ok')"], root)
+    assert result["stdout"] == "ok\n"
+    assert result["wall_s"] > 0 and result["peak_rss_mb"] > 1
+
+
+def test_covers_row_takes_the_median_of_the_runs():
+    runs = [
+        {"wall_s": 0.5, "sweep_s": 0.2, "peak_rss_mb": 30.0},
+        {"wall_s": 0.3, "sweep_s": 0.4, "peak_rss_mb": 31.0},
+        {"wall_s": 0.9, "sweep_s": 0.3, "peak_rss_mb": 29.0},
+    ]
+    assert load_bench("bench_covers").row("abc1234", runs, "machine") == {
+        "commit": "abc1234", "workload": "criterion4", "covers": 200, "wall_s": 0.5,
+        "sweep_s": 0.3, "peak_rss_mb": 30.0, "runs": 3, "stat": "median", "machine": "machine",
     }

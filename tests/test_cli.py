@@ -325,6 +325,11 @@ def test_non_positive_orders_exit_one(capsys, argv, flag):
         (("maximal", "table", "--from", "0", "--to", "3"), "--from must be at least 2"),
         (("group", "order", "--group", "prod:S3"), "'prod:S3': prod needs two factors A,B"),
         (("group", "order", "--group", "prod:S3,"), "'prod:S3,': prod needs two factors A,B"),
+        (("group", "order", "--group", "S3", "--jobs", "0"), "--jobs must be at least 1, got 0"),
+        (
+            ("maximal", "classify", "--genus", "2", "--jobs", "-1"),
+            "--jobs must be at least 1, got -1",
+        ),
     ],
 )
 def test_malformed_flag_value_exits_one_naming_it(capsys, argv, named):
@@ -456,6 +461,14 @@ def test_group_search_with_huge_order_builds_nothing_that_large():
         (dict(S3_POINT, group="A4", multisets={"0": [[[1, 0, 2, 3], 1]]}), "not a member of A4"),
         (dict(S3_POINT, inertia={"9": [[1, 2, 0]]}), "inertia.9 is not a base vertex"),
         (dict(S3_POINT, multisets={"9": [[[1, 0, 2], 1]]}), "multisets.9 is not a base vertex"),
+        (
+            dict(S3_PATH, inertia={"1": [[0, 1]]}),
+            "cover spec: inertia.1.0: not a permutation of degree 3: (0, 1)",
+        ),
+        (
+            dict(S3_PATH, multisets={"1": [[[1, 0, 2], -1]]}),
+            "cover spec: multisets.1.0: multiplicities must be non-negative",
+        ),
     ],
 )
 def test_malformed_cover_spec_exits_one(capsys, tmp_path, spec, named):

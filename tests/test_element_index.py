@@ -236,9 +236,7 @@ def check_cover(cover, flipped):
         fiber_action(lab, faithful=True)
         fiber_action(out, faithful=False)
         index = G.element_index()
-        assert {v: index.element(i) for v, i in out.vertex_labels.items()} == dict(
-            enumerate(reps)
-        )
+        assert [index.element(i) for i in out.reps] == reps
         assert {index.element(i): v for i, v in enumerate(out.vertex_of)} == vertex_of
     total = tuple_cover(G, base, inertia, cover.multisets, flipped)
     assert_same_action(cover.action, total.graph, total.vertex_images, total.edge_images)

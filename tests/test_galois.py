@@ -133,7 +133,7 @@ def test_collapse_by_trivial_subgroup_is_identity():
     # every element is its own vertex, and every Cayley edge {g, g*tau} survives
     out = collapse(S3, S3.trivial_subgroup(), SymmetricMultiset([TAU]))
     index = S3.element_index()
-    assert out.vertex_labels == {i: i for i in range(6)}
+    assert out.reps == list(range(6))
     assert out.vertex_of == list(range(6))
     assert out.vertex_images == [dict(enumerate(lk)) for lk in index.left]
     assert dict(out.graph.edges) == dict(enumerate(zip(range(6), index.right(TAU))))
@@ -470,12 +470,12 @@ def test_build_cover_validates_one_action(name, flipped, expected, catalog, monk
     assert built[-1] is cover.action
 
 
-def _merge_first_two(vertex_map):
-    vertex_map[1] = vertex_map[0]
+def _merge_first_two(reps):
+    reps[1] = reps[0]
 
 
-def _swap_first_two(vertex_map):
-    vertex_map[0], vertex_map[1] = vertex_map[1], vertex_map[0]
+def _swap_first_two(reps):
+    reps[0], reps[1] = reps[1], reps[0]
 
 
 @pytest.mark.parametrize(
@@ -486,15 +486,16 @@ def _swap_first_two(vertex_map):
     ],
 )
 def test_corrupted_fiber_fails_the_total_validation(corrupt, message, monkeypatch):
-    # the fibers are no longer validated on their own: a corrupted fiber map
+    # the fibers are not validated on their own: a fiber whose coset
+    # representatives are corrupted, so that its vertex images are wrong,
     # must still fail, in the validation of the assembled action
     original = galois.collapse
 
     def corrupted_collapse(G, I, S):
         fiber = original(G, I, S)
-        images = [dict(vm) for vm in fiber.vertex_images]
-        corrupt(images[0])
-        return dataclasses.replace(fiber, vertex_images=images)
+        reps = list(fiber.reps)
+        corrupt(reps)
+        return dataclasses.replace(fiber, reps=reps)
 
     monkeypatch.setattr(galois, "collapse", corrupted_collapse)
     with pytest.raises(ActionError, match=message):

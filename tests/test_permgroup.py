@@ -1,4 +1,5 @@
 import json
+import random
 from functools import lru_cache
 from math import factorial
 
@@ -12,6 +13,7 @@ from hcov.permgroup import (
     PermutationGroup,
     StabilizerChain,
     _elements_of_orders,
+    _generates_order,
     all_subgroups,
     alternating,
     cyclic,
@@ -174,6 +176,35 @@ def test_generates_examples():
     assert not generates(Z30, [perm_pow(g, 15), perm_pow(g, 10)])
     sub = mulclose([perm_pow(g, 15), perm_pow(g, 10)])
     assert len(sub) == 6
+
+
+def _early_exit_groups():
+    return [
+        *load_default_catalog().groups,
+        *(symmetric(n) for n in range(3, 9)),
+        *(alternating(n) for n in range(4, 9)),
+        *(psl2(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
+    ]
+
+
+def test_generation_early_exit_matches_the_full_chain():
+    # the test that stops once the basic orbits reach |G| gives the verdict
+    # of the chain built to the end, on generating and non-generating sets
+    rng = random.Random(17)
+    verdicts = set()
+    for G in _early_exit_groups():
+        index, order = G.element_index(), G.order()
+        sets = [list(G.generators), G.generators[:1], [G.identity]]
+        sets += [
+            [index.element(rng.randrange(order)) for _ in range(rng.randrange(1, 4))]
+            for _ in range(6)
+        ]
+        for gens in sets:
+            expected = StabilizerChain(G.degree, gens).order() == order
+            assert _generates_order(G.degree, gens, order) == expected
+            assert generates(G, gens) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_search_23_pairs_examples():
