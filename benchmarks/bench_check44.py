@@ -3,19 +3,21 @@ BENCH_hurwitz.json at the repository root.
 
     python3 benchmarks/bench_check44.py [CHECKOUT]
 
-For p = 29, 43, 71 and 83 it runs
+For p = 29, 43, 71, 83, 113 and 127 it runs
 
     hc surface check44 --allow-large-psl2 --product-order 7 --group psl2:p --json
 
-three times from CHECKOUT's src/ (default: this checkout) as a child
-process. Each run is forked off first, so the fork's
+from CHECKOUT's src/ (default: this checkout) as a child process: three
+times for p <= 83, once for p = 113 and 127 (about 20 and 30 s, and 0.5
+to 0.7 GB, each). Each run is forked off first, so the fork's
 resource.getrusage(RUSAGE_CHILDREN) holds that one command's peak RSS and
 nothing else. Times are raw wall-clock seconds. One row per p is appended:
 CHECKOUT's commit (see commit_label; `<commit>-dirty` measures uncommitted
 changes on top of that commit), p, |G|, the median wall_s and peak_rss_mb
-of the runs, their number and the machine. Passing another checkout, such
-as a clone of the parent commit, measures both sides with the same script;
-alternating the two gives rows that can be compared.
+of the runs (stat "median"; "single" for one run), their number and the
+machine. Passing another checkout, such as a clone of the parent commit,
+measures both sides with the same script; alternating the two gives rows
+that can be compared.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_hurwitz.json"
-PRIMES = (29, 43, 71, 83)
-RUNS = 3
+PRIMES = (29, 43, 71, 83, 113, 127)
+RUNS = {113: 1, 127: 1}  # runs per p; 3 where not listed
 
 
 def measure(cmd: list, checkout: Path) -> dict:
@@ -102,7 +104,7 @@ def row(commit: str, p: int, runs: list, machine: str) -> dict:
         "wall_s": round(statistics.median(r["wall_s"] for r in runs), 3),
         "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
         "runs": len(runs),
-        "stat": "median",
+        "stat": "median" if len(runs) > 1 else "single",
         "machine": machine,
     }
 
@@ -113,7 +115,8 @@ def main(argv) -> int:
     machine = f"{platform.machine()}, {os.cpu_count()} cpus, Python {platform.python_version()}"
     rows = json.loads(OUT.read_text()) if OUT.exists() else []
     for p in PRIMES:
-        rows.append(row(commit, p, [_run(checkout, p) for _ in range(RUNS)], machine))
+        runs = [_run(checkout, p) for _ in range(RUNS.get(p, 3))]
+        rows.append(row(commit, p, runs, machine))
         print(json.dumps(rows[-1]), flush=True)
     OUT.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
     return 0

@@ -126,17 +126,23 @@ class SymmetricMultiset:
 
 @dataclass
 class InertiaStructure:
-    """Subgroup assignment per base vertex; missing vertices mean trivial."""
+    """Subgroup assignment per base vertex; missing vertices mean trivial.
+
+    subgroup_at tests a vertex's subgroup for membership in G once: the
+    (G, subgroup) pair that passed is remembered per vertex."""
 
     assignment: dict
+    _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def subgroup_at(self, G: PermutationGroup, x) -> Subgroup:
         H = self.assignment.get(x)
         if H is None:
             return G.trivial_subgroup()
-        for g in H.generators:
-            if not G.contains(g):
-                raise GroupError(f"inertia at {x} is not a subgroup of {G.name}")
+        if self._checked.get(x) != (G, H):
+            for g in H.generators:
+                if not G.contains(g):
+                    raise GroupError(f"inertia at {x} is not a subgroup of {G.name}")
+            self._checked[x] = (G, H)
         return H
 
 
@@ -151,11 +157,12 @@ class LabeledAction:
     (ascending) joins ends[j]. Generator k maps edge u*|G| + i to
     u*|G| + left[k][i]. With I trivial it is the Cayley graph.
 
-    graph, vertex_images and edge_images (dicts per generator, as in
-    GraphAction) are lazy, built on first read; build_cover reads only the
-    arrays. Nothing here is validated: the total GraphAction's validation
-    covers each fiber's vertices and vertical edges. The per-fiber
-    validation survives as a test oracle, tests/conftest.fiber_action.
+    graph, vertex_images and edge_images (one dict per generator, image
+    maps that GraphAction accepts) are lazy, built on first read;
+    build_cover reads only the arrays. Nothing here is validated: the total
+    GraphAction's validation covers each fiber's vertices and vertical
+    edges. The per-fiber validation survives as a test oracle,
+    tests/conftest.fiber_action.
     """
 
     group: PermutationGroup
@@ -291,6 +298,13 @@ class HarmonicCover:
         ramification_profile)."""
         return _vertex_profiles(self)
 
+    @cached_property
+    def _ramification_number(self) -> Fraction:
+        """R = sum over base vertices of 2(1 - 1/m) + w, summed once."""
+        return sum(
+            (2 * (1 - Fraction(1, p.m)) + p.w for p in self._per_vertex.values()), Fraction(0)
+        )
+
     def __repr__(self):
         flip = "flipped" if self.flipped else "unflipped"
         return (
@@ -377,14 +391,13 @@ def build_cover(
             em += [first + j for j in lk]
 
     total = Multigraph(range(len(vertex_base)), enumerate(ends))
-    action = GraphAction(G, total, [dict(enumerate(vm)) for vm in vertex_images],
-                         [dict(enumerate(em)) for em in edge_images])
-    vertex_map = dict(enumerate(vertex_base))
-    projection = GraphMorphism(total, base, vertex_map, dict(enumerate(proj_edge)))
+    action = GraphAction(G, total, vertex_images, edge_images)
+    projection = GraphMorphism(total, base, enumerate(vertex_base), enumerate(proj_edge))
     if flipped:
         action = flip_all(action)
         projection = GraphMorphism(
-            action.graph, base, vertex_map, {e: proj_edge[e] for e in action.graph.edges}
+            action.graph, base, enumerate(vertex_base),
+            {e: proj_edge[e] for e in action.graph.edges},
         )
     # the ends of each fiber's vertical edges that survive flip_all
     kept = action.graph.edges
@@ -461,10 +474,8 @@ class RamificationProfile:
     per_vertex: dict  # base vertex -> VertexProfile
 
     def ramification_number(self) -> Fraction:
-        R = Fraction(0)
-        for prof in self.per_vertex.values():
-            R += 2 * (1 - Fraction(1, prof.m)) + prof.w
-        return R
+        """R, summed once per cover from the same per-vertex data."""
+        return self.cover._ramification_number
 
 
 def ramification_profile(c: HarmonicCover) -> RamificationProfile:
@@ -508,8 +519,8 @@ def _vertex_profiles(c: HarmonicCover) -> dict:
         if len(degrees) != 1:
             raise CoverError(f"fiber over {x} has vertices of different vertical degree")
         v_count = degrees.pop()
-        orbit = c.action.vertex_orbit_of[fiber[0]]
-        if orbit.transversal.keys() != set(fiber):
+        orbit = c.action.vertex_orbit(fiber[0])
+        if set(orbit.phi) != set(fiber):
             raise CoverError(f"vertex orbit over {x} does not equal the fiber")
         m = orbit.stabilizer_order()
         if m * f * n != order:

@@ -8,6 +8,7 @@ of an arbitrary element is read from those orbits.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import eq
@@ -19,6 +20,10 @@ from hcov.multigraph import Dart, GraphMorphism, Multigraph
 from hcov.permgroup import PermutationGroup, Subgroup, cycle_string, group_from_spec
 
 
+def _size(orbit) -> int:
+    return orbit.size
+
+
 def _mul(left, word, j) -> int:
     """The index of x_i * x_j, word being the element index's word(i)."""
     for k in word:
@@ -28,23 +33,53 @@ def _mul(left, word, j) -> int:
 
 def _image(left, word, orbit, y):
     """The image of the point y of orbit under x_i, word being word(i)."""
-    return orbit.phi[_mul(left, word, orbit.transversal[y])]
+    return orbit.phi[_mul(left, word, orbit.least[y])]
+
+
+def _items(m):
+    """(point, image) pairs of an image map: a dict, or a list indexed by
+    point id."""
+    return m.items() if isinstance(m, dict) else enumerate(m)
+
+
+def _is_bijection(m, points: set) -> bool:
+    """True iff the image map m is a bijection of the set of points."""
+    if isinstance(m, dict):
+        return m.keys() == points and set(m.values()) == points
+    return set(range(len(m))) == points and set(m) == points
+
+
+def _per_point(points):
+    """-1 for every point, indexed by point id: an array when the ids are
+    0..n-1, else a dict."""
+    n = len(points)
+    if not n or (min(points) == 0 and max(points) == n - 1):
+        return array("i", [-1]) * n
+    return dict.fromkeys(points, -1)
 
 
 class Orbit(NamedTuple):
     """One orbit O of the group on vertices or edges, as a map from G's
     element index: phi[i] = x_i(p), p = phi[0] the least point of O, and
-    transversal[y] the least index i with phi[i] = y.
+    size = |O|.
 
-    An element x_i maps y = x_t(p), t = transversal[y], to phi[j], j the
-    index of x_i * x_t."""
+    least[y] is the least index i with phi[i] = y. It is one array for all
+    the orbits of a kind (vertices or edges), indexed by point id (a dict
+    for sparse ids), and an Orbit reads it only at its own points. An
+    element x_i maps y = x_t(p), t = least[y], to phi[j], j the index of
+    x_i * x_t."""
 
     phi: list
-    transversal: dict
+    least: object  # array or dict: point -> least index, shared by the kind
+    size: int
 
     @property
     def point(self):
         return self.phi[0]
+
+    def points(self) -> list:
+        """The points of O, ascending: phi is onto O."""
+        return sorted(set(self.phi))
 
     def stabilizer(self) -> list:
         """Stab_G(p) as element indices, the fiber of phi over p; the
@@ -52,11 +87,8 @@ class Orbit(NamedTuple):
         return list(compress(range(len(self.phi)), map(eq, self.phi, repeat(self.phi[0]))))
 
     def stabilizer_order(self) -> int:
-        return self.phi.count(self.phi[0])
-
-
-def _size(orbit: Orbit) -> int:
-    return len(orbit.transversal)
+        """|Stab_G(p)| = |G| / |O|: every fiber of phi is a coset of it."""
+        return len(self.phi) // self.size
 
 
 def _action_field(data, *path):
@@ -69,7 +101,8 @@ def _action_field(data, *path):
 
 
 def _image_map(data, *path):
-    """A generator's image map in an action's JSON, as a dict of ints."""
+    """A generator's image map in an action's JSON: a list when its keys
+    are 0..n-1, else a dict of ints."""
     images = _action_field(data, *path)
     name = ".".join(path)
     if not isinstance(images, dict):
@@ -83,18 +116,25 @@ def _image_map(data, *path):
         if not isinstance(img, int):
             raise ActionError(f"action JSON: '{name}.{key}' must be an integer, got {img!r}")
         out[point] = img
+    if out.keys() == set(range(len(out))):
+        return [out[y] for y in range(len(out))]
     return out
 
 
 class GraphAction:
     """A group acting by automorphisms on a multigraph.
 
-    vertex_images/edge_images hold one dict per group generator. The
-    constructor verifies, exactly and at any group order, that the generator
-    images define a genuine action and that it is faithful on every
-    connected component. Every computation runs on G's element index
-    x_0, ..., x_{|G|-1} (x_0 the identity, left[k] left multiplication by
-    the k-th generator g_k).
+    vertex_images/edge_images hold one image map per group generator,
+    kept as given, not copied, so they must not change afterwards: a list
+    indexed by point id when the ids are 0..n-1 (as build_cover,
+    build_maximal and from_json make them), a dict otherwise (JSON with
+    gaps in its ids, the edges that unflip and flip_all keep). Every reader
+    indexes m[y]; only the bijection check and to_json look at the
+    container. The constructor verifies, exactly and at any group order,
+    that the generator images define a genuine action and that it is
+    faithful on every connected component. Every computation runs on G's
+    element index x_0, ..., x_{|G|-1} (x_0 the identity, left[k] left
+    multiplication by the k-th generator g_k).
 
     Well-definedness is tested one orbit O of vertices or edges at a time,
     p the least point of O. The orbit map phi, phi[i] = x_i(p), is built
@@ -104,19 +144,20 @@ class GraphAction:
     trivial in G fixes every phi[i], and conversely phi(g_k x) =
     g_k(phi(x)) in any action.
 
-    Validation keeps each orbit as an Orbit: phi and a point -> least index
-    transversal. vertex_orbit_of and edge_orbit_of map every point to its
-    orbit. The stabilizer Stab_G(p) is the fiber of phi over p, of order
-    |G|/|O|; harmonicity, flipped edges, flip_all, the quotient by G and
-    the ramification profile read it.
+    Validation keeps each orbit as an Orbit and, per kind, two arrays
+    indexed by point id (dicts for sparse ids): the orbit number of every
+    point, orbits numbered by least point, and its least index, least[y].
+    vertex_orbit(v) and edge_orbit(e) read them. The stabilizer Stab_G(p)
+    is the fiber of phi over p, of order |G|/|O|; harmonicity, flipped
+    edges, flip_all, the quotient by G and the ramification profile read
+    it.
 
     A kernel element lies in every stabilizer, so only the stabilizer of
     the point x with the largest orbit is enumerated, x_t Stab_G(p) x_t^-1
-    with t = transversal[x]. Each member h is tested point by point on
-    index products: h fixes y iff phi[index of h * x_s] = y, s =
-    transversal[y]. On a component (Def 2.3) the kernel is its pointwise
-    stabilizer, and components in one orbit are conjugate: one per orbit is
-    tested.
+    with t = least[x]. Each member h is tested point by point on index
+    products: h fixes y iff phi[index of h * x_s] = y, s = least[y]. On a
+    component (Def 2.3) the kernel is its pointwise stabilizer, and
+    components in one orbit are conjugate: one per orbit is tested.
     """
 
     def __init__(
@@ -130,8 +171,8 @@ class GraphAction:
         self.group = group
         self.graph = graph
         self.require_faithful = require_faithful
-        self.vertex_images = [dict(m) for m in vertex_images]
-        self.edge_images = [dict(m) for m in edge_images]
+        self.vertex_images = list(vertex_images)
+        self.edge_images = list(edge_images)
         if len(self.vertex_images) != len(group.generators) or len(
             self.edge_images
         ) != len(group.generators):
@@ -147,9 +188,9 @@ class GraphAction:
         edges = self.graph._edges
         eset = set(edges)
         for i, (vm, em) in enumerate(zip(self.vertex_images, self.edge_images)):
-            if set(vm) != vset or set(vm.values()) != vset:
+            if not _is_bijection(vm, vset):
                 raise ActionError(f"generator {i}: vertex map is not a bijection")
-            if set(em) != eset or set(em.values()) != eset:
+            if not _is_bijection(em, eset):
                 raise ActionError(f"generator {i}: edge map is not a bijection")
             image_ends = map(edges.__getitem__, map(em.__getitem__, edges))
             for (e, (u, v)), (a, b) in zip(edges.items(), image_ends):
@@ -162,14 +203,14 @@ class GraphAction:
 
     def _validate_action(self):
         index = self.group.element_index()
-        where = []  # per kind: (point -> Orbit, the orbits by least point)
+        kinds = []  # per kind: (orbit number per point, the orbits by least point)
         for kind, maps, points in (
             ("vertex", self.vertex_images, self.graph.vertices),
-            ("edge", self.edge_images, self.graph.edges),
+            ("edge", self.edge_images, self.graph._edges),
         ):
-            found, orbits = {}, []
+            number, least, orbits = _per_point(points), _per_point(points), []
             for p in sorted(points):
-                if p in found:
+                if number[p] >= 0:
                     continue
                 phi = index.orbit_map(maps, p)
                 for k, (m, lk) in enumerate(zip(maps, index.left)):
@@ -180,12 +221,15 @@ class GraphAction:
                             " multiplication in the group"
                         )
                 # written from the last index down, so the least one stays
-                orbit = Orbit(phi, dict(zip(reversed(phi), range(len(phi) - 1, -1, -1))))
-                found.update(dict.fromkeys(orbit.transversal, orbit))
-                orbits.append(orbit)
-            where.append((found, orbits))
-        self.vertex_orbit_of, self._vertex_orbits = where[0]
-        self.edge_orbit_of, self._edge_orbits = where[1]
+                first = dict(zip(reversed(phi), range(len(phi) - 1, -1, -1)))
+                j = len(orbits)
+                for y, i in first.items():
+                    least[y] = i
+                    number[y] = j
+                orbits.append(Orbit(phi, least, len(first)))
+            kinds.append((number, orbits))
+        self._vertex_orbit_no, self._vertex_orbits = kinds[0]
+        self._edge_orbit_no, self._edge_orbits = kinds[1]
         if not self.require_faithful:
             return
         # the kernel is normal: any point's stabilizer holds it, and the
@@ -207,9 +251,9 @@ class GraphAction:
         for ci, comp in enumerate(comps):
             if ci in done:
                 continue
-            done.update(cidx[v] for v in self.vertex_orbit_of[comp[0]].transversal)
-            points = [(self.vertex_orbit_of[v], v) for v in comp]
-            points += [(self.edge_orbit_of[e], e) for e in comp_edges[ci]]
+            done.update(map(cidx.__getitem__, self.vertex_orbit(comp[0]).phi))
+            points = [(self.vertex_orbit(v), v) for v in comp]
+            points += [(self.edge_orbit(e), e) for e in comp_edges[ci]]
             start = max(points, key=lambda pt: _size(pt[0]))
             if self._kernel_element(comp, comp_edges[ci], start) is not None:
                 raise ActionError(
@@ -223,16 +267,16 @@ class GraphAction:
 
         start is (orbit, x) for one of the given points x, None if there are
         none. Such a member lies in the stabilizer x_t Stab_G(p) x_t^-1 of
-        x, t = transversal[x], which is smallest when x's orbit is the
-        largest. Each member is tested point by point, stopping at the first
-        point it moves."""
+        x, t = least[x], which is smallest when x's orbit is the largest.
+        Each member is tested point by point, stopping at the first point it
+        moves."""
         index = self.group.element_index()
         left = index.left
-        points = [(self.vertex_orbit_of, vertices), (self.edge_orbit_of, edges)]
+        points = [(self.vertex_orbit, vertices), (self.edge_orbit, edges)]
         candidates = range(1, len(index))  # no points: every member fixes them
         if start is not None:
             orbit, x = start
-            t = orbit.transversal[x]
+            t = orbit.least[x]
             t_word = index.word(t)
             t_inv = index.index_of(perm_inv(index.element(t)))
             candidates = sorted(
@@ -242,7 +286,7 @@ class GraphAction:
         for h in candidates:
             word = index.word(h)
             if all(
-                _image(left, word, orbit_of[y], y) == y for orbit_of, ys in points for y in ys
+                _image(left, word, orbit_of(y), y) == y for orbit_of, ys in points for y in ys
             ):
                 return h
         return None
@@ -253,19 +297,27 @@ class GraphAction:
         return len(self.group.generators)
 
     def element_action(self, g) -> tuple[dict, dict]:
-        """(vertex map, edge map) of an arbitrary group member, read from the
-        validated orbits; GroupError if g is not a member."""
+        """(vertex map, edge map) of an arbitrary group member, as dicts read
+        from the validated orbits; GroupError if g is not a member."""
         index = self.group.element_index()
         try:
             word = index.word(index.index_of(g))
         except KeyError:
             raise GroupError(f"{cycle_string(g)} is not a member of {self.group.name}") from None
-        left, vorbit, eorbit = index.left, self.vertex_orbit_of, self.edge_orbit_of
-        vm = {v: _image(left, word, vorbit[v], v) for v in self.graph.vertices}
-        em = {e: _image(left, word, eorbit[e], e) for e in self.graph.edges}
+        left = index.left
+        vm = {v: _image(left, word, self.vertex_orbit(v), v) for v in self.graph.vertices}
+        em = {e: _image(left, word, self.edge_orbit(e), e) for e in self.graph.edges}
         return vm, em
 
     # -- orbits ------------------------------------------------------------
+
+    def vertex_orbit(self, v) -> Orbit:
+        """The Orbit of the vertex v."""
+        return self._vertex_orbits[self._vertex_orbit_no[v]]
+
+    def edge_orbit(self, e) -> Orbit:
+        """The Orbit of the edge e."""
+        return self._edge_orbits[self._edge_orbit_no[e]]
 
     def edge_orbits(self) -> list:
         """The Orbit of each edge orbit, ordered by least edge."""
@@ -281,11 +333,11 @@ class GraphAction:
             "generators": [list(g) for g in self.group.generators],
         }
         data["vertex_images"] = {
-            str(i): {str(v): img for v, img in sorted(m.items())}
+            str(i): {str(v): img for v, img in sorted(_items(m))}
             for i, m in enumerate(self.vertex_images)
         }
         data["edge_images"] = {
-            str(i): {str(e): img for e, img in sorted(m.items())}
+            str(i): {str(e): img for e, img in sorted(_items(m))}
             for i, m in enumerate(self.edge_images)
         }
         return data
@@ -318,57 +370,62 @@ class QuotientResult:
     removed_loops: list = field(default_factory=list)
 
 
-def _orbits_under(points, maps) -> list[list]:
-    """Orbits of the points under the maps, each sorted, ordered by least
-    point."""
-    seen = set()
-    orbits = []
+def _orbits_under(points, maps) -> tuple[dict, list]:
+    """(orbit number per point, least point per orbit) of the points under
+    the maps, orbits numbered by least point."""
+    number, reps = {}, []
     for p in sorted(points):
-        if p in seen:
+        if p in number:
             continue
-        seen.add(p)
+        number[p] = len(reps)
         orbit = [p]
         for x in orbit:
             for m in maps:
                 y = m[x]
-                if y not in seen:
-                    seen.add(y)
+                if y not in number:
+                    number[y] = len(reps)
                     orbit.append(y)
-        orbits.append(sorted(orbit))
-    return orbits
+        reps.append(p)
+    return number, reps
 
 
 def quotient(a: GraphAction, H: Subgroup | None = None) -> QuotientResult:
     """Quotient of the action by a subgroup (default: the whole group).
 
-    Vertices and edges of the quotient are the H-orbits; edge orbits whose
+    Vertices and edges of the quotient are the H-orbits, numbered by least
+    point; for H = G they are the validated orbits. Edge orbits whose
     endpoints fall into one vertex orbit are removed and recorded.
     """
+    vertices, ends = a.graph.vertices, a.graph._edges
     if H is None or H is a.group:
-        vorbits = [sorted(o.transversal) for o in a._vertex_orbits]
-        eorbits = [sorted(o.transversal) for o in a._edge_orbits]
+        vclass, eclass = a._vertex_orbit_no, a._edge_orbit_no
+        vcount, ereps = len(a._vertex_orbits), [o.point for o in a._edge_orbits]
     else:
         for h in H.generators:
             if not a.group.contains(h):
                 raise ActionError(f"subgroup generator is not a member of {a.group.name}")
         actions = [a.element_action(h) for h in H.generators]
-        vorbits = _orbits_under(a.graph.vertices, [vm for vm, _ in actions])
-        eorbits = _orbits_under(a.graph.edges, [em for _, em in actions])
-    vclass = {v: qi for qi, orbit in enumerate(vorbits) for v in orbit}
-    removed = []
-    emap_proj = {}
-    qedges = []
-    for orbit in eorbits:
-        u, v = a.graph.ends(orbit[0])
-        if vclass[u] == vclass[v]:
-            removed.append({"edges": list(orbit), "vertex": vclass[u]})
-            emap_proj.update(dict.fromkeys(orbit))
+        vclass, vreps = _orbits_under(vertices, [vm for vm, _ in actions])
+        eclass, ereps = _orbits_under(ends, [em for _, em in actions])
+        vcount = len(vreps)
+    qedge, qedges, loops = [], [], {}  # per edge orbit: its quotient edge, None if a loop
+    for j, e in enumerate(ereps):
+        u, v = map(vclass.__getitem__, ends[e])
+        if u == v:
+            qedge.append(None)
+            loops[j] = {"edges": [], "vertex": u}
         else:
-            emap_proj.update(dict.fromkeys(orbit, len(qedges)))
-            qedges.append((len(qedges), (vclass[u], vclass[v])))
-    qgraph = Multigraph(range(len(vorbits)), qedges)
-    projection = GraphMorphism(a.graph, qgraph, vclass, emap_proj)
-    return QuotientResult(qgraph, projection, removed)
+            qedge.append(len(qedges))
+            qedges.append((len(qedges), (u, v)))
+    for e in sorted(ends) if loops else ():
+        if qedge[eclass[e]] is None:
+            loops[eclass[e]]["edges"].append(e)
+    qgraph = Multigraph(range(vcount), qedges)
+    projection = GraphMorphism(
+        a.graph, qgraph, zip(vertices, map(vclass.__getitem__, vertices)),
+        zip(ends, map(qedge.__getitem__, map(eclass.__getitem__, ends))),
+    )
+    return QuotientResult(qgraph, projection, list(loops.values()))
 
 
 # -- harmonicity ----------------------------------------------------------------
@@ -399,11 +456,11 @@ def is_harmonic_action(a: GraphAction) -> ActionHarmonicityReport:
     report = ActionHarmonicityReport(True)
     index = a.group.element_index()
     for orbit in a.edge_orbits():
-        if len(orbit.transversal) == len(index):
+        if orbit.size == len(index):
             continue
         rep = orbit.point
         u0 = a.graph.ends(rep)[0]
-        u0_orbit = a.vertex_orbit_of[u0]
+        u0_orbit = a.vertex_orbit(u0)
         witness = next(
             (h for h in orbit.stabilizer()[1:]
              if _image(index.left, index.word(h), u0_orbit, u0) == u0),
@@ -446,7 +503,7 @@ def flipped_edges(a: GraphAction) -> set:
     out = set()
     for orbit in a.edge_orbits():
         if orbit.stabilizer_order() == 2:
-            out.update(orbit.transversal)
+            out.update(orbit.phi)
     return out
 
 
@@ -517,14 +574,14 @@ def flip_all(a: GraphAction, skip_orbits=()) -> GraphAction:
         if rep in skip_orbits:
             continue
         u0, v0 = graph.ends(rep)
-        u0_orbit = a.vertex_orbit_of[u0]
-        # edge stabilizers are trivial here: transversal[e] is the one
-        # element mapping rep to e
+        u0_orbit = a.vertex_orbit(u0)
+        # edge stabilizers are trivial here: least[e] is the one element
+        # mapping rep to e
         partners = [
-            e for e, t in sorted(orbit.transversal.items())
+            e for e in orbit.points()
             if e != rep and set(graph.ends(e)) == {u0, v0}
-            and perm_order(index.element(t)) == 2
-            and _image(index.left, index.word(t), u0_orbit, u0) == v0
+            and perm_order(index.element(orbit.least[e])) == 2
+            and _image(index.left, index.word(orbit.least[e]), u0_orbit, u0) == v0
         ]
         if not partners:
             continue

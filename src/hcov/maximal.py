@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from hcov.errors import CatalogError, CoverError, GroupError
 from hcov.galois import (
@@ -102,17 +103,18 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
     vcos = left_cosets(G, sigma_sub)
     ecos = left_cosets(G, G.subgroup([tau], "<tau>"))
     graph = _coset_graph(vcos, ecos, ecos.rights[0])
+    # generator k maps the coset of r to that of g_k * r
     left = G.element_index().left
     action = GraphAction(
         G,
         graph,
-        [{c: vcos.of[lk[r]] for c, r in enumerate(vcos.reps)} for lk in left],
-        [{c: ecos.of[lk[r]] for c, r in enumerate(ecos.reps)} for lk in left],
+        [list(map(vcos.of.__getitem__, map(lk.__getitem__, vcos.reps))) for lk in left],
+        [list(map(ecos.of.__getitem__, map(lk.__getitem__, ecos.reps))) for lk in left],
     )
 
     base = Multigraph([0], [])
     projection = GraphMorphism(
-        graph, base, {v: 0 for v in graph.vertices}, {e: None for e in graph.edges}
+        graph, base, zip(graph.vertices, repeat(0)), zip(graph.edges, repeat(None))
     )
     cover = HarmonicCover(
         base,

@@ -391,6 +391,8 @@ class ElementIndex:
     g_k. Maps out of the group come from the walk's tree: when x = g_k *
     parent(x), x * h = g_k * (parent(x) * h) gives right(h)[i], the index of
     x_i * h, and x(p) = g_k(parent(x)(p)) gives orbit_map, i -> x_i(p).
+    right(h) is kept per member h: Cosets and collapse ask for the same
+    few members again and again.
     """
 
     def __init__(self, G: PermutationGroup):
@@ -430,6 +432,7 @@ class ElementIndex:
         self._walk = rank  # element indices in walk order
         self._parent = [rank[parent[b]] for b in walk]
         self._via = [via[b] for b in walk]
+        self._rights = {}  # member -> right(member)
 
     def _key(self, images) -> int:
         key = 0
@@ -486,8 +489,14 @@ class ElementIndex:
 
     def right(self, h) -> list:
         """right(h)[i] is the index of x_i * h: the orbit map of h's index,
-        G acting on its index by left multiplication."""
-        return self.orbit_map(self.left, self.index_of(h))
+        G acting on its index by left multiplication. Each list is made once
+        per member h and shared by every caller, so it must not be changed;
+        KeyError if h is not a member."""
+        h = tuple(h)
+        out = self._rights.get(h)
+        if out is None:
+            out = self._rights[h] = self.orbit_map(self.left, self.index_of(h))
+        return out
 
 
 class Cosets(Sequence):
@@ -496,9 +505,9 @@ class Cosets(Sequence):
     A coset is an orbit of the index under right multiplication by H's
     generators. reps[c] is the index of coset c's least member, cosets are
     numbered by increasing reps, and of[i] is the coset of element i.
-    rights[k] is index.right of H's k-th generator, kept for callers that
-    multiply by it again. As a sequence, cosets yield their least members
-    as tuples.
+    rights[k] is index.right of H's k-th generator, the index's own list,
+    for callers that multiply by it again. As a sequence, cosets yield
+    their least members as tuples.
     """
 
     def __init__(self, index: ElementIndex, subgroup: PermutationGroup):

@@ -15,6 +15,12 @@ def load_figure(name: str) -> dict:
     return json.loads(files("hcov").joinpath(f"data/figures/{name}").read_text())
 
 
+def as_dicts(image_maps) -> list:
+    """Copies of a GraphAction's image maps as dicts: a list map is indexed
+    by point id."""
+    return [dict(m) if isinstance(m, dict) else dict(enumerate(m)) for m in image_maps]
+
+
 def fiber_action(fiber, faithful: bool) -> GraphAction:
     """The per-fiber validation that build_cover leaves to the total action:
     a GraphAction on the fiber's own graph and image maps. A Cayley fiber is

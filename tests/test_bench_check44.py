@@ -65,6 +65,18 @@ def test_row_takes_the_median_of_the_runs():
     }
 
 
+def test_row_of_one_run_is_marked_single():
+    bench = load_bench()
+    runs = [{"wall_s": 27.4, "peak_rss_mb": 734.0, "order": 1024128}]
+    assert bench.row("abc1234", 127, runs, "machine") == {
+        "commit": "abc1234", "p": 127, "order": 1024128, "wall_s": 27.4, "peak_rss_mb": 734.0,
+        "runs": 1, "stat": "single", "machine": "machine",
+    }
+    assert {p: bench.RUNS.get(p, 3) for p in bench.PRIMES} == {
+        29: 3, 43: 3, 71: 3, 83: 3, 113: 1, 127: 1,
+    }
+
+
 def test_label_ignores_every_bench_file(repo):
     (repo / "BENCH_covers.json").write_text("[]\n")
     git(repo, "add", "BENCH_covers.json")

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from conftest import dart_element, element_dart, fiber_action, load_figure
+from conftest import as_dicts, dart_element, element_dart, fiber_action, load_figure
 from hcov.galois import SymmetricMultiset, build_cover, cayley, collapse, cover_from_spec
 from hcov.harmonic import GraphAction, flip_all
 from hcov.kernel import perm_inv, perm_mul
@@ -193,8 +193,8 @@ def tuple_cover(G, base, inertia, multisets, flipped):
 def assert_same_action(action, graph, vimg, eimg):
     """action: a GraphAction, or a fiber's LabeledAction."""
     assert action.graph == graph
-    assert action.vertex_images == vimg
-    assert action.edge_images == eimg
+    assert as_dicts(action.vertex_images) == vimg
+    assert as_dicts(action.edge_images) == eimg
 
 
 def check_maximal(G, tau, sigma):
@@ -358,6 +358,21 @@ def test_index_numbers_elements_lexicographically(G):
         assert [elements[i] for i in index.left[k]] == [perm_mul(s, g) for g in elements]
     for h in elements[:: max(1, len(elements) // 7)]:
         assert [elements[i] for i in index.right(h)] == [perm_mul(g, h) for g in elements]
+
+
+def test_right_maps_are_made_once_per_member():
+    G = psl2(13)
+    index = G.element_index()
+    tau, sigma = search_23_pairs(G).pairs[0]
+    r = index.right(sigma)
+    assert index.right(list(sigma)) is r
+    mc = build_maximal(G, tau, sigma)
+    assert mc.vertex_rep.rights == [r]
+    assert mc.vertex_rep.rights[0] is r and mc.edge_rep.rights[0] is index.right(tau)
+    outside = perm_from_cycles([(0, 1)], G.degree)
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            index.right(outside)
 
 
 def test_index_of_rejects_non_members():

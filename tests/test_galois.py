@@ -9,6 +9,7 @@ from conftest import fiber_action, load_figure
 from hcov import galois
 from hcov.errors import ActionError, CoverError, GroupError
 from hcov.galois import (
+    InertiaStructure,
     SymmetricMultiset,
     build_cover,
     cayley,
@@ -23,6 +24,7 @@ from hcov.harmonic import GraphAction, flipped_edges, is_harmonic_action, unflip
 from hcov.kernel import perm_pow
 from hcov.multigraph import Multigraph, are_isomorphic
 from hcov.permgroup import (
+    PermutationGroup,
     StabilizerChain,
     cyclic,
     perm_from_cycles,
@@ -253,7 +255,7 @@ def decomposition_group(c, y):
     delta = c.group.subgroup(sorted(schreier), name=f"Delta({y})")
     if delta.order() * len(transversal) != c.group.order():
         raise CoverError("decomposition group order check failed")
-    m = c.action.vertex_orbit_of[y].stabilizer_order()
+    m = c.action.vertex_orbit(y).stabilizer_order()
     if delta.order() % m != 0:
         raise CoverError("decomposition group does not contain the inertia group")
     return delta
@@ -448,6 +450,13 @@ def test_criterion_4_profiles_are_computed_once_per_cover(catalog, monkeypatch):
         assert classify_branch_locus(cover).R == profile.ramification_number()
         assert profile_to_json(cover)["R"] == str(profile.ramification_number())
         assert ramification_profile(cover).per_vertex is profile.per_vertex
+        # R is summed once per cover, to the term-by-term sum
+        R = Fraction(0)
+        for p in profile.per_vertex.values():
+            R += 2 * (1 - Fraction(1, p.m)) + p.w
+        assert ramification_profile(cover).ramification_number() is profile.ramification_number()
+        assert classify_branch_locus(cover).R is profile.ramification_number()
+        assert profile.ramification_number() == R
     assert computed == covers
     for cover in covers:
         assert compute(cover) == ramification_profile(cover).per_vertex
@@ -500,3 +509,36 @@ def test_corrupted_fiber_fails_the_total_validation(corrupt, message, monkeypatc
     monkeypatch.setattr(galois, "collapse", corrupted_collapse)
     with pytest.raises(ActionError, match=message):
         build_cover(S3, single_edge_base(), {}, {1: SymmetricMultiset([TAU])})
+
+
+# -- inertia membership, tested once per group ------------------------------------------
+
+
+def test_inertia_membership_is_tested_once_per_group(monkeypatch):
+    H, K = S3.subgroup([TAU]), S3.subgroup([SIGMA])
+    sifts = []
+    contains = PermutationGroup.contains
+    monkeypatch.setattr(
+        PermutationGroup, "contains", lambda G, p: sifts.append((G, p)) or contains(G, p)
+    )
+    inertia = InertiaStructure({1: H})
+    for _ in range(3):
+        assert inertia.subgroup_at(S3, 1) is H
+    assert sifts == [(S3, TAU)]
+    other = symmetric(3)  # another group object is tested again
+    assert inertia.subgroup_at(other, 1) is H
+    assert sifts == [(S3, TAU), (other, TAU)]
+    # a new subgroup at the vertex is tested again too
+    inertia.assignment[1] = K
+    assert inertia.subgroup_at(other, 1) is K
+    assert sifts[2:] == [(other, SIGMA)]
+
+
+def test_inertia_outside_the_group_fails_on_every_call():
+    C3 = cyclic(3)
+    inertia = InertiaStructure({2: S3.subgroup([TAU])})
+    for _ in range(2):
+        with pytest.raises(GroupError, match=f"^inertia at 2 is not a subgroup of {C3.name}$"):
+            inertia.subgroup_at(C3, 2)
+    with pytest.raises(GroupError, match="inertia at 2 is not a subgroup"):
+        build_cover(C3, single_edge_base(), inertia, {})

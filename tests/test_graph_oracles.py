@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_figure
+from conftest import as_dicts, load_figure
 from hcov.errors import ActionError, MorphismError
 from hcov.galois import cover_from_spec, ramification_profile
 from hcov.harmonic import GraphAction, quotient
@@ -106,7 +106,7 @@ def profile_oracle(cover) -> dict:
         comps = components_oracle(sub)
         (f,) = {len(comp) for comp in comps}
         (v,) = {sub.degree(y) for y in fiber}
-        m = cover.action.vertex_orbit_of[fiber[0]].stabilizer_order()
+        m = cover.action.vertex_orbit(fiber[0]).stabilizer_order()
         out[x] = (m, f, len(comps), v, v // m)
     return out
 
@@ -165,7 +165,7 @@ def check_against_oracles(cover):
     graph = cover.graph
     assert graph.connected_components() == components_oracle(graph)
     a = cover.action
-    assert generator_maps_oracle(graph, a.vertex_images, a.edge_images) is None
+    assert generator_maps_oracle(graph, as_dicts(a.vertex_images), as_dicts(a.edge_images)) is None
     q = quotient(a)
     assert components_oracle(q.quotient) == q.quotient.connected_components()
     for m in (cover.projection, q.projection):
@@ -222,8 +222,7 @@ def test_one_corruption_raises_the_same_error(data, kind):
     cover = data.draw(st.sampled_from(corruption_bases()))
     a, m = cover.action, cover.projection
     graph = a.graph
-    vmaps = [dict(vm) for vm in a.vertex_images]
-    emaps = [dict(em) for em in a.edge_images]
+    vmaps, emaps = as_dicts(a.vertex_images), as_dicts(a.edge_images)
     vertex_map, edge_map = dict(m.vertex_map), dict(m.edge_map)
     k = data.draw(st.integers(0, len(emaps) - 1))
     if kind == "edge image":

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compose, fiber_action, load_figure, morphism_degree
+from conftest import as_dicts, compose, fiber_action, load_figure, morphism_degree
 from hcov.errors import ActionError, GroupError, MorphismError
 from hcov.galois import SymmetricMultiset, cayley, cover_from_spec
 from hcov.harmonic import (
@@ -225,9 +225,9 @@ def test_flip_all_requires_unflipped(catalog):
 def test_edge_stabilizers_at_most_two(catalog):
     for a in (fig3_s3_action(catalog), fig3_z6_action()):
         order = a.group.order()
-        for _, transversal in a.edge_orbits():
-            assert order % len(transversal) == 0
-            assert order // len(transversal) in (1, 2)
+        for orbit in a.edge_orbits():
+            assert order % orbit.size == 0
+            assert order // orbit.size in (1, 2)
 
 
 def induced_quotient_morphism(a: GraphAction, H, K) -> GraphMorphism:
@@ -395,7 +395,7 @@ def _harmonic_oracle(a):
     generator word per edge, and every Schreier generator of the least edge's
     stabilizer is applied, as a word, to that edge's first end."""
     gens, ident = a.group.generators, a.group.identity
-    inverse_vertex_images = [{b: x for x, b in m.items()} for m in a.vertex_images]
+    inverse_vertex_images = [{b: x for x, b in m.items()} for m in as_dicts(a.vertex_images)]
 
     def apply_word(word, x):
         for i, inv in reversed(word):
@@ -708,17 +708,18 @@ def _tuple_validation(a):
 
 def _assert_same_orbits(a, where):
     """Every point's Orbit is that of its least point, with the oracle's
-    points; its stabilizer has the oracle's order, and every member of it
-    lies in the oracle's chain."""
+    points, and least[x] is the first index that phi maps to x; the
+    stabilizer has the oracle's order, and every member of it lies in the
+    oracle's chain."""
     index = a.group.element_index()
-    for orbit_of, oracle in zip((a.vertex_orbit_of, a.edge_orbit_of), where):
-        assert orbit_of.keys() == oracle.keys()
-        for x, orbit in orbit_of.items():
-            assert x in orbit.transversal and orbit_of[orbit.point] is orbit
+    for orbit_of, oracle in zip((a.vertex_orbit, a.edge_orbit), where):
+        for x in oracle:
+            orbit = orbit_of(x)
+            assert orbit.least[x] == orbit.phi.index(x) and orbit_of(orbit.point) is orbit
             if x != orbit.point:
                 continue
             stab, transversal = oracle[x]
-            assert orbit.transversal.keys() == transversal.keys()
+            assert orbit.points() == sorted(transversal) and orbit.size == len(transversal)
             assert orbit.point == min(transversal)
             members = orbit.stabilizer()
             assert len(members) == orbit.stabilizer_order() == stab.order()
