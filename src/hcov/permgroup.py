@@ -8,7 +8,7 @@ Groups act on the left throughout the package.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -225,6 +225,9 @@ def schreier_orbit(point, actions, labels, identity):
 
 # -- groups -----------------------------------------------------------------
 
+# The most elements PermutationGroup.elements() lists.
+ELEMENTS_CAP = 2_000_000
+
 
 class PermutationGroup:
     """A finite permutation group given by generators on 0..degree-1."""
@@ -257,12 +260,17 @@ class PermutationGroup:
         return self.chain().order()
 
     def elements(self) -> tuple:
-        """All elements, lexicographically sorted (full closure; cached)."""
+        """All elements, lexicographically sorted: the chain's head * t
+        products (see _chain_products), cached. GroupError past
+        ELEMENTS_CAP elements, before any is built."""
         if self._elements is None:
-            els = mulclose(self.generators, limit=2_000_000)
-            if not els:
-                els = {self.identity}
-            self._elements = tuple(sorted(els))
+            order = self.order()
+            if order > ELEMENTS_CAP:
+                raise GroupError(
+                    f"{self.name} has {order} elements; listing them is capped at {ELEMENTS_CAP}"
+                )
+            heads, tail = _chain_products(self.chain())
+            self._elements = tuple(sorted(perm_mul(h, t) for h in heads for t in tail))
         return self._elements
 
     def element_index(self) -> "ElementIndex":
@@ -688,35 +696,22 @@ def _first_partner(G, order, a, bs, centralizer, product_order):
     return None
 
 
-def _elements_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
-    """(firsts, bs): the sorted elements of order order_a and of order
-    order_b of the chain's group.
-
-    Every element is head * t, one transversal element per level: t from
-    `tail`, the trailing levels multiplied out once (as many as keep it at
-    most sqrt|G| long, and at least the last), and head from a walk over the
-    leading levels. An element is built only if the cycle of the first base
-    point under head * t, walked as head[t[x]], has a length dividing order_a
-    or order_b; the walk stops past the longest such length. The order k of
-    an element built, if at most max(order_a, order_b), is then the least k
-    with p^k = 1. Only the elements kept are ever held, not all of G.
-    """
+def _chain_products(chain: StabilizerChain):
+    """(heads, tail): every element of the chain's group is head * t for
+    exactly one head in heads and one t in tail, one transversal element per
+    level. tail is the trailing levels multiplied out once (as many as keep
+    it at most sqrt|G| long, and at least the last); heads is a generator
+    that walks the products of the leading levels. For the trivial group
+    both hold only the identity."""
     ident = perm_id(chain.degree)
     levels = chain.levels
-    if not levels:
-        return ([ident] if order_a == 1 else []), ([ident] if order_b == 1 else [])
     order = chain.order()
     tail, depth = [ident], len(levels)
-    while True:
+    while depth:
         depth -= 1
         tail = [perm_mul(u, t) for u in levels[depth].transversal.values() for t in tail]
         if depth == 0 or (len(tail) * len(levels[depth - 1].transversal)) ** 2 > order:
             break
-    base = levels[0].point
-    divides = [False] + [order_a % n == 0 or order_b % n == 0 for n in range(1, chain.degree + 1)]
-    longest = max(n for n in range(1, chain.degree + 1) if divides[n])
-    top = max(order_a, order_b)
-    firsts, bs = [], []
 
     def heads(prefix, level):
         if level == depth:
@@ -725,7 +720,30 @@ def _elements_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
         for u in levels[level].transversal.values():
             yield from heads(perm_mul(prefix, u), level + 1)
 
-    for head in heads(ident, 0):
+    return heads(ident, 0), tail
+
+
+def _elements_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
+    """(firsts, bs): the sorted elements of order order_a and of order
+    order_b of the chain's group.
+
+    Every element is head * t from _chain_products. An element is built only
+    if the cycle of the first base point under head * t, walked as
+    head[t[x]], has a length dividing order_a or order_b; the walk stops past
+    the longest such length. The order k of an element built, if at most
+    max(order_a, order_b), is then the least k with p^k = 1. Only the
+    elements kept are ever held, not all of G.
+    """
+    ident = perm_id(chain.degree)
+    if not chain.levels:
+        return ([ident] if order_a == 1 else []), ([ident] if order_b == 1 else [])
+    heads, tail = _chain_products(chain)
+    base = chain.levels[0].point
+    divides = [False] + [order_a % n == 0 or order_b % n == 0 for n in range(1, chain.degree + 1)]
+    longest = max(n for n in range(1, chain.degree + 1) if divides[n])
+    top = max(order_a, order_b)
+    firsts, bs = [], []
+    for head in heads:
         for t in tail:
             x, length = head[t[base]], 1
             while x != base and length < longest:
@@ -975,12 +993,10 @@ KNOWN_GROUP_COUNTS = {6: 2, 12: 5, 18: 5, 24: 15, 30: 4, 66: 4}
 
 
 def order_spectrum(G: PermutationGroup) -> dict[int, int]:
-    """Map element order -> count, by full enumeration."""
-    spec = {}
-    for p in G.elements():
-        k = perm_order(p)
-        spec[k] = spec.get(k, 0) + 1
-    return spec
+    """Map element order -> count, over the chain's head * t products (see
+    _chain_products); the elements are neither sorted nor kept."""
+    heads, tail = _chain_products(G.chain())
+    return dict(Counter(perm_order(perm_mul(h, t)) for h in heads for t in tail))
 
 
 @dataclass

@@ -4,6 +4,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import hcov
 from conftest import load_figure
+from hcov import kernel, permgroup
 from hcov.cli import main
 
 
@@ -352,6 +354,36 @@ def test_surface_check44_hurwitz_psl2_41(capsys):
     assert payload["L"] == 4920
     assert payload["surface_genus"] == 411
     assert payload["holds"] is True
+
+
+@pytest.mark.parametrize("spec, order", [("sym:10", 3628800), ("prod:sym:9,sym:3", 2177280)])
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_group_elements_past_the_cap_exits_one_before_listing(capsys, spec, order, flags):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "group", "elements", "--group", spec, *flags)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    message = json.loads(err)["error"] if flags else err
+    assert f"has {order} elements; listing them is capped at 2000000" in message
+
+
+def test_no_hc_path_reaches_mulclose(capsys, monkeypatch):
+    # mulclose is the tests' closure and the subgroup oracle's, never the CLI's
+    def refuse(*args, **kwargs):
+        raise AssertionError("mulclose called")
+
+    monkeypatch.setattr(permgroup, "mulclose", refuse)
+    monkeypatch.setattr(kernel, "mulclose", refuse)
+    for argv in [
+        ("group", "order", "--group", "S4"),  # loads the catalog
+        ("group", "elements", "--group", "psl2:13"),
+        ("maximal", "table", "--from", "2", "--to", "6"),
+        ("maximal", "genus12"),
+        ("group", "search", "--group", "psl2:13"),
+        ("surface", "check44", "--group", "psl2:13", "--product-order", "7"),
+    ]:
+        assert main(list(argv)) == 0, argv
 
 
 def test_psl2_cap_names_the_cli_flag(capsys):

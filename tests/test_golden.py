@@ -28,6 +28,7 @@ COMMANDS = {
     "maximal_build_psl2_7.json": ("maximal", "build", "--group", "psl2:7"),
     "surface_check44_psl2_13.json": ("surface", "check44", "--group", "psl2:13"),
     "group_cosets_S4.json": ("group", "cosets", "--group", "S4", "--subgroup", "(0 1 2)"),
+    "group_elements_psl2_7.json": ("group", "elements", "--group", "psl2:7"),
     "surface_genus_psl2_7.json": ("surface", "genus", "--oriented", str(ORIENTED)),
     **{
         f"action_quotient_fig3_s3_order{n}.json": (

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 
@@ -100,10 +101,23 @@ def _chain_elements(chain: StabilizerChain):
 
 
 def test_chain_order_matches_closure_for_catalog():
-    for G in [*load_default_catalog().groups, alternating(6), psl2(13)]:
-        closure = mulclose(G.generators)
-        assert G.order() == len(closure)
-        assert sorted(_chain_elements(G.chain())) == sorted(closure)
+    # elements() and order_spectrum read the chain's products; the closure
+    # is the independent count. Z1 has no generators, so its closure is empty.
+    Z1 = cyclic(1)
+    assert not mulclose(Z1.generators) and Z1.elements() == (Z1.identity,)
+    groups = [
+        *load_default_catalog().groups,
+        *(make(n) for make in (symmetric, alternating) for n in range(1, 9)),
+        *(psl2(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
+        direct_product(symmetric(4), psl2(7)),
+        Z1,
+    ]
+    for G in groups:
+        closure = mulclose(G.generators) or {G.identity}
+        assert G.order() == len(closure), G.name
+        assert sorted(_chain_elements(G.chain())) == sorted(closure), G.name
+        assert G.elements() == tuple(sorted(closure)), G.name
+        assert order_spectrum(G) == Counter(map(perm_order, closure)), G.name
 
 
 def test_chain_levels_keep_transversal_inverses():
