@@ -57,6 +57,16 @@ def resolve_group(spec: str, args) -> permgroup.PermutationGroup:
     )
 
 
+def write_output(flag: str, path: str, text: str) -> None:
+    """Write text to the file that an output flag names; HcError naming the
+    flag and the path if it cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise HcError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
+
+
 def check_positive(flag: str, *values):
     for value in values:
         if value is not None and value < 1:
@@ -244,8 +254,7 @@ def cmd_cover_build(args):
         spec = spec["spec"]
     cover = galois.cover_from_spec(spec, load_catalog_arg(args))
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(cover.graph.to_dot() + "\n")
+        write_output("--dot", args.dot, cover.graph.to_dot() + "\n")
     payload = {
         "spec": spec,
         "graph": cover.graph.to_json(),
@@ -407,8 +416,7 @@ def cmd_maximal_genus12(args):
 def cmd_surface_genus(args):
     og = oriented.OrientedGraph.from_json(read_json(resolve_spec_path(args.oriented)))
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(og.to_dot() + "\n")
+        write_output("--dot", args.dot, og.to_dot() + "\n")
     report = oriented.surface_genus(og)
     payload = {
         "vertices": report.vertex_count,
@@ -559,15 +567,14 @@ def main(argv=None) -> int:
     try:
         check_positive("--jobs", getattr(args, "jobs", None))
         result = args.fn(args)
+        if args.out:
+            write_output("--out", args.out, json.dumps(result.payload, indent=1))
     except HcError as exc:
         if getattr(args, "json", False):
             print(json.dumps({"status": "fail", "error": str(exc)}), file=sys.stderr)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result.payload, fh, indent=1)
     try:
         print(json.dumps(result.payload, indent=1) if args.json else result.text)
         sys.stdout.flush()

@@ -27,7 +27,6 @@ from hcov.multigraph import GraphMorphism, Multigraph
 from hcov.permgroup import (
     Catalog,
     Cosets,
-    PairSearch,
     PermutationGroup,
     alternating,
     first_pair,
@@ -193,10 +192,6 @@ class ClassificationRow:
     pair_totals: dict = field(default_factory=dict)  # name -> total pair count
 
 
-def _search_group(G: PermutationGroup) -> PairSearch:
-    return search_23_pairs(G)
-
-
 def classify_genus(g: int, catalog: Catalog, jobs: int = 1) -> ClassificationRow:
     """Maximal graph groups of genus g: the catalog groups of order 6(g-1)
     admitting a (2,3)-generating pair, with one witness pair each."""
@@ -208,7 +203,7 @@ def classify_genus(g: int, catalog: Catalog, jobs: int = 1) -> ClassificationRow
             f"catalog is not complete for order {order}; classification would be partial"
         )
     groups = sorted(catalog.by_order(order), key=lambda G: G.name)
-    results = _map_maybe_parallel(_search_group, groups, jobs)
+    results = _map_maybe_parallel(search_23_pairs, groups, jobs)
     row = ClassificationRow(g, order, [])
     for G, res in zip(groups, results):
         if res.pairs:

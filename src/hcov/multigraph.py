@@ -226,14 +226,6 @@ class Multigraph:
         return "\n".join(lines)
 
 
-def connected_components(g: Multigraph) -> list[list[int]]:
-    return g.connected_components()
-
-
-def genus(g: Multigraph) -> int:
-    return g.genus()
-
-
 # -- morphisms -------------------------------------------------------------
 
 

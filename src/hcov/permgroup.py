@@ -89,6 +89,39 @@ def parse_cycle_string(s: str, degree: int) -> tuple:
     return perm_from_cycles(cycles, degree)
 
 
+# -- orbits -----------------------------------------------------------------
+
+
+def schreier_orbit(point, actions, labels, identity):
+    """Orbit of `point` by breadth-first search, with a transversal and the
+    Schreier generators of its stabilizer.
+
+    Generator i sends a point x to actions[i][x] (a tuple, a dict or any
+    indexable object) and carries the permutation labels[i]. Returns
+    (transversal, schreier): transversal maps each orbit point x to the label
+    product u_x that sends `point` to x, and schreier lists, without repeats
+    and in the order found, the non-identity u_y^-1 * labels[i] * u_x with
+    y = actions[i][x]. When the labels act as the generators do, these
+    generate the stabilizer.
+    """
+    transversal = {point: identity}
+    schreier = {}
+    frontier = deque([point])
+    while frontier:
+        x = frontier.popleft()
+        u = transversal[x]
+        for act, g in zip(actions, labels):
+            y = act[x]
+            w = perm_mul(g, u)
+            t = transversal.get(y)
+            if t is None:
+                transversal[y] = w
+                frontier.append(y)
+            elif t != w:
+                schreier[perm_mul(perm_inv(t), w)] = None
+    return transversal, list(schreier)
+
+
 # -- stabilizer chain (deterministic Schreier-Sims) -------------------------
 
 
@@ -157,70 +190,25 @@ class StabilizerChain:
     def _close_level(self, level):
         lv = self.levels[level]
         # rebuild the orbit/transversal from scratch (cheap at these degrees)
-        lv.transversal = {lv.point: perm_id(self.degree)}
-        lv.inverse = {}
-        frontier = [lv.point]
-        while frontier:
-            b = frontier.pop(0)
-            u = lv.transversal[b]
-            for s in lv.gens:
-                c = s[b]
-                if c not in lv.transversal:
-                    lv.transversal[c] = perm_mul(s, u)
-                    frontier.append(c)
+        lv.transversal, schreier = schreier_orbit(lv.point, lv.gens, lv.gens, perm_id(self.degree))
         if self._stop_at is not None and self.order() >= self._stop_at:
             raise _OrderReached
         # an inverse that is already a transversal element, as for an
         # involution or the powers of a single generator, shares its tuple
+        lv.inverse = {}
         for c, u in lv.transversal.items():
             v = perm_inv(u)
             w = lv.transversal.get(v[lv.point])
             lv.inverse[c] = w if w == v else v
         # all Schreier generators must sift through the rest of the chain
-        for b in sorted(lv.transversal):
-            u = lv.transversal[b]
-            for s in lv.gens:
-                schreier = perm_mul(lv.inverse[s[b]], perm_mul(s, u))
-                if self._sift(schreier, level + 1) is not None:
-                    self._install(level + 1, schreier)
+        for s in schreier:
+            if self._sift(s, level + 1) is not None:
+                self._install(level + 1, s)
 
     def contains(self, p) -> bool:
         if len(p) != self.degree:
             return False
         return self._sift(tuple(p), 0) is None
-
-
-# -- orbits -----------------------------------------------------------------
-
-
-def schreier_orbit(point, actions, labels, identity):
-    """Orbit of `point` by breadth-first search, with a transversal and the
-    Schreier generators of its stabilizer.
-
-    Generator i sends a point x to actions[i][x] (a tuple, a dict or any
-    indexable object) and carries the permutation labels[i]. Returns
-    (transversal, schreier): transversal maps each orbit point x to the label
-    product u_x that sends `point` to x, and schreier lists, without repeats
-    and in the order found, the non-identity u_y^-1 * labels[i] * u_x with
-    y = actions[i][x]. When the labels act as the generators do, these
-    generate the stabilizer.
-    """
-    transversal = {point: identity}
-    schreier = {}
-    frontier = deque([point])
-    while frontier:
-        x = frontier.popleft()
-        u = transversal[x]
-        for act, g in zip(actions, labels):
-            y = act[x]
-            w = perm_mul(g, u)
-            t = transversal.get(y)
-            if t is None:
-                transversal[y] = w
-                frontier.append(y)
-            elif t != w:
-                schreier[perm_mul(perm_inv(t), w)] = None
-    return transversal, list(schreier)
 
 
 # -- groups -----------------------------------------------------------------
@@ -307,10 +295,6 @@ class Subgroup(PermutationGroup):
             if not parent.contains(g):
                 raise GroupError(f"{cycle_string(g)} is not a member of {parent.name}")
         self.parent = parent
-
-
-def element_order(G: PermutationGroup, p) -> int:
-    return G.element_order(p)
 
 
 def generates(G: PermutationGroup, elems) -> bool:
@@ -574,7 +558,9 @@ class PairSearch:
     the centralizer C_G(tau), not once per sigma: for c in C_G(tau),
     <tau, c sigma c^-1> = c <tau, sigma> c^-1 and |tau c sigma c^-1| =
     |tau sigma|, so the verdict and the product-order filter are constant on
-    each orbit.
+    each orbit. One lazy loop, _partners, lists the partners of a class
+    representative; the full search reads all of them and first_pair only
+    the first.
 
     The candidates for tau and sigma come from one scan of G through its
     chain (_elements_of_orders), which walks one base point's cycle per
@@ -639,61 +625,40 @@ def _conjugacy_classes(G: PermutationGroup, members):
         yield p, transversal, centralizer
 
 
-def _mark_orbit(bs, i, conjugators, seen) -> list:
-    """The positions in bs of the orbit of bs[i] under conjugation by the
-    (c, c^-1) pairs `conjugators`, bs sorted and closed under it; each is
-    marked in `seen`."""
-    seen[i] = 1
-    orbit = [i]
-    for j in orbit:
-        x = bs[j]
-        for c, c_inv in conjugators:
-            k = bisect_left(bs, perm_mul(c, perm_mul(x, c_inv)))
-            if not seen[k]:
-                seen[k] = 1
-                orbit.append(k)
-    return orbit
+def _partners(G, order, a, bs, centralizer, product_order):
+    """Yield, in sorted order, each b in the sorted list bs with <a, b> = G
+    (and |a b| = product_order); bs is closed under conjugation by the
+    centralizer of a.
 
-
-def _generating_partners(G, order, a, bs, centralizer, product_order) -> bytearray:
-    """verdicts[i] = 1 iff <a, bs[i]> = G (and |a bs[i]| = product_order),
-    for a sorted list bs closed under conjugation by the centralizer of a.
-    One chain is built per orbit of bs under that conjugation.
+    A chain test's verdict holds on the orbit of b under that conjugation,
+    so each orbit is tested once and marked. A b that fails the
+    product-order filter is skipped without marking its orbit. A b that
+    passes is yielded before its orbit is marked, so the centralizer's
+    generators, from calling centralizer() once, are read only after the
+    caller asks for a second partner or a chain test fails.
     """
-    conjugators = [(c, perm_inv(c)) for c in centralizer]
-    seen = bytearray(len(bs))
-    verdicts = bytearray(len(bs))
-    for i, b in enumerate(bs):
-        if seen[i]:
-            continue
-        orbit = _mark_orbit(bs, i, conjugators, seen)
-        if product_order is not None and perm_order(perm_mul(a, b)) != product_order:
-            continue
-        if _generates_order(G.degree, (a, b), order):
-            for k in orbit:
-                verdicts[k] = 1
-    return verdicts
-
-
-def _first_partner(G, order, a, bs, centralizer, product_order):
-    """The least b in the sorted list bs with <a, b> = G (and |a b| =
-    product_order), or None. A b that fails the chain test rules out its
-    orbit under the centralizer of a, as in _generating_partners; the
-    centralizer's generators come from calling centralizer(), once, at the
-    first such failure."""
     conjugators = None
-    seen = bytearray(len(bs))
+    verdicts = bytearray(len(bs))  # 1: fails, 2: generates; set per orbit
     for i, b in enumerate(bs):
-        if seen[i] or (
+        if verdicts[i] == 2:
+            yield b
+        if verdicts[i] or (
             product_order is not None and perm_order(perm_mul(a, b)) != product_order
         ):
             continue
-        if _generates_order(G.degree, (a, b), order):
-            return b
+        verdict = 2 if _generates_order(G.degree, (a, b), order) else 1
+        if verdict == 2:
+            yield b
         if conjugators is None:
             conjugators = [(c, perm_inv(c)) for c in centralizer()]
-        _mark_orbit(bs, i, conjugators, seen)
-    return None
+        verdicts[i] = verdict
+        orbit = [b]
+        for x in orbit:
+            for c, c_inv in conjugators:
+                k = bisect_left(bs, perm_mul(c, perm_mul(x, c_inv)))
+                if not verdicts[k]:
+                    verdicts[k] = verdict
+                    orbit.append(bs[k])
 
 
 def _chain_products(chain: StabilizerChain):
@@ -795,25 +760,23 @@ def search_pairs(
     pairs = []
     total = 0
     n_classes = 0
-    conjugates = {}  # with all_first: member t a t^-1 -> (verdicts of a, t)
+    conjugates = {}  # with all_first: member t a t^-1 -> (partners of a, t)
     for a, transversal, centralizer in _conjugacy_classes(G, firsts):
         n_classes += 1
-        verdicts = _generating_partners(G, order, a, bs, centralizer, product_order)
+        partners = list(_partners(G, order, a, bs, lambda c=centralizer: c, product_order))
         if all_first:
             for x, t in transversal.items():
-                conjugates[x] = (verdicts, t)
+                conjugates[x] = (partners, t)
         else:
-            hits = [(a, b) for b, ok in zip(bs, verdicts) if ok]
-            pairs += hits
-            total += len(transversal) * len(hits)
+            pairs += [(a, b) for b in partners]
+            total += len(transversal) * len(partners)
     if not all_first:
         return PairSearch(G.name, pairs, total, product_order, n_classes)
     for x in firsts:
-        verdicts, t = conjugates[x]
+        partners, t = conjugates[x]
         t_inv = perm_inv(t)
-        # positions of the t b t^-1 with verdict(a, b), so pairs share bs's tuples
-        moved = [bisect_left(bs, perm_mul(t, perm_mul(b, t_inv)))
-                 for b, ok in zip(bs, verdicts) if ok]
+        # positions of the t b t^-1 for the partners b of a, so pairs share bs's tuples
+        moved = [bisect_left(bs, perm_mul(t, perm_mul(b, t_inv))) for b in partners]
         pairs += [(x, bs[k]) for k in sorted(moved)]
     return PairSearch(G.name, pairs, len(pairs), product_order, len(firsts))
 
@@ -822,11 +785,11 @@ def first_pair(G: PermutationGroup, product_order: int | None = None):
     """search_23_pairs(G, product_order).pairs[0], or None when that search
     finds no pair, without the rest of the search.
 
-    The least involution a is the first class's representative. Its
-    partner is the least b of order 3, in sorted order, that passes the
-    search's tests; the first class is computed only when a chain test
-    fails, for its centralizer (see _first_partner), or when a has no
-    partner. Then the later class representatives are tried in order.
+    The least involution a is the first class's representative, and its
+    partner is the first that _partners yields: the least b of order 3 that
+    passes the search's tests. The first class is computed only when a
+    chain test fails, for its centralizer, or when a has no partner. Then
+    the later class representatives are tried in order.
     """
     order = G.order()
     firsts, bs = _elements_of_orders(G.chain(), 2, 3)
@@ -834,13 +797,13 @@ def first_pair(G: PermutationGroup, product_order: int | None = None):
         return None
     classes = _conjugacy_classes(G, firsts)
     first = firsts[0]
-    b = _first_partner(G, order, first, bs, lambda: next(classes)[2], product_order)
+    b = next(_partners(G, order, first, bs, lambda: next(classes)[2], product_order), None)
     if b is not None:
         return first, b
     for a, _, centralizer in classes:
         if a == first:  # the first class, when no chain test needed it
             continue
-        b = _first_partner(G, order, a, bs, lambda c=centralizer: c, product_order)
+        b = next(_partners(G, order, a, bs, lambda c=centralizer: c, product_order), None)
         if b is not None:
             return a, b
     return None

@@ -386,6 +386,27 @@ def test_no_hc_path_reaches_mulclose(capsys, monkeypatch):
         assert main(list(argv)) == 0, argv
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("group", "order", "--group", "S3"), "--out"),
+        (("cover", "build", "--spec", "fig4"), "--dot"),
+        (("surface", "genus", "--oriented", str(DATA / "oriented_psl2_7.json")), "--dot"),
+    ],
+)
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_unwritable_output_path_exits_one_naming_the_flag(capsys, tmp_path, argv, flag, flags):
+    path = str(tmp_path / "missing" / "out.txt")
+    code, _, err = run(capsys, *argv, flag, path, *flags)
+    assert code == 1
+    assert "Traceback" not in err
+    message = json.loads(err)["error"] if flags else err
+    assert f"{flag}: cannot write {path}: No such file or directory" in message
+
+
 def test_psl2_cap_names_the_cli_flag(capsys):
     code, out, err = run(capsys, "group", "order", "--group", "psl2:37")
     assert code == 1

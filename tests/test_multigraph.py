@@ -10,9 +10,7 @@ from hcov.multigraph import (
     GraphMorphism,
     Multigraph,
     are_isomorphic,
-    connected_components,
     find_isomorphism,
-    genus,
     is_harmonic,
 )
 
@@ -57,15 +55,15 @@ def test_construction_rejects_loops_and_duplicates():
 
 
 def test_genus_examples():
-    assert genus(theta()) == 2
-    assert genus(point()) == 0
-    assert genus(fig4_graph()) == 7
+    assert theta().genus() == 2
+    assert point().genus() == 0
+    assert fig4_graph().genus() == 7
 
 
 def test_genus_rejects_disconnected():
     g = Multigraph([0, 1], [])
     with pytest.raises(GraphError):
-        genus(g)
+        g.genus()
 
 
 def test_degree_sum_is_twice_edge_count():
@@ -83,10 +81,10 @@ def test_degree_sum_is_twice_edge_count():
 
 
 def test_components():
-    assert connected_components(theta()) == [[1, 2]]
+    assert theta().connected_components() == [[1, 2]]
     two = Multigraph([0, 1, 2, 3, 4, 5], [(0, (0, 1)), (1, (1, 2)), (2, (3, 4)), (3, (4, 5))])
-    assert connected_components(two) == [[0, 1, 2], [3, 4, 5]]
-    assert connected_components(Multigraph([], [])) == []
+    assert two.connected_components() == [[0, 1, 2], [3, 4, 5]]
+    assert Multigraph([], []).connected_components() == []
 
 
 def test_components_are_fresh_lists_and_edges_read_only():

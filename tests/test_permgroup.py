@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcov import permgroup
 from hcov.errors import CatalogError, GroupError
 from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order, perm_pow
 from hcov.permgroup import (
@@ -22,7 +23,6 @@ from hcov.permgroup import (
     cycles_of,
     dihedral,
     direct_product,
-    element_order,
     first_pair,
     generates,
     group_from_spec,
@@ -128,20 +128,20 @@ def test_chain_levels_keep_transversal_inverses():
 
 def test_element_order_examples():
     S3 = symmetric(3)
-    assert element_order(S3, S3.identity) == 1
-    assert element_order(S3, perm_mul(TAU3, SIGMA3)) == 2
+    assert S3.element_order(S3.identity) == 1
+    assert S3.element_order(perm_mul(TAU3, SIGMA3)) == 2
     A4 = alternating(4)
     t = perm_from_cycles([(0, 1), (2, 3)], 4)
     s = perm_from_cycles([(0, 1, 2)], 4)
     prod = perm_mul(t, s)
-    assert element_order(A4, prod) == 3
+    assert A4.element_order(prod) == 3
     assert len(cycles_of(prod)) == 1 and len(cycles_of(prod)[0]) == 3
 
 
 def test_element_order_membership_failure():
     A4 = alternating(4)
     with pytest.raises(GroupError):
-        element_order(A4, perm_from_cycles([(0, 1)], 4))
+        A4.element_order(perm_from_cycles([(0, 1)], 4))
 
 
 def test_left_cosets_examples():
@@ -418,6 +418,33 @@ def test_first_pair_is_the_full_search_first_pair(product_order):
     for G in groups:
         pairs = search_23_pairs(G, product_order=product_order).pairs
         assert first_pair(G, product_order) == (pairs[0] if pairs else None), G.name
+
+
+@pytest.mark.parametrize(
+    "spec, product_order, pulled",
+    [
+        ("psl2:13", 7, 0),
+        ("psl2:29", None, 0),
+        ("psl2:29", 7, 0),
+        ("psl2:7", None, 1),
+        ("alt:5", None, 1),
+        ("alt:8", None, 2),
+        ("sym:7", None, 3),
+    ],
+)
+def test_first_pair_pulls_classes_only_when_needed(monkeypatch, spec, product_order, pulled):
+    # a first partner that passes its chain test needs no class at all
+    classes = permgroup._conjugacy_classes
+    seen = []
+
+    def counted(G, members):
+        for c in classes(G, members):
+            seen.append(c)
+            yield c
+
+    monkeypatch.setattr(permgroup, "_conjugacy_classes", counted)
+    first_pair(group_from_spec(spec), product_order)
+    assert len(seen) == pulled
 
 
 SCAN_ORDERS = ((1, 1), (1, 3), (2, 3), (2, 4), (3, 3), (2, 7), (4, 6), (5, 5))
