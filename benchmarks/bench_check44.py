@@ -3,13 +3,13 @@ BENCH_hurwitz.json at the repository root.
 
     python3 benchmarks/bench_check44.py [CHECKOUT]
 
-For p = 29, 43, 71, 83, 113 and 127 it runs
+For p = 29, 43, 71, 83, 113, 127 and 197 it runs
 
     hc surface check44 --allow-large-psl2 --product-order 7 --group psl2:p --json
 
 from CHECKOUT's src/ (default: this checkout) as a child process: three
-times for p <= 83, once for p = 113 and 127 (about 20 and 30 s, and 0.5
-to 0.7 GB, each). Each run is forked off first, so the fork's
+times for p <= 83, once for p = 113, 127 and 197 (about 20 s, 30 s and 2
+minutes, and 0.5 to 2 GB, each). Each run is forked off first, so the fork's
 resource.getrusage(RUSAGE_CHILDREN) holds that one command's peak RSS and
 nothing else. Times are raw wall-clock seconds. One row per p is appended:
 CHECKOUT's commit (see commit_label; `<commit>-dirty` measures uncommitted
@@ -34,8 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_hurwitz.json"
-PRIMES = (29, 43, 71, 83, 113, 127)
-RUNS = {113: 1, 127: 1}  # runs per p; 3 where not listed
+PRIMES = (29, 43, 71, 83, 113, 127, 197)
+RUNS = {113: 1, 127: 1, 197: 1}  # runs per p; 3 where not listed
 
 
 def measure(cmd: list, checkout: Path) -> dict:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from hcov.errors import HcError, read_json
 from hcov import galois, harmonic, maximal, multigraph, oriented, permgroup
 from hcov.kernel import perm_order, perm_mul
+from hcov.multigraph import map_items
 
 
 @dataclass
@@ -205,8 +206,8 @@ def cmd_action_quotient(args):
     payload = {
         "quotient": q.quotient.to_json(),
         "removed_loops": q.removed_loops,
-        "vertex_map": {str(v): img for v, img in sorted(q.projection.vertex_map.items())},
-        "edge_map": {str(e): img for e, img in sorted(q.projection.edge_map.items())},
+        "vertex_map": {str(v): img for v, img in sorted(map_items(q.projection.vertex_map))},
+        "edge_map": {str(e): img for e, img in sorted(map_items(q.projection.edge_map))},
     }
     text = (
         f"quotient: {len(q.quotient.vertices)} vertices, {len(q.quotient.edges)} edges;"

@@ -13,13 +13,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 from hcov.errors import CoverError, GroupError
 from hcov.harmonic import GraphAction, flip_all, is_harmonic_action, quotient
 # perm_mul is unused here, but perfbench/selftest.py checks that its tracer wraps it
 from hcov.kernel import perm_id, perm_inv, perm_mul  # noqa: F401
-from hcov.multigraph import GraphMorphism, Multigraph
+from hcov.multigraph import GraphMorphism, Multigraph, map_images
 from hcov.permgroup import (
     PermutationGroup,
     Subgroup,
@@ -154,8 +153,8 @@ class LabeledAction:
     """A Cayley fiber collapsed onto the left cosets G/I, as flat arrays
     over G.element_index(): vertex c is the coset of its least member
     reps[c], vertex_of[i] the vertex of element i, and edge edges[j]
-    (ascending) joins ends[j]. Generator k maps edge u*|G| + i to
-    u*|G| + left[k][i]. With I trivial it is the Cayley graph.
+    (ascending) joins ends[2j] and ends[2j + 1]. Generator k maps edge
+    u*|G| + i to u*|G| + left[k][i]. With I trivial it is the Cayley graph.
 
     graph, vertex_images and edge_images (one dict per generator, image
     maps that GraphAction accepts) are lazy, built on first read;
@@ -169,12 +168,13 @@ class LabeledAction:
     vertex_of: list  # element index -> vertex id
     reps: list  # vertex id -> element index
     edges: list  # surviving edge ids, ascending
-    ends: list  # (u, v) per surviving edge
+    ends: list  # the ends of the surviving edges, flat: two per edge
     removed_loops: list = field(default_factory=list)
 
     @cached_property
     def graph(self) -> Multigraph:
-        return Multigraph(range(len(self.reps)), zip(self.edges, self.ends))
+        ends = self.ends
+        return Multigraph(range(len(self.reps)), zip(self.edges, zip(ends[0::2], ends[1::2])))
 
     @cached_property
     def vertex_images(self) -> list:
@@ -214,7 +214,7 @@ def collapse(G: PermutationGroup, I: Subgroup, S: SymmetricMultiset) -> LabeledA
                 removed.append({"edge": u * n + i, "coset": a})
             else:
                 edges.append(u * n + i)
-                ends.append((a, b))
+                ends += (a, b)
     return LabeledAction(G, of, cosets.reps, edges, ends, removed)
 
 
@@ -231,7 +231,8 @@ class HarmonicCover:
     """A harmonic G-cover of a tree, assembled fiber by fiber.
 
     Carries the total action, the projection onto the base and, per fiber,
-    its vertex ids and the ends of its vertical edges (the profile's input).
+    its vertex ids and the ends of its vertical edges as one flat list, two
+    per edge (the profile's input).
     """
 
     def __init__(
@@ -276,21 +277,12 @@ class HarmonicCover:
         over the point graph."""
         if len(self.base.vertices) == 1:
             return len(self.graph.vertices)
-        counts = {}
-        for e, img in self.projection.edge_map.items():
-            if img is not None:
-                counts[img] = counts.get(img, 0) + 1
+        counts = Counter(map_images(self.projection.edge_map))
+        counts.pop(None, None)
         values = set(counts.values())
         if len(values) != 1:
             raise CoverError("per-edge preimage counts differ across base edges")
         return values.pop()
-
-    def fiber_subgraph(self, x) -> Multigraph:
-        """The fiber over x with its vertical edges, read off the projection:
-        the test oracle for the fiber_edges that the profile reads."""
-        ends, over = self.graph.edges, self.projection.vertex_map
-        vertical = [e for e in self.projection.vertical_edges if over[ends[e][0]] == x]
-        return Multigraph(self.fiber_index[x], [(e, ends[e]) for e in vertical])
 
     @cached_property
     def _per_vertex(self) -> dict:
@@ -366,12 +358,12 @@ def build_cover(
     index = G.element_index()
     n, left = len(index), index.left
     fiber_index, vertical = {}, {}
-    vertex_base, ends = [], []  # by vertex id, by edge id
+    vertex_base, ends = [], []  # by vertex id; two per edge id
     vertex_images, edge_images = [[] for _ in left], [[] for _ in left]
     for x in base.vertices:
-        fib, o, first = fibers[x], len(vertex_base), len(ends)
+        fib, o, first = fibers[x], len(vertex_base), len(ends) // 2
         vertex_base += [x] * len(fib.reps)
-        fiber_index[x] = tuple(range(o, len(vertex_base)))
+        fiber_index[x] = range(o, len(vertex_base))
         for vm, lk in zip(vertex_images, left):
             vm += [o + fib.vertex_of[lk[r]] for r in fib.reps]
         # the fiber's edge u*n + i keeps its rank in fib.edges
@@ -379,29 +371,36 @@ def build_cover(
         split = [divmod(e, n) for e in fib.edges]
         for em, lk in zip(edge_images, left):
             em += [rank[u * n + lk[i]] for u, i in split]
-        ends += [(o + a, o + b) for a, b in fib.ends]
-        vertical[x] = range(first, len(ends))
-    proj_edge = [None] * len(ends)
+        ends += [o + a for a in fib.ends]
+        vertical[x] = range(first, len(ends) // 2)
+    proj_edge = [None] * (len(ends) // 2)
     for b in sorted(base.edges):
         x, y = base.ends(b)
-        ox, oy, first = fiber_index[x][0], fiber_index[y][0], len(ends)
-        ends += [(ox + u, oy + v) for u, v in zip(fibers[x].vertex_of, fibers[y].vertex_of)]
+        ox, oy, first = fiber_index[x][0], fiber_index[y][0], len(ends) // 2
+        ends += [None] * (2 * n)
+        ends[2 * first::2] = [ox + u for u in fibers[x].vertex_of]
+        ends[2 * first + 1::2] = [oy + v for v in fibers[y].vertex_of]
         proj_edge += [b] * n
         for em, lk in zip(edge_images, left):
             em += [first + j for j in lk]
 
-    total = Multigraph(range(len(vertex_base)), enumerate(ends))
+    total = Multigraph(range(len(vertex_base)), ends=ends)
+    del ends  # the graph keeps its own copy
+    # the ends of each fiber's vertical edges, flat, as the graph holds them
+    flat = total.dart_bases()
+    fiber_edges = {x: flat[2 * ids.start:2 * ids.stop] for x, ids in vertical.items()}
     action = GraphAction(G, total, vertex_images, edge_images)
-    projection = GraphMorphism(total, base, enumerate(vertex_base), enumerate(proj_edge))
+    projection = GraphMorphism(total, base, vertex_base, proj_edge)
     if flipped:
         action = flip_all(action)
         projection = GraphMorphism(
-            action.graph, base, enumerate(vertex_base),
-            {e: proj_edge[e] for e in action.graph.edges},
+            action.graph, base, vertex_base, {e: proj_edge[e] for e in action.graph.edges}
         )
-    # the ends of each fiber's vertical edges that survive flip_all
-    kept = action.graph.edges
-    fiber_edges = {x: [kept[e] for e in ids if e in kept] for x, ids in vertical.items()}
+        # those that survive flip_all
+        kept = action.graph.edges
+        fiber_edges = {
+            x: [y for e in ids if e in kept for y in kept[e]] for x, ids in vertical.items()
+        }
 
     cover = HarmonicCover(base, G, inertia, multisets, action, projection, fiber_index,
                           fiber_edges, flipped, warnings)
@@ -414,7 +413,7 @@ def _verify_cover(cover: HarmonicCover):
     if not is_harmonic_action(cover.action):
         raise CoverError("constructed cover action is not harmonic")
     order = cover.group.order()
-    counts = Counter(cover.projection.edge_map.values())
+    counts = Counter(map_images(cover.projection.edge_map))
     for b in cover.base.edges:
         if counts[b] != order:
             raise CoverError(f"base edge {b} has {counts[b]} preimages, expected {order}")
@@ -496,13 +495,14 @@ def ramification_profile(c: HarmonicCover) -> RamificationProfile:
 
 
 def _vertex_profiles(c: HarmonicCover) -> dict:
-    """n, f and v from each fiber's vertical edge ends, c.fiber_edges[x]."""
+    """n, f and v from each fiber's vertical edge ends, c.fiber_edges[x]
+    (flat, two per edge)."""
     order = c.group.order()
     out = {}
     for x in c.base.vertices:
         fiber, edges = c.fiber_index[x], c.fiber_edges[x]
         comp = {y: {y} for y in fiber}  # y's component, merged edge by edge
-        for u, v in edges:
+        for u, v in zip(edges[0::2], edges[1::2]):
             cu, cv = comp[u], comp[v]
             if cu is not cv:
                 if len(cu) < len(cv):
@@ -514,7 +514,7 @@ def _vertex_profiles(c: HarmonicCover) -> dict:
         if len(set(sizes.values())) != 1:
             raise CoverError(f"fiber over {x} has components of different sizes")
         f = len(comp[fiber[0]])
-        degree = Counter(chain.from_iterable(edges))
+        degree = Counter(edges)
         degrees = set(map(degree.__getitem__, fiber))
         if len(degrees) != 1:
             raise CoverError(f"fiber over {x} has vertices of different vertical degree")

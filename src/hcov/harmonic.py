@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from hcov.errors import ActionError, GroupError
 from hcov.kernel import perm_inv, perm_order
-from hcov.multigraph import Dart, GraphMorphism, Multigraph
+from hcov.multigraph import Dart, GraphMorphism, Multigraph, map_items
 from hcov.permgroup import PermutationGroup, Subgroup, cycle_string, group_from_spec
 
 
@@ -36,14 +36,16 @@ def _image(left, word, orbit, y):
     return orbit.phi[_mul(left, word, orbit.least[y])]
 
 
-def _items(m):
-    """(point, image) pairs of an image map: a dict, or a list indexed by
-    point id."""
-    return m.items() if isinstance(m, dict) else enumerate(m)
-
-
-def _is_bijection(m, points: set) -> bool:
-    """True iff the image map m is a bijection of the set of points."""
+def _is_bijection(m, points) -> bool:
+    """True iff the image map m is a bijection of the points, a graph's
+    vertex or edge ids."""
+    n = len(points)
+    if isinstance(points, range) and not isinstance(m, dict):
+        if len(m) != n:
+            return False
+        # n distinct integers in 0..n-1
+        return not n or (min(m) == 0 and max(m) == n - 1 and len(set(m)) == n)
+    points = set(points)
     if isinstance(m, dict):
         return m.keys() == points and set(m.values()) == points
     return set(range(len(m))) == points and set(m) == points
@@ -113,7 +115,7 @@ def _image_map(data, *path):
             point = int(key)
         except ValueError:
             raise ActionError(f"action JSON: {name!r} has a non-integer key {key!r}") from None
-        if not isinstance(img, int):
+        if type(img) is not int:
             raise ActionError(f"action JSON: '{name}.{key}' must be an integer, got {img!r}")
         out[point] = img
     if out.keys() == set(range(len(out))):
@@ -184,17 +186,24 @@ class GraphAction:
     # -- construction-time checks ----------------------------------------
 
     def _validate_generator_maps(self):
-        vset = set(self.graph.vertices)
-        edges = self.graph._edges
-        eset = set(edges)
+        graph = self.graph
+        ids, rank, ends = graph._edge_ids, graph._erank, graph._ends
+        us, vs = ends[0::2], ends[1::2]
         for i, (vm, em) in enumerate(zip(self.vertex_images, self.edge_images)):
-            if not _is_bijection(vm, vset):
+            if not _is_bijection(vm, graph.vertices):
                 raise ActionError(f"generator {i}: vertex map is not a bijection")
-            if not _is_bijection(em, eset):
+            if not _is_bijection(em, ids):
                 raise ActionError(f"generator {i}: edge map is not a bijection")
-            image_ends = map(edges.__getitem__, map(em.__getitem__, edges))
-            for (e, (u, v)), (a, b) in zip(edges.items(), image_ends):
-                iu, iv = vm[u], vm[v]
+            # the rank of each edge's image, whose ends it must join
+            if not isinstance(em, dict):  # a list: the edge ids are 0..m-1
+                image_rank = em
+            elif rank is None:
+                image_rank = list(map(em.__getitem__, ids))
+            else:
+                image_rank = list(map(rank.__getitem__, map(em.__getitem__, ids)))
+            checked = zip(ids, map(vm.__getitem__, us), map(vm.__getitem__, vs),
+                          map(us.__getitem__, image_rank), map(vs.__getitem__, image_rank))
+            for e, iu, iv, a, b in checked:
                 if (iu != a or iv != b) and (iu != b or iv != a):
                     raise ActionError(
                         f"generator {i}: edge {e} maps to {em[e]} but endpoints map to"
@@ -206,10 +215,10 @@ class GraphAction:
         kinds = []  # per kind: (orbit number per point, the orbits by least point)
         for kind, maps, points in (
             ("vertex", self.vertex_images, self.graph.vertices),
-            ("edge", self.edge_images, self.graph._edges),
+            ("edge", self.edge_images, self.graph._edge_ids),
         ):
             number, least, orbits = _per_point(points), _per_point(points), []
-            for p in sorted(points):
+            for p in points if isinstance(points, range) else sorted(points):
                 if number[p] >= 0:
                     continue
                 phi = index.orbit_map(maps, p)
@@ -236,16 +245,17 @@ class GraphAction:
         # least point of the largest orbit has the smallest one
         largest = max(self._vertex_orbits + self._edge_orbits, key=_size, default=None)
         start = None if largest is None else (largest, largest.point)
-        if self._kernel_element(self.graph.vertices, self.graph.edges, start) is not None:
+        graph = self.graph
+        if self._kernel_element(graph.vertices, graph._edge_ids, start) is not None:
             raise ActionError("action is not faithful: a non-identity element acts trivially")
-        comps = self.graph.connected_components()
+        comps = graph.connected_components()
         if len(comps) < 2:
             return
         # Def 2.3: the kernel on a component is its pointwise stabilizer;
         # components in one orbit are conjugate, so test one per orbit
         cidx = {v: ci for ci, comp in enumerate(comps) for v in comp}
         comp_edges = [[] for _ in comps]
-        for e, (u, _) in self.graph.edges.items():
+        for e, u in zip(graph._edge_ids, graph._ends[0::2]):
             comp_edges[cidx[u]].append(e)
         done = set()
         for ci, comp in enumerate(comps):
@@ -333,11 +343,11 @@ class GraphAction:
             "generators": [list(g) for g in self.group.generators],
         }
         data["vertex_images"] = {
-            str(i): {str(v): img for v, img in sorted(_items(m))}
+            str(i): {str(v): img for v, img in sorted(map_items(m))}
             for i, m in enumerate(self.vertex_images)
         }
         data["edge_images"] = {
-            str(i): {str(e): img for e, img in sorted(_items(m))}
+            str(i): {str(e): img for e, img in sorted(map_items(m))}
             for i, m in enumerate(self.edge_images)
         }
         return data
@@ -396,7 +406,8 @@ def quotient(a: GraphAction, H: Subgroup | None = None) -> QuotientResult:
     point; for H = G they are the validated orbits. Edge orbits whose
     endpoints fall into one vertex orbit are removed and recorded.
     """
-    vertices, ends = a.graph.vertices, a.graph._edges
+    graph = a.graph
+    vertices, ids = graph.vertices, graph._edge_ids
     if H is None or H is a.group:
         vclass, eclass = a._vertex_orbit_no, a._edge_orbit_no
         vcount, ereps = len(a._vertex_orbits), [o.point for o in a._edge_orbits]
@@ -406,25 +417,27 @@ def quotient(a: GraphAction, H: Subgroup | None = None) -> QuotientResult:
                 raise ActionError(f"subgroup generator is not a member of {a.group.name}")
         actions = [a.element_action(h) for h in H.generators]
         vclass, vreps = _orbits_under(vertices, [vm for vm, _ in actions])
-        eclass, ereps = _orbits_under(ends, [em for _, em in actions])
+        eclass, ereps = _orbits_under(ids, [em for _, em in actions])
         vcount = len(vreps)
-    qedge, qedges, loops = [], [], {}  # per edge orbit: its quotient edge, None if a loop
+    qedge, qends, loops = [], [], {}  # per edge orbit: its quotient edge, None if a loop
     for j, e in enumerate(ereps):
-        u, v = map(vclass.__getitem__, ends[e])
+        u, v = map(vclass.__getitem__, graph.ends(e))
         if u == v:
             qedge.append(None)
             loops[j] = {"edges": [], "vertex": u}
         else:
-            qedge.append(len(qedges))
-            qedges.append((len(qedges), (u, v)))
-    for e in sorted(ends) if loops else ():
+            qedge.append(len(qends) // 2)
+            qends += (u, v)
+    for e in ids if loops else ():
         if qedge[eclass[e]] is None:
             loops[eclass[e]]["edges"].append(e)
-    qgraph = Multigraph(range(vcount), qedges)
-    projection = GraphMorphism(
-        a.graph, qgraph, zip(vertices, map(vclass.__getitem__, vertices)),
-        zip(ends, map(qedge.__getitem__, map(eclass.__getitem__, ends))),
-    )
+    qgraph = Multigraph(range(vcount), ends=qends)
+    # the class maps are indexed like the graph's ids, as the projection's maps
+    if isinstance(eclass, dict):
+        edge_map = {e: qedge[c] for e, c in eclass.items()}
+    else:
+        edge_map = list(map(qedge.__getitem__, eclass))
+    projection = GraphMorphism(graph, qgraph, vclass, edge_map)
     return QuotientResult(qgraph, projection, list(loops.values()))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import repeat
+from operator import eq
 
 from hcov.errors import CatalogError, CoverError, GroupError
 from hcov.galois import (
@@ -21,7 +21,7 @@ from hcov.galois import (
     _verify_cover,
     build_cover,
 )
-from hcov.harmonic import GraphAction, flipped_edges
+from hcov.harmonic import GraphAction, is_harmonic_action
 from hcov.kernel import perm_inv, perm_mul
 from hcov.multigraph import GraphMorphism, Multigraph
 from hcov.permgroup import (
@@ -112,9 +112,7 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
     )
 
     base = Multigraph([0], [])
-    projection = GraphMorphism(
-        graph, base, zip(graph.vertices, repeat(0)), zip(graph.edges, repeat(None))
-    )
+    projection = GraphMorphism(graph, base, [0] * len(graph.vertices), [None] * len(graph.edges))
     cover = HarmonicCover(
         base,
         G,
@@ -122,8 +120,8 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
         {0: SymmetricMultiset([tau])},
         action,
         projection,
-        {0: tuple(graph.vertices)},
-        {0: list(graph.edges.values())},
+        {0: graph.vertices},
+        {0: graph.dart_bases()},
         True,
         [],
     )
@@ -136,13 +134,13 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
 
 def _coset_graph(vcos: Cosets, ecos: Cosets, r_tau) -> Multigraph:
     """The edge r<tau> joins r<sigma> to r*tau<sigma>."""
-    edges = []
-    for e, r in enumerate(ecos.reps):
-        u, v = vcos.of[r], vcos.of[r_tau[r]]
-        if u == v:
-            raise CoverError("coset edge became a loop; orders 2 and 3 forbid this")
-        edges.append((e, (u, v)))
-    return Multigraph(range(len(vcos)), edges)
+    reps, of = ecos.reps, vcos.of
+    ends = [None] * (2 * len(reps))
+    ends[0::2] = map(of.__getitem__, reps)
+    ends[1::2] = map(of.__getitem__, map(r_tau.__getitem__, reps))
+    if any(map(eq, ends[0::2], ends[1::2])):
+        raise CoverError("coset edge became a loop; orders 2 and 3 forbid this")
+    return Multigraph(range(len(vcos)), ends=ends)
 
 
 def _verify_maximal(mc: MaximalCover):
@@ -150,12 +148,15 @@ def _verify_maximal(mc: MaximalCover):
     order = mc.group.order()
     if len(graph.vertices) != order // 3 or len(graph.edges) != order // 2:
         raise CoverError("coset counts are off")
-    for v in graph.vertices:
-        if graph.degree(v) != 3:
-            raise CoverError("maximal cover is not 3-regular")
+    if set(graph.degrees()) != {3}:
+        raise CoverError("maximal cover is not 3-regular")
     if not graph.is_connected():
         raise CoverError("maximal cover is disconnected")
-    if flipped_edges(mc.action) != set(graph.edges):
+    # the edge orbits partition the edges, and flipped_edges is the union of
+    # those whose stabilizer has order 2: every edge is flipped iff all are
+    if not is_harmonic_action(mc.action) or any(
+        o.stabilizer_order() != 2 for o in mc.action.edge_orbits()
+    ):
         raise CoverError("not every edge of the maximal cover is flipped")
     if order != 6 * (graph.genus() - 1):
         raise CoverError("|G| = 6(genus-1) fails")

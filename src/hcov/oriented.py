@@ -28,9 +28,9 @@ class OrientedGraph:
 
     def __init__(self, graph: Multigraph, rot):
         self.graph, self.rot = graph, rot
-        for v in graph.vertices:
-            if graph.degree(v) != 3:
-                raise GraphError(f"vertex {v} has degree {graph.degree(v)}, not 3")
+        for v, degree in zip(graph.vertices, graph.degrees()):
+            if degree != 3:
+                raise GraphError(f"vertex {v} has degree {degree}, not 3")
         base = graph.dart_bases()
         n = len(base)
         if len(rot) != n:

@@ -92,7 +92,7 @@ def parse_cycle_string(s: str, degree: int) -> tuple:
 # -- orbits -----------------------------------------------------------------
 
 
-def schreier_orbit(point, actions, labels, identity):
+def schreier_orbit(point, actions, labels, identity, inverses=None):
     """Orbit of `point` by breadth-first search, with a transversal and the
     Schreier generators of its stabilizer.
 
@@ -103,7 +103,13 @@ def schreier_orbit(point, actions, labels, identity):
     and in the order found, the non-identity u_y^-1 * labels[i] * u_x with
     y = actions[i][x]. When the labels act as the generators do, these
     generate the stabilizer.
+
+    Each u_y is inverted at most once, into the dict inverses (orbit point
+    y -> u_y^-1) when one is passed, so that a caller needing more of the
+    inverses computes only the rest.
     """
+    if inverses is None:
+        inverses = {}
     transversal = {point: identity}
     schreier = {}
     frontier = deque([point])
@@ -118,7 +124,10 @@ def schreier_orbit(point, actions, labels, identity):
                 transversal[y] = w
                 frontier.append(y)
             elif t != w:
-                schreier[perm_mul(perm_inv(t), w)] = None
+                t_inv = inverses.get(y)
+                if t_inv is None:
+                    t_inv = inverses[y] = perm_inv(t)
+                schreier[perm_mul(t_inv, w)] = None
     return transversal, list(schreier)
 
 
@@ -189,15 +198,19 @@ class StabilizerChain:
 
     def _close_level(self, level):
         lv = self.levels[level]
-        # rebuild the orbit/transversal from scratch (cheap at these degrees)
-        lv.transversal, schreier = schreier_orbit(lv.point, lv.gens, lv.gens, perm_id(self.degree))
+        # rebuild the orbit/transversal from scratch (cheap at these degrees);
+        # the walk's inverses are kept, so each u is inverted once
+        inverses = {}
+        lv.transversal, schreier = schreier_orbit(
+            lv.point, lv.gens, lv.gens, perm_id(self.degree), inverses
+        )
         if self._stop_at is not None and self.order() >= self._stop_at:
             raise _OrderReached
         # an inverse that is already a transversal element, as for an
         # involution or the powers of a single generator, shares its tuple
         lv.inverse = {}
         for c, u in lv.transversal.items():
-            v = perm_inv(u)
+            v = inverses[c] if c in inverses else perm_inv(u)
             w = lv.transversal.get(v[lv.point])
             lv.inverse[c] = w if w == v else v
         # all Schreier generators must sift through the rest of the chain

@@ -6,7 +6,7 @@ import pytest
 
 from hcov.errors import MorphismError
 from hcov.harmonic import GraphAction
-from hcov.multigraph import GraphMorphism, Multigraph, is_harmonic
+from hcov.multigraph import GraphMorphism, Multigraph, is_harmonic, map_items
 from hcov.oriented import OrientedGraph
 from hcov.permgroup import load_default_catalog
 
@@ -15,10 +15,23 @@ def load_figure(name: str) -> dict:
     return json.loads(files("hcov").joinpath(f"data/figures/{name}").read_text())
 
 
+def as_dict(m) -> dict:
+    """A copy of a map kept as given (a GraphAction image map or a
+    GraphMorphism map) as a dict: a sequence is indexed by id."""
+    return dict(map_items(m))
+
+
 def as_dicts(image_maps) -> list:
-    """Copies of a GraphAction's image maps as dicts: a list map is indexed
-    by point id."""
-    return [dict(m) if isinstance(m, dict) else dict(enumerate(m)) for m in image_maps]
+    """Copies of a GraphAction's image maps as dicts."""
+    return [as_dict(m) for m in image_maps]
+
+
+def fiber_subgraph(cover, x) -> Multigraph:
+    """The fiber over x with its vertical edges, read off the projection:
+    the oracle for the fiber_edges that the ramification profile reads."""
+    ends, over = cover.graph.edges, cover.projection.vertex_map
+    vertical = [e for e in cover.projection.vertical_edges if over[ends[e][0]] == x]
+    return Multigraph(cover.fiber_index[x], [(e, ends[e]) for e in vertical])
 
 
 def fiber_action(fiber, faithful: bool) -> GraphAction:
@@ -56,9 +69,9 @@ def compose(outer: GraphMorphism, inner: GraphMorphism) -> GraphMorphism:
     """Composite morphism outer∘inner (inner applied first)."""
     if inner.target is not outer.source and inner.target != outer.source:
         raise MorphismError("morphisms are not composable")
-    vmap = {v: outer.vertex_map[img] for v, img in inner.vertex_map.items()}
+    vmap = {v: outer.vertex_map[img] for v, img in map_items(inner.vertex_map)}
     emap = {}
-    for e, img in inner.edge_map.items():
+    for e, img in map_items(inner.edge_map):
         emap[e] = None if img is None else outer.edge_map[img]
     return GraphMorphism(inner.source, outer.target, vmap, emap)
 
@@ -77,7 +90,7 @@ def morphism_degree(m: GraphMorphism) -> int:
     if len(m.target.vertices) == 1:
         return len(m.source.vertices)
     counts = {te: 0 for te in m.target.edges}
-    for e, img in m.edge_map.items():
+    for e, img in map_items(m.edge_map):
         if img is not None:
             counts[img] += 1
     values = sorted(set(counts.values()))

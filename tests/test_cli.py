@@ -608,6 +608,49 @@ def test_missing_json_field_exits_one(capsys, tmp_path, argv, data, named):
     assert err.startswith("error: ") and named in err
 
 
+def _with(data, path, value):
+    """A copy of a JSON document with the value at path replaced."""
+    data = json.loads(json.dumps(data))
+    *head, last = path
+    node = data
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return data
+
+
+FIG3_S3 = load_figure("fig3_s3_action.json")
+FIG4 = load_figure("fig4.json")
+ORIENTED = json.loads((DATA / "oriented_psl2_7.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, data, named",
+    [
+        (("action", "check", "--action"), _with(FIG3_S3, ("edges", 1, "id"), True), "'id'"),
+        (("action", "check", "--action"), _with(FIG3_S3, ("edges", 0, "ends"), [True, 2]),
+         "'ends'"),
+        (("action", "check", "--action"), _with(FIG3_S3, ("vertex_images", "0", "1"), True),
+         "'vertex_images.0.1'"),
+        (("cover", "rh", "--spec"), _with(FIG4, ("base", "tree", "vertices", 0), True),
+         "'vertices'"),
+        (("surface", "genus", "--oriented"), _with(ORIENTED, ("edges", 0, "ends", 0), True),
+         "'ends'"),
+    ],
+)
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_json_booleans_are_no_ids_or_images(capsys, tmp_path, argv, data, named, flags):
+    # true == 1 in Python: each of these used to be read as the id or vertex 1
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(path), *flags)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    message = json.loads(err)["error"] if flags else err
+    assert named in message
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fiber_action, load_figure
+from conftest import fiber_action, fiber_subgraph, load_figure
 from hcov import galois
 from hcov.errors import ActionError, CoverError, GroupError
 from hcov.galois import (
@@ -243,7 +243,7 @@ def test_fig4_profile(catalog):
 def decomposition_group(c, y):
     """Setwise stabilizer of the fiber component containing the vertex y."""
     x = c.projection.vertex_map[y]
-    sub = c.fiber_subgraph(x)
+    sub = fiber_subgraph(c, x)
     comps = sub.connected_components()
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     comp_maps = [

@@ -1,7 +1,8 @@
 """`hc ... --json` outputs pinned byte for byte.
 
 Each file under tests/data/golden holds the output of one command below, or
-the DOT file that `hc surface genus --dot` writes. Cover graphs carry vertex
+the DOT file that `hc surface genus --dot` or `hc cover build --dot`
+writes. Cover graphs carry vertex
 and edge ids, which depend on how the group's elements are numbered, so
 these outputs pin that numbering as well as the counts.
 tests/data/oriented_psl2_7.json is canonical_orientation(...).to_json() of
@@ -19,6 +20,7 @@ from hcov.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 ORIENTED = Path(__file__).parent / "data" / "oriented_psl2_7.json"
 FIG3_S3 = files("hcov").joinpath("data/figures/fig3_s3_action.json")
+FIG3_Z6 = files("hcov").joinpath("data/figures/fig3_z6_action.json")
 
 COMMANDS = {
     **{
@@ -26,6 +28,7 @@ COMMANDS = {
         for spec in ("fig4", "fig5", "fig6", "theta_s3")
     },
     "maximal_build_psl2_7.json": ("maximal", "build", "--group", "psl2:7"),
+    "maximal_build_psl2_7_rho.json": ("maximal", "build", "--group", "psl2:7", "--rho"),
     "surface_check44_psl2_13.json": ("surface", "check44", "--group", "psl2:13"),
     "group_cosets_S4.json": ("group", "cosets", "--group", "S4", "--subgroup", "(0 1 2)"),
     "group_elements_psl2_7.json": ("group", "elements", "--group", "psl2:7"),
@@ -36,8 +39,18 @@ COMMANDS = {
         )
         for n, subgroup in ((2, "(0 1)"), (3, "(0 1 2)"))
     },
+    # unflip gives the new edges the ids after the largest, so these graphs
+    # keep ids with gaps, as flip_all does in the --rho variant
+    **{
+        f"action_unflip_{name}.json": ("action", "unflip", "--action", str(path))
+        for name, path in (("fig3_s3", FIG3_S3), ("fig3_z6", FIG3_Z6))
+    },
 }
-DOT = {"surface_genus_psl2_7.dot": ("surface", "genus", "--oriented", str(ORIENTED))}
+DOT = {
+    "surface_genus_psl2_7.dot": ("surface", "genus", "--oriented", str(ORIENTED)),
+    # edge ids 0-7, 9 and 12-17: flip_all keeps the least id of each pair
+    "cover_build_fig5.dot": ("cover", "build", "--spec", "fig5"),
+}
 
 
 def test_every_golden_file_has_a_command():

@@ -1,11 +1,11 @@
-"""Slow oracles for the graph checks that read Multigraph._edges and
-_incidence directly, and for the ramification profile read from the fiber
-arrays a cover keeps.
+"""Slow oracles for the graph checks that read Multigraph's flat ends
+directly, and for the ramification profile read from the fiber arrays a
+cover keeps.
 
 Each oracle is the earlier per-edge method-call form of a check:
 connected components by an other_end walk, GraphMorphism validation with a
 set of target ends per edge, the generator endpoint check through
-Multigraph.ends, and the profile read off fiber_subgraph(x). They are
+Multigraph.ends, and the profile read off conftest.fiber_subgraph. They are
 compared with the code on the criterion-4 covers, every figure spec
 flipped and unflipped, and the psl2(7) and psl2(13) maximal covers. A
 hypothesis test corrupts one image or one endpoint and asks both sides for
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_dicts, load_figure
+from conftest import as_dict, as_dicts, fiber_subgraph, load_figure
 from hcov.errors import ActionError, MorphismError
 from hcov.galois import cover_from_spec, ramification_profile
 from hcov.harmonic import GraphAction, quotient
@@ -102,7 +102,7 @@ def profile_oracle(cover) -> dict:
     subgraphs that fiber_subgraph builds from the projection."""
     out = {}
     for x, fiber in cover.fiber_index.items():
-        sub = cover.fiber_subgraph(x)
+        sub = fiber_subgraph(cover, x)
         comps = components_oracle(sub)
         (f,) = {len(comp) for comp in comps}
         (v,) = {sub.degree(y) for y in fiber}
@@ -169,7 +169,8 @@ def check_against_oracles(cover):
     q = quotient(a)
     assert components_oracle(q.quotient) == q.quotient.connected_components()
     for m in (cover.projection, q.projection):
-        assert morphism_oracle(m.source, m.target, m.vertex_map, m.edge_map) is None
+        vertex_map, edge_map = as_dict(m.vertex_map), as_dict(m.edge_map)
+        assert morphism_oracle(m.source, m.target, vertex_map, edge_map) is None
     profile = ramification_profile(cover).per_vertex
     assert {x: (p.m, p.f, p.n, p.v, p.w) for x, p in profile.items()} == profile_oracle(cover)
 
@@ -223,7 +224,7 @@ def test_one_corruption_raises_the_same_error(data, kind):
     a, m = cover.action, cover.projection
     graph = a.graph
     vmaps, emaps = as_dicts(a.vertex_images), as_dicts(a.edge_images)
-    vertex_map, edge_map = dict(m.vertex_map), dict(m.edge_map)
+    vertex_map, edge_map = as_dict(m.vertex_map), as_dict(m.edge_map)
     k = data.draw(st.integers(0, len(emaps) - 1))
     if kind == "edge image":
         e, f = (data.draw(st.sampled_from(sorted(graph.edges))) for _ in range(2))

@@ -138,7 +138,7 @@ def subdivide_edge(g: Multigraph, eid: int) -> Multigraph:
     edges = [(e, ends) for e, ends in g.edges.items() if e != eid]
     edges.append((new_e, (u, new_v)))
     edges.append((new_e + 1, (new_v, v)))
-    return Multigraph(g.vertices + (new_v,), edges)
+    return Multigraph((*g.vertices, new_v), edges)
 
 
 def smooth_vertex(g: Multigraph, v: int) -> Multigraph:

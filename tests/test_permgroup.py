@@ -126,6 +126,31 @@ def test_chain_levels_keep_transversal_inverses():
             assert lv.inverse == {pt: perm_inv(u) for pt, u in lv.transversal.items()}, G.name
 
 
+@pytest.mark.parametrize("make", [lambda: psl2(29), lambda: symmetric(8), lambda: alternating(8)])
+def test_chain_inverts_each_transversal_element_once_per_level_closure(monkeypatch, make):
+    # the closure's Schreier generators and lv.inverse share one inversion
+    G = make()
+    G = permgroup.PermutationGroup(G.degree, G.generators, G.name)  # no cached chain
+    calls, cells = [0], [0]
+
+    def counting_inv(p):
+        calls[0] += 1
+        return perm_inv(p)
+
+    close = permgroup.StabilizerChain._close_level
+
+    def counting_close(chain, level):
+        try:
+            close(chain, level)
+        finally:
+            cells[0] += len(chain.levels[level].transversal)
+
+    monkeypatch.setattr(permgroup, "perm_inv", counting_inv)
+    monkeypatch.setattr(permgroup.StabilizerChain, "_close_level", counting_close)
+    G.chain()
+    assert 0 < calls[0] <= cells[0], G.name
+
+
 def test_element_order_examples():
     S3 = symmetric(3)
     assert S3.element_order(S3.identity) == 1
