@@ -147,13 +147,14 @@ def cmd_group_search(args):
     check_positive("--product-order", args.product_order)
     G = resolve_group(args.group, args)
     res = permgroup.search_pairs(G, a, b, args.product_order, args.all)
+    # a class representative recurs in each of its pairs: format it once
+    distinct = dict.fromkeys(x for pair in res.pairs for x in pair)
+    strings = {p: permgroup.cycle_string(p) for p in distinct}
     payload = {
         "group": G.name,
         "orders": [a, b],
         "product_order": args.product_order,
-        "pairs": [
-            [permgroup.cycle_string(t), permgroup.cycle_string(s)] for t, s in res.pairs
-        ],
+        "pairs": [[strings[t], strings[s]] for t, s in res.pairs],
         "representative_count": len(res.pairs),
         "total_count": res.total,
         "classes_searched": res.classes_searched,
@@ -309,10 +310,13 @@ def cmd_cover_classify(args):
 
 
 def _pick_pair(G, args):
+    check_positive("--product-order", args.product_order)
     if getattr(args, "pair", None):
         tau, sigma = parse_pair(args.pair, G.degree)
+        k = perm_order(perm_mul(tau, sigma))
+        if args.product_order is not None and k != args.product_order:
+            raise HcError(f"--product-order {args.product_order}: the pair's product order is {k}")
         return tau, sigma
-    check_positive("--product-order", args.product_order)
     pair = permgroup.first_pair(G, args.product_order)
     if pair is None:
         raise HcError(f"{G.name} has no (2,3)-generating pair"

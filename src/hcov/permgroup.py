@@ -271,7 +271,7 @@ class PermutationGroup:
                     f"{self.name} has {order} elements; listing them is capped at {ELEMENTS_CAP}"
                 )
             heads, tail = _chain_products(self.chain())
-            self._elements = tuple(sorted(perm_mul(h, t) for h in heads for t in tail))
+            self._elements = tuple(sorted(perm_mul(h, t) for h in heads() for t in tail))
         return self._elements
 
     def element_index(self) -> "ElementIndex":
@@ -375,6 +375,15 @@ class _LazyDigitTable(dict):
         return key
 
 
+class _Unseen(dict):
+    """A dict that reads -1 for a missing key, without storing it."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return -1
+
+
 class ElementIndex:
     """The elements of a group numbered 0..|G|-1 in lexicographic order.
 
@@ -389,8 +398,14 @@ class ElementIndex:
     The walk computes keys, never image tuples. It splits a key into its
     last s digits and the m - s before them, s the most digits whose
     _digit_table has at most max(|G|, degree) rows; the key of g_k * x is
-    then one row of each of g_k's two tables added up. One sort of the keys
-    found numbers the elements.
+    then one row of each of g_k's two tables added up.
+
+    The walk notes each key found in a table from key to walk position.
+    When the key range, degree**m, is at most 4 * max(|G|, degree), that
+    table is a list indexed by key, and reading its found entries in key
+    order numbers the elements. Otherwise it is a dict, and one sort of the
+    keys found numbers them. For PSL(2,p) the range is about 2.2 |G|, so
+    the list applies.
 
     left[k][i] is the index of g_k * x_i, for the group's k-th generator
     g_k. Maps out of the group come from the walk's tree: when x = g_k *
@@ -414,21 +429,29 @@ class ElementIndex:
             (k, _digit_table(g, m - s, unit, rows), _digit_table(g, s, 1, rows), lk.append)
             for k, (g, lk) in enumerate(zip(G.generators, lefts))
         ]
+        # key -> walk position, -1 for a key not found (yet)
+        direct = n**m <= 4 * rows
+        found = [-1] * n**m if direct else _Unseen()
         start = self._key(range(m))
-        keys, found = [start], {start: 0}  # in walk order
+        keys = [start]  # in walk order
+        found[start] = 0
         parent, via = [0], [-1]
         for b, x in enumerate(keys):
             high, low = divmod(x, unit)
             for k, high_rows, low_rows, add in steps:
                 y = high_rows[high] + low_rows[low]
-                c = found.get(y)
-                if c is None:
+                c = found[y]
+                if c < 0:
                     c = found[y] = len(keys)
                     keys.append(y)
                     parent.append(b)
                     via.append(k)
                 add(c)
-        walk = sorted(range(len(keys)), key=keys.__getitem__)
+        if direct:
+            walk = [b for b in found if b >= 0]
+        else:
+            walk = sorted(range(len(keys)), key=keys.__getitem__)
+        del found
         rank = [0] * len(walk)
         for i, b in enumerate(walk):
             rank[b] = i
@@ -674,72 +697,99 @@ def _partners(G, order, a, bs, centralizer, product_order):
                     orbit.append(bs[k])
 
 
-def _chain_products(chain: StabilizerChain):
-    """(heads, tail): every element of the chain's group is head * t for
-    exactly one head in heads and one t in tail, one transversal element per
-    level. tail is the trailing levels multiplied out once (as many as keep
-    it at most sqrt|G| long, and at least the last); heads is a generator
-    that walks the products of the leading levels. For the trivial group
-    both hold only the identity."""
+def _chain_products(chain: StabilizerChain, first: int = 0):
+    """(heads, tail): every element of the group of the chain's levels from
+    `first` on is head * t for exactly one head that heads() walks and one t
+    in tail, one transversal element per level. tail is the trailing levels
+    multiplied out once (as many as keep it at most sqrt|G| long, |G| the
+    whole chain's order, and at least the last one past `first`); heads(u)
+    walks u times the products of the levels between. With no such level
+    both give only the identity (or u)."""
     ident = perm_id(chain.degree)
     levels = chain.levels
     order = chain.order()
     tail, depth = [ident], len(levels)
-    while depth:
+    while depth > first:
         depth -= 1
         tail = [perm_mul(u, t) for u in levels[depth].transversal.values() for t in tail]
-        if depth == 0 or (len(tail) * len(levels[depth - 1].transversal)) ** 2 > order:
+        if depth == first or (len(tail) * len(levels[depth - 1].transversal)) ** 2 > order:
             break
 
-    def heads(prefix, level):
+    def heads(prefix=ident, level=first):
         if level == depth:
             yield prefix
             return
         for u in levels[level].transversal.values():
             yield from heads(perm_mul(prefix, u), level + 1)
 
-    return heads(ident, 0), tail
+    return heads, tail
+
+
+def _buckets_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
+    """Yield (firsts, bs) per bucket: the sorted elements of order order_a
+    and of order order_b among the bucket's. Concatenated, the buckets give
+    the sorted elements of each order of the chain's group.
+
+    When the group fixes every point below the first base point b, bucket v
+    holds the elements p with p(b) = v, for v ascending: level 0's
+    transversal element for v times _chain_products(chain, 1). Elements of
+    different buckets first differ at b, so the buckets follow
+    lexicographic order. Otherwise the whole group is one bucket.
+
+    An element head * t is built only if the cycle of b under it, walked
+    as head[t[x]], has a length dividing order_a or order_b; the walk stops
+    past the longest such length. The order k of an element built, if at
+    most max(order_a, order_b), is then the least k with p^k = 1. Only the
+    elements kept are ever held, not all of G.
+    """
+    ident = perm_id(chain.degree)
+    levels = chain.levels
+    if not levels:
+        yield ([ident] if order_a == 1 else []), ([ident] if order_b == 1 else [])
+        return
+    base = levels[0].point
+    divides = [False] + [order_a % n == 0 or order_b % n == 0 for n in range(1, chain.degree + 1)]
+    longest = max(n for n in range(1, chain.degree + 1) if divides[n])
+    top = max(order_a, order_b)
+    # the group fixes the points below base iff every level's generators do
+    if all(g[x] == x for lv in levels for g in lv.gens for x in range(base)):
+        heads, tail = _chain_products(chain, 1)
+        transversal = levels[0].transversal
+        prefixes = [transversal[v] for v in sorted(transversal)]
+    else:
+        heads, tail = _chain_products(chain)
+        prefixes = [ident]
+    for prefix in prefixes:
+        firsts, bs = [], []
+        for head in heads(prefix):
+            for t in tail:
+                x, length = head[t[base]], 1
+                while x != base and length < longest:
+                    x, length = head[t[x]], length + 1
+                if x != base or not divides[length]:
+                    continue
+                p = perm_mul(head, t)
+                q, k = p, 1
+                while q != ident and k < top:
+                    q, k = perm_mul(q, p), k + 1
+                if q != ident:
+                    continue
+                if k == order_a:
+                    firsts.append(p)
+                if k == order_b:
+                    bs.append(p)
+        firsts.sort()
+        bs.sort()
+        yield firsts, bs
 
 
 def _elements_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
     """(firsts, bs): the sorted elements of order order_a and of order
-    order_b of the chain's group.
-
-    Every element is head * t from _chain_products. An element is built only
-    if the cycle of the first base point under head * t, walked as
-    head[t[x]], has a length dividing order_a or order_b; the walk stops past
-    the longest such length. The order k of an element built, if at most
-    max(order_a, order_b), is then the least k with p^k = 1. Only the
-    elements kept are ever held, not all of G.
-    """
-    ident = perm_id(chain.degree)
-    if not chain.levels:
-        return ([ident] if order_a == 1 else []), ([ident] if order_b == 1 else [])
-    heads, tail = _chain_products(chain)
-    base = chain.levels[0].point
-    divides = [False] + [order_a % n == 0 or order_b % n == 0 for n in range(1, chain.degree + 1)]
-    longest = max(n for n in range(1, chain.degree + 1) if divides[n])
-    top = max(order_a, order_b)
+    order_b of the chain's group, every bucket of _buckets_of_orders read."""
     firsts, bs = [], []
-    for head in heads:
-        for t in tail:
-            x, length = head[t[base]], 1
-            while x != base and length < longest:
-                x, length = head[t[x]], length + 1
-            if x != base or not divides[length]:
-                continue
-            p = perm_mul(head, t)
-            q, k = p, 1
-            while q != ident and k < top:
-                q, k = perm_mul(q, p), k + 1
-            if q != ident:
-                continue
-            if k == order_a:
-                firsts.append(p)
-            if k == order_b:
-                bs.append(p)
-    firsts.sort()
-    bs.sort()
+    for more_firsts, more_bs in _buckets_of_orders(chain, order_a, order_b):
+        firsts += more_firsts
+        bs += more_bs
     return firsts, bs
 
 
@@ -800,12 +850,27 @@ def first_pair(G: PermutationGroup, product_order: int | None = None):
 
     The least involution a is the first class's representative, and its
     partner is the first that _partners yields: the least b of order 3 that
-    passes the search's tests. The first class is computed only when a
-    chain test fails, for its centralizer, or when a has no partner. Then
-    the later class representatives are tried in order.
+    passes the search's tests. The buckets of _buckets_of_orders are read
+    only until they hold a and a b that passes both tests, in order. The
+    first failed chain test, or an a with no partner once every bucket is
+    read, hands over to the class path, on the rest of the buckets: the
+    first class is computed only when a chain test fails, for its
+    centralizer, or when a has no partner. Then the later class
+    representatives are tried in order.
     """
     order = G.order()
-    firsts, bs = _elements_of_orders(G.chain(), 2, 3)
+    firsts, bs = [], []
+    tested, lazy = 0, True  # bs[:tested] were tried with firsts[0]
+    for more_firsts, more_bs in _buckets_of_orders(G.chain(), 2, 3):
+        firsts += more_firsts
+        bs += more_bs
+        while lazy and firsts and tested < len(bs):
+            a, b = firsts[0], bs[tested]
+            tested += 1
+            if product_order is None or perm_order(perm_mul(a, b)) == product_order:
+                if _generates_order(G.degree, (a, b), order):
+                    return a, b
+                lazy = False
     if not firsts:
         return None
     classes = _conjugacy_classes(G, firsts)
@@ -972,7 +1037,7 @@ def order_spectrum(G: PermutationGroup) -> dict[int, int]:
     """Map element order -> count, over the chain's head * t products (see
     _chain_products); the elements are neither sorted nor kept."""
     heads, tail = _chain_products(G.chain())
-    return dict(Counter(perm_order(perm_mul(h, t)) for h in heads for t in tail))
+    return dict(Counter(perm_order(perm_mul(h, t)) for h in heads() for t in tail))
 
 
 @dataclass

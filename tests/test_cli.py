@@ -320,6 +320,29 @@ def test_non_positive_orders_exit_one(capsys, argv, flag):
     assert flag in err
 
 
+PSL2_7_PAIR = "(0 1)(2 3)(4 6)(5 7);(1 2 5)(4 6 7)"  # its product order is 7
+
+
+@pytest.mark.parametrize("command", [("surface", "check44"), ("maximal", "build")])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("3", "--product-order 3: the pair's product order is 7"),
+        ("0", "--product-order must be at least 1, got 0"),
+    ],
+)
+def test_pair_is_checked_against_product_order(capsys, command, value, message):
+    argv = (*command, "--group", "psl2:7", "--pair", PSL2_7_PAIR, "--product-order", value)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert run(capsys, *argv, "--json") == (
+        1, "", json.dumps({"status": "fail", "error": message}) + "\n"
+    )
+    argv = (*command, "--group", "psl2:7", "--pair", PSL2_7_PAIR, "--product-order", "7")
+    assert run(capsys, *argv)[0] == 0
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["group"] == "PSL(2,7)"
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

@@ -338,8 +338,16 @@ def index_oracle_groups(catalog):
 
 def test_index_matches_the_tuple_walk(catalog):
     # covers list-only digit tables (PSL(2,p), S_n, A_n) and the lazily
-    # filled ones of many-digit groups (most catalog groups, S4xPSL(2,7))
-    for G in index_oracle_groups(catalog):
+    # filled ones of many-digit groups (most catalog groups, S4xPSL(2,7)),
+    # and key tables on both sides of the direct table's limit
+    groups = index_oracle_groups(catalog)
+    direct = []
+    for G in groups:
+        m = max((lv.point for lv in G.chain().levels), default=-1) + 1
+        direct.append(G.degree**m <= 4 * max(G.order(), G.degree))
+    assert direct[-12:-2] == [True] * 10  # PSL(2,p): a list indexed by key
+    assert not direct[-2] and not all(direct[:-12])  # S4xPSL(2,7), S8, ...: a dict
+    for G in groups:
         index = G.element_index()
         got = (index.keys, index.left, index._walk, index._parent, index._via)
         assert got == tuple_walk_index(G), G.name

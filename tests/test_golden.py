@@ -30,6 +30,11 @@ COMMANDS = {
     "maximal_build_psl2_7.json": ("maximal", "build", "--group", "psl2:7"),
     "maximal_build_psl2_7_rho.json": ("maximal", "build", "--group", "psl2:7", "--rho"),
     "surface_check44_psl2_13.json": ("surface", "check44", "--group", "psl2:13"),
+    "group_search_psl2_13.json": ("group", "search", "--group", "psl2:13"),
+    "maximal_build_psl2_13_k7.json": (
+        "maximal", "build", "--group", "psl2:13", "--product-order", "7"
+    ),
+    "maximal_miller_symmetric_7.json": ("maximal", "miller", "--family", "symmetric", "--n", "7"),
     "group_cosets_S4.json": ("group", "cosets", "--group", "S4", "--subgroup", "(0 1 2)"),
     "group_elements_psl2_7.json": ("group", "elements", "--group", "psl2:7"),
     "surface_genus_psl2_7.json": ("surface", "genus", "--oriented", str(ORIENTED)),

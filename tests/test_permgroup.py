@@ -14,8 +14,12 @@ from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order, perm_
 from hcov.permgroup import (
     PermutationGroup,
     StabilizerChain,
+    _buckets_of_orders,
+    _chain_products,
+    _conjugacy_classes,
     _elements_of_orders,
     _generates_order,
+    _partners,
     all_subgroups,
     alternating,
     cyclic,
@@ -432,17 +436,149 @@ def test_search_pairs_matches_oracle():
                     assert got == want, (G.name, orders, product_order, all_first)
 
 
-@pytest.mark.parametrize("product_order", [None, 7])
+def scan_of_orders(chain, order_a, order_b):
+    """(firsts, bs) from one scan of the whole group, sorted at the end: the
+    element scan as it was before it read G in buckets."""
+    ident = perm_id(chain.degree)
+    if not chain.levels:
+        return ([ident] if order_a == 1 else []), ([ident] if order_b == 1 else [])
+    heads, tail = _chain_products(chain)
+    base = chain.levels[0].point
+    divides = [False] + [order_a % n == 0 or order_b % n == 0 for n in range(1, chain.degree + 1)]
+    longest = max(n for n in range(1, chain.degree + 1) if divides[n])
+    top = max(order_a, order_b)
+    firsts, bs = [], []
+    for head in heads():
+        for t in tail:
+            x, length = head[t[base]], 1
+            while x != base and length < longest:
+                x, length = head[t[x]], length + 1
+            if x != base or not divides[length]:
+                continue
+            p = perm_mul(head, t)
+            q, k = p, 1
+            while q != ident and k < top:
+                q, k = perm_mul(q, p), k + 1
+            if q != ident:
+                continue
+            if k == order_a:
+                firsts.append(p)
+            if k == order_b:
+                bs.append(p)
+    firsts.sort()
+    bs.sort()
+    return firsts, bs
+
+
+def scan_first_pair(G, product_order=None):
+    """first_pair as it was before it read G in buckets: the whole scan,
+    then the partners of the least involution, classes pulled on demand."""
+    order = G.order()
+    firsts, bs = scan_of_orders(G.chain(), 2, 3)
+    if not firsts:
+        return None
+    classes = _conjugacy_classes(G, firsts)
+    first = firsts[0]
+    b = next(_partners(G, order, first, bs, lambda: next(classes)[2], product_order), None)
+    if b is not None:
+        return first, b
+    for a, _, centralizer in classes:
+        if a == first:
+            continue
+        b = next(_partners(G, order, a, bs, lambda c=centralizer: c, product_order), None)
+        if b is not None:
+            return a, b
+    return None
+
+
+def relabelled(G, x, y):
+    """G with the points x and y swapped, generators in the same order."""
+    swap = list(range(G.degree))
+    swap[x], swap[y] = y, x
+    swap = tuple(swap)
+    return PermutationGroup(
+        G.degree, [perm_mul(swap, perm_mul(g, swap)) for g in G.generators], f"{G.name}'"
+    )
+
+
+def one_bucket_groups():
+    """Groups whose first base point is not the least point they move:
+    A4 as <(1 2 3), (0 1)(2 3)>, and PSL(2,p) with 0 and infinity swapped,
+    so that x -> x+1 fixes 0 but x -> -1/x does not."""
+    a4 = PermutationGroup(
+        4, [perm_from_cycles([(1, 2, 3)], 4), perm_from_cycles([(0, 1), (2, 3)], 4)], "A4'"
+    )
+    return [a4, *(relabelled(psl2(p), 0, p) for p in (5, 7, 13))]
+
+
+def test_one_bucket_groups_move_a_point_below_their_first_base_point():
+    for G in one_bucket_groups():
+        base = G.chain().levels[0].point
+        assert base > 0 and any(g[0] != 0 for g in G.generators), G.name
+        assert len(list(_buckets_of_orders(G.chain(), 2, 3))) == 1, G.name
+
+
+def test_buckets_concatenate_to_the_whole_scan():
+    lexicographic = [*differential_groups(), psl2(23)]
+    for G in [*lexicographic, *one_bucket_groups(), cyclic(1), symmetric(1)]:
+        chain = G.chain()
+        for order_a, order_b in SCAN_ORDERS:
+            buckets = list(_buckets_of_orders(chain, order_a, order_b))
+            firsts = [p for f, _ in buckets for p in f]
+            bs = [p for _, b in buckets for p in b]
+            assert (firsts, bs) == scan_of_orders(chain, order_a, order_b), G.name
+            assert _elements_of_orders(chain, order_a, order_b) == (firsts, bs), G.name
+    for G in lexicographic:
+        # bucket v holds the p with p(b) = v, b the first base point
+        chain = G.chain()
+        base, orbit = chain.levels[0].point, sorted(chain.levels[0].transversal)
+        buckets = list(_buckets_of_orders(chain, 2, 3))
+        assert len(buckets) == len(orbit), G.name
+        for v, (firsts, bs) in zip(orbit, buckets):
+            assert all(p[base] == v for p in firsts + bs), G.name
+
+
+@pytest.mark.parametrize("product_order", [None, 3, 4, 5, 7])
 def test_first_pair_is_the_full_search_first_pair(product_order):
     groups = [
         *load_default_catalog().groups,
         *(symmetric(n) for n in range(3, 9)),
         *(alternating(n) for n in range(4, 9)),
         *(psl2(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
+        *one_bucket_groups(),
     ]
     for G in groups:
         pairs = search_23_pairs(G, product_order=product_order).pairs
-        assert first_pair(G, product_order) == (pairs[0] if pairs else None), G.name
+        want = pairs[0] if pairs else None
+        assert first_pair(G, product_order) == want, G.name
+        assert scan_first_pair(G, product_order) == want, G.name
+
+
+def _buckets_read(monkeypatch, G, product_order):
+    buckets = permgroup._buckets_of_orders
+    read = []
+
+    def counted(*args):
+        for bucket in buckets(*args):
+            read.append(bucket)
+            yield bucket
+
+    monkeypatch.setattr(permgroup, "_buckets_of_orders", counted)
+    first_pair(G, product_order)
+    return len(read)
+
+
+@pytest.mark.parametrize("p, read", [(29, 3), (127, 2)])
+def test_first_pair_reads_only_the_buckets_it_needs(monkeypatch, p, read):
+    G = psl2(p, allow_large=True)
+    assert _buckets_read(monkeypatch, G, 7) == read
+    assert len(G.chain().levels[0].transversal) == p + 1
+
+
+def test_first_pair_reads_every_bucket_once_after_a_failed_test(monkeypatch):
+    # PSL(2,7)'s first chain test fails (one class is pulled, below): the
+    # class path reads the buckets left, none again
+    assert _buckets_read(monkeypatch, psl2(7), None) == 8
 
 
 @pytest.mark.parametrize(
