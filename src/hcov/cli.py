@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass, field
@@ -18,6 +19,8 @@ from hcov.errors import HcError, read_json
 from hcov import galois, harmonic, maximal, multigraph, oriented, permgroup
 from hcov.kernel import perm_order, perm_mul
 from hcov.multigraph import map_items
+
+logger = logging.getLogger("hcov")
 
 
 @dataclass
@@ -34,7 +37,7 @@ class CommandResult:
 def common_parser():
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--json", action="store_true", help="emit the JSON payload only")
-    p.add_argument("--jobs", type=int, default=1, help="parallel candidate evaluation")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for scripts; runs are serial")
     p.add_argument("--catalog", default=None, help="catalog file (default: bundled)")
     p.add_argument("--out", default=None, help="also write the JSON payload to a file")
     p.add_argument(
@@ -360,7 +363,7 @@ def cmd_maximal_build(args):
 
 def cmd_maximal_classify(args):
     catalog = load_catalog_arg(args)
-    row = maximal.classify_genus(args.genus, catalog, jobs=args.jobs)
+    row = maximal.classify_genus(args.genus, catalog)
     payload = _row_payload(row)
     text = _row_text(row)
     return CommandResult("ok", payload, text=text)
@@ -390,7 +393,7 @@ def cmd_maximal_table(args):
     if args.genus_from > args.genus_to:
         raise HcError(f"--from {args.genus_from} exceeds --to {args.genus_to}: the table is empty")
     catalog = load_catalog_arg(args)
-    rows = maximal.classification_table(args.genus_from, args.genus_to, catalog, jobs=args.jobs)
+    rows = maximal.classification_table(args.genus_from, args.genus_to, catalog)
     payload = {"rows": [_row_payload(r) for r in rows]}
     lines = ["genus | 6(g-1) | maximal graph groups", "------+--------+---------------------"]
     lines += [_row_text(r) for r in rows]
@@ -570,7 +573,9 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        check_positive("--jobs", getattr(args, "jobs", None))
+        check_positive("--jobs", args.jobs)
+        if args.jobs > 1:
+            logger.warning("--jobs %d: hc runs serially, with the same output", args.jobs)
         result = args.fn(args)
         if args.out:
             write_output("--out", args.out, json.dumps(result.payload, indent=1))

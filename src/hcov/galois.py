@@ -24,6 +24,7 @@ from hcov.permgroup import (
     Subgroup,
     cycle_string,
     generates,
+    group_from_spec,
     is_permutation,
     left_cosets,
 )
@@ -156,12 +157,11 @@ class LabeledAction:
     (ascending) joins ends[2j] and ends[2j + 1]. Generator k maps edge
     u*|G| + i to u*|G| + left[k][i]. With I trivial it is the Cayley graph.
 
-    graph, vertex_images and edge_images (one dict per generator, image
-    maps that GraphAction accepts) are lazy, built on first read;
-    build_cover reads only the arrays. Nothing here is validated: the total
-    GraphAction's validation covers each fiber's vertices and vertical
-    edges. The per-fiber validation survives as a test oracle,
-    tests/conftest.fiber_action.
+    build_cover reads only these arrays, and validates none of them: the
+    total GraphAction's validation covers each fiber's vertices and
+    vertical edges. The fiber's own graph and image maps, and its
+    per-fiber validation, survive as test oracles in tests/conftest.py
+    (fiber_graph, fiber_images, fiber_action).
     """
 
     group: PermutationGroup
@@ -170,21 +170,6 @@ class LabeledAction:
     edges: list  # surviving edge ids, ascending
     ends: list  # the ends of the surviving edges, flat: two per edge
     removed_loops: list = field(default_factory=list)
-
-    @cached_property
-    def graph(self) -> Multigraph:
-        ends = self.ends
-        return Multigraph(range(len(self.reps)), zip(self.edges, zip(ends[0::2], ends[1::2])))
-
-    @cached_property
-    def vertex_images(self) -> list:
-        of, left = self.vertex_of, self.group.element_index().left
-        return [{c: of[lk[r]] for c, r in enumerate(self.reps)} for lk in left]
-
-    @cached_property
-    def edge_images(self) -> list:
-        n, left = len(self.vertex_of), self.group.element_index().left
-        return [{e: e - e % n + lk[e % n] for e in self.edges} for lk in left]
 
 
 def collapse(G: PermutationGroup, I: Subgroup, S: SymmetricMultiset) -> LabeledAction:
@@ -616,7 +601,7 @@ def cover_from_spec(data, catalog=None) -> HarmonicCover:
     that is no member of the group, a malformed multiset entry), a key that
     is not a base vertex or a non-boolean flipped raises CoverError naming
     its path."""
-    G = group_from_spec_lazy(_spec_field(data, "group"), catalog)
+    G = group_from_spec(_spec_field(data, "group"), catalog)
     base = Multigraph.from_json(_spec_field(data, "base.tree"))
     inertia = {}
     for x, gens in _vertex_keyed(data, "inertia", base):
@@ -683,14 +668,6 @@ def _check_entries(entries, path, ok, what, check):
             check(entry)
         except GroupError as exc:
             raise CoverError(f"cover spec: {path}.{i}: {exc}") from None
-
-
-def group_from_spec_lazy(spec, catalog=None):
-    from hcov.permgroup import group_from_spec, load_default_catalog
-
-    if catalog is None and isinstance(spec, str):
-        catalog = load_default_catalog()
-    return group_from_spec(spec, catalog)
 
 
 def profile_to_json(c: HarmonicCover) -> dict:

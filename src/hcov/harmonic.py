@@ -486,26 +486,6 @@ def is_harmonic_action(a: GraphAction) -> ActionHarmonicityReport:
     return report
 
 
-def harmonic_by_subgroup_quotients(a: GraphAction, max_order: int = 48):
-    """Literal harmonicity: every subgroup quotient morphism is harmonic.
-
-    Exhaustive over all subgroups; the independent cross-check for the
-    dart-freeness criterion. Returns (verdict, failing subgroup or None).
-    """
-    from hcov.multigraph import is_harmonic as morphism_is_harmonic
-    from hcov.permgroup import all_subgroups
-
-    for H in all_subgroups(a.group, max_order):
-        q = quotient(a, H)
-        if not q.quotient.vertices:
-            continue
-        if not q.quotient.is_connected():
-            continue
-        if not morphism_is_harmonic(q.projection):
-            return False, H
-    return True, None
-
-
 # -- flipped edges and model conversion ------------------------------------------
 
 
@@ -565,14 +545,12 @@ def unflip(a: GraphAction) -> GraphAction:
     return out
 
 
-def flip_all(a: GraphAction, skip_orbits=()) -> GraphAction:
+def flip_all(a: GraphAction) -> GraphAction:
     """Collapse every orbit of flippable parallel pairs to flipped edges.
 
     A pair {e, e'} is flippable when some involution maps e to the parallel
     edge e' while swapping the shared endpoints; collapsing is all-or-nothing
-    per orbit. Orbits whose representative edge id is listed in skip_orbits
-    are left alone (extension beyond the unique-unflipped-model statement).
-    Inverse of unflip on its image.
+    per orbit. Inverse of unflip on its image.
     """
     if not is_harmonic_action(a):
         raise ActionError("flip_all requires a harmonic action")
@@ -584,8 +562,6 @@ def flip_all(a: GraphAction, skip_orbits=()) -> GraphAction:
     pair_of = {}
     for orbit in a.edge_orbits():
         rep = orbit.point
-        if rep in skip_orbits:
-            continue
         u0, v0 = graph.ends(rep)
         u0_orbit = a.vertex_orbit(u0)
         # edge stabilizers are trivial here: least[e] is the one element

@@ -9,7 +9,6 @@ flipped and |G| = 6(genus - 1).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from operator import eq
 
@@ -35,9 +34,6 @@ from hcov.permgroup import (
     search_23_pairs,
     symmetric,
 )
-
-logger = logging.getLogger("hcov")
-
 
 class MaximalCover:
     """Coset-labeled maximal cover of the point graph for a (2,3)-pair.
@@ -193,7 +189,7 @@ class ClassificationRow:
     pair_totals: dict = field(default_factory=dict)  # name -> total pair count
 
 
-def classify_genus(g: int, catalog: Catalog, jobs: int = 1) -> ClassificationRow:
+def classify_genus(g: int, catalog: Catalog) -> ClassificationRow:
     """Maximal graph groups of genus g: the catalog groups of order 6(g-1)
     admitting a (2,3)-generating pair, with one witness pair each."""
     if g < 2:
@@ -204,9 +200,9 @@ def classify_genus(g: int, catalog: Catalog, jobs: int = 1) -> ClassificationRow
             f"catalog is not complete for order {order}; classification would be partial"
         )
     groups = sorted(catalog.by_order(order), key=lambda G: G.name)
-    results = _map_maybe_parallel(search_23_pairs, groups, jobs)
     row = ClassificationRow(g, order, [])
-    for G, res in zip(groups, results):
+    for G in groups:
+        res = search_23_pairs(G)
         if res.pairs:
             row.maximal_groups.append(G.name)
             row.witnesses[G.name] = res.pairs[0]
@@ -214,21 +210,8 @@ def classify_genus(g: int, catalog: Catalog, jobs: int = 1) -> ClassificationRow
     return row
 
 
-def _map_maybe_parallel(fn, items, jobs):
-    if jobs and jobs > 1 and len(items) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(fn, items))
-        except Exception as exc:
-            # results are identical either way; say why the pool was dropped
-            logger.warning("parallel map with %d jobs failed (%r); running serially", jobs, exc)
-    return [fn(item) for item in items]
-
-
-def classification_table(g_from: int, g_to: int, catalog: Catalog, jobs: int = 1):
-    return [classify_genus(g, catalog, jobs) for g in range(g_from, g_to + 1)]
+def classification_table(g_from: int, g_to: int, catalog: Catalog):
+    return [classify_genus(g, catalog) for g in range(g_from, g_to + 1)]
 
 
 def miller_check(family: str, n: int) -> bool:

@@ -26,18 +26,6 @@ class Dart(NamedTuple):
     base: int
 
 
-@dataclass(frozen=True)
-class VertexStar:
-    """A vertex together with the multiset of its incident edge ids."""
-
-    center: int
-    incident_edges: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.incident_edges)
-
-
 def _int_list(value) -> bool:
     return isinstance(value, (list, tuple)) and all(type(x) is int for x in value)
 
@@ -251,9 +239,6 @@ class Multigraph:
         offsets = self._offsets
         return list(map(sub, offsets[1:], offsets[:-1]))
 
-    def star(self, v: int) -> VertexStar:
-        return VertexStar(v, self.incident_edges(v))
-
     def incident_edges(self, v: int) -> tuple[int, ...]:
         k, ids = self._pos(v), self._edge_ids
         return tuple(ids[d >> 1] for d in self._darts[self._offsets[k]:self._offsets[k + 1]])
@@ -455,25 +440,6 @@ class GraphMorphism:
             if error is not None:
                 raise MorphismError(f"edge {e}{error}")
 
-    @classmethod
-    def identity(cls, g: Multigraph) -> "GraphMorphism":
-        vm = g.vertices if g._vpos is None else {v: v for v in g.vertices}
-        em = g._edge_ids if g._erank is None else {e: e for e in g._edge_ids}
-        return cls(g, g, vm, em)
-
-    @property
-    def vertical_edges(self) -> list[int]:
-        return sorted(e for e, img in map_items(self.edge_map) if img is None)
-
-    def degenerate_vertices(self) -> list[int]:
-        """Vertices whose whole neighbourhood collapses to a target vertex."""
-        out = []
-        for y in self.source.vertices:
-            inc = self.source.incident_edges(y)
-            if inc and all(self.edge_map[e] is None for e in inc):
-                out.append(y)
-        return out
-
     def to_json(self) -> dict:
         return {
             "source": self.source.to_json(),
@@ -503,7 +469,6 @@ class HarmonicityReport:
 
     harmonic: bool
     witness: tuple | None = None
-    degenerate_vertices: tuple[int, ...] = ()
 
     def __bool__(self):
         return self.harmonic
@@ -528,7 +493,7 @@ def is_harmonic(m: GraphMorphism) -> HarmonicityReport:
             lo = min(target_edges, key=lambda te: counts[te])
             hi = max(target_edges, key=lambda te: counts[te])
             return HarmonicityReport(False, (y, hi, lo, counts[hi], counts[lo]))
-    return HarmonicityReport(True, None, tuple(m.degenerate_vertices()))
+    return HarmonicityReport(True)
 
 
 # -- isomorphism (small graphs; backtracking with degree refinement) -------

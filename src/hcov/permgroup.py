@@ -13,7 +13,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from hcov.errors import CatalogError, GroupError, read_json
-from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order
+# mulclose is unused here, but perfbench/selftest.py checks that this copy is kernel's
+from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order  # noqa: F401
 
 # -- cycle notation ---------------------------------------------------------
 
@@ -897,39 +898,6 @@ def search_23_pairs(
     return search_pairs(G, 2, 3, product_order, all_involutions)
 
 
-# -- subgroup enumeration (small groups) -------------------------------------
-
-
-def all_subgroups(G: PermutationGroup, max_order: int = 48) -> list[Subgroup]:
-    """Every subgroup of G, as Subgroup objects; exhaustive, |G| <= max_order."""
-    if G.order() > max_order:
-        raise GroupError(f"subgroup enumeration capped at order {max_order}")
-    elements = G.elements()
-    subgroups = {}  # frozenset of elements -> generating tuple
-    ident = G.identity
-    subgroups[frozenset([ident])] = ()
-    for p in elements:
-        if p == ident:
-            continue
-        cyc = frozenset(mulclose([p]))
-        subgroups.setdefault(cyc, (p,))
-    frontier = list(subgroups.items())
-    while frontier:
-        new = []
-        for els, gens in frontier:
-            for p in elements:
-                if p in els or p == ident:
-                    continue
-                bigger = frozenset(mulclose(list(gens) + [p]))
-                if bigger not in subgroups:
-                    subgroups[bigger] = gens + (p,)
-                    new.append((bigger, gens + (p,)))
-        frontier = new
-    out = [G.subgroup(gens) for els, gens in subgroups.items()]
-    out.sort(key=lambda H: (H.order(), H.elements()))
-    return out
-
-
 # -- constructors -------------------------------------------------------------
 
 
@@ -1050,9 +1018,6 @@ class Catalog:
     def by_order(self, n: int) -> list[PermutationGroup]:
         return [G for G in self.groups if G.order() == n]
 
-    def names(self) -> list[str]:
-        return [G.name for G in self.groups]
-
     def get(self, name: str) -> PermutationGroup | None:
         for G in self.groups:
             if G.name == name:
@@ -1160,7 +1125,8 @@ def group_from_spec(
 ) -> PermutationGroup:
     """Resolve a group from a catalog name, a constructor expression
     (sym:N, alt:N, cyc:N, dih:N, psl2:P, prod:A,B), or an inline JSON dict
-    {"degree":..., "generators":[...], "name":...}."""
+    {"degree":..., "generators":[...], "name":...}. A name is looked up in
+    catalog, or in the bundled catalog when catalog is None."""
     if isinstance(spec, dict):
         for key in ("degree", "generators"):
             if key not in spec:
@@ -1178,33 +1144,36 @@ def group_from_spec(
         return PermutationGroup(degree, [tuple(g) for g in gens], name)
     if not isinstance(spec, str):
         raise GroupError(f"cannot resolve group from {spec!r}")
+    kind, colon, arg = spec.partition(":")
+    kind = kind.lower()
+    ctor = {
+        "sym": symmetric,
+        "alt": alternating,
+        "cyc": cyclic,
+        "dih": dihedral,
+        "psl2": lambda p: psl2(p, allow_large=allow_large_psl2),
+    }.get(kind)
+    if catalog is None and not (colon and (ctor or kind == "prod")):
+        # a name, such as S3 or Z3:Z8: only a catalog knows it
+        catalog = load_default_catalog()
     if catalog is not None:
         G = catalog.get(spec)
         if G is not None:
             return G
-    if ":" in spec:
-        kind, _, arg = spec.partition(":")
-        kind = kind.lower()
-        if kind == "prod":
-            left, _, right = arg.partition(",")
-            if not left.strip() or not right.strip():
-                raise GroupError(f"unknown group {spec!r}: prod needs two factors A,B")
-            return direct_product(
-                group_from_spec(left.strip(), catalog, allow_large_psl2),
-                group_from_spec(right.strip(), catalog, allow_large_psl2),
-            )
-        ctor = {
-            "sym": symmetric,
-            "alt": alternating,
-            "cyc": cyclic,
-            "dih": dihedral,
-            "psl2": lambda p: psl2(p, allow_large=allow_large_psl2),
-        }.get(kind)
-        if ctor is None:
-            raise GroupError(f"unknown constructor {kind!r}")
-        try:
-            n = int(arg)
-        except ValueError:
-            raise GroupError(f"{spec!r}: {kind} needs an integer, got {arg!r}") from None
-        return ctor(n)
-    raise GroupError(f"unknown group {spec!r} (not in catalog, not a constructor)")
+    if not colon:
+        raise GroupError(f"unknown group {spec!r} (not in catalog, not a constructor)")
+    if kind == "prod":
+        left, _, right = arg.partition(",")
+        if not left.strip() or not right.strip():
+            raise GroupError(f"unknown group {spec!r}: prod needs two factors A,B")
+        return direct_product(
+            group_from_spec(left.strip(), catalog, allow_large_psl2),
+            group_from_spec(right.strip(), catalog, allow_large_psl2),
+        )
+    if ctor is None:
+        raise GroupError(f"unknown constructor {kind!r}")
+    try:
+        n = int(arg)
+    except ValueError:
+        raise GroupError(f"{spec!r}: {kind} needs an integer, got {arg!r}") from None
+    return ctor(n)

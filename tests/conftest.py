@@ -4,11 +4,12 @@ from importlib.resources import files
 
 import pytest
 
-from hcov.errors import MorphismError
-from hcov.harmonic import GraphAction
+from hcov.errors import GroupError, MorphismError
+from hcov.harmonic import GraphAction, quotient
+from hcov.kernel import mulclose
 from hcov.multigraph import GraphMorphism, Multigraph, is_harmonic, map_items
 from hcov.oriented import OrientedGraph
-from hcov.permgroup import load_default_catalog
+from hcov.permgroup import PermutationGroup, Subgroup, load_default_catalog
 
 
 def load_figure(name: str) -> dict:
@@ -30,8 +31,26 @@ def fiber_subgraph(cover, x) -> Multigraph:
     """The fiber over x with its vertical edges, read off the projection:
     the oracle for the fiber_edges that the ramification profile reads."""
     ends, over = cover.graph.edges, cover.projection.vertex_map
-    vertical = [e for e in cover.projection.vertical_edges if over[ends[e][0]] == x]
+    vertical = sorted(
+        e for e, img in map_items(cover.projection.edge_map)
+        if img is None and over[ends[e][0]] == x
+    )
     return Multigraph(cover.fiber_index[x], [(e, ends[e]) for e in vertical])
+
+
+def fiber_graph(fiber) -> Multigraph:
+    """The graph of a fiber (a galois.LabeledAction) on its coset ids."""
+    ends = fiber.ends
+    return Multigraph(range(len(fiber.reps)), zip(fiber.edges, zip(ends[0::2], ends[1::2])))
+
+
+def fiber_images(fiber) -> tuple[list, list]:
+    """A fiber's vertex and edge image maps, one dict per generator of its
+    group, read off the element index's left multiplications."""
+    of, n, left = fiber.vertex_of, len(fiber.vertex_of), fiber.group.element_index().left
+    vertex_images = [{c: of[lk[r]] for c, r in enumerate(fiber.reps)} for lk in left]
+    edge_images = [{e: e - e % n + lk[e % n] for e in fiber.edges} for lk in left]
+    return vertex_images, edge_images
 
 
 def fiber_action(fiber, faithful: bool) -> GraphAction:
@@ -39,9 +58,62 @@ def fiber_action(fiber, faithful: bool) -> GraphAction:
     a GraphAction on the fiber's own graph and image maps. A Cayley fiber is
     faithful; a collapsed one need not be."""
     return GraphAction(
-        fiber.group, fiber.graph, fiber.vertex_images, fiber.edge_images,
-        require_faithful=faithful,
+        fiber.group, fiber_graph(fiber), *fiber_images(fiber), require_faithful=faithful
     )
+
+
+def identity_morphism(g: Multigraph) -> GraphMorphism:
+    """The identity of g, its maps in the form GraphMorphism keeps."""
+    vm = g.vertices if g._vpos is None else {v: v for v in g.vertices}
+    em = g._edge_ids if g._erank is None else {e: e for e in g._edge_ids}
+    return GraphMorphism(g, g, vm, em)
+
+
+def all_subgroups(G: PermutationGroup, max_order: int = 48) -> list[Subgroup]:
+    """Every subgroup of G, as Subgroup objects; exhaustive, |G| <= max_order."""
+    if G.order() > max_order:
+        raise GroupError(f"subgroup enumeration capped at order {max_order}")
+    elements = G.elements()
+    subgroups = {}  # frozenset of elements -> generating tuple
+    ident = G.identity
+    subgroups[frozenset([ident])] = ()
+    for p in elements:
+        if p == ident:
+            continue
+        cyc = frozenset(mulclose([p]))
+        subgroups.setdefault(cyc, (p,))
+    frontier = list(subgroups.items())
+    while frontier:
+        new = []
+        for els, gens in frontier:
+            for p in elements:
+                if p in els or p == ident:
+                    continue
+                bigger = frozenset(mulclose(list(gens) + [p]))
+                if bigger not in subgroups:
+                    subgroups[bigger] = gens + (p,)
+                    new.append((bigger, gens + (p,)))
+        frontier = new
+    out = [G.subgroup(gens) for els, gens in subgroups.items()]
+    out.sort(key=lambda H: (H.order(), H.elements()))
+    return out
+
+
+def harmonic_by_subgroup_quotients(a: GraphAction, max_order: int = 48):
+    """Literal harmonicity: every subgroup quotient morphism is harmonic.
+
+    Exhaustive over all subgroups; the independent cross-check for the
+    dart-freeness criterion. Returns (verdict, failing subgroup or None).
+    """
+    for H in all_subgroups(a.group, max_order):
+        q = quotient(a, H)
+        if not q.quotient.vertices:
+            continue
+        if not q.quotient.is_connected():
+            continue
+        if not is_harmonic(q.projection):
+            return False, H
+    return True, None
 
 
 def dart_element(mc) -> dict:

@@ -12,7 +12,13 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import dart_element, element_dart, load_figure, random_rotation
+from conftest import (
+    dart_element,
+    element_dart,
+    harmonic_by_subgroup_quotients,
+    load_figure,
+    random_rotation,
+)
 from hcov.cli import main as hc_main
 from hcov.galois import (
     SymmetricMultiset,
@@ -25,7 +31,6 @@ from hcov.harmonic import (
     GraphAction,
     flip_all,
     flipped_edges,
-    harmonic_by_subgroup_quotients,
     is_harmonic_action,
     quotient,
     unflip,

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import resource
 import shlex
@@ -273,13 +274,18 @@ def test_spec_accepts_bundled_name_with_suffix(capsys):
     assert json.loads(out)["R"] == "7/3"
 
 
-def test_jobs_flag_keeps_output_identical(capsys):
+def test_jobs_flag_keeps_output_identical(capsys, caplog):
+    # every run is serial: --jobs above 1 changes nothing but a logged note
     code1, out1, _ = run(capsys, "maximal", "table", "--from", "2", "--to", "4", "--json")
-    code2, out2, _ = run(
-        capsys, "maximal", "table", "--from", "2", "--to", "4", "--jobs", "2", "--json"
-    )
+    assert not caplog.records
+    with caplog.at_level(logging.WARNING, logger="hcov"):
+        code2, out2, _ = run(
+            capsys, "maximal", "table", "--from", "2", "--to", "4", "--jobs", "2", "--json"
+        )
     assert code1 == code2 == 0
     assert out1 == out2
+    notes = [r.getMessage() for r in caplog.records if r.name == "hcov"]
+    assert notes == ["--jobs 2: hc runs serially, with the same output"]
 
 
 def test_group_search_psl2_13_counts(capsys):

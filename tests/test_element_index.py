@@ -191,7 +191,6 @@ def tuple_cover(G, base, inertia, multisets, flipped):
 
 
 def assert_same_action(action, graph, vimg, eimg):
-    """action: a GraphAction, or a fiber's LabeledAction."""
     assert action.graph == graph
     assert as_dicts(action.vertex_images) == vimg
     assert as_dicts(action.edge_images) == eimg
@@ -229,12 +228,10 @@ def check_cover(cover, flipped):
     for x in base.vertices:
         fiber = tuple_cayley(G, cover.multisets[x])
         lab = cayley(G, cover.multisets[x])
-        assert_same_action(lab, *fiber[:3])
+        assert_same_action(fiber_action(lab, faithful=True), *fiber[:3])
         graph, vimg, eimg, _, reps, vertex_of = tuple_collapse(G, inertia[x], fiber)
         out = collapse(G, inertia[x], cover.multisets[x])
-        assert_same_action(out, graph, vimg, eimg)
-        fiber_action(lab, faithful=True)
-        fiber_action(out, faithful=False)
+        assert_same_action(fiber_action(out, faithful=False), graph, vimg, eimg)
         index = G.element_index()
         assert [index.element(i) for i in out.reps] == reps
         assert {index.element(i): v for i, v in enumerate(out.vertex_of)} == vertex_of

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fiber_action, fiber_subgraph, load_figure
+from conftest import fiber_action, fiber_graph, fiber_images, fiber_subgraph, load_figure
 from hcov import galois
 from hcov.errors import ActionError, CoverError, GroupError
 from hcov.galois import (
@@ -80,7 +80,7 @@ def test_multiset_json_round_trip():
 
 def test_cayley_sigma_pair():
     lab = cayley(S3, SymmetricMultiset([SIGMA, SIGMA2]))
-    g = lab.graph
+    g = fiber_graph(lab)
     assert len(g.vertices) == 6
     assert len(g.edges) == 6
     comps = g.connected_components()
@@ -93,7 +93,7 @@ def test_cayley_sigma_pair():
 
 def test_cayley_involution_parallel_pairs():
     lab = cayley(S3, SymmetricMultiset([TAU]))
-    g = lab.graph
+    g = fiber_graph(lab)
     assert len(g.vertices) == 6
     assert len(g.edges) == 6
     comps = g.connected_components()
@@ -108,10 +108,10 @@ def test_cayley_involution_parallel_pairs():
 def test_cayley_z6_half_turn():
     Z6 = cyclic(6)
     g3 = perm_pow(Z6.generators[0], 3)
-    lab = cayley(Z6, SymmetricMultiset([g3]))
-    assert len(lab.graph.vertices) == 6
-    assert len(lab.graph.edges) == 6
-    assert [len(c) for c in lab.graph.connected_components()] == [2, 2, 2]
+    g = fiber_graph(cayley(Z6, SymmetricMultiset([g3])))
+    assert len(g.vertices) == 6
+    assert len(g.edges) == 6
+    assert [len(c) for c in g.connected_components()] == [2, 2, 2]
 
 
 # -- collapse -----------------------------------------------------------------------
@@ -119,15 +119,15 @@ def test_cayley_z6_half_turn():
 
 def test_collapse_tau_cayley_by_sigma():
     out = collapse(S3, S3.subgroup([SIGMA]), SymmetricMultiset([TAU]))
-    assert len(out.graph.vertices) == 2
-    assert len(out.graph.edges) == 6
+    assert len(fiber_graph(out).vertices) == 2
+    assert len(fiber_graph(out).edges) == 6
     assert not out.removed_loops
 
 
 def test_collapse_sigma_cayley_by_sigma_kills_all_edges():
     out = collapse(S3, S3.subgroup([SIGMA]), SymmetricMultiset([SIGMA, SIGMA2]))
-    assert len(out.graph.vertices) == 2
-    assert len(out.graph.edges) == 0
+    assert len(fiber_graph(out).vertices) == 2
+    assert len(fiber_graph(out).edges) == 0
     assert len(out.removed_loops) == 6
 
 
@@ -137,8 +137,8 @@ def test_collapse_by_trivial_subgroup_is_identity():
     index = S3.element_index()
     assert out.reps == list(range(6))
     assert out.vertex_of == list(range(6))
-    assert out.vertex_images == [dict(enumerate(lk)) for lk in index.left]
-    assert dict(out.graph.edges) == dict(enumerate(zip(range(6), index.right(TAU))))
+    assert fiber_images(out)[0] == [dict(enumerate(lk)) for lk in index.left]
+    assert dict(fiber_graph(out).edges) == dict(enumerate(zip(range(6), index.right(TAU))))
     assert not out.removed_loops
 
 

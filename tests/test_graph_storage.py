@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_dict, fiber_subgraph
+from conftest import as_dict, fiber_subgraph, identity_morphism
 from hcov.errors import GraphError, MorphismError
 from hcov.harmonic import quotient
 from hcov.maximal import build_maximal
@@ -180,7 +180,6 @@ def check_same_graph(g: Multigraph, old: DictMultigraph):
     for v in old.vertices:
         assert g.degree(v) == len(old.incidence[v])
         assert g.incident_edges(v) == old.incidence[v]
-        assert g.star(v).incident_edges == old.incidence[v]
     assert g.darts() == old.darts()
     assert list(g.dart_bases()) == [d.base for d in old.darts()]
     assert g.vertex_darts() == old.vertex_darts()
@@ -205,7 +204,6 @@ def check_same_morphism(m: GraphMorphism):
                        as_dict(m.edge_map))
     assert {v: m.vertex_map[v] for v in m.source.vertices} == old.vertex_map
     assert {e: m.edge_map[e] for e in m.source.edges} == old.edge_map
-    assert m.vertical_edges == sorted(e for e, img in old.edge_map.items() if img is None)
 
 
 def check_cover(cover):
@@ -314,7 +312,7 @@ def test_hypothesis_multigraphs_match_the_dict_storage(inputs):
     if sorted(e for e, _ in edges) == list(range(len(edges))):
         flat = [x for _, uv in sorted(edges) for x in uv]
         assert Multigraph(vertices, ends=flat) == g
-    check_same_morphism(GraphMorphism.identity(g))
+    check_same_morphism(identity_morphism(g))
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,14 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_dicts, compose, fiber_action, load_figure, morphism_degree
+from conftest import (
+    all_subgroups,
+    as_dicts,
+    compose,
+    fiber_action,
+    harmonic_by_subgroup_quotients,
+    load_figure,
+    morphism_degree,
+)
 from hcov.errors import ActionError, GroupError, MorphismError
 from hcov.galois import SymmetricMultiset, cayley, cover_from_spec
 from hcov.harmonic import (
     GraphAction,
     flip_all,
     flipped_edges,
-    harmonic_by_subgroup_quotients,
     is_harmonic_action,
     quotient,
     unflip,
@@ -209,14 +216,6 @@ def test_flip_all_hexagon_unchanged():
     assert flip_all(a) is a
 
 
-def test_flip_all_skip_orbits(catalog):
-    a = fig3_s3_action(catalog)
-    unflipped = unflip(a)
-    orbit_rep = min(unflipped.graph.edges)
-    out = flip_all(unflipped, skip_orbits={orbit_rep})
-    assert len(out.graph.edges) == 6  # the single orbit was skipped entirely
-
-
 def test_flip_all_requires_unflipped(catalog):
     with pytest.raises(ActionError, match="unflipped"):
         flip_all(fig3_s3_action(catalog))
@@ -254,7 +253,7 @@ def test_quotient_tower_degrees_multiply(catalog):
     # random small towers H <= K inside harmonic actions: the degree of the
     # composite quotient morphism is the product of the two degrees
     from hcov.galois import SymmetricMultiset, build_cover
-    from hcov.permgroup import all_subgroups, alternating
+    from hcov.permgroup import alternating
 
     S3 = fig3_s3_action(catalog).group
     sigma = perm_from_cycles([(0, 1, 2)], 3)
@@ -295,6 +294,11 @@ def test_quotient_tower_degrees_multiply(catalog):
             assert morphism_degree(comp) == morphism_degree(m1) * morphism_degree(m2)
             checked += 1
     assert checked >= 5
+
+
+def test_action_json_resolves_a_name_without_a_catalog(catalog):
+    a = GraphAction.from_json(load_figure("fig3_s3_action.json"))
+    assert a.group.name == "S3" and a.to_json() == fig3_s3_action(catalog).to_json()
 
 
 def test_action_json_round_trip(catalog):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_subgroups
 from hcov import permgroup
 from hcov.errors import CatalogError, GroupError
 from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order, perm_pow
@@ -20,7 +21,6 @@ from hcov.permgroup import (
     _elements_of_orders,
     _generates_order,
     _partners,
-    all_subgroups,
     alternating,
     cyclic,
     cycle_string,
@@ -328,7 +328,7 @@ def test_catalog_counts_and_names():
     assert len(cat.by_order(24)) == 15
     assert len(cat.by_order(30)) == 4
     assert len(cat.by_order(66)) == 4
-    assert {"Z6", "S3"} <= set(cat.names())
+    assert {"Z6", "S3"} <= {G.name for G in cat.groups}
     spectra = [tuple(sorted(order_spectrum(G).items())) for G in cat.by_order(24)]
     assert len(set(spectra)) == 15
 
@@ -368,6 +368,21 @@ def test_group_from_spec():
     assert group_from_spec(inline).order() == 2
     with pytest.raises(GroupError):
         group_from_spec("NoSuchGroup", cat)
+
+
+@pytest.mark.parametrize("name", ["S3", "Z3:Z8", "(Z3xZ3):Z2"])
+def test_a_name_without_a_catalog_reads_the_bundled_one(name, catalog):
+    # a colon name is a catalog name, not a constructor expression
+    G = group_from_spec(name)
+    assert (G.name, G.generators) == (name, catalog.get(name).generators)
+
+
+def test_an_unknown_constructor_keeps_its_error_without_a_catalog():
+    with pytest.raises(GroupError, match="unknown constructor 'foo'"):
+        group_from_spec("foo:3")
+    with pytest.raises(GroupError, match="unknown group 'NoSuchGroup'"):
+        group_from_spec("NoSuchGroup")
+    assert group_from_spec("prod:S3,cyc:2").order() == 12
 
 
 # -- pair search against the one-chain-per-(a, b) oracle ---------------------

@@ -1,7 +1,12 @@
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import pkgutil
 from pathlib import Path
+
+import pytest
 
 import hcov
 
@@ -27,6 +32,37 @@ def test_trace_targets_still_exist():
     finally:
         tracer.uninstall()
     assert tracing.unpatched()
+
+
+def test_permgroup_binds_the_kernels_mulclose():
+    # perfbench/selftest.py asserts this identity, so that one span sees
+    # every closure call
+    from hcov import kernel, permgroup
+
+    assert permgroup.mulclose is kernel.mulclose
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximal", "table", "--from", "2", "--to", "3"],
+        ["maximal", "genus12"],
+        ["maximal", "miller", "--family", "alternating", "--n", "5"],
+        ["group", "search", "--group", "psl2:7"],
+        ["surface", "check44", "--group", "psl2:7", "--product-order", "7"],
+    ],
+    ids=lambda argv: "_".join(argv[:2]),
+)
+def test_benchmark_commands_accept_json_and_one_job(argv):
+    # perfbench/workload.py runs these hc subcommands with --json --jobs 1
+    # appended, and reads the payload from stdout
+    from hcov.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--json", "--jobs", "1"])
+    assert code == 0
+    assert isinstance(json.loads(out.getvalue()), dict)
 
 
 def test_traced_darts_count_each_dart_once():
