@@ -11,6 +11,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from hcov.errors import CatalogError, GroupError, read_json
 # mulclose is unused here, but perfbench/selftest.py checks that this copy is kernel's
@@ -61,6 +62,20 @@ def cycles_of(p) -> list[tuple]:
         if type(j) is not int:  # the entry that closed the cycle, equal to i
             raise GroupError(f"{list(p)} is not a permutation")
     return out
+
+
+def cycle_count(p) -> int:
+    """The number of cycles of the permutation p, fixed points included."""
+    seen = bytearray(len(p))
+    count = 0
+    for i in range(len(p)):
+        if not seen[i]:
+            count += 1
+            j = i
+            while not seen[j]:
+                seen[j] = 1
+                j = p[j]
+    return count
 
 
 def cycle_string(p) -> str:
@@ -595,9 +610,12 @@ class PairSearch:
     the centralizer C_G(tau), not once per sigma: for c in C_G(tau),
     <tau, c sigma c^-1> = c <tau, sigma> c^-1 and |tau c sigma c^-1| =
     |tau sigma|, so the verdict and the product-order filter are constant on
-    each orbit. One lazy loop, _partners, lists the partners of a class
-    representative; the full search reads all of them and first_pair only
-    the first.
+    each orbit. Before a chain test, two bounds on cycle counts
+    (_CycleBound) rule out most sigma that cannot generate with tau, with no
+    chain and no centralizer. One lazy loop, _partners, lists the partners
+    of a class representative; the full search reads all of them and
+    first_pair only the first. A class's centralizer is computed only when
+    one of its chain tests fails or a second partner is asked for.
 
     The candidates for tau and sigma come from one scan of G through its
     chain (_elements_of_orders), which walks one base point's cycle per
@@ -632,13 +650,13 @@ class _Conjugation:
 
 
 def _conjugacy_classes(G: PermutationGroup, members):
-    """Yield (a, transversal, centralizer generators) per conjugacy class that
-    meets `members`, a sorted list of elements closed under conjugation.
+    """Yield (a, transversal, centralizer) per conjugacy class that meets
+    `members`, a sorted list of elements closed under conjugation.
 
     a is the least member of its class, transversal maps each class member x
-    to some t with t a t^-1 = x. The Schreier generators of the conjugation
-    orbit generate C_G(a); they are pruned on chains to a set in which no
-    generator lies in the group of the others.
+    to some t with t a t^-1 = x. centralizer() returns generators of C_G(a),
+    computed on its first call and kept (_centralizer_generators): a class
+    whose representative admits no partner never builds them.
     """
     actions = [_Conjugation(g, members) for g in G.generators]
     seen = bytearray(len(members))
@@ -648,28 +666,96 @@ def _conjugacy_classes(G: PermutationGroup, members):
         transversal, schreier = schreier_orbit(p, actions, G.generators, G.identity)
         for x in transversal:
             seen[bisect_left(members, x)] = 1
-        chain = StabilizerChain(G.degree)
-        centralizer = []
-        for s in schreier:
-            if not chain.contains(s):
-                chain.add_generator(s)
-                centralizer.append(s)
-        # the last one kept lies outside the group of all the others
-        for s in centralizer[:-1]:
-            rest = [r for r in centralizer if r != s]
-            if _generates_order(G.degree, rest, chain.order()):
-                centralizer = rest
-        yield p, transversal, centralizer
+        yield p, transversal, cache(partial(_centralizer_generators, G.degree, schreier))
 
 
-def _partners(G, order, a, bs, centralizer, product_order):
+def _centralizer_generators(degree, schreier):
+    """The Schreier generators of a conjugation orbit, which generate the
+    centralizer of its point, pruned on chains to a set in which no
+    generator lies in the group of the others."""
+    chain = StabilizerChain(degree)
+    kept = []
+    for s in schreier:
+        if not chain.contains(s):
+            chain.add_generator(s)
+            kept.append(s)
+    # the last one kept lies outside the group of all the others
+    for s in kept[:-1]:
+        rest = [r for r in kept if r != s]
+        if _generates_order(degree, rest, chain.order()):
+            kept = rest
+    return kept
+
+
+def _orbit_count(degree, generators) -> int:
+    """The number of orbits of the group the generators generate on
+    0..degree-1, fixed points included."""
+    seen = bytearray(degree)
+    count = 0
+    for x in range(degree):
+        if seen[x]:
+            continue
+        count += 1
+        seen[x] = 1
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for g in generators:
+                z = g[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    stack.append(z)
+    return count
+
+
+class _CycleBound:
+    """Two necessary conditions for <a, b> = G on the cycle counts c(p),
+    fixed points included, of a and of b = bs[i]; n is the degree.
+
+    - Orbits: the cycles of a and b join at most 2n - c(a) - c(b) pairs of
+      points, so <a, b> has at least c(a) + c(b) - n orbits, and that must
+      be at most the number of orbits of G. For a transitive G this is
+      genus >= 0 in Riemann-Hurwitz for the triple (a, b, (ab)^-1), read
+      with c((ab)^-1) >= 1.
+    - Parity: when G has an odd generator, a or b is odd; p is odd when
+      n - c(p) is.
+
+    Both read cycle types only, so each is constant on the orbit of b under
+    conjugation by C_G(a). Each b's count is taken when admits first asks
+    for it and kept for the life of the bound, one search call; bs may grow
+    in the meantime.
+    """
+
+    def __init__(self, G: PermutationGroup, bs):
+        n = self.degree = G.degree
+        self.bs = bs
+        self.orbits = _orbit_count(n, G.generators)
+        self.odd = any((n - cycle_count(g)) % 2 for g in G.generators)
+        self.counts = {}  # i -> c(bs[i])
+        self.a = None
+
+    def admits(self, a, i) -> bool:
+        """False when a condition rules out <a, bs[i]> = G."""
+        n = self.degree
+        if a is not self.a:
+            self.a, count = a, cycle_count(a)
+            self.most = n + self.orbits - count  # the most cycles b may have
+            self.odd_b = self.odd and (n - count) % 2 == 0  # b must be odd
+        count = self.counts.get(i)
+        if count is None:
+            count = self.counts[i] = cycle_count(self.bs[i])
+        return count <= self.most and not (self.odd_b and (n - count) % 2 == 0)
+
+
+def _partners(G, order, a, bs, centralizer, product_order, bound):
     """Yield, in sorted order, each b in the sorted list bs with <a, b> = G
     (and |a b| = product_order); bs is closed under conjugation by the
-    centralizer of a.
+    centralizer of a, and bound is a _CycleBound on bs.
 
     A chain test's verdict holds on the orbit of b under that conjugation,
     so each orbit is tested once and marked. A b that fails the
-    product-order filter is skipped without marking its orbit. A b that
+    product-order filter or the bound is skipped without a chain test and
+    without marking its orbit: every b in that orbit fails it too. A b that
     passes is yielded before its orbit is marked, so the centralizer's
     generators, from calling centralizer() once, are read only after the
     caller asks for a second partner or a chain test fails.
@@ -679,8 +765,10 @@ def _partners(G, order, a, bs, centralizer, product_order):
     for i, b in enumerate(bs):
         if verdicts[i] == 2:
             yield b
-        if verdicts[i] or (
-            product_order is not None and perm_order(perm_mul(a, b)) != product_order
+        if (
+            verdicts[i]
+            or (product_order is not None and perm_order(perm_mul(a, b)) != product_order)
+            or not bound.admits(a, i)
         ):
             continue
         verdict = 2 if _generates_order(G.degree, (a, b), order) else 1
@@ -809,7 +897,9 @@ def search_pairs(
     b always ranges over every element of its order.
 
     Generation is tested once per orbit of b under C_G(a), the centralizer
-    of the class representative a (see PairSearch). With all_first, a
+    of the class representative a (see PairSearch), and only for a b that
+    the _CycleBound admits; the bound keeps each b's cycle count for every
+    class of this one call. With all_first, a
     conjugate t a t^-1 takes its verdicts from a's:
     verdict(t a t^-1, b) = verdict(a, t^-1 b t).
 
@@ -821,13 +911,14 @@ def search_pairs(
     """
     order = G.order()
     firsts, bs = _elements_of_orders(G.chain(), order_a, order_b)
+    bound = _CycleBound(G, bs)
     pairs = []
     total = 0
     n_classes = 0
     conjugates = {}  # with all_first: member t a t^-1 -> (partners of a, t)
     for a, transversal, centralizer in _conjugacy_classes(G, firsts):
         n_classes += 1
-        partners = list(_partners(G, order, a, bs, lambda c=centralizer: c, product_order))
+        partners = list(_partners(G, order, a, bs, centralizer, product_order, bound))
         if all_first:
             for x, t in transversal.items():
                 conjugates[x] = (partners, t)
@@ -852,15 +943,16 @@ def first_pair(G: PermutationGroup, product_order: int | None = None):
     The least involution a is the first class's representative, and its
     partner is the first that _partners yields: the least b of order 3 that
     passes the search's tests. The buckets of _buckets_of_orders are read
-    only until they hold a and a b that passes both tests, in order. The
-    first failed chain test, or an a with no partner once every bucket is
-    read, hands over to the class path, on the rest of the buckets: the
-    first class is computed only when a chain test fails, for its
-    centralizer, or when a has no partner. Then the later class
-    representatives are tried in order.
+    only until they hold a and a b that passes every test, in order; a b
+    that the product order or the _CycleBound rules out is skipped without
+    a chain test. The first failed chain test, or an a with no partner once
+    every bucket is read, hands over to the class path, on the rest of the
+    buckets: the classes are computed only then, and their representatives
+    tried in order, each class's centralizer only if a chain test needs it.
     """
     order = G.order()
     firsts, bs = [], []
+    bound = _CycleBound(G, bs)
     tested, lazy = 0, True  # bs[:tested] were tried with firsts[0]
     for more_firsts, more_bs in _buckets_of_orders(G.chain(), 2, 3):
         firsts += more_firsts
@@ -868,21 +960,14 @@ def first_pair(G: PermutationGroup, product_order: int | None = None):
         while lazy and firsts and tested < len(bs):
             a, b = firsts[0], bs[tested]
             tested += 1
-            if product_order is None or perm_order(perm_mul(a, b)) == product_order:
+            if (
+                product_order is None or perm_order(perm_mul(a, b)) == product_order
+            ) and bound.admits(a, tested - 1):
                 if _generates_order(G.degree, (a, b), order):
                     return a, b
                 lazy = False
-    if not firsts:
-        return None
-    classes = _conjugacy_classes(G, firsts)
-    first = firsts[0]
-    b = next(_partners(G, order, first, bs, lambda: next(classes)[2], product_order), None)
-    if b is not None:
-        return first, b
-    for a, _, centralizer in classes:
-        if a == first:  # the first class, when no chain test needed it
-            continue
-        b = next(_partners(G, order, a, bs, lambda c=centralizer: c, product_order), None)
+    for a, _, centralizer in _conjugacy_classes(G, firsts):
+        b = next(_partners(G, order, a, bs, centralizer, product_order, bound), None)
         if b is not None:
             return a, b
     return None
@@ -1126,7 +1211,8 @@ def group_from_spec(
     """Resolve a group from a catalog name, a constructor expression
     (sym:N, alt:N, cyc:N, dih:N, psl2:P, prod:A,B), or an inline JSON dict
     {"degree":..., "generators":[...], "name":...}. A name is looked up in
-    catalog, or in the bundled catalog when catalog is None."""
+    catalog, or in the bundled catalog when catalog is None; that is loaded
+    at most once per call, and only when a name needs it."""
     if isinstance(spec, dict):
         for key in ("degree", "generators"):
             if key not in spec:
@@ -1144,6 +1230,15 @@ def group_from_spec(
         return PermutationGroup(degree, [tuple(g) for g in gens], name)
     if not isinstance(spec, str):
         raise GroupError(f"cannot resolve group from {spec!r}")
+    if catalog is None:
+        return _group_from_string(spec, cache(load_default_catalog), False, allow_large_psl2)
+    return _group_from_string(spec, lambda: catalog, True, allow_large_psl2)
+
+
+def _group_from_string(spec: str, load, given: bool, allow_large_psl2: bool):
+    """group_from_spec of a string. load() returns the catalog. When one
+    was given, every spec is looked up in it first; otherwise only a name,
+    such as S3 or Z3:Z8, that no constructor reads."""
     kind, colon, arg = spec.partition(":")
     kind = kind.lower()
     ctor = {
@@ -1153,11 +1248,8 @@ def group_from_spec(
         "dih": dihedral,
         "psl2": lambda p: psl2(p, allow_large=allow_large_psl2),
     }.get(kind)
-    if catalog is None and not (colon and (ctor or kind == "prod")):
-        # a name, such as S3 or Z3:Z8: only a catalog knows it
-        catalog = load_default_catalog()
-    if catalog is not None:
-        G = catalog.get(spec)
+    if given or not (colon and (ctor or kind == "prod")):
+        G = load().get(spec)
         if G is not None:
             return G
     if not colon:
@@ -1167,8 +1259,8 @@ def group_from_spec(
         if not left.strip() or not right.strip():
             raise GroupError(f"unknown group {spec!r}: prod needs two factors A,B")
         return direct_product(
-            group_from_spec(left.strip(), catalog, allow_large_psl2),
-            group_from_spec(right.strip(), catalog, allow_large_psl2),
+            _group_from_string(left.strip(), load, given, allow_large_psl2),
+            _group_from_string(right.strip(), load, given, allow_large_psl2),
         )
     if ctor is None:
         raise GroupError(f"unknown constructor {kind!r}")

@@ -1,5 +1,6 @@
-"""benchmarks/bench_check44.py and bench_covers.py: the commit label, on a
-temporary git repo, the fork-and-measure helper, and the median rows."""
+"""benchmarks/bench_check44.py, bench_covers.py and bench_pairs.py: the
+commit label, on a temporary git repo, the fork-and-measure helper, and the
+median rows."""
 
 import importlib.util
 import subprocess
@@ -103,3 +104,18 @@ def test_covers_row_takes_the_median_of_the_runs():
         "commit": "abc1234", "workload": "criterion4", "covers": 200, "wall_s": 0.5,
         "sweep_s": 0.3, "peak_rss_mb": 30.0, "runs": 3, "stat": "median", "machine": "machine",
     }
+
+
+def test_pairs_row_takes_the_median_of_the_runs():
+    runs = [
+        {"wall_s": 0.5, "command_s": 0.06, "peak_rss_mb": 20.0},
+        {"wall_s": 0.3, "command_s": 0.04, "peak_rss_mb": 21.0},
+        {"wall_s": 0.9, "command_s": 0.05, "peak_rss_mb": 19.0},
+    ]
+    bench = load_bench("bench_pairs")
+    assert bench.row("abc1234", "group search --group psl2:29", runs, "machine") == {
+        "commit": "abc1234", "command": "hc group search --group psl2:29", "wall_s": 0.5,
+        "command_s": 0.05, "peak_rss_mb": 20.0, "runs": 3, "stat": "median",
+        "machine": "machine",
+    }
+    assert bench.COMMANDS[0] == "maximal miller --family symmetric --n 8"

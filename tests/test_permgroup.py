@@ -18,6 +18,7 @@ from hcov.permgroup import (
     _buckets_of_orders,
     _chain_products,
     _conjugacy_classes,
+    _CycleBound,
     _elements_of_orders,
     _generates_order,
     _partners,
@@ -385,6 +386,23 @@ def test_an_unknown_constructor_keeps_its_error_without_a_catalog():
     assert group_from_spec("prod:S3,cyc:2").order() == 12
 
 
+@pytest.mark.parametrize(
+    "spec, loads",
+    [("prod:S3,Z6", 1), ("prod:S3,prod:Z6,S3", 1), ("prod:S3,cyc:2", 1), ("prod:cyc:2,sym:3", 0)],
+)
+def test_a_spec_loads_the_bundled_catalog_at_most_once(monkeypatch, spec, loads):
+    load = permgroup.load_default_catalog
+    seen = []
+
+    def counted():
+        seen.append(1)
+        return load()
+
+    monkeypatch.setattr(permgroup, "load_default_catalog", counted)
+    group_from_spec(spec)
+    assert len(seen) == loads
+
+
 # -- pair search against the one-chain-per-(a, b) oracle ---------------------
 
 
@@ -494,13 +512,14 @@ def scan_first_pair(G, product_order=None):
         return None
     classes = _conjugacy_classes(G, firsts)
     first = firsts[0]
-    b = next(_partners(G, order, first, bs, lambda: next(classes)[2], product_order), None)
+    bound = _CycleBound(G, bs)
+    b = next(_partners(G, order, first, bs, lambda: next(classes)[2](), product_order, bound), None)
     if b is not None:
         return first, b
     for a, _, centralizer in classes:
         if a == first:
             continue
-        b = next(_partners(G, order, a, bs, lambda c=centralizer: c, product_order), None)
+        b = next(_partners(G, order, a, bs, centralizer, product_order, bound), None)
         if b is not None:
             return a, b
     return None
@@ -621,6 +640,110 @@ def test_first_pair_pulls_classes_only_when_needed(monkeypatch, spec, product_or
     monkeypatch.setattr(permgroup, "_conjugacy_classes", counted)
     first_pair(group_from_spec(spec), product_order)
     assert len(seen) == pulled
+
+
+# -- the cycle-count bounds ----------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def bound_groups():
+    extra = [symmetric(n) for n in range(3, 8)] + [alternating(n) for n in range(4, 8)]
+    return (*load_default_catalog().groups, *extra, psl2(7))
+
+
+@lru_cache(maxsize=None)
+def elements_of_orders(group_index, order_a, order_b):
+    return _elements_of_orders(bound_groups()[group_index].chain(), order_a, order_b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    group_index=st.integers(0, len(bound_groups()) - 1),
+    orders=st.sampled_from([(2, 3), (2, 4), (3, 3)]),
+    i=st.integers(0, 10**6),
+    j=st.integers(0, 10**6),
+)
+def test_the_cycle_bound_admits_every_generating_pair(group_index, orders, i, j):
+    G = bound_groups()[group_index]
+    firsts, bs = elements_of_orders(group_index, *orders)
+    if not firsts or not bs:
+        return
+    a, b = firsts[i % len(firsts)], bs[j % len(bs)]
+    if StabilizerChain(G.degree, (a, b)).order() == G.order():
+        assert _CycleBound(G, [b]).admits(a, 0), (G.name, a, b)
+
+
+def test_the_cycle_bound_reads_orbits_and_parity():
+    n = 8
+    S8, A8 = symmetric(n), alternating(n)
+    transposition = perm_from_cycles([(0, 1)], n)
+    two_transpositions = perm_from_cycles([(0, 1), (2, 3)], n)
+    three_transpositions = perm_from_cycles([(0, 1), (2, 3), (4, 5)], n)
+    four_transpositions = perm_from_cycles([(0, 1), (2, 3), (4, 5), (6, 7)], n)
+    two_3_cycles = perm_from_cycles([(0, 2, 4), (1, 3, 5)], n)
+    assert permgroup.cycle_count(two_3_cycles) == 4
+    # orbits: c(a) + c(b) - n must be at most 1
+    assert not _CycleBound(S8, [two_3_cycles]).admits(transposition, 0)
+    assert _CycleBound(S8, [two_3_cycles]).admits(three_transpositions, 0)
+    # parity: S8 has odd generators, A8 none
+    assert not _CycleBound(S8, [two_3_cycles]).admits(four_transpositions, 0)
+    assert _CycleBound(A8, [two_3_cycles]).admits(four_transpositions, 0)
+    assert not _CycleBound(A8, [two_3_cycles]).admits(two_transpositions, 0)
+    # an intransitive group has more orbits to spare: A4 x A4 has two
+    a, b = perm_from_cycles([(0, 1), (2, 3)], n), perm_from_cycles([(0, 1, 2), (4, 5, 6)], n)
+    assert _CycleBound(direct_product(alternating(4), alternating(4)), [b]).admits(a, 0)
+    assert not _CycleBound(A8, [b]).admits(a, 0)
+
+
+def _searched(monkeypatch, search):
+    """search() run with _generates_order counted and each class's
+    centralizer call noted: (the result, calls, the representatives of the
+    classes pulled, those whose centralizer was built)."""
+    calls, pulled, built = [0], [], []
+    generates, classes = permgroup._generates_order, permgroup._conjugacy_classes
+
+    def counted(*args):
+        calls[0] += 1
+        return generates(*args)
+
+    def noted(G, members):
+        for a, transversal, centralizer in classes(G, members):
+            pulled.append(a)
+            yield a, transversal, lambda a=a, c=centralizer: built.append(a) or c()
+
+    monkeypatch.setattr(permgroup, "_generates_order", counted)
+    monkeypatch.setattr(permgroup, "_conjugacy_classes", noted)
+    return search(), calls[0], pulled, built
+
+
+@pytest.mark.parametrize("n, most", [(8, 24), (7, 8)])
+def test_first_pair_of_a_symmetric_group_runs_few_chain_tests(monkeypatch, n, most):
+    found, calls, pulled, built = _searched(monkeypatch, lambda: first_pair(symmetric(n)))
+    assert (found is None) == (n == 8)
+    assert calls <= most  # 70 and 38 chain tests with no cycle bound
+    # only the class of three transpositions admits partners: c(a) = n - 3,
+    # so a b of order 3 needs at most 4 cycles, and a must be odd
+    assert [permgroup.cycle_count(a) for a in built] == [n - 3]
+    if n == 8:
+        # two transpositions and four: S8's two even involution classes
+        even = [a for a in pulled if (n - permgroup.cycle_count(a)) % 2 == 0]
+        assert len(pulled) == 4 and len(even) == 2
+
+
+def test_first_pair_of_alternating_8_runs_few_chain_tests(monkeypatch):
+    found, calls, _, built = _searched(monkeypatch, lambda: first_pair(alternating(8)))
+    assert found is None
+    assert calls <= 14  # 42 with no cycle bound
+    assert [permgroup.cycle_count(a) for a in built] == [4]
+
+
+def test_a_psl2_search_keeps_its_chain_tests(monkeypatch):
+    # PSL(2,29) on 30 points has no odd element, and an involution (16
+    # cycles) and an element of order 3 (10 cycles) have c(a) + c(b) < 30:
+    # the bound admits every b, and the search runs what it ran without it
+    res, calls, pulled, built = _searched(monkeypatch, lambda: search_23_pairs(psl2(29)))
+    assert (len(res.pairs), res.total, res.classes_searched) == (616, 267960, 1)
+    assert calls == 30 and len(pulled) == len(built) == 1
 
 
 SCAN_ORDERS = ((1, 1), (1, 3), (2, 3), (2, 4), (3, 3), (2, 7), (4, 6), (5, 5))
