@@ -17,7 +17,7 @@ from typing import NamedTuple
 from hcov.errors import ActionError, GroupError
 from hcov.kernel import perm_inv, perm_order
 from hcov.multigraph import Dart, GraphMorphism, Multigraph, map_items
-from hcov.permgroup import PermutationGroup, Subgroup, cycle_string, group_from_spec
+from hcov.permgroup import PermutationGroup, Subgroup, _orbits_under, cycle_string, group_from_spec
 
 
 def _size(orbit) -> int:
@@ -378,25 +378,6 @@ class QuotientResult:
     quotient: Multigraph
     projection: GraphMorphism
     removed_loops: list = field(default_factory=list)
-
-
-def _orbits_under(points, maps) -> tuple[dict, list]:
-    """(orbit number per point, least point per orbit) of the points under
-    the maps, orbits numbered by least point."""
-    number, reps = {}, []
-    for p in sorted(points):
-        if p in number:
-            continue
-        number[p] = len(reps)
-        orbit = [p]
-        for x in orbit:
-            for m in maps:
-                y = m[x]
-                if y not in number:
-                    number[y] = len(reps)
-                    orbit.append(y)
-        reps.append(p)
-    return number, reps
 
 
 def quotient(a: GraphAction, H: Subgroup | None = None) -> QuotientResult:

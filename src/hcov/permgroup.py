@@ -654,9 +654,9 @@ def _conjugacy_classes(G: PermutationGroup, members):
     `members`, a sorted list of elements closed under conjugation.
 
     a is the least member of its class, transversal maps each class member x
-    to some t with t a t^-1 = x. centralizer() returns generators of C_G(a),
-    computed on its first call and kept (_centralizer_generators): a class
-    whose representative admits no partner never builds them.
+    to some t with t a t^-1 = x. centralizer() computes generators of C_G(a)
+    when called (_centralizer_generators), so a class whose representative
+    admits no partner never builds them.
     """
     actions = [_Conjugation(g, members) for g in G.generators]
     seen = bytearray(len(members))
@@ -666,7 +666,7 @@ def _conjugacy_classes(G: PermutationGroup, members):
         transversal, schreier = schreier_orbit(p, actions, G.generators, G.identity)
         for x in transversal:
             seen[bisect_left(members, x)] = 1
-        yield p, transversal, cache(partial(_centralizer_generators, G.degree, schreier))
+        yield p, transversal, partial(_centralizer_generators, G.degree, schreier)
 
 
 def _centralizer_generators(degree, schreier):
@@ -687,25 +687,23 @@ def _centralizer_generators(degree, schreier):
     return kept
 
 
-def _orbit_count(degree, generators) -> int:
-    """The number of orbits of the group the generators generate on
-    0..degree-1, fixed points included."""
-    seen = bytearray(degree)
-    count = 0
-    for x in range(degree):
-        if seen[x]:
+def _orbits_under(points, maps) -> tuple[dict, list]:
+    """(orbit number per point, least point per orbit) of the points under
+    the maps, orbits numbered by least point."""
+    number, reps = {}, []
+    for p in sorted(points):
+        if p in number:
             continue
-        count += 1
-        seen[x] = 1
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for g in generators:
-                z = g[y]
-                if not seen[z]:
-                    seen[z] = 1
-                    stack.append(z)
-    return count
+        number[p] = len(reps)
+        orbit = [p]
+        for x in orbit:
+            for m in maps:
+                y = m[x]
+                if y not in number:
+                    number[y] = len(reps)
+                    orbit.append(y)
+        reps.append(p)
+    return number, reps
 
 
 class _CycleBound:
@@ -729,7 +727,7 @@ class _CycleBound:
     def __init__(self, G: PermutationGroup, bs):
         n = self.degree = G.degree
         self.bs = bs
-        self.orbits = _orbit_count(n, G.generators)
+        self.orbits = len(_orbits_under(range(n), G.generators)[1])
         self.odd = any((n - cycle_count(g)) % 2 for g in G.generators)
         self.counts = {}  # i -> c(bs[i])
         self.a = None
