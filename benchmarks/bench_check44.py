@@ -11,7 +11,10 @@ from CHECKOUT's src/ (default: this checkout) as a child process: three
 times for p <= 83, once for p = 113, 127 and 197 (about 20 s, 30 s and 2
 minutes, and 0.5 to 2 GB, each). Each run is forked off first, so the fork's
 resource.getrusage(RUSAGE_CHILDREN) holds that one command's peak RSS and
-nothing else. Times are raw wall-clock seconds. One row per p is appended:
+nothing else. The child writes and reads bytecode whatever the caller's
+environment says, and CHECKOUT's src/ is compiled before each run starts,
+so no timed run compiles hcov. Times are raw wall-clock seconds. One
+row per p is appended:
 CHECKOUT's commit (see commit_label; `<commit>-dirty` measures uncommitted
 changes on top of that commit), p, |G|, the median wall_s and peak_rss_mb
 of the runs (stat "median"; "single" for one run), their number and the
@@ -22,6 +25,7 @@ that can be compared.
 
 from __future__ import annotations
 
+import compileall
 import json
 import os
 import platform
@@ -33,16 +37,31 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+HERE = ROOT / "benchmarks"
 OUT = ROOT / "BENCH_hurwitz.json"
 PRIMES = (29, 43, 71, 83, 113, 127, 197)
 RUNS = {113: 1, 127: 1, 197: 1}  # runs per p; 3 where not listed
 
 
+def compile_bytecode(*dirs: Path):
+    """Compile the Python files under each directory to bytecode; a file
+    whose bytecode is up to date is left as it is."""
+    for d in dirs:
+        compileall.compile_dir(str(d), quiet=1)
+
+
 def measure(cmd: list, checkout: Path) -> dict:
     """Run cmd with checkout's src/ importable in a forked child; returns its
     stdout, wall_s and peak_rss_mb. The fork runs nothing but cmd, so its
-    getrusage(RUSAGE_CHILDREN) peak belongs to that one command."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    getrusage(RUSAGE_CHILDREN) peak belongs to that one command.
+
+    checkout's src/ and these scripts are compiled before the child starts,
+    and the child does not inherit PYTHONDONTWRITEBYTECODE: it reads that
+    bytecode and never compiles them itself, which would add to its time
+    and memory."""
+    compile_bytecode(checkout / "src", HERE)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(checkout / "src")
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the fork: run the command, report, exit

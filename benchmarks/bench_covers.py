@@ -74,6 +74,7 @@ def row(commit: str, runs: list, machine: str) -> dict:
 
 
 def _run(checkout: Path) -> dict:
+    bench_check44.compile_bytecode(ROOT / "tests")  # the sweep's generator
     result = bench_check44.measure([sys.executable, str(Path(__file__)), "--sweep"], checkout)
     result.update(json.loads(result.pop("stdout")))
     return result

@@ -15,15 +15,15 @@ from fractions import Fraction
 from functools import cached_property
 
 from hcov.errors import CoverError, GroupError
-from hcov.harmonic import GraphAction, flip_all, is_harmonic_action, quotient
+from hcov.harmonic import GraphAction, flip_all, is_harmonic_action
 # perm_mul is unused here, but perfbench/selftest.py checks that its tracer wraps it
 from hcov.kernel import perm_id, perm_inv, perm_mul  # noqa: F401
-from hcov.multigraph import GraphMorphism, Multigraph, map_images
+from hcov.multigraph import GraphMorphism, Multigraph, images_of, map_images, union_find
 from hcov.permgroup import (
     PermutationGroup,
     Subgroup,
+    _generates_order,
     cycle_string,
-    generates,
     group_from_spec,
     is_permutation,
     left_cosets,
@@ -183,7 +183,8 @@ def collapse(G: PermutationGroup, I: Subgroup, S: SymmetricMultiset) -> LabeledA
     parallel doubles appear. The u-th such unit's edge at element i is
     u*|G| + i. Its ends are the cosets of g and g*rho; an edge inside one
     coset is not built but recorded in removed_loops, so the surviving edge
-    ids stay auditable.
+    ids stay auditable. A unit is all loops or none: g*rho lies in g*I iff
+    rho lies in I.
     """
     index = G.element_index()
     n = len(index)
@@ -191,15 +192,16 @@ def collapse(G: PermutationGroup, I: Subgroup, S: SymmetricMultiset) -> LabeledA
     of = cosets.of
     pairs, invs = S.units()
     edges, ends, removed = [], [], []
+    unit = [0] * (2 * n)  # the ends of a unit's edges, flat
+    unit[0::2] = of
     for u, (rho, j) in enumerate(pairs + invs):
         if j == 0:  # a multiplicity step j > 0 repeats step 0's ends
-            rho_ends = list(enumerate(zip(of, map(of.__getitem__, index.right(rho)))))
-        for i, (a, b) in rho_ends:
-            if a == b:
-                removed.append({"edge": u * n + i, "coset": a})
-            else:
-                edges.append(u * n + i)
-                ends += (a, b)
+            unit[1::2] = map(of.__getitem__, index.right(rho))
+        if unit[0] == unit[1]:  # x_0 * rho = rho lies in I
+            removed += ({"edge": u * n + i, "coset": a} for i, a in enumerate(of))
+        else:
+            edges += range(u * n, u * n + n)
+            ends += unit
     return LabeledAction(G, of, cosets.reps, edges, ends, removed)
 
 
@@ -212,37 +214,25 @@ def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
 # -- covers --------------------------------------------------------------------
 
 
+@dataclass(eq=False)
 class HarmonicCover:
     """A harmonic G-cover of a tree, assembled fiber by fiber.
 
     Carries the total action, the projection onto the base and, per fiber,
-    its vertex ids and the ends of its vertical edges as one flat list, two
-    per edge (the profile's input).
+    its vertex ids (a range) and the ends of its vertical edges as one flat
+    list, two per edge (the profile's input).
     """
 
-    def __init__(
-        self,
-        base: Multigraph,
-        group: PermutationGroup,
-        inertia: InertiaStructure,
-        multisets: dict,
-        action: GraphAction,
-        projection: GraphMorphism,
-        fiber_index: dict,
-        fiber_edges: dict,
-        flipped: bool,
-        warnings: list,
-    ):
-        self.base = base
-        self.group = group
-        self.inertia = inertia
-        self.multisets = multisets
-        self.action = action
-        self.projection = projection
-        self.fiber_index = fiber_index
-        self.fiber_edges = fiber_edges
-        self.flipped = flipped
-        self.warnings = list(warnings)
+    base: Multigraph
+    group: PermutationGroup
+    inertia: InertiaStructure
+    multisets: dict
+    action: GraphAction
+    projection: GraphMorphism
+    fiber_index: dict
+    fiber_edges: dict
+    flipped: bool
+    warnings: list
 
     @property
     def graph(self) -> Multigraph:
@@ -277,10 +267,10 @@ class HarmonicCover:
 
     @cached_property
     def _ramification_number(self) -> Fraction:
-        """R = sum over base vertices of 2(1 - 1/m) + w, summed once."""
-        return sum(
-            (2 * (1 - Fraction(1, p.m)) + p.w for p in self._per_vertex.values()), Fraction(0)
-        )
+        """R = sum over base vertices of 2(1 - 1/m) + w, one Fraction over |G|."""
+        order = self.group.order()
+        terms = (2 * (order - order // p.m) + p.w * order for p in self._per_vertex.values())
+        return Fraction(sum(terms), order)
 
     def __repr__(self):
         flip = "flipped" if self.flipped else "unflipped"
@@ -303,13 +293,13 @@ def build_cover(
     The fiber over x is collapse(G, I_x, S_x): the Cayley graph Cay(G, S_x)
     collapsed onto G/I_x, built once. One horizontal edge per group element
     joins g*I_x to g*I_x' over each base edge {x, x'}. Entries of S_x lying
-    in I_x are dropped with a warning (they would only produce loops). The
+    in I_x are dropped with a warning (they would only produce loops), so a
+    generator maps a fiber's edges unit by unit, by block offsets. The
     fibers' image maps are validated once, by the total GraphAction: one per
-    cover, and a second from flip_all when flipped. Every statistic of the
-    cover reads the orbits that validation stored. Harmonicity and the
-    per-edge degree are verified before returning; a disconnected result is
-    reported, not an error. An inertia or multiset key that is not a base
-    vertex is a CoverError, worded as in cover_from_spec.
+    cover, and a second from flip_all when flipped. Every check and
+    statistic of the cover reads what that validation stored. A disconnected
+    result is reported, not an error. An inertia or multiset key that is
+    not a base vertex is a CoverError, worded as in cover_from_spec.
     """
     if not base.is_connected():
         raise CoverError("base must be connected")
@@ -328,8 +318,7 @@ def build_cover(
         I_x = inertia.subgroup_at(G, x)
         S_x = multisets.get(x, empty)
         for p in S_x.support():
-            if not G.contains(p):
-                raise GroupError(f"multiset entry {cycle_string(p)} is not a member of {G.name}")
+            _check_member(G, p)
         trimmed = S_x.without(I_x)
         if trimmed.size() != S_x.size():
             msg = f"dropped multiset entries lying in the inertia group at vertex {x}"
@@ -351,11 +340,11 @@ def build_cover(
         fiber_index[x] = range(o, len(vertex_base))
         for vm, lk in zip(vertex_images, left):
             vm += [o + fib.vertex_of[lk[r]] for r in fib.reps]
-        # the fiber's edge u*n + i keeps its rank in fib.edges
-        rank = dict(zip(fib.edges, range(first, first + len(fib.edges))))
-        split = [divmod(e, n) for e in fib.edges]
+        # a unit's n edges are all loops or none (x_i*rho lies in x_i*I iff
+        # rho does), so the fiber's edges are whole blocks of n, ascending
+        blocks = range(first, first + len(fib.edges), n)
         for em, lk in zip(edge_images, left):
-            em += [rank[u * n + lk[i]] for u, i in split]
+            em += [b + j for b in blocks for j in lk]
         ends += [o + a for a in fib.ends]
         vertical[x] = range(first, len(ends) // 2)
     proj_edge = [None] * (len(ends) // 2)
@@ -393,41 +382,48 @@ def build_cover(
     return cover
 
 
+def _check_member(G: PermutationGroup, p):
+    """GroupError unless the multiset entry p is a member of G."""
+    if not G.contains(p):
+        raise GroupError(f"multiset entry {cycle_string(p)} is not a member of {G.name}")
+
+
 def _verify_cover(cover: HarmonicCover):
-    """Structural checks run after every construction; failures are bugs."""
-    if not is_harmonic_action(cover.action):
+    """Structural checks run after every construction; failures are bugs.
+    The quotient by G, read off the orbits that validation stored (an edge
+    orbit is a loop iff its least edge's ends share a vertex orbit), must
+    match the base through the projection, whatever the base's genus. The
+    generators of the criterion were checked as members while building."""
+    action, base, graph, projection = cover.action, cover.base, cover.graph, cover.projection
+    if not is_harmonic_action(action):
         raise CoverError("constructed cover action is not harmonic")
     order = cover.group.order()
-    counts = Counter(map_images(cover.projection.edge_map))
-    for b in cover.base.edges:
+    counts = Counter(map_images(projection.edge_map))
+    for b in base.edges:
         if counts[b] != order:
             raise CoverError(f"base edge {b} has {counts[b]} preimages, expected {order}")
-    q = quotient(cover.action)
-    if len(q.quotient.vertices) != len(cover.base.vertices) or len(
-        q.quotient.edges
-    ) != len(cover.base.edges):
+    vertex_no, edge_no = action._vertex_orbit_no, action._edge_orbit_no
+    least = [graph.ends(o.point) for o in action._edge_orbits]
+    loop = [vertex_no[u] == vertex_no[v] for u, v in least]
+    if len(action._vertex_orbits) != len(base.vertices) or loop.count(False) != len(base.edges):
         raise CoverError("quotient by the full group does not match the base")
-    # the orbit classes must realize the base incidence through the projection;
+    # the orbits must realize the base incidence through the projection;
     # each distinct (orbit, base) pair of a vertex or an edge is checked once
-    vertices, edges = cover.graph.vertices, cover.graph.edges
-    pairs = set(zip(map(q.projection.vertex_map.__getitem__, vertices),
-                    map(cover.projection.vertex_map.__getitem__, vertices)))
+    vertices, ids = graph.vertices, graph._edge_ids
+    pairs = set(zip(images_of(vertex_no, vertices), images_of(projection.vertex_map, vertices)))
     orbit_to_base = dict(pairs)
     if len(orbit_to_base) != len(pairs):
         raise CoverError("a vertex orbit projects to two base vertices")
-    for oe, be in set(zip(map(q.projection.edge_map.__getitem__, edges),
-                          map(cover.projection.edge_map.__getitem__, edges))):
-        if (oe is None) != (be is None):
+    for j, be in set(zip(images_of(edge_no, ids), images_of(projection.edge_map, ids))):
+        if loop[j] != (be is None):
             raise CoverError("vertical edges disagree between quotient and projection")
-        if oe is not None:
-            u, v = q.quotient.ends(oe)
-            if {orbit_to_base[u], orbit_to_base[v]} != set(cover.base.ends(be)):
+        if be is not None:
+            u, v = least[j]
+            if {orbit_to_base[vertex_no[u]], orbit_to_base[vertex_no[v]]} != set(base.ends(be)):
                 raise CoverError("quotient incidence does not match the base")
-    gens = []
-    for x in cover.base.vertices:
-        gens.extend(cover.inertia.subgroup_at(cover.group, x).generators)
-        gens.extend(cover.multisets[x].support())
-    expected_connected = generates(cover.group, gens) if gens else cover.group.order() == 1
+    gens = [g for x in base.vertices for g in cover.inertia.subgroup_at(cover.group, x).generators]
+    gens += [p for x in base.vertices for p in cover.multisets[x].support()]
+    expected_connected = _generates_order(cover.group.degree, gens, order) if gens else order == 1
     if cover.is_connected() != expected_connected:
         raise CoverError("connectivity does not match the generation criterion")
     if not expected_connected:
@@ -470,7 +466,7 @@ def ramification_profile(c: HarmonicCover) -> RamificationProfile:
     its stored Orbit, whose map phi from G's element index was found
     equivariant there; m is the size of phi's fiber over the orbit's least
     point. The fresh stabilizer computation from both ends of each fiber is
-    a test oracle in tests/test_galois.py.
+    a test oracle in tests/test_galois.py; fiber components are a union_find.
 
     The per-vertex data and its checks are computed once per cover, on the
     first call, and stored on it; riemann_hurwitz_check,
@@ -486,19 +482,11 @@ def _vertex_profiles(c: HarmonicCover) -> dict:
     out = {}
     for x in c.base.vertices:
         fiber, edges = c.fiber_index[x], c.fiber_edges[x]
-        comp = {y: {y} for y in fiber}  # y's component, merged edge by edge
-        for u, v in zip(edges[0::2], edges[1::2]):
-            cu, cv = comp[u], comp[v]
-            if cu is not cv:
-                if len(cu) < len(cv):
-                    cu, cv = cv, cu
-                cu |= cv
-                comp.update(dict.fromkeys(cv, cu))
-        sizes = {id(cu): len(cu) for cu in comp.values()}  # one entry per component
+        sizes = Counter(union_find(len(fiber), edges, fiber[0]))
         n = len(sizes)
         if len(set(sizes.values())) != 1:
             raise CoverError(f"fiber over {x} has components of different sizes")
-        f = len(comp[fiber[0]])
+        f = sizes.popitem()[1]
         degree = Counter(edges)
         degrees = set(map(degree.__getitem__, fiber))
         if len(degrees) != 1:
@@ -533,18 +521,18 @@ class RiemannHurwitzReport:
 def riemann_hurwitz_check(c: HarmonicCover, strict_sign: bool = False) -> RiemannHurwitzReport:
     """Check 2g(Y)-2 = |G| (2g(X)-2+R) with R the ramification number.
 
-    strict_sign=True evaluates the "-R" sign variant instead; it is kept as
-    a documented negative control and fails on the shipped examples.
+    The right side is an integer, as |G| R is. strict_sign=True evaluates
+    the "-R" sign variant instead; it is kept as a documented negative
+    control and fails on the shipped examples.
     """
     if not c.is_connected():
         raise CoverError("Riemann-Hurwitz requires a connected total graph")
     profile = ramification_profile(c)
     R = profile.ramification_number()
     lhs = 2 * c.graph.genus() - 2
-    gx = c.base.genus()
-    sign = -1 if strict_sign else 1
-    rhs = c.group.order() * (2 * gx - 2 + sign * R)
-    return RiemannHurwitzReport(R, lhs, rhs, Fraction(lhs) == rhs, "-R" if strict_sign else "+R")
+    order, sign = c.group.order(), -1 if strict_sign else 1
+    rhs = order * (2 * c.base.genus() - 2) + sign * R.numerator * (order // R.denominator)
+    return RiemannHurwitzReport(R, lhs, Fraction(rhs), lhs == rhs, "-R" if strict_sign else "+R")
 
 
 @dataclass
@@ -598,9 +586,9 @@ def cover_from_spec(data, catalog=None) -> HarmonicCover:
      "multisets":{x:[[perm,mult]...]}, "flipped":bool}.
 
     A missing field, a malformed vertex-keyed entry (an inertia generator
-    that is no member of the group, a malformed multiset entry), a key that
-    is not a base vertex or a non-boolean flipped raises CoverError naming
-    its path."""
+    or multiset entry that is no member of the group, a malformed multiset
+    entry), a multiset that is not symmetric, a key that is not a base
+    vertex or a non-boolean flipped raises CoverError naming its path."""
     G = group_from_spec(_spec_field(data, "group"), catalog)
     base = Multigraph.from_json(_spec_field(data, "base.tree"))
     inertia = {}
@@ -615,9 +603,9 @@ def cover_from_spec(data, catalog=None) -> HarmonicCover:
             f"multisets.{x}",
             lambda e: isinstance(e, list) and len(e) == 2 and isinstance(e[0], list),
             "a [permutation, multiplicity] pair",
-            SymmetricMultiset._entry,
+            lambda e: _check_member(G, SymmetricMultiset._entry(e)[0]),
         )
-        multisets[x] = SymmetricMultiset.from_json(entries)
+        multisets[x] = _named(f"multisets.{x}", SymmetricMultiset.from_json, entries)
     flipped = data.get("flipped", False)
     if not isinstance(flipped, bool):
         raise CoverError(f"cover spec: flipped must be true or false, got {flipped!r}")
@@ -664,10 +652,15 @@ def _check_entries(entries, path, ok, what, check):
     for i, entry in enumerate(entries):
         if not ok(entry):
             raise CoverError(f"cover spec: {path}.{i} must be {what}, got {entry!r}")
-        try:
-            check(entry)
-        except GroupError as exc:
-            raise CoverError(f"cover spec: {path}.{i}: {exc}") from None
+        _named(f"{path}.{i}", check, entry)
+
+
+def _named(path, fn, *args):
+    """fn(*args), a GroupError from it reported as a CoverError naming path."""
+    try:
+        return fn(*args)
+    except GroupError as exc:
+        raise CoverError(f"cover spec: {path}: {exc}") from None
 
 
 def profile_to_json(c: HarmonicCover) -> dict:

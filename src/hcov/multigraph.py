@@ -53,6 +53,12 @@ def map_images(m):
     return m.values() if isinstance(m, dict) else m
 
 
+def images_of(m, ids):
+    """The images of the ids, in order, under a map kept as given: the
+    sequence itself when the ids are 0..n-1."""
+    return m if isinstance(ids, range) and not isinstance(m, dict) else map(m.__getitem__, ids)
+
+
 def _has(m, x) -> bool:
     """True iff the map m (a dict, or a sequence indexed by id) has an image
     for x."""
@@ -107,6 +113,26 @@ def _rank(ids, positions, x) -> int:
     if r is None:
         raise KeyError(x)
     return r
+
+
+def union_find(count, ends, first=0) -> list:
+    """The root of each position 0..count-1, the points first, first + 1, ...,
+    once the two ends of every edge in the flat ends are joined: union-find
+    with path halving."""
+    parent = list(range(count))
+    for u, v in zip(ends[0::2], ends[1::2]):
+        u, v = u - first, v - first
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+    for k, root in enumerate(parent):
+        while parent[root] != root:
+            root = parent[root]
+        parent[k] = root
+    return parent
 
 
 class Multigraph:
@@ -290,22 +316,12 @@ class Multigraph:
         """Union-find over the flat ends, on vertex positions."""
         vertices, vpos = self._vertices, self._vpos
         far = self._ends if vpos is None else list(map(vpos.__getitem__, self._ends))
-        parent = list(range(len(vertices)))
-        for u, v in zip(far[0::2], far[1::2]):
-            while parent[u] != u:  # path halving
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u != v:
-                parent[u] = v
-        if sum(map(eq, parent, range(len(parent)))) == 1:  # one root
+        roots = union_find(len(vertices), far)
+        if roots and roots.count(roots[0]) == len(roots):  # one root
             return (vertices if vpos is None else tuple(sorted(vertices)),)
         comps = {}
-        for k in range(len(parent)):
-            root = k
-            while parent[root] != root:
-                root = parent[root]
-            comps.setdefault(root, []).append(vertices[k])
+        for v, root in zip(vertices, roots):
+            comps.setdefault(root, []).append(v)
         return tuple(sorted(tuple(sorted(comp)) for comp in comps.values()))
 
     def is_connected(self) -> bool:
@@ -419,10 +435,8 @@ class GraphMorphism:
             and all(map(target.has_vertex, set(map(vm.__getitem__, vertices))))
         ):
             self._raise_first_error()
-        as_list = isinstance(ids, range) and not isinstance(em, dict)
-        images = em if as_list else map(em.__getitem__, ids)
         f = list(map(vm.__getitem__, source._ends))
-        for img, f1, f2 in set(zip(images, f[0::2], f[1::2])):
+        for img, f1, f2 in set(zip(images_of(em, ids), f[0::2], f[1::2])):
             if _edge_error(target, img, f1, f2) is not None:
                 self._raise_first_error()
 

@@ -1,6 +1,6 @@
 """benchmarks/bench_check44.py, bench_covers.py and bench_pairs.py: the
-commit label, on a temporary git repo, the fork-and-measure helper, and the
-median rows."""
+commit label, on a temporary git repo, the fork-and-measure helper and the
+bytecode it runs on, and the median rows."""
 
 import importlib.util
 import subprocess
@@ -119,3 +119,25 @@ def test_pairs_row_takes_the_median_of_the_runs():
         "machine": "machine",
     }
     assert bench.COMMANDS[0] == "maximal miller --family symmetric --n 8"
+
+
+def test_measure_runs_the_child_on_bytecode_compiled_before_it(tmp_path, monkeypatch):
+    # a shell that sets PYTHONDONTWRITEBYTECODE would make every child
+    # compile the checkout again, inside its timing
+    bench = load_bench()
+    package = tmp_path / "src" / "probe"
+    package.mkdir(parents=True)
+    source = package / "__init__.py"
+    source.write_text("X = 1\n")
+    cached = importlib.util.cache_from_source(str(source))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    cmd = [
+        sys.executable, "-c",
+        f"import os, sys; print(os.path.exists({cached!r}), sys.dont_write_bytecode,"
+        " 'PYTHONDONTWRITEBYTECODE' in os.environ)",
+    ]
+    assert bench.measure(cmd, tmp_path)["stdout"].split() == ["True", "False", "False"]
+    # up-to-date bytecode is read, not written again
+    written = Path(cached).stat().st_mtime_ns
+    assert bench.measure(cmd, tmp_path)["stdout"].split() == ["True", "False", "False"]
+    assert Path(cached).stat().st_mtime_ns == written

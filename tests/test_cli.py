@@ -562,6 +562,32 @@ def test_malformed_cover_spec_exits_one(capsys, tmp_path, spec, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            dict(S3_POINT, multisets={"0": [[[1, 2, 0], 1]]}),
+            "cover spec: multisets.0: multiset is not symmetric: (0 1 2) has multiplicity 1,"
+            " its inverse 0",
+        ),
+        (
+            dict(S3_PATH, multisets={"1": [[[1, 2, 0], 1], [[2, 0, 1], 1], [[1, 0], 1]]}),
+            "cover spec: multisets.1.2: multiset entry (0 1) is not a member of S3",
+        ),
+    ],
+)
+def test_a_bad_multiset_names_its_field(capsys, tmp_path, spec, message, as_json):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "cover", "rh", "--spec", str(path), *["--json"] * as_json)
+    assert (code, out) == (1, "")
+    if as_json:
+        assert json.loads(err) == {"status": "fail", "error": message}
+    else:
+        assert err == f"error: {message}\n"
+
+
 def test_cover_build_rejects_a_non_boolean_flipped(capsys, tmp_path):
     # the string "false" is truthy: read as a flag it would build the
     # flipped fig4 cover (15 edges instead of 18)

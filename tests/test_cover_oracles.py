@@ -1,0 +1,332 @@
+"""The cover checks that galois computes from what a cover's action
+validation stored, against the computations they replaced, kept here as
+oracles: the quotient()-based comparison of the cover with its base, the
+generation criterion through the membership-checking `generates`, fiber
+components merged as Python sets, and R and the Riemann-Hurwitz right side
+summed term by term in Fraction.
+
+Both sides are run on criterion 4's random covers, on every bundled cover
+spec (also flipped) and on the maximal covers of PSL(2,7) and PSL(2,13),
+and on covers corrupted so that each error path of _verify_cover and
+_vertex_profiles is taken, where both must raise the same CoverError.
+"""
+
+import copy
+import random
+from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from conftest import load_figure
+from hcov import galois
+from hcov.errors import CoverError
+from hcov.galois import (
+    LabeledAction,
+    RiemannHurwitzReport,
+    SymmetricMultiset,
+    VertexProfile,
+    build_cover,
+    collapse,
+    cover_from_spec,
+    ramification_profile,
+    riemann_hurwitz_check,
+)
+from hcov.harmonic import is_harmonic_action, quotient
+from hcov.maximal import build_maximal
+from hcov.multigraph import Multigraph, map_images
+from hcov.permgroup import (
+    first_pair,
+    generates,
+    left_cosets,
+    perm_from_cycles,
+    psl2,
+    symmetric,
+)
+from test_acceptance import random_subgroup, random_symmetric_multiset
+from test_galois import FIGURES, criterion_4_covers
+
+S3 = symmetric(3)
+TAU = perm_from_cycles([(0, 1)], 3)
+SIGMA = perm_from_cycles([(0, 1, 2)], 3)
+SIGMA2 = perm_from_cycles([(0, 2, 1)], 3)
+
+
+# -- the oracles ------------------------------------------------------------------
+
+
+def verify_cover_by_quotient(cover):
+    """_verify_cover through the quotient by G, built as a validated
+    Multigraph and GraphMorphism, and generates, which tests every
+    generator for membership again."""
+    if not is_harmonic_action(cover.action):
+        raise CoverError("constructed cover action is not harmonic")
+    order = cover.group.order()
+    counts = Counter(map_images(cover.projection.edge_map))
+    for b in cover.base.edges:
+        if counts[b] != order:
+            raise CoverError(f"base edge {b} has {counts[b]} preimages, expected {order}")
+    q = quotient(cover.action)
+    if len(q.quotient.vertices) != len(cover.base.vertices) or len(
+        q.quotient.edges
+    ) != len(cover.base.edges):
+        raise CoverError("quotient by the full group does not match the base")
+    vertices, edges = cover.graph.vertices, cover.graph.edges
+    pairs = set(zip(map(q.projection.vertex_map.__getitem__, vertices),
+                    map(cover.projection.vertex_map.__getitem__, vertices)))
+    orbit_to_base = dict(pairs)
+    if len(orbit_to_base) != len(pairs):
+        raise CoverError("a vertex orbit projects to two base vertices")
+    for oe, be in set(zip(map(q.projection.edge_map.__getitem__, edges),
+                          map(cover.projection.edge_map.__getitem__, edges))):
+        if (oe is None) != (be is None):
+            raise CoverError("vertical edges disagree between quotient and projection")
+        if oe is not None:
+            u, v = q.quotient.ends(oe)
+            if {orbit_to_base[u], orbit_to_base[v]} != set(cover.base.ends(be)):
+                raise CoverError("quotient incidence does not match the base")
+    gens = []
+    for x in cover.base.vertices:
+        gens.extend(cover.inertia.subgroup_at(cover.group, x).generators)
+        gens.extend(cover.multisets[x].support())
+    expected_connected = generates(cover.group, gens) if gens else cover.group.order() == 1
+    if cover.is_connected() != expected_connected:
+        raise CoverError("connectivity does not match the generation criterion")
+
+
+def vertex_profiles_by_sets(c) -> dict:
+    """_vertex_profiles with each fiber's components merged as Python sets,
+    one per fiber vertex."""
+    order = c.group.order()
+    out = {}
+    for x in c.base.vertices:
+        fiber, edges = c.fiber_index[x], c.fiber_edges[x]
+        comp = {y: {y} for y in fiber}  # y's component, merged edge by edge
+        for u, v in zip(edges[0::2], edges[1::2]):
+            cu, cv = comp[u], comp[v]
+            if cu is not cv:
+                if len(cu) < len(cv):
+                    cu, cv = cv, cu
+                cu |= cv
+                comp.update(dict.fromkeys(cv, cu))
+        sizes = {id(cu): len(cu) for cu in comp.values()}  # one entry per component
+        n = len(sizes)
+        if len(set(sizes.values())) != 1:
+            raise CoverError(f"fiber over {x} has components of different sizes")
+        f = len(comp[fiber[0]])
+        degree = Counter(edges)
+        degrees = set(map(degree.__getitem__, fiber))
+        if len(degrees) != 1:
+            raise CoverError(f"fiber over {x} has vertices of different vertical degree")
+        v_count = degrees.pop()
+        orbit = c.action.vertex_orbit(fiber[0])
+        if set(orbit.phi) != set(fiber):
+            raise CoverError(f"vertex orbit over {x} does not equal the fiber")
+        m = orbit.stabilizer_order()
+        if m * f * n != order:
+            raise CoverError(f"identity violated over {x}: m*f*n = {m}*{f}*{n} != {order}")
+        if v_count % m != 0:
+            raise CoverError(f"vertical multiplicity {v_count} not divisible by m={m}")
+        out[x] = VertexProfile(x, m, f, n, v_count, v_count // m)
+    return out
+
+
+def ramification_number_by_terms(per_vertex) -> Fraction:
+    """R summed term by term in Fraction."""
+    return sum(
+        (2 * (1 - Fraction(1, p.m)) + p.w for p in per_vertex.values()), Fraction(0)
+    )
+
+
+def riemann_hurwitz_by_terms(c, strict_sign=False) -> RiemannHurwitzReport:
+    """riemann_hurwitz_check with R and the right side in Fraction."""
+    R = ramification_number_by_terms(vertex_profiles_by_sets(c))
+    lhs = 2 * c.graph.genus() - 2
+    sign = -1 if strict_sign else 1
+    rhs = c.group.order() * (2 * c.base.genus() - 2 + sign * R)
+    return RiemannHurwitzReport(R, lhs, rhs, Fraction(lhs) == rhs, "-R" if strict_sign else "+R")
+
+
+def collapse_edge_by_edge(G, I, S) -> LabeledAction:
+    """collapse with every edge's ends compared on their own."""
+    index = G.element_index()
+    n = len(index)
+    cosets = left_cosets(G, I)
+    of = cosets.of
+    pairs, invs = S.units()
+    edges, ends, removed = [], [], []
+    for u, (rho, j) in enumerate(pairs + invs):
+        for i, (a, b) in enumerate(zip(of, map(of.__getitem__, index.right(rho)))):
+            if a == b:
+                removed.append({"edge": u * n + i, "coset": a})
+            else:
+                edges.append(u * n + i)
+                ends += (a, b)
+    return LabeledAction(G, of, cosets.reps, edges, ends, removed)
+
+
+# -- agreement ----------------------------------------------------------------------
+
+
+def assert_agrees_with_the_oracles(cover):
+    verify_cover_by_quotient(cover)  # build_cover ran _verify_cover on it
+    profiles = galois._vertex_profiles(cover)
+    assert profiles == vertex_profiles_by_sets(cover)
+    R = ramification_profile(cover).ramification_number()
+    assert type(R) is Fraction and R == ramification_number_by_terms(profiles)
+    if cover.is_connected():
+        for strict in (False, True):
+            report = riemann_hurwitz_check(cover, strict_sign=strict)
+            assert type(report.rhs) is Fraction
+            assert report == riemann_hurwitz_by_terms(cover, strict)
+
+
+def test_criterion_4_covers_agree_with_the_oracles(catalog):
+    covers = list(criterion_4_covers(catalog))
+    assert sum(c.is_connected() for c in covers) > 100
+    for cover in covers:
+        assert_agrees_with_the_oracles(cover)
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("name", FIGURES)
+def test_figure_covers_agree_with_the_oracles(name, flipped, catalog):
+    assert_agrees_with_the_oracles(
+        cover_from_spec(dict(load_figure(name), flipped=flipped), catalog)
+    )
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_maximal_covers_agree_with_the_oracles(p):
+    G = psl2(p)
+    assert_agrees_with_the_oracles(build_maximal(G, *first_pair(G)).cover)
+
+
+def test_collapse_agrees_with_the_edge_by_edge_oracle(catalog):
+    # with the multisets as given, so that units inside I are collapsed too
+    rng = random.Random(20261020)
+    for G in catalog.groups:
+        if G.order() > 24:
+            continue
+        for _ in range(8):
+            I, S = random_subgroup(rng, G, proper=False), random_symmetric_multiset(rng, G)
+            assert collapse(G, I, S) == collapse_edge_by_edge(G, I, S)
+
+
+def test_generates_agrees_with_the_known_order_test(catalog):
+    # the criterion's generators were checked as members while building
+    for cover in criterion_4_covers(catalog):
+        gens = [g for x in cover.base.vertices
+                for g in cover.inertia.subgroup_at(cover.group, x).generators]
+        gens += [p for S in cover.multisets.values() for p in S.support()]
+        if gens:
+            assert generates(cover.group, gens) == galois._generates_order(
+                cover.group.degree, gens, cover.group.order()
+            )
+
+
+# -- negative controls ---------------------------------------------------------------
+
+
+def path_cover(multisets):
+    """An S3 cover of the path 1 - 2 - 3 (base edges 0 and 1), no inertia."""
+    return build_cover(S3, Multigraph([1, 2, 3], [(0, (1, 2)), (1, (2, 3))]), {}, multisets)
+
+
+def with_projection(cover, vertex_map=None, edge_map=None):
+    """A copy of the cover whose projection has the given maps, unvalidated."""
+    out = copy.copy(cover)
+    out.projection = SimpleNamespace(
+        vertex_map=list(vertex_map or cover.projection.vertex_map),
+        edge_map=list(edge_map or cover.projection.edge_map),
+    )
+    return out
+
+
+def vertex_on_two_bases(cover):
+    vm = list(cover.projection.vertex_map)
+    vm[cover.fiber_index[1][0]] = 3
+    return with_projection(cover, vertex_map=vm)
+
+
+def edge_missing_a_preimage(cover):
+    em = list(cover.projection.edge_map)
+    em[em.index(0)] = None
+    return with_projection(cover, edge_map=em)
+
+
+def vertical_edge_projected(cover):
+    # one vertical edge now projects to base edge 0, one edge over it is
+    # vertical instead: every base edge keeps |G| preimages
+    em = list(cover.projection.edge_map)
+    vertical, horizontal = em.index(None), em.index(0)
+    em[vertical], em[horizontal] = 0, None
+    return with_projection(cover, edge_map=em)
+
+
+def edges_over_swapped_bases(cover):
+    em = list(cover.projection.edge_map)
+    over_0, over_1 = em.index(0), em.index(1)
+    em[over_0], em[over_1] = 1, 0
+    return with_projection(cover, edge_map=em)
+
+
+def base_with_an_extra_vertex(cover):
+    out = copy.copy(cover)
+    out.base = Multigraph([1, 2, 3, 4], [(0, (1, 2)), (1, (2, 3))])
+    return out
+
+
+def base_without_edge_1(cover):
+    # the edges over base edge 1 are now called vertical: two edge orbits
+    # join distinct vertex orbits, over a base with one edge
+    em = [None if b == 1 else b for b in cover.projection.edge_map]
+    out = with_projection(cover, edge_map=em)
+    out.base = Multigraph([1, 2, 3], [(0, (1, 2))])
+    return out
+
+
+def multiset_dropped(cover):
+    out = copy.copy(cover)
+    out.multisets = {**cover.multisets, 1: SymmetricMultiset([])}
+    return out
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (vertex_on_two_bases, "a vertex orbit projects to two base vertices"),
+        (edge_missing_a_preimage, "base edge 0 has 5 preimages, expected 6"),
+        (vertical_edge_projected, "vertical edges disagree between quotient and projection"),
+        (edges_over_swapped_bases, "quotient incidence does not match the base"),
+        (base_with_an_extra_vertex, "quotient by the full group does not match the base"),
+        (base_without_edge_1, "quotient by the full group does not match the base"),
+        (multiset_dropped, "connectivity does not match the generation criterion"),
+    ],
+)
+def test_a_corrupted_cover_fails_both_verifications(corrupt, message):
+    # {sigma, sigma^-1} at 1 and tau at 3 generate S3: a connected cover
+    # with vertical edges over 1 and 3
+    cover = path_cover({1: SymmetricMultiset([SIGMA, SIGMA2]), 3: SymmetricMultiset([TAU])})
+    assert cover.is_connected()
+    bad = corrupt(cover)
+    for verify in (galois._verify_cover, verify_cover_by_quotient):
+        with pytest.raises(CoverError) as err:
+            verify(bad)
+        assert str(err.value) == message
+
+
+def test_unequal_fiber_components_fail_both_profiles():
+    # over 1 the fiber of S3 on {tau} is three parallel pairs; one more
+    # edge joins two of them, leaving components of sizes 4 and 2
+    cover = path_cover({1: SymmetricMultiset([TAU])})
+    fiber, edges = cover.fiber_index[1], cover.fiber_edges[1]
+    assert vertex_profiles_by_sets(cover)[1].as_dict() == {"m": 1, "f": 2, "n": 3, "v": 2, "w": 2}
+    other = min(set(fiber) - {edges[0], edges[1]})
+    bad = copy.copy(cover)
+    bad.fiber_edges = {**cover.fiber_edges, 1: list(edges) + [edges[0], other]}
+    for profiles in (galois._vertex_profiles, vertex_profiles_by_sets):
+        with pytest.raises(CoverError) as err:
+            profiles(bad)
+        assert str(err.value) == "fiber over 1 has components of different sizes"
