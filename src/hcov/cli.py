@@ -340,7 +340,7 @@ def cmd_maximal_build(args):
         "product_order": perm_order(perm_mul(tau, sigma)),
         "vertices": len(mc.graph.vertices),
         "edges": len(mc.graph.edges),
-        "genus": mc.genus(),
+        "genus": mc.graph.genus(),
         "branch_case": locus.case,
         "maximal": locus.is_maximal,
     }

@@ -4,15 +4,15 @@ the small-group catalog, and the alternating/symmetric spot checks.
 The canonical maximal cover of a pair (tau, sigma) lives over the point
 graph: vertices are the left cosets of <sigma>, edges the left cosets of
 <tau>, and the edge g<tau> joins g<sigma> to g*tau<sigma>. Every edge is
-flipped and |G| = 6(genus - 1).
+flipped and |G| = 6(genus - 1). It is the cubic map on G's elements with
+reversal right(tau) and rotation right(sigma), whose cycles are those cosets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import eq
 
-from hcov.errors import CatalogError, CoverError, GroupError
+from hcov.errors import CatalogError, CoverError, GraphError, GroupError
 from hcov.galois import (
     HarmonicCover,
     InertiaStructure,
@@ -23,14 +23,13 @@ from hcov.galois import (
 from hcov.harmonic import GraphAction, is_harmonic_action
 from hcov.kernel import perm_inv, perm_mul
 from hcov.multigraph import GraphMorphism, Multigraph
+from hcov.oriented import OrientedGraph
 from hcov.permgroup import (
     Catalog,
-    Cosets,
     PermutationGroup,
     alternating,
     first_pair,
     generates,
-    left_cosets,
     search_23_pairs,
     symmetric,
 )
@@ -38,30 +37,19 @@ from hcov.permgroup import (
 class MaximalCover:
     """Coset-labeled maximal cover of the point graph for a (2,3)-pair.
 
-    Its darts are the elements of G (the dart-regular map): the dart of the
-    element g is the end at vertex g<sigma> of edge g<tau>, so the edge e
-    has the darts of its least member r and of r*tau. vertex_rep and
-    edge_rep are the cosets of <sigma> and <tau> (vertex or edge id -> least
-    member, as a tuple); their rights[0] are right multiplication by sigma
-    and by tau on element indices.
+    map is its cubic map, the dart-regular map: the darts are G's elements
+    by their index, X = right(tau) and the rotation is right(sigma). The
+    element g is the dart at vertex g<sigma> of edge g<tau>, and vertex and
+    edge ids number those cosets by their least members, map.least.
     """
 
     def __init__(self, group: PermutationGroup, tau, sigma, cover: HarmonicCover,
-                 vertex_rep: Cosets, edge_rep: Cosets):
+                 map: OrientedGraph):
         self.group = group
         self.tau = tau
         self.sigma = sigma
         self.cover = cover
-        self.vertex_rep = vertex_rep
-        self.edge_rep = edge_rep
-
-    def dart_ids(self) -> list[int]:
-        """dart_ids()[i] is the dart id of element i. Edge c has rank c and
-        ends (r<sigma>, r*tau<sigma>) for its least member r, so element i
-        of edge c is dart 2c at r<sigma> and dart 2c + 1 otherwise."""
-        vof, reps = self.vertex_rep.of, self.edge_rep.reps
-        first = [vof[r] for r in reps]
-        return [2 * c + (v != first[c]) for c, v in zip(self.edge_rep.of, vof)]
+        self.map = map
 
     @property
     def graph(self) -> Multigraph:
@@ -71,13 +59,10 @@ class MaximalCover:
     def action(self) -> GraphAction:
         return self.cover.action
 
-    def genus(self) -> int:
-        return self.graph.genus()
-
     def __repr__(self):
         return (
             f"MaximalCover({self.group.name}, {len(self.graph.vertices)} vertices,"
-            f" genus {self.genus()})"
+            f" genus {self.graph.genus()})"
         )
 
 
@@ -94,17 +79,18 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
     if order < 6:
         raise GroupError("maximal covers need |G| >= 6")
 
-    sigma_sub = G.subgroup([sigma], "<sigma>")
-    vcos = left_cosets(G, sigma_sub)
-    ecos = left_cosets(G, G.subgroup([tau], "<tau>"))
-    graph = _coset_graph(vcos, ecos, ecos.rights[0])
+    index = G.element_index()
+    try:
+        og = OrientedGraph.from_darts(index.right(tau), index.right(sigma))
+    except GraphError:  # the one it raises: an edge whose ends share a vertex
+        raise CoverError("coset edge became a loop; orders 2 and 3 forbid this") from None
+    graph, (vertex_least, edge_least) = og.graph, og.least
     # generator k maps the coset of r to that of g_k * r
-    left = G.element_index().left
     action = GraphAction(
         G,
         graph,
-        [list(map(vcos.of.__getitem__, map(lk.__getitem__, vcos.reps))) for lk in left],
-        [list(map(ecos.of.__getitem__, map(lk.__getitem__, ecos.reps))) for lk in left],
+        [list(map(og.base.__getitem__, map(lk.__getitem__, vertex_least))) for lk in index.left],
+        [list(map(og.edge.__getitem__, map(lk.__getitem__, edge_least))) for lk in index.left],
     )
 
     base = Multigraph([0], [])
@@ -112,7 +98,7 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
     cover = HarmonicCover(
         base,
         G,
-        InertiaStructure({0: sigma_sub}),
+        InertiaStructure({0: G.subgroup([sigma], "<sigma>")}),
         {0: SymmetricMultiset([tau])},
         action,
         projection,
@@ -123,20 +109,9 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
     )
     _verify_cover(cover)
 
-    mc = MaximalCover(G, tau, sigma, cover, vcos, ecos)
+    mc = MaximalCover(G, tau, sigma, cover, og)
     _verify_maximal(mc)
     return mc
-
-
-def _coset_graph(vcos: Cosets, ecos: Cosets, r_tau) -> Multigraph:
-    """The edge r<tau> joins r<sigma> to r*tau<sigma>."""
-    reps, of = ecos.reps, vcos.of
-    ends = [None] * (2 * len(reps))
-    ends[0::2] = map(of.__getitem__, reps)
-    ends[1::2] = map(of.__getitem__, map(r_tau.__getitem__, reps))
-    if any(map(eq, ends[0::2], ends[1::2])):
-        raise CoverError("coset edge became a loop; orders 2 and 3 forbid this")
-    return Multigraph(range(len(vcos)), ends=ends)
 
 
 def _verify_maximal(mc: MaximalCover):

@@ -1,37 +1,41 @@
-"""Rotation systems on 3-regular multigraphs, left-hand-turn tracing, the
-genus of the attached oriented surface, and the canonical orientation on a
-maximal cover coming from its inertia generator.
+"""Cubic maps: rotation systems on 3-regular multigraphs, left-hand-turn
+tracing, the genus of the attached oriented surface, and the canonical
+orientation on a maximal cover coming from its inertia generator.
 
-Rotations are defined on darts (directed edge-ends), which keeps parallel
-edges unambiguous; on simple graphs this is the usual cyclic ordering of the
-edges at a vertex. A dart is its integer position in Multigraph.darts(), so
-the reverse of dart d is d ^ 1; Dart tuples appear only at the boundary
-(from_rotation, rotation, JSON and DOT).
+A map is two permutations of its darts (directed edge-ends), as int lists:
+the reversal X (X^2 = 1) and the rotation rot (rot^3 = 1). A map read from a
+file numbers its darts by position in Multigraph.darts(), so X[d] = d ^ 1; a
+maximal cover's map has G's elements as darts. Faces are the cycles of
+d -> rot[X[d]]. Dart tuples appear only at the boundary (from_rotation,
+rotation, JSON and DOT).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import eq
 
 from hcov.errors import GraphError
 from hcov.kernel import perm_mul, perm_order
-from hcov.maximal import MaximalCover
 from hcov.multigraph import Dart, Multigraph
+from hcov.permgroup import cycle_numbering
 
 
 class OrientedGraph:
-    """A 3-regular multigraph with a cyclic dart order at every vertex:
-    rot[d] is the id of the dart after dart d at its vertex. The constructor
-    checks that every vertex has degree 3 and that rot cycles exactly the
-    vertex's own three darts."""
+    """A cubic map: X[d] is the reverse of dart d, rot[d] the dart after d at
+    its vertex, and edge[d], base[d] the ids of its edge and base vertex in
+    graph. The constructor takes rot on graph.darts() positions and checks
+    that every vertex has degree 3 and that rot cycles exactly the vertex's
+    own three darts."""
 
     def __init__(self, graph: Multigraph, rot):
-        self.graph, self.rot = graph, rot
+        self.graph, self.rot, self.X = graph, rot, [d ^ 1 for d in range(len(rot))]
+        self.edge = [d.edge for d in graph.darts()]
+        self.base = base = graph.dart_bases()
         for v, degree in zip(graph.vertices, graph.degrees()):
             if degree != 3:
                 raise GraphError(f"vertex {v} has degree {degree}, not 3")
-        base = graph.dart_bases()
         n = len(base)
         if len(rot) != n:
             raise GraphError(f"rotation has {len(rot)} entries for {n} darts")
@@ -59,12 +63,31 @@ class OrientedGraph:
                 rot[a] = b
         return cls(graph, rot)
 
+    @classmethod
+    def from_darts(cls, X, Y) -> "OrientedGraph":
+        """The map with reversal X and rotation Y: vertices are the cycles of
+        Y and edges those of X, each numbered by its least dart (kept in
+        least), and edge c joins the vertex of its least dart r to that of
+        X[r]. GraphError if an edge is a loop."""
+        og = cls.__new__(cls)
+        og.X, og.rot = X, Y
+        og.base, vertex_least = cycle_numbering(Y)
+        og.edge, edge_least = cycle_numbering(X)
+        og.least = vertex_least, edge_least
+        ends = [0] * (2 * len(edge_least))
+        ends[0::2] = map(og.base.__getitem__, edge_least)
+        ends[1::2] = map(og.base.__getitem__, map(X.__getitem__, edge_least))
+        og.graph = Multigraph(range(len(vertex_least)), ends=ends)
+        return og
+
     @property
     def rotation(self) -> dict:
         """The Dart form: vertex -> its darts in cyclic order from the least."""
-        darts, rot = self.graph.darts(), self.rot
-        return {v: (darts[d], darts[rot[d]], darts[rot[rot[d]]])
-                for v, (d, *_) in sorted(self.graph.vertex_darts().items())}
+        darts, rot = list(map(Dart, self.edge, self.base)), self.rot
+        start = {}
+        for d in sorted(range(len(darts)), key=darts.__getitem__):
+            start.setdefault(darts[d].base, d)
+        return {v: (darts[d], darts[rot[d]], darts[rot[rot[d]]]) for v, d in sorted(start.items())}
 
     def to_json(self) -> dict:
         data = self.graph.to_json()
@@ -94,6 +117,8 @@ class OrientedGraph:
                 raise GraphError(f"oriented graph JSON: 'rotation.{v}' is no vertex id") from None
             if not isinstance(darts, list):
                 raise GraphError(f"oriented graph JSON: 'rotation.{v}' must be a list of darts")
+            if not graph.has_vertex(vertex):
+                raise GraphError(f"oriented graph JSON: 'rotation.{v}' names no vertex of the graph")
             rotation[vertex] = [_dart(graph, d, f"rotation.{v}.{i}") for i, d in enumerate(darts)]
         return cls.from_rotation(graph, rotation)
 
@@ -126,35 +151,31 @@ def _dart(graph: Multigraph, d, path) -> Dart:
 
 @dataclass
 class LhtDecomposition:
-    """Minimal left-hand-turn paths: the cycles of d -> rot[d ^ 1] (traverse
-    d, leave by the rotation successor of the arriving end) on dart ids.
-    orbit_number[d] is the index in orbits of the cycle through dart d."""
+    """Minimal left-hand-turn paths, the faces: the cycles of d -> rot[X[d]]
+    (traverse d, leave by the rotation successor of the arriving end) on
+    dart ids. orbit_number[d] is the index in orbits of the cycle through
+    dart d."""
 
     orbits: tuple  # tuple of tuples of dart ids
     L: int
     orbit_number: list
 
-    def orbit_of(self, d: int) -> tuple:
-        if type(d) is not int or not 0 <= d < len(self.orbit_number):
-            raise GraphError(f"unknown dart {d}")
-        return self.orbits[self.orbit_number[d]]
-
 
 def lht_decomposition(og: OrientedGraph) -> LhtDecomposition:
-    rot = og.rot
+    rot, X = og.rot, og.X
     orbit_number = [-1] * len(rot)  # -1: not traced yet
     orbits = []
     for d in range(len(rot)):
         if orbit_number[d] >= 0:
             continue
         orbit_number[d] = c = len(orbits)
-        orbit, cur = [d], rot[d ^ 1]
+        orbit, cur = [d], rot[X[d]]
         while cur != d:
             if orbit_number[cur] >= 0:
                 raise GraphError("left-hand-turn step is not a permutation of the darts")
             orbit_number[cur] = c
             orbit.append(cur)
-            cur = rot[cur ^ 1]
+            cur = rot[X[cur]]
         orbits.append(tuple(orbit))
     if sum(len(o) for o in orbits) != 2 * len(og.graph.edges):
         raise GraphError("orbit lengths do not sum to the dart count")
@@ -186,21 +207,19 @@ def surface_genus(og: OrientedGraph) -> SurfaceGenusReport:
 # -- the canonical orientation on a maximal cover ---------------------------
 
 
-def canonical_orientation(mc: MaximalCover) -> OrientedGraph:
-    """The rotation of the dart-regular map: right multiplication by sigma
-    on the darts' elements. It keeps the vertex g<sigma> and cycles the
-    three darts there, g -> g*sigma -> g*sigma^2; this is the conjugate
-    inertia generator r*sigma*r^-1 of the vertex acting on the left, for
-    any member r of its coset."""
-    vof = mc.vertex_rep.of
-    r_sigma = mc.vertex_rep.rights[0]  # <sigma> has the one generator sigma
-    dart = mc.dart_ids()
-    rot = [-1] * len(dart)
-    for i, j in enumerate(r_sigma):
-        if vof[j] != vof[i] or dart[j] == dart[i]:
-            raise GraphError("right multiplication by sigma does not rotate the star")
-        rot[dart[i]] = dart[j]
-    return OrientedGraph(mc.graph, rot)
+def canonical_orientation(mc) -> OrientedGraph:
+    """The maximal cover's map, once its rotation passes the star check.
+    Its rotation is right multiplication by sigma on the darts, G's
+    elements: it keeps the vertex g<sigma> and cycles the three darts
+    there, g -> g*sigma -> g*sigma^2; this is the conjugate inertia
+    generator r*sigma*r^-1 of the vertex acting on the left, for any member
+    r of its coset. The star check: every dart lies on a 3-cycle of rot."""
+    rot = mc.map.rot
+    if any(map(eq, rot, range(len(rot)))) or not all(
+        map(eq, map(rot.__getitem__, map(rot.__getitem__, rot)), range(len(rot)))
+    ):
+        raise GraphError("right multiplication by sigma does not rotate the star")
+    return mc.map
 
 
 @dataclass
@@ -216,7 +235,7 @@ class Theorem44Report:
     hurwitz: bool
 
 
-def theorem_44_check(mc: MaximalCover) -> Theorem44Report:
+def theorem_44_check(mc) -> Theorem44Report:
     """Verify |G|(k-6) = 12k(g(S)-1) with L obtained by generic dart
     tracing; the closed form L = |G|/k is asserted against the traced value,
     never used as a shortcut. In the Hurwitz case (k=7), |G| = 84(g(S)-1)

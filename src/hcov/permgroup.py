@@ -64,18 +64,25 @@ def cycles_of(p) -> list[tuple]:
     return out
 
 
+def cycle_numbering(p) -> tuple[list, list]:
+    """(number, least) for the permutation p: number[i] is the cycle through
+    i, cycles numbered in the order of their least points, and least[c] is
+    the least point of cycle c. Fixed points are cycles of their own."""
+    number = [-1] * len(p)
+    least = []
+    for i in range(len(p)):
+        if number[i] < 0:
+            number[i] = c = len(least)
+            least.append(i)
+            j = p[i]
+            while j != i:
+                number[j], j = c, p[j]
+    return number, least
+
+
 def cycle_count(p) -> int:
     """The number of cycles of the permutation p, fixed points included."""
-    seen = bytearray(len(p))
-    count = 0
-    for i in range(len(p)):
-        if not seen[i]:
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = 1
-                j = p[j]
-    return count
+    return len(cycle_numbering(p)[1])
 
 
 def cycle_string(p) -> str:
@@ -548,15 +555,16 @@ class Cosets(Sequence):
 
     A coset is an orbit of the index under right multiplication by H's
     generators. reps[c] is the index of coset c's least member, cosets are
-    numbered by increasing reps, and of[i] is the coset of element i.
-    rights[k] is index.right of H's k-th generator, the index's own list,
-    for callers that multiply by it again. As a sequence, cosets yield
-    their least members as tuples.
+    numbered by increasing reps, and of[i] is the coset of element i. As a
+    sequence, cosets yield their least members as tuples.
     """
 
     def __init__(self, index: ElementIndex, subgroup: PermutationGroup):
-        self.rights = rights = [index.right(h) for h in subgroup.generators]
+        rights = [index.right(h) for h in subgroup.generators]
         self.index = index
+        if len(rights) == 1:  # H cyclic: the cosets are the cycles of its one right map
+            self.of, self.reps = cycle_numbering(rights[0])
+            return
         self.of = of = [-1] * len(index)
         self.reps = []
         for i in range(len(of)):
@@ -564,11 +572,6 @@ class Cosets(Sequence):
                 continue
             c = of[i] = len(self.reps)
             self.reps.append(i)
-            if len(rights) == 1:  # H cyclic: the coset is i's cycle under its one right map
-                y = rights[0][i]
-                while y != i:
-                    of[y], y = c, rights[0][y]
-                continue
             stack = [i]
             while stack:
                 x = stack.pop()

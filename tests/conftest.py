@@ -7,9 +7,16 @@ import pytest
 from hcov.errors import GroupError, MorphismError
 from hcov.harmonic import GraphAction, quotient
 from hcov.kernel import mulclose
-from hcov.multigraph import GraphMorphism, Multigraph, is_harmonic, map_items
+from hcov.multigraph import Dart, GraphMorphism, Multigraph, is_harmonic, map_items
 from hcov.oriented import OrientedGraph
-from hcov.permgroup import PermutationGroup, Subgroup, load_default_catalog
+from hcov.permgroup import (
+    PermutationGroup,
+    Subgroup,
+    left_cosets,
+    load_default_catalog,
+    psl2,
+    search_23_pairs,
+)
 
 
 def load_figure(name: str) -> dict:
@@ -116,15 +123,45 @@ def harmonic_by_subgroup_quotients(a: GraphAction, max_order: int = 48):
     return True, None
 
 
+def map_darts(og: OrientedGraph) -> list:
+    """The Dart of every dart id of a map."""
+    return list(map(Dart, og.edge, og.base))
+
+
 def dart_element(mc) -> dict:
-    """Dart -> element tuple of a maximal cover, read from its dart ids."""
-    darts, index = mc.graph.darts(), mc.group.element_index()
-    return {darts[d]: index.element(i) for i, d in enumerate(mc.dart_ids())}
+    """Dart -> element tuple of a maximal cover: dart i is element i."""
+    index = mc.group.element_index()
+    return {d: index.element(i) for i, d in enumerate(map_darts(mc.map))}
 
 
 def element_dart(mc) -> dict:
     """Element tuple -> dart of a maximal cover."""
     return {g: d for d, g in dart_element(mc).items()}
+
+
+def coset_orientation(mc) -> OrientedGraph:
+    """The canonical orientation on the positions of graph.darts(), the
+    oracle of the maximal cover's map: the cosets of <sigma> and <tau>
+    relabel element i to the dart at its coset i<sigma> of edge i<tau>, and
+    right multiplication by sigma is carried over to those positions."""
+    G = mc.group
+    vof = left_cosets(G, G.subgroup([mc.sigma])).of
+    ecos = left_cosets(G, G.subgroup([mc.tau]))
+    # edge c has rank c and ends (r<sigma>, r*tau<sigma>) for its least
+    # member r: element i of edge c is dart 2c at r<sigma>, else 2c + 1
+    first = [vof[r] for r in ecos.reps]
+    dart = [2 * c + (v != first[c]) for c, v in zip(ecos.of, vof)]
+    rot = [-1] * len(dart)
+    for i, j in enumerate(G.element_index().right(mc.sigma)):
+        rot[dart[i]] = dart[j]
+    return OrientedGraph(mc.graph, rot)
+
+
+def sweep_pairs(catalog):
+    """Every class-representative (2,3)-pair of every catalog group of order
+    at most 60, and of PSL(2,7) and PSL(2,13)."""
+    groups = [G for G in catalog.groups if G.order() <= 60] + [psl2(7), psl2(13)]
+    return [(G, tau, sigma) for G in groups for tau, sigma in search_23_pairs(G).pairs]
 
 
 def random_rotation(graph: Multigraph, rng: random.Random) -> OrientedGraph:

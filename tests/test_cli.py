@@ -706,6 +706,36 @@ def test_json_booleans_are_no_ids_or_images(capsys, tmp_path, argv, data, named,
     assert named in message
 
 
+THETA_ROTATION = {"0": [[0, 0], [1, 0], [2, 0]], "1": [[0, 1], [2, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        (
+            _with(ORIENTED, ("rotation", "999"), ORIENTED["rotation"]["0"]),
+            "'rotation.999'",
+        ),
+        (dict(THETA, rotation=dict(THETA_ROTATION, **{"7": []})), "'rotation.7'"),
+    ],
+)
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_rotation_of_a_vertex_not_in_the_graph_exits_one(capsys, tmp_path, data, named, flags):
+    # both files used to be read with the extra entry ignored
+    data = json.loads(json.dumps(data))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "surface", "genus", "--oriented", str(path), *flags)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    message = json.loads(err)["error"] if flags else err
+    assert named in message and "no vertex of the graph" in message
+    del data["rotation"][named[len("'rotation."):-1]]
+    path.write_text(json.dumps(data))
+    assert run(capsys, "surface", "genus", "--oriented", str(path), *flags)[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -16,7 +16,14 @@ import random
 
 import pytest
 
-from conftest import as_dicts, dart_element, element_dart, fiber_action, load_figure
+from conftest import (
+    as_dicts,
+    dart_element,
+    element_dart,
+    fiber_action,
+    load_figure,
+    sweep_pairs,
+)
 from hcov.galois import SymmetricMultiset, build_cover, cayley, collapse, cover_from_spec
 from hcov.harmonic import GraphAction, flip_all
 from hcov.kernel import perm_inv, perm_mul
@@ -200,19 +207,14 @@ def check_maximal(G, tau, sigma):
     mc = build_maximal(G, tau, sigma)
     graph, vimg, eimg, vreps, ereps, darts = tuple_maximal(G, tau, sigma)
     assert_same_action(mc.action, graph, vimg, eimg)
-    assert list(mc.vertex_rep) == vreps
-    assert list(mc.edge_rep) == ereps
+    vertex_least, edge_least = mc.map.least
+    index = G.element_index()
+    assert [index.element(r) for r in vertex_least] == vreps
+    assert [index.element(r) for r in edge_least] == ereps
     assert dart_element(mc) == darts
     assert element_dart(mc) == {g: d for d, g in darts.items()}
     rotation = conjugation_rotation(graph, sigma, vreps, darts)
     assert canonical_orientation(mc).rotation == rotation
-
-
-def sweep_pairs(catalog):
-    """Every class-representative (2,3)-pair of every catalog group of order
-    at most 60, and of PSL(2,7) and PSL(2,13)."""
-    groups = [G for G in catalog.groups if G.order() <= 60] + [psl2(7), psl2(13)]
-    return [(G, tau, sigma) for G in groups for tau, sigma in search_23_pairs(G).pairs]
 
 
 def test_maximal_covers_match_the_tuple_construction(catalog):
@@ -372,8 +374,7 @@ def test_right_maps_are_made_once_per_member():
     r = index.right(sigma)
     assert index.right(list(sigma)) is r
     mc = build_maximal(G, tau, sigma)
-    assert mc.vertex_rep.rights == [r]
-    assert mc.vertex_rep.rights[0] is r and mc.edge_rep.rights[0] is index.right(tau)
+    assert mc.map.rot is r and mc.map.X is index.right(tau)
     outside = perm_from_cycles([(0, 1)], G.degree)
     for _ in range(2):
         with pytest.raises(KeyError):

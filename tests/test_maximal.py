@@ -35,7 +35,7 @@ def test_build_maximal_s3_is_theta():
     mc = build_maximal(S3, TAU, SIGMA)
     assert len(mc.graph.vertices) == 2
     assert len(mc.graph.edges) == 3
-    assert mc.genus() == 2
+    assert mc.graph.genus() == 2
     assert classify_branch_locus(mc.cover).case == "i"
 
 
@@ -45,7 +45,7 @@ def test_build_maximal_z6_is_theta():
     mc = build_maximal(Z6, perm_pow(g, 3), perm_pow(g, 2))
     assert len(mc.graph.vertices) == 2
     assert len(mc.graph.edges) == 3
-    assert mc.genus() == 2
+    assert mc.graph.genus() == 2
 
 
 def test_build_maximal_psl27():
@@ -54,7 +54,7 @@ def test_build_maximal_psl27():
     mc = build_maximal(G, tau, sigma)
     assert len(mc.graph.vertices) == 56
     assert len(mc.graph.edges) == 84
-    assert mc.genus() == 29
+    assert mc.graph.genus() == 29
     assert G.order() == 6 * (29 - 1)
 
 
@@ -83,7 +83,7 @@ def test_all_witness_pairs_of_table_groups(catalog):
             res = search_23_pairs(G)
             for tau, sigma in res.pairs:
                 mc = build_maximal(G, tau, sigma)
-                assert mc.genus() == G.order() // 6 + 1
+                assert mc.graph.genus() == G.order() // 6 + 1
                 assert len(mc.graph.vertices) == G.order() // 3
                 assert len(mc.graph.edges) == G.order() // 2
                 assert flipped_edges(mc.action) == set(mc.graph.edges)
@@ -221,7 +221,7 @@ def test_a5_maximal_cover_and_sphere():
     mc = build_maximal(A5, tau, sigma)
     assert len(mc.graph.vertices) == 20
     assert len(mc.graph.edges) == 30
-    assert mc.genus() == 11  # 60 = 6 (11 - 1)
+    assert mc.graph.genus() == 11  # 60 = 6 (11 - 1)
     rep = theorem_44_check(mc)
     assert rep.holds
     assert rep.k == 5  # generating pairs of A5 have product order 5
@@ -250,7 +250,7 @@ def test_psl2_13_is_hurwitz():
     res = search_23_pairs(G, product_order=7)
     assert res.pairs
     mc = build_maximal(G, *res.pairs[0])
-    assert mc.genus() == G.order() // 6 + 1 == 183
+    assert mc.graph.genus() == G.order() // 6 + 1 == 183
     rep = theorem_44_check(mc)
     assert rep.hurwitz
     assert rep.surface_genus == 14

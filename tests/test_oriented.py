@@ -2,8 +2,17 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import dart_element, element_dart, random_rotation
+from conftest import (
+    coset_orientation,
+    dart_element,
+    element_dart,
+    map_darts,
+    random_rotation,
+    sweep_pairs,
+)
 from hcov.errors import GraphError
 from hcov.kernel import perm_id, perm_mul, perm_pow
 from hcov.maximal import build_maximal
@@ -71,21 +80,27 @@ def dart_orbits(succ: dict) -> set:
 
 
 def int_successor(og: OrientedGraph, d: Dart) -> Dart:
-    """The dart-id step d -> rot[d ^ 1], converted at the boundary."""
-    darts = og.graph.darts()
-    return darts[og.rot[darts.index(d) ^ 1]]
+    """The dart-id step d -> rot[X[d]], converted at the boundary."""
+    darts = map_darts(og)
+    return darts[og.rot[og.X[darts.index(d)]]]
+
+
+def faces(og: OrientedGraph) -> set:
+    """The traced faces of a map, as a set of frozensets of Darts."""
+    darts = map_darts(og)
+    return {frozenset(darts[d] for d in o) for o in lht_decomposition(og).orbits}
 
 
 def assert_tracers_agree(og: OrientedGraph):
-    darts = og.graph.darts()
+    darts = map_darts(og)
     succ = successor_permutation(og)
-    assert {darts[d]: darts[og.rot[d ^ 1]] for d in range(len(darts))} == succ
+    assert {darts[d]: darts[og.rot[og.X[d]]] for d in range(len(darts))} == succ
     dec = lht_decomposition(og)
     orbits = dart_orbits(succ)
     assert dec.L == len(orbits)
-    assert {frozenset(darts[d] for d in o) for o in dec.orbits} == orbits
+    assert faces(og) == orbits
     for d in range(len(darts)):
-        assert d in dec.orbit_of(d)
+        assert d in dec.orbits[dec.orbit_number[d]]
 
 
 def k4_planar():
@@ -168,7 +183,7 @@ def test_successor_is_bijection():
     succ = successor_permutation(og)
     assert sorted(succ.values()) == sorted(succ.keys())
     n = len(og.rot)
-    assert sorted(og.rot[d ^ 1] for d in range(n)) == list(range(n))
+    assert sorted(og.rot[og.X[d]] for d in range(n)) == list(range(n))
 
 
 def test_tracer_rejects_a_broken_rotation():
@@ -232,9 +247,9 @@ def test_orbit_of_identity_dart_is_coset():
     mc = build_maximal(S3, TAU, SIGMA)
     og = canonical_orientation(mc)
     dec = lht_decomposition(og)
-    darts = og.graph.darts()
+    darts = map_darts(og)
     ident = perm_id(3)
-    orbit = dec.orbit_of(darts.index(element_dart(mc)[ident]))
+    orbit = dec.orbits[dec.orbit_number[darts.index(element_dart(mc)[ident])]]
     to_element = dart_element(mc)
     labels = {to_element[darts[d]] for d in orbit}
     ts = perm_mul(TAU, SIGMA)
@@ -337,17 +352,13 @@ def test_dot_ports():
     assert dot.count("--") == 6
 
 
-def test_orbit_of_rejects_unknown_darts():
-    dec = lht_decomposition(k4_planar())
-    for d in (-1, 12, 1.0, Dart(0, 0)):
-        with pytest.raises(GraphError, match="unknown dart"):
-            dec.orbit_of(d)
-
-
 def test_canonical_orientation_rejects_right_multiplication_by_tau():
     mc = build_maximal(S3, TAU, SIGMA)
     canonical_orientation(mc)
-    mc.vertex_rep.rights = [mc.edge_rep.rights[0]]
+    r_tau = S3.element_index().right(TAU)
+    with pytest.raises(GraphError, match="is a loop"):
+        OrientedGraph.from_darts(r_tau, r_tau)
+    mc.map.rot = r_tau  # the map (right(tau), right(tau)), which from_darts rejects
     with pytest.raises(GraphError, match="does not rotate the star"):
         canonical_orientation(mc)
 
@@ -374,6 +385,17 @@ def test_tracers_agree_on_catalog_maximal_covers(catalog):
     assert covers > 0
 
 
+def test_map_form_matches_the_coset_relabelling(catalog):
+    pairs = sweep_pairs(catalog)
+    assert len(pairs) == 140
+    for G, tau, sigma in pairs:
+        mc = build_maximal(G, tau, sigma)
+        og, old = canonical_orientation(mc), coset_orientation(mc)
+        assert og.rotation == old.rotation
+        assert faces(og) == faces(old)
+        assert surface_genus(og) == surface_genus(old)
+
+
 def cubic_multigraphs():
     """3-regular graphs with edge ids that are neither contiguous nor in
     edge order, parallel edges, and ends listed larger vertex first."""
@@ -394,3 +416,35 @@ def test_tracers_agree_on_random_rotations():
         og = random_rotation(graphs[i % len(graphs)], rng)
         assert_tracers_agree(og)
         assert OrientedGraph.from_rotation(og.graph, og.rotation).rot == og.rot
+
+
+# -- cubic maps that come from no file or group -----------------------------
+
+
+def cycles_to_perm(points, length, n) -> list:
+    """The permutation of 0..n-1 whose cycles are the consecutive runs of
+    the given length in points."""
+    p = [-1] * n
+    for i in range(0, n, length):
+        run = points[i:i + length]
+        for a, b in zip(run, run[1:] + run[:1]):
+            p[a] = b
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4))
+def test_random_cubic_maps(data, k):
+    n = 6 * k
+    X = cycles_to_perm(data.draw(st.permutations(range(n))), 2, n)
+    Y = cycles_to_perm(data.draw(st.permutations(range(n))), 3, n)
+    assume(all(X[d] not in (Y[d], Y[Y[d]]) for d in range(n)))  # no loop
+    og = OrientedGraph.from_darts(X, Y)
+    graph = og.graph
+    assert set(graph.degrees()) == {3}
+    assert (len(graph.vertices), len(graph.edges)) == (n // 3, n // 2)
+    assert_tracers_agree(og)
+    if graph.is_connected():
+        F = lht_decomposition(og).L
+        g = surface_genus(og).surface_genus
+        assert len(graph.vertices) - len(graph.edges) + F == 2 - 2 * g

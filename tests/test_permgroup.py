@@ -851,3 +851,20 @@ def test_conjugate_of_found_pair_is_found(name, pair_index, element_index):
     centralizer = [c for c in G.elements() if perm_mul(c, a) == perm_mul(a, c)]
     c = centralizer[element_index % len(centralizer)]
     assert (a, perm_mul(c, perm_mul(b, perm_inv(c)))) in reps
+
+
+def test_cycle_numbering_matches_cycles_of():
+    rng = random.Random(4)
+    for n in (0, 1, 2, 8, 30):
+        for _ in range(20):
+            p = list(range(n))
+            rng.shuffle(p)
+            number, least = permgroup.cycle_numbering(p)
+            cycles = sorted({tuple(c) for c in permgroup.cycles_of(p)} | {
+                (i,) for i in range(n) if p[i] == i
+            })
+            assert least == [c[0] for c in cycles]
+            assert [number[i] for c in cycles for i in c] == [
+                k for k, c in enumerate(cycles) for _ in c
+            ]
+            assert permgroup.cycle_count(p) == len(cycles)
