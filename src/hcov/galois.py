@@ -19,15 +19,7 @@ from hcov.harmonic import GraphAction, flip_all, is_harmonic_action
 # perm_mul is unused here, but perfbench/selftest.py checks that its tracer wraps it
 from hcov.kernel import perm_id, perm_inv, perm_mul  # noqa: F401
 from hcov.multigraph import GraphMorphism, Multigraph, images_of, map_images, union_find
-from hcov.permgroup import (
-    PermutationGroup,
-    Subgroup,
-    _generates_order,
-    cycle_string,
-    group_from_spec,
-    is_permutation,
-    left_cosets,
-)
+from hcov.permgroup import Cosets, PermutationGroup, cycle_string, group_from_spec, is_permutation
 
 logger = logging.getLogger("hcov")
 
@@ -102,11 +94,13 @@ class SymmetricMultiset:
                 pairs.extend((p, j) for j in range(mult))
         return pairs, invs
 
-    def without(self, subgroup: PermutationGroup) -> "SymmetricMultiset":
-        """Copy with every entry lying in the subgroup removed, not checked
-        again: a subgroup is closed under inverses, so the rest is symmetric."""
+    def without(self, cosets: Cosets) -> "SymmetricMultiset":
+        """Copy without the entries lying in H, given the left cosets G/H:
+        an entry's index (_check_member, a membership test in G) lies in
+        coset 0 iff it does. H is closed under inverses: the rest is symmetric."""
+        G, of = cosets.index.group, cosets.of
         out = SymmetricMultiset.__new__(SymmetricMultiset)
-        out.counts = {p: m for p, m in self.counts.items() if not subgroup.contains(p)}
+        out.counts = {p: m for p, m in self.counts.items() if of[_check_member(G, p)] != 0}
         return out
 
     def to_json(self):
@@ -128,21 +122,22 @@ class SymmetricMultiset:
 class InertiaStructure:
     """Subgroup assignment per base vertex; missing vertices mean trivial.
 
-    subgroup_at tests a vertex's subgroup for membership in G once: the
-    (G, subgroup) pair that passed is remembered per vertex."""
+    subgroup_at tests a vertex's subgroup for membership in G on G's
+    element index, which keeps each generator's right map for the fiber's
+    cosets: a generator is looked up there once per group."""
 
     assignment: dict
-    _checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def subgroup_at(self, G: PermutationGroup, x) -> Subgroup:
+    def subgroup_at(self, G: PermutationGroup, x) -> PermutationGroup:
         H = self.assignment.get(x)
         if H is None:
             return G.trivial_subgroup()
-        if self._checked.get(x) != (G, H):
-            for g in H.generators:
-                if not G.contains(g):
-                    raise GroupError(f"inertia at {x} is not a subgroup of {G.name}")
-            self._checked[x] = (G, H)
+        index = G.element_index()
+        for g in H.generators:
+            try:
+                index.right(g)
+            except KeyError:
+                raise GroupError(f"inertia at {x} is not a subgroup of {G.name}") from None
         return H
 
 
@@ -172,10 +167,10 @@ class LabeledAction:
     removed_loops: list = field(default_factory=list)
 
 
-def collapse(G: PermutationGroup, I: Subgroup, S: SymmetricMultiset) -> LabeledAction:
+def collapse(cosets: Cosets, S: SymmetricMultiset) -> LabeledAction:
     """The Cayley graph of G on a symmetric multiset, collapsed onto the left
-    cosets G/I, with the left-multiplication action (not validated here;
-    see LabeledAction).
+    cosets G/I given on G's element index, with the left-multiplication
+    action (not validated here; see LabeledAction).
 
     Each inverse pair {rho, rho^-1} with rho != rho^-1 contributes one edge
     {g, g*rho} per element and multiplicity step (the rho- and rho^-1-edges
@@ -186,9 +181,8 @@ def collapse(G: PermutationGroup, I: Subgroup, S: SymmetricMultiset) -> LabeledA
     ids stay auditable. A unit is all loops or none: g*rho lies in g*I iff
     rho lies in I.
     """
-    index = G.element_index()
+    index = cosets.index
     n = len(index)
-    cosets = left_cosets(G, I)
     of = cosets.of
     pairs, invs = S.units()
     edges, ends, removed = [], [], []
@@ -202,13 +196,13 @@ def collapse(G: PermutationGroup, I: Subgroup, S: SymmetricMultiset) -> LabeledA
         else:
             edges += range(u * n, u * n + n)
             ends += unit
-    return LabeledAction(G, of, cosets.reps, edges, ends, removed)
+    return LabeledAction(index.group, of, cosets.reps, edges, ends, removed)
 
 
 def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
     """Cayley graph of G on a symmetric multiset: its collapse by the trivial
     subgroup, whose cosets are the elements, numbered by their index."""
-    return collapse(G, G.trivial_subgroup(), S)
+    return collapse(Cosets(G.element_index(), ()), S)
 
 
 # -- covers --------------------------------------------------------------------
@@ -290,11 +284,12 @@ def build_cover(
     """Assemble the harmonic G-cover of a tree from per-vertex inertia
     subgroups and symmetric multisets.
 
-    The fiber over x is collapse(G, I_x, S_x): the Cayley graph Cay(G, S_x)
-    collapsed onto G/I_x, built once. One horizontal edge per group element
-    joins g*I_x to g*I_x' over each base edge {x, x'}. Entries of S_x lying
-    in I_x are dropped with a warning (they would only produce loops), so a
-    generator maps a fiber's edges unit by unit, by block offsets. The
+    The fiber over x is collapse(G/I_x, S_x): the Cayley graph Cay(G, S_x)
+    collapsed onto the cosets G/I_x on G's element index, built once. One
+    horizontal edge per group element joins g*I_x to g*I_x' over each base
+    edge {x, x'}. Entries of S_x lying in I_x are dropped with a warning
+    (they would only produce loops), so a generator maps a fiber's edges
+    unit by unit, by block offsets. The
     fibers' image maps are validated once, by the total GraphAction: one per
     cover, and a second from flip_all when flipped. Every check and
     statistic of the cover reads what that validation stored. A disconnected
@@ -314,22 +309,20 @@ def build_cover(
     warnings = []
     empty = SymmetricMultiset([])
     fibers = {}
+    index = G.element_index()
     for x in base.vertices:
-        I_x = inertia.subgroup_at(G, x)
+        cosets = Cosets(index, inertia.subgroup_at(G, x).generators)
         S_x = multisets.get(x, empty)
-        for p in S_x.support():
-            _check_member(G, p)
-        trimmed = S_x.without(I_x)
+        trimmed = S_x.without(cosets)
         if trimmed.size() != S_x.size():
             msg = f"dropped multiset entries lying in the inertia group at vertex {x}"
             warnings.append(msg)
             logger.warning(msg)
-        fibers[x] = collapse(G, I_x, trimmed)
+        fibers[x] = collapse(cosets, trimmed)
         multisets[x] = trimmed
 
     # vertices and vertical edges fiber by fiber, then one horizontal edge
     # per element over each base edge; each generator's image list follows
-    index = G.element_index()
     n, left = len(index), index.left
     fiber_index, vertical = {}, {}
     vertex_base, ends = [], []  # by vertex id; two per edge id
@@ -382,10 +375,13 @@ def build_cover(
     return cover
 
 
-def _check_member(G: PermutationGroup, p):
-    """GroupError unless the multiset entry p is a member of G."""
-    if not G.contains(p):
-        raise GroupError(f"multiset entry {cycle_string(p)} is not a member of {G.name}")
+def _check_member(G: PermutationGroup, p) -> int:
+    """The index of the multiset entry p in G's element index; GroupError
+    unless it finds the whole tuple p, a member of G."""
+    try:
+        return G.element_index().index_of(p)
+    except KeyError:
+        raise GroupError(f"multiset entry {cycle_string(p)} is not a member of {G.name}") from None
 
 
 def _verify_cover(cover: HarmonicCover):
@@ -393,7 +389,7 @@ def _verify_cover(cover: HarmonicCover):
     The quotient by G, read off the orbits that validation stored (an edge
     orbit is a loop iff its least edge's ends share a vertex orbit), must
     match the base through the projection, whatever the base's genus. The
-    generators of the criterion were checked as members while building."""
+    cover must be connected iff _generates(cover)."""
     action, base, graph, projection = cover.action, cover.base, cover.graph, cover.projection
     if not is_harmonic_action(action):
         raise CoverError("constructed cover action is not harmonic")
@@ -421,13 +417,21 @@ def _verify_cover(cover: HarmonicCover):
             u, v = least[j]
             if {orbit_to_base[vertex_no[u]], orbit_to_base[vertex_no[v]]} != set(base.ends(be)):
                 raise CoverError("quotient incidence does not match the base")
-    gens = [g for x in base.vertices for g in cover.inertia.subgroup_at(cover.group, x).generators]
-    gens += [p for x in base.vertices for p in cover.multisets[x].support()]
-    expected_connected = _generates_order(cover.group.degree, gens, order) if gens else order == 1
+    expected_connected = _generates(cover)
     if cover.is_connected() != expected_connected:
         raise CoverError("connectivity does not match the generation criterion")
     if not expected_connected:
         logger.info("cover is disconnected: inertia and multisets do not generate")
+
+
+def _generates(cover: HarmonicCover) -> bool:
+    """True iff the inertia generators and multiset entries, of an inverse
+    pair only the unit rho that collapse read, generate G: one coset."""
+    G, gens = cover.group, []
+    for x in cover.base.vertices:
+        gens += cover.inertia.subgroup_at(G, x).generators
+        gens += (p for p in cover.multisets[x].support() if p <= perm_inv(p))
+    return len(Cosets(G.element_index(), dict.fromkeys(gens))) == 1
 
 
 # -- ramification ----------------------------------------------------------------

@@ -551,16 +551,18 @@ class ElementIndex:
 
 
 class Cosets(Sequence):
-    """The left cosets gH of a subgroup H, on its group's element index.
+    """The left cosets gH of the subgroup H that the given members
+    generate, on their group's element index.
 
-    A coset is an orbit of the index under right multiplication by H's
+    A coset is an orbit of the index under right multiplication by the
     generators. reps[c] is the index of coset c's least member, cosets are
-    numbered by increasing reps, and of[i] is the coset of element i. As a
-    sequence, cosets yield their least members as tuples.
+    numbered by increasing reps, and of[i] is the coset of element i: coset
+    0 is H, and there is one iff H is the group. As a sequence, cosets
+    yield their least members as tuples.
     """
 
-    def __init__(self, index: ElementIndex, subgroup: PermutationGroup):
-        rights = [index.right(h) for h in subgroup.generators]
+    def __init__(self, index: ElementIndex, generators):
+        rights = [index.right(h) for h in generators]
         self.index = index
         if len(rights) == 1:  # H cyclic: the cosets are the cycles of its one right map
             self.of, self.reps = cycle_numbering(rights[0])
@@ -595,7 +597,7 @@ def left_cosets(G: PermutationGroup, H: Subgroup) -> Cosets:
         for h in H.generators:
             if not G.contains(h):
                 raise GroupError("H is not contained in G")
-    return Cosets(G.element_index(), H)
+    return Cosets(G.element_index(), H.generators)
 
 
 # -- (2,3)-generating pair search --------------------------------------------

@@ -575,6 +575,11 @@ def test_malformed_cover_spec_exits_one(capsys, tmp_path, spec, named):
             dict(S3_PATH, multisets={"1": [[[1, 2, 0], 1], [[2, 0, 1], 1], [[1, 0], 1]]}),
             "cover spec: multisets.1.2: multiset entry (0 1) is not a member of S3",
         ),
+        (
+            # leading images those of the member (0 1 2), one point more
+            dict(S3_PATH, multisets={"1": [[[1, 2, 0, 3], 1], [[2, 0, 1, 3], 1]]}),
+            "cover spec: multisets.1.0: multiset entry (0 1 2) is not a member of S3",
+        ),
     ],
 )
 def test_a_bad_multiset_names_its_field(capsys, tmp_path, spec, message, as_json):

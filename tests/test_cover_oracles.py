@@ -9,6 +9,13 @@ Both sides are run on criterion 4's random covers, on every bundled cover
 spec (also flipped) and on the maximal covers of PSL(2,7) and PSL(2,13),
 and on covers corrupted so that each error path of _verify_cover and
 _vertex_profiles is taken, where both must raise the same CoverError.
+
+Cover construction answers its group questions on G's element index:
+membership (the index finds the tuple), trimming by the inertia group I
+(coset 0 of G/I) and generation (one coset). Their stabilizer-chain forms
+are kept here too, G.contains, I.contains and generates/_generates_order,
+and compared on criterion 4's inputs, on the bundled specs and on random
+collapses.
 """
 
 import copy
@@ -21,7 +28,7 @@ import pytest
 
 from conftest import load_figure
 from hcov import galois
-from hcov.errors import CoverError
+from hcov.errors import CoverError, GroupError
 from hcov.galois import (
     LabeledAction,
     RiemannHurwitzReport,
@@ -37,6 +44,8 @@ from hcov.harmonic import is_harmonic_action, quotient
 from hcov.maximal import build_maximal
 from hcov.multigraph import Multigraph, map_images
 from hcov.permgroup import (
+    Cosets,
+    _generates_order,
     first_pair,
     generates,
     left_cosets,
@@ -45,7 +54,7 @@ from hcov.permgroup import (
     symmetric,
 )
 from test_acceptance import random_subgroup, random_symmetric_multiset
-from test_galois import FIGURES, criterion_4_covers
+from test_galois import FIGURES, criterion_4_covers, criterion_4_inputs
 
 S3 = symmetric(3)
 TAU = perm_from_cycles([(0, 1)], 3)
@@ -166,6 +175,53 @@ def collapse_edge_by_edge(G, I, S) -> LabeledAction:
     return LabeledAction(G, of, cosets.reps, edges, ends, removed)
 
 
+def without_by_chain(S, H) -> SymmetricMultiset:
+    """SymmetricMultiset.without, each entry sifted through H's own chain."""
+    out = SymmetricMultiset.__new__(SymmetricMultiset)
+    out.counts = {p: m for p, m in S.counts.items() if not H.contains(p)}
+    return out
+
+
+def generates_by_chain(G, gens) -> bool:
+    """The generation criterion through generates, which sifts every
+    generator through G's chain, checked against the known-order probe."""
+    if not gens:
+        return G.order() == 1
+    out = generates(G, gens)
+    assert out == _generates_order(G.degree, gens, G.order())
+    return out
+
+
+def is_member_on_index(G, p) -> bool:
+    """Whether _check_member, the lookup in G's element index, finds p."""
+    try:
+        galois._check_member(G, p)
+    except GroupError:
+        return False
+    return True
+
+
+def assert_fiber_agrees_with_the_chains(G, H, S):
+    """Membership of S's entries, of H's generators and of some others, and
+    S trimmed by H on the cosets of G/H, against the chains' answers."""
+    probes = list(S.support()) + list(H.generators)
+    probes += [p + (len(p),) for p in probes]  # one more point: never a member
+    n = G.degree
+    probes += [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]  # may be members
+    for p in probes:
+        assert is_member_on_index(G, p) == G.contains(p), p
+    assert S.without(Cosets(G.element_index(), H.generators)) == without_by_chain(S, H)
+
+
+def assert_generation_agrees_with_the_chains(cover, multisets):
+    """galois._generates against the chain criterion on every inertia
+    generator and every entry of the given (untrimmed) multisets."""
+    G = cover.group
+    gens = [g for x in cover.base.vertices for g in cover.inertia.subgroup_at(G, x).generators]
+    gens += [p for S in multisets.values() for p in S.support()]
+    assert galois._generates(cover) == generates_by_chain(G, gens) == cover.is_connected()
+
+
 # -- agreement ----------------------------------------------------------------------
 
 
@@ -211,19 +267,39 @@ def test_collapse_agrees_with_the_edge_by_edge_oracle(catalog):
             continue
         for _ in range(8):
             I, S = random_subgroup(rng, G, proper=False), random_symmetric_multiset(rng, G)
-            assert collapse(G, I, S) == collapse_edge_by_edge(G, I, S)
+            assert collapse(left_cosets(G, I), S) == collapse_edge_by_edge(G, I, S)
+            assert_fiber_agrees_with_the_chains(G, I, S)
+            # over one edge: the fiber over 2 is G itself, so G acts faithfully
+            cover = build_cover(G, Multigraph([1, 2], [(0, (1, 2))]), {1: I}, {1: S})
+            assert_generation_agrees_with_the_chains(cover, {1: S})
+
+
+def test_criterion_4_members_and_trims_agree_with_the_chains(catalog):
+    for G, tree, inertia, multisets in criterion_4_inputs(catalog):
+        for x in tree.vertices:
+            assert_fiber_agrees_with_the_chains(G, inertia[x], multisets[x])
 
 
 def test_generates_agrees_with_the_known_order_test(catalog):
-    # the criterion's generators were checked as members while building
-    for cover in criterion_4_covers(catalog):
-        gens = [g for x in cover.base.vertices
-                for g in cover.inertia.subgroup_at(cover.group, x).generators]
-        gens += [p for S in cover.multisets.values() for p in S.support()]
-        if gens:
-            assert generates(cover.group, gens) == galois._generates_order(
-                cover.group.degree, gens, cover.group.order()
-            )
+    connected = 0
+    for G, tree, inertia, multisets in criterion_4_inputs(catalog):
+        cover = build_cover(G, tree, inertia, multisets)
+        assert_generation_agrees_with_the_chains(cover, multisets)
+        connected += cover.is_connected()
+    assert 100 < connected < 200
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("name", FIGURES)
+def test_figure_inputs_agree_with_the_chains(name, flipped, catalog):
+    spec = dict(load_figure(name), flipped=flipped)
+    cover = cover_from_spec(spec, catalog)
+    G = cover.group
+    multisets = {x: SymmetricMultiset.from_json(spec.get("multisets", {}).get(str(x), []))
+                 for x in cover.base.vertices}
+    for x, S in multisets.items():
+        assert_fiber_agrees_with_the_chains(G, cover.inertia.subgroup_at(G, x), S)
+    assert_generation_agrees_with_the_chains(cover, multisets)
 
 
 # -- negative controls ---------------------------------------------------------------

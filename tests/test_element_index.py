@@ -232,7 +232,7 @@ def check_cover(cover, flipped):
         lab = cayley(G, cover.multisets[x])
         assert_same_action(fiber_action(lab, faithful=True), *fiber[:3])
         graph, vimg, eimg, _, reps, vertex_of = tuple_collapse(G, inertia[x], fiber)
-        out = collapse(G, inertia[x], cover.multisets[x])
+        out = collapse(left_cosets(G, inertia[x]), cover.multisets[x])
         assert_same_action(fiber_action(out, faithful=False), graph, vimg, eimg)
         index = G.element_index()
         assert [index.element(i) for i in out.reps] == reps

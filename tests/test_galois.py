@@ -24,9 +24,11 @@ from hcov.harmonic import GraphAction, flipped_edges, is_harmonic_action, unflip
 from hcov.kernel import perm_pow
 from hcov.multigraph import Multigraph, are_isomorphic
 from hcov.permgroup import (
+    ElementIndex,
     PermutationGroup,
     StabilizerChain,
     cyclic,
+    left_cosets,
     perm_from_cycles,
     schreier_orbit,
     symmetric,
@@ -66,7 +68,7 @@ def test_multiset_validation():
 
 def test_multiset_without():
     S = SymmetricMultiset([SIGMA, SIGMA2, TAU])
-    trimmed = S.without(S3.subgroup([SIGMA]))
+    trimmed = S.without(left_cosets(S3, S3.subgroup([SIGMA])))
     assert trimmed.counts == {TAU: 1}
 
 
@@ -118,14 +120,14 @@ def test_cayley_z6_half_turn():
 
 
 def test_collapse_tau_cayley_by_sigma():
-    out = collapse(S3, S3.subgroup([SIGMA]), SymmetricMultiset([TAU]))
+    out = collapse(left_cosets(S3, S3.subgroup([SIGMA])), SymmetricMultiset([TAU]))
     assert len(fiber_graph(out).vertices) == 2
     assert len(fiber_graph(out).edges) == 6
     assert not out.removed_loops
 
 
 def test_collapse_sigma_cayley_by_sigma_kills_all_edges():
-    out = collapse(S3, S3.subgroup([SIGMA]), SymmetricMultiset([SIGMA, SIGMA2]))
+    out = collapse(left_cosets(S3, S3.subgroup([SIGMA])), SymmetricMultiset([SIGMA, SIGMA2]))
     assert len(fiber_graph(out).vertices) == 2
     assert len(fiber_graph(out).edges) == 0
     assert len(out.removed_loops) == 6
@@ -133,7 +135,7 @@ def test_collapse_sigma_cayley_by_sigma_kills_all_edges():
 
 def test_collapse_by_trivial_subgroup_is_identity():
     # every element is its own vertex, and every Cayley edge {g, g*tau} survives
-    out = collapse(S3, S3.trivial_subgroup(), SymmetricMultiset([TAU]))
+    out = collapse(left_cosets(S3, S3.trivial_subgroup()), SymmetricMultiset([TAU]))
     index = S3.element_index()
     assert out.reps == list(range(6))
     assert out.vertex_of == list(range(6))
@@ -399,11 +401,18 @@ def check_against_oracles(cover):
             assert stabilizer_oracle(cover.action, v) == (profile.per_vertex[x].m, set(fiber))
         S = cover.multisets[x]
         fiber_action(cayley(G, S), faithful=True)
-        fiber_action(collapse(G, cover.inertia.subgroup_at(G, x), S), faithful=False)
+        fiber_action(collapse(left_cosets(G, cover.inertia.subgroup_at(G, x)), S),
+                     faithful=False)
 
 
 def criterion_4_covers(catalog):
     """The 200 random covers of criterion 4 (test_acceptance.py), same seed."""
+    for G, tree, inertia, multisets in criterion_4_inputs(catalog):
+        yield build_cover(G, tree, inertia, multisets, flipped=False)
+
+
+def criterion_4_inputs(catalog):
+    """(G, tree, inertia, multisets) of each of criterion 4's random covers."""
     rng = random.Random(20260810)
     groups = [G for G in catalog.groups if G.order() <= 24]
     for built in range(200):
@@ -422,7 +431,7 @@ def criterion_4_covers(catalog):
             else:
                 S = random_symmetric_multiset(rng, G)
             multisets[x] = S
-        yield build_cover(G, tree, inertia, multisets, flipped=False)
+        yield G, tree, inertia, multisets
 
 
 @pytest.mark.parametrize("flipped", [False, True])
@@ -500,8 +509,8 @@ def test_corrupted_fiber_fails_the_total_validation(corrupt, message, monkeypatc
     # must still fail, in the validation of the assembled action
     original = galois.collapse
 
-    def corrupted_collapse(G, I, S):
-        fiber = original(G, I, S)
+    def corrupted_collapse(cosets, S):
+        fiber = original(cosets, S)
         reps = list(fiber.reps)
         corrupt(reps)
         return dataclasses.replace(fiber, reps=reps)
@@ -515,23 +524,25 @@ def test_corrupted_fiber_fails_the_total_validation(corrupt, message, monkeypatc
 
 
 def test_inertia_membership_is_tested_once_per_group(monkeypatch):
-    H, K = S3.subgroup([TAU]), S3.subgroup([SIGMA])
-    sifts = []
-    contains = PermutationGroup.contains
+    G = symmetric(3)  # its element index keeps no right map yet
+    H, K = G.subgroup([TAU]), G.subgroup([SIGMA])
+    lookups = []
+    index_of = ElementIndex.index_of
     monkeypatch.setattr(
-        PermutationGroup, "contains", lambda G, p: sifts.append((G, p)) or contains(G, p)
+        ElementIndex, "index_of", lambda ix, g: lookups.append((ix.group, g)) or index_of(ix, g)
     )
+    monkeypatch.setattr(PermutationGroup, "contains", None)  # no chain is sifted
     inertia = InertiaStructure({1: H})
     for _ in range(3):
-        assert inertia.subgroup_at(S3, 1) is H
-    assert sifts == [(S3, TAU)]
+        assert inertia.subgroup_at(G, 1) is H
+    assert lookups == [(G, TAU)]
     other = symmetric(3)  # another group object is tested again
     assert inertia.subgroup_at(other, 1) is H
-    assert sifts == [(S3, TAU), (other, TAU)]
+    assert lookups == [(G, TAU), (other, TAU)]
     # a new subgroup at the vertex is tested again too
     inertia.assignment[1] = K
     assert inertia.subgroup_at(other, 1) is K
-    assert sifts[2:] == [(other, SIGMA)]
+    assert lookups[2:] == [(other, SIGMA)]
 
 
 def test_inertia_outside_the_group_fails_on_every_call():
@@ -542,3 +553,22 @@ def test_inertia_outside_the_group_fails_on_every_call():
             inertia.subgroup_at(C3, 2)
     with pytest.raises(GroupError, match="inertia at 2 is not a subgroup"):
         build_cover(C3, single_edge_base(), inertia, {})
+
+
+# -- members of another degree ------------------------------------------------------
+
+# (0 1 2) of degree 4: its images of 0, 1 and 2 are those of the member
+# (0 1 2) of S3, so the index must compare the whole tuple, not its key
+LONG_SIGMA, LONG_SIGMA2 = (1, 2, 0, 3), (2, 0, 1, 3)
+
+
+def test_a_multiset_entry_of_another_degree_is_no_member():
+    S = SymmetricMultiset([LONG_SIGMA, LONG_SIGMA2])
+    with pytest.raises(GroupError, match=r"^multiset entry \(0 1 2\) is not a member of S3$"):
+        build_cover(S3, single_edge_base(), {}, {1: S})
+
+
+def test_an_inertia_generator_of_another_degree_is_no_member():
+    inertia = {2: symmetric(4).subgroup([LONG_SIGMA])}
+    with pytest.raises(GroupError, match="^inertia at 2 is not a subgroup of S3$"):
+        build_cover(S3, single_edge_base(), inertia, {})
