@@ -47,6 +47,9 @@ def common_parser():
 
 
 def load_catalog_arg(args) -> permgroup.Catalog:
+    """The catalog of --catalog, else of HC_CATALOG, else the bundled one.
+    Group specs get functools.partial(load_catalog_arg, args), so that only
+    a group name reads it."""
     path = args.catalog or os.environ.get("HC_CATALOG") or permgroup.default_catalog_path()
     return permgroup.load_catalog(path)
 
@@ -54,10 +57,8 @@ def load_catalog_arg(args) -> permgroup.Catalog:
 def resolve_group(spec: str, args) -> permgroup.PermutationGroup:
     if os.path.exists(spec):
         return permgroup.group_from_spec(read_json(spec))
-    if spec.lower().startswith("psl2:"):  # no catalog needed
-        return permgroup.group_from_spec(spec, allow_large_psl2=args.allow_large_psl2)
     return permgroup.group_from_spec(
-        spec, load_catalog_arg(args), allow_large_psl2=args.allow_large_psl2
+        spec, functools.partial(load_catalog_arg, args), allow_large_psl2=args.allow_large_psl2
     )
 
 
@@ -103,12 +104,12 @@ def load_cover(args) -> galois.HarmonicCover:
     data = read_json(resolve_spec_path(args.spec))
     if isinstance(data, dict) and "spec" in data:  # `hc cover build` output round-trips
         data = data["spec"]
-    return galois.cover_from_spec(data, load_catalog_arg(args))
+    return galois.cover_from_spec(data, functools.partial(load_catalog_arg, args))
 
 
 def load_action(args) -> harmonic.GraphAction:
     data = read_json(resolve_spec_path(args.action))
-    return harmonic.GraphAction.from_json(data, load_catalog_arg(args))
+    return harmonic.GraphAction.from_json(data, functools.partial(load_catalog_arg, args))
 
 
 # -- group commands ------------------------------------------------------------
@@ -257,7 +258,7 @@ def cmd_cover_build(args):
     spec = read_json(resolve_spec_path(args.spec))
     if isinstance(spec, dict) and "spec" in spec:
         spec = spec["spec"]
-    cover = galois.cover_from_spec(spec, load_catalog_arg(args))
+    cover = galois.cover_from_spec(spec, functools.partial(load_catalog_arg, args))
     if args.dot:
         write_output("--dot", args.dot, cover.graph.to_dot() + "\n")
     payload = {

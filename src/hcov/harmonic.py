@@ -17,7 +17,9 @@ from typing import NamedTuple
 from hcov.errors import ActionError, GroupError
 from hcov.kernel import perm_inv, perm_order
 from hcov.multigraph import Dart, GraphMorphism, Multigraph, map_items
-from hcov.permgroup import PermutationGroup, Subgroup, _orbits_under, cycle_string, group_from_spec
+from hcov.permgroup import (
+    PermutationGroup, Subgroup, cycle_string, group_from_spec, orbit_numbering,
+)
 
 
 def _size(orbit) -> int:
@@ -397,8 +399,8 @@ def quotient(a: GraphAction, H: Subgroup | None = None) -> QuotientResult:
             if not a.group.contains(h):
                 raise ActionError(f"subgroup generator is not a member of {a.group.name}")
         actions = [a.element_action(h) for h in H.generators]
-        vclass, vreps = _orbits_under(vertices, [vm for vm, _ in actions])
-        eclass, ereps = _orbits_under(ids, [em for _, em in actions])
+        vclass, vreps = orbit_numbering(vertices, [vm for vm, _ in actions])
+        eclass, ereps = orbit_numbering(ids, [em for _, em in actions])
         vcount = len(vreps)
     qedge, qends, loops = [], [], {}  # per edge orbit: its quotient edge, None if a loop
     for j, e in enumerate(ereps):

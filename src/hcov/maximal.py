@@ -27,9 +27,9 @@ from hcov.oriented import OrientedGraph
 from hcov.permgroup import (
     Catalog,
     PermutationGroup,
+    _generates_order,
     alternating,
     first_pair,
-    generates,
     search_23_pairs,
     symmetric,
 )
@@ -73,9 +73,9 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
         raise GroupError("tau must have order 2")
     if G.element_order(sigma) != 3:
         raise GroupError("sigma must have order 3")
-    if not generates(G, [tau, sigma]):
-        raise GroupError("tau and sigma do not generate the group")
     order = G.order()
+    if not _generates_order(G.degree, (tau, sigma), order):
+        raise GroupError("tau and sigma do not generate the group")
     if order < 6:
         raise GroupError("maximal covers need |G| >= 6")
 

@@ -19,7 +19,7 @@ from operator import eq
 from hcov.errors import GraphError
 from hcov.kernel import perm_mul, perm_order
 from hcov.multigraph import Dart, Multigraph
-from hcov.permgroup import cycle_numbering
+from hcov.permgroup import orbit_numbering
 
 
 class OrientedGraph:
@@ -71,8 +71,8 @@ class OrientedGraph:
         X[r]. GraphError if an edge is a loop."""
         og = cls.__new__(cls)
         og.X, og.rot = X, Y
-        og.base, vertex_least = cycle_numbering(Y)
-        og.edge, edge_least = cycle_numbering(X)
+        og.base, vertex_least = orbit_numbering(range(len(Y)), (Y,))
+        og.edge, edge_least = orbit_numbering(range(len(X)), (X,))
         og.least = vertex_least, edge_least
         ends = [0] * (2 * len(edge_least))
         ends[0::2] = map(og.base.__getitem__, edge_least)

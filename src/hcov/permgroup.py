@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -64,25 +64,50 @@ def cycles_of(p) -> list[tuple]:
     return out
 
 
-def cycle_numbering(p) -> tuple[list, list]:
-    """(number, least) for the permutation p: number[i] is the cycle through
-    i, cycles numbered in the order of their least points, and least[c] is
-    the least point of cycle c. Fixed points are cycles of their own."""
-    number = [-1] * len(p)
+def orbit_numbering(points, maps) -> tuple[list | dict, list]:
+    """(number, least) for the orbits of the points under the group that
+    the maps generate, each map a permutation of the points that sends x to
+    m[x] (a list, a dict or any indexable object): number[x] is the orbit
+    of x, orbits numbered in the order of their least points, and least[c]
+    is the least point of orbit c. number is a list when points is
+    range(n), else a dict. With no map every point is an orbit of its own.
+
+    One map's orbits are its cycles, each walked once; several maps' are
+    closed by a stack walk."""
+    if points == range(len(points)):
+        number = [-1] * len(points)
+    else:
+        points = sorted(points)
+        number = dict.fromkeys(points, -1)
     least = []
-    for i in range(len(p)):
+    if len(maps) == 1:
+        (m,) = maps
+        for i in points:
+            if number[i] < 0:
+                number[i] = c = len(least)
+                least.append(i)
+                j = m[i]
+                while j != i:
+                    number[j], j = c, m[j]
+        return number, least
+    for i in points:
         if number[i] < 0:
             number[i] = c = len(least)
             least.append(i)
-            j = p[i]
-            while j != i:
-                number[j], j = c, p[j]
+            stack = [i]
+            while stack:
+                x = stack.pop()
+                for m in maps:
+                    y = m[x]
+                    if number[y] < 0:
+                        number[y] = c
+                        stack.append(y)
     return number, least
 
 
 def cycle_count(p) -> int:
     """The number of cycles of the permutation p, fixed points included."""
-    return len(cycle_numbering(p)[1])
+    return len(orbit_numbering(range(len(p)), (p,))[1])
 
 
 def cycle_string(p) -> str:
@@ -251,6 +276,9 @@ class StabilizerChain:
 
 # The most elements PermutationGroup.elements() lists.
 ELEMENTS_CAP = 2_000_000
+# The most elements an ElementIndex numbers: PSL(2,239) has 6,825,840, at
+# about 320 bytes each.
+INDEX_CAP = 7_000_000
 
 
 class PermutationGroup:
@@ -298,7 +326,8 @@ class PermutationGroup:
         return self._elements
 
     def element_index(self) -> "ElementIndex":
-        """The elements numbered in lexicographic order (cached)."""
+        """The elements numbered in lexicographic order (cached); GroupError
+        past INDEX_CAP elements, before they are walked."""
         if self._index is None:
             self._index = ElementIndex(self)
         return self._index
@@ -331,15 +360,6 @@ class Subgroup(PermutationGroup):
             if not parent.contains(g):
                 raise GroupError(f"{cycle_string(g)} is not a member of {parent.name}")
         self.parent = parent
-
-
-def generates(G: PermutationGroup, elems) -> bool:
-    """True iff the given members generate the whole group."""
-    elems = [tuple(p) for p in elems]
-    for p in elems:
-        if not G.contains(p):
-            raise GroupError(f"{cycle_string(p)} is not a member of {G.name}")
-    return _generates_order(G.degree, elems, G.order())
 
 
 def _generates_order(degree, gens, order) -> bool:
@@ -439,10 +459,13 @@ class ElementIndex:
     """
 
     def __init__(self, G: PermutationGroup):
+        order = G.order()
+        if order > INDEX_CAP:
+            raise GroupError(f"{G.name} has {order} elements; its index is capped at {INDEX_CAP}")
         self.group = G
         n = G.degree
         self._m = m = max((lv.point for lv in G.chain().levels), default=-1) + 1
-        rows = max(G.order(), n)
+        rows = max(order, n)
         s = 0
         while s < m and n ** (s + 1) <= rows:
             s += 1
@@ -555,33 +578,16 @@ class Cosets(Sequence):
     generate, on their group's element index.
 
     A coset is an orbit of the index under right multiplication by the
-    generators. reps[c] is the index of coset c's least member, cosets are
-    numbered by increasing reps, and of[i] is the coset of element i: coset
-    0 is H, and there is one iff H is the group. As a sequence, cosets
-    yield their least members as tuples.
+    generators, their right maps numbered by orbit_numbering: reps[c] is the
+    index of coset c's least member, cosets are numbered by increasing reps,
+    and of[i] is the coset of element i: coset 0 is H, and there is one iff
+    H is the group. As a sequence, cosets yield their least members as
+    tuples.
     """
 
     def __init__(self, index: ElementIndex, generators):
-        rights = [index.right(h) for h in generators]
         self.index = index
-        if len(rights) == 1:  # H cyclic: the cosets are the cycles of its one right map
-            self.of, self.reps = cycle_numbering(rights[0])
-            return
-        self.of = of = [-1] * len(index)
-        self.reps = []
-        for i in range(len(of)):
-            if of[i] >= 0:
-                continue
-            c = of[i] = len(self.reps)
-            self.reps.append(i)
-            stack = [i]
-            while stack:
-                x = stack.pop()
-                for r in rights:
-                    y = r[x]
-                    if of[y] < 0:
-                        of[y] = c
-                        stack.append(y)
+        self.of, self.reps = orbit_numbering(range(len(index)), list(map(index.right, generators)))
 
     def __len__(self):
         return len(self.reps)
@@ -692,25 +698,6 @@ def _centralizer_generators(degree, schreier):
     return kept
 
 
-def _orbits_under(points, maps) -> tuple[dict, list]:
-    """(orbit number per point, least point per orbit) of the points under
-    the maps, orbits numbered by least point."""
-    number, reps = {}, []
-    for p in sorted(points):
-        if p in number:
-            continue
-        number[p] = len(reps)
-        orbit = [p]
-        for x in orbit:
-            for m in maps:
-                y = m[x]
-                if y not in number:
-                    number[y] = len(reps)
-                    orbit.append(y)
-        reps.append(p)
-    return number, reps
-
-
 class _CycleBound:
     """Two necessary conditions for <a, b> = G on the cycle counts c(p),
     fixed points included, of a and of b = bs[i]; n is the degree.
@@ -732,7 +719,7 @@ class _CycleBound:
     def __init__(self, G: PermutationGroup, bs):
         n = self.degree = G.degree
         self.bs = bs
-        self.orbits = len(_orbits_under(range(n), G.generators)[1])
+        self.orbits = len(orbit_numbering(range(n), G.generators)[1])
         self.odd = any((n - cycle_count(g)) % 2 for g in G.generators)
         self.counts = {}  # i -> c(bs[i])
         self.a = None
@@ -988,11 +975,22 @@ def search_23_pairs(
 
 # -- constructors -------------------------------------------------------------
 
+# The largest degree that symmetric, alternating, cyclic and dihedral take:
+# S_256's chain holds about 33,000 transversal tuples of 256 points.
+DEGREE_CAP = 256
+
+
+def _check_degree(ctor: str, n: int):
+    """GroupError unless 1 <= n <= DEGREE_CAP, before anything of degree n is built."""
+    if n < 1:
+        raise GroupError(f"{ctor}(n) needs n >= 1")
+    if n > DEGREE_CAP:
+        raise GroupError(f"{ctor}({n}): the degree is capped at {DEGREE_CAP}")
+
 
 def cyclic(n: int) -> PermutationGroup:
     """Z/nZ as the n-cycle (0 1 ... n-1); canonical generator g."""
-    if n < 1:
-        raise GroupError("cyclic(n) needs n >= 1")
+    _check_degree("cyclic", n)
     if n == 1:
         return PermutationGroup(1, [], "Z1")
     g = tuple(list(range(1, n)) + [0])
@@ -1001,8 +999,7 @@ def cyclic(n: int) -> PermutationGroup:
 
 def dihedral(n: int) -> PermutationGroup:
     """Symmetries of the regular n-gon (order 2n), named by group order."""
-    if n < 1:
-        raise GroupError("dihedral(n) needs n >= 1")
+    _check_degree("dihedral", n)
     if n == 1:
         return PermutationGroup(2, [(1, 0)], "D2")
     if n == 2:
@@ -1014,8 +1011,7 @@ def dihedral(n: int) -> PermutationGroup:
 
 def symmetric(n: int) -> PermutationGroup:
     """S_n on 0..n-1 with generators (0 1) and (0 1 ... n-1)."""
-    if n < 1:
-        raise GroupError("symmetric(n) needs n >= 1")
+    _check_degree("symmetric", n)
     if n == 1:
         return PermutationGroup(1, [], "S1")
     gens = [perm_from_cycles([(0, 1)], n)]
@@ -1026,8 +1022,7 @@ def symmetric(n: int) -> PermutationGroup:
 
 def alternating(n: int) -> PermutationGroup:
     """A_n with generators (0 1 2) and an n- or (n-1)-cycle."""
-    if n < 1:
-        raise GroupError("alternating(n) needs n >= 1")
+    _check_degree("alternating", n)
     if n <= 2:
         return PermutationGroup(max(n, 1), [], f"A{n}")
     gens = [perm_from_cycles([(0, 1, 2)], n)]
@@ -1209,13 +1204,14 @@ def load_default_catalog() -> Catalog:
 
 
 def group_from_spec(
-    spec, catalog: Catalog | None = None, allow_large_psl2: bool = False
+    spec, catalog: Catalog | Callable | None = None, allow_large_psl2: bool = False
 ) -> PermutationGroup:
     """Resolve a group from a catalog name, a constructor expression
     (sym:N, alt:N, cyc:N, dih:N, psl2:P, prod:A,B), or an inline JSON dict
     {"degree":..., "generators":[...], "name":...}. A name is looked up in
-    catalog, or in the bundled catalog when catalog is None; that is loaded
-    at most once per call, and only when a name needs it."""
+    catalog: a Catalog, a function that returns one, or None for the
+    bundled catalog. A function is called at most once per call, and only
+    when a name that no constructor reads, such as S3, needs it."""
     if isinstance(spec, dict):
         for key in ("degree", "generators"):
             if key not in spec:
@@ -1233,15 +1229,14 @@ def group_from_spec(
         return PermutationGroup(degree, [tuple(g) for g in gens], name)
     if not isinstance(spec, str):
         raise GroupError(f"cannot resolve group from {spec!r}")
-    if catalog is None:
-        return _group_from_string(spec, cache(load_default_catalog), False, allow_large_psl2)
-    return _group_from_string(spec, lambda: catalog, True, allow_large_psl2)
+    if isinstance(catalog, Catalog):
+        return _group_from_string(spec, lambda: catalog, allow_large_psl2)
+    return _group_from_string(spec, cache(catalog or load_default_catalog), allow_large_psl2)
 
 
-def _group_from_string(spec: str, load, given: bool, allow_large_psl2: bool):
-    """group_from_spec of a string. load() returns the catalog. When one
-    was given, every spec is looked up in it first; otherwise only a name,
-    such as S3 or Z3:Z8, that no constructor reads."""
+def _group_from_string(spec: str, load, allow_large_psl2: bool):
+    """group_from_spec of a string. load() returns the catalog, read only
+    for a name, such as S3 or Z3:Z8, that no constructor reads."""
     kind, colon, arg = spec.partition(":")
     kind = kind.lower()
     ctor = {
@@ -1251,7 +1246,7 @@ def _group_from_string(spec: str, load, given: bool, allow_large_psl2: bool):
         "dih": dihedral,
         "psl2": lambda p: psl2(p, allow_large=allow_large_psl2),
     }.get(kind)
-    if given or not (colon and (ctor or kind == "prod")):
+    if not (colon and (ctor or kind == "prod")):
         G = load().get(spec)
         if G is not None:
             return G
@@ -1262,8 +1257,8 @@ def _group_from_string(spec: str, load, given: bool, allow_large_psl2: bool):
         if not left.strip() or not right.strip():
             raise GroupError(f"unknown group {spec!r}: prod needs two factors A,B")
         return direct_product(
-            _group_from_string(left.strip(), load, given, allow_large_psl2),
-            _group_from_string(right.strip(), load, given, allow_large_psl2),
+            _group_from_string(left.strip(), load, allow_large_psl2),
+            _group_from_string(right.strip(), load, allow_large_psl2),
         )
     if ctor is None:
         raise GroupError(f"unknown constructor {kind!r}")

@@ -12,6 +12,8 @@ from hcov.oriented import OrientedGraph
 from hcov.permgroup import (
     PermutationGroup,
     Subgroup,
+    _generates_order,
+    cycle_string,
     left_cosets,
     load_default_catalog,
     psl2,
@@ -74,6 +76,17 @@ def identity_morphism(g: Multigraph) -> GraphMorphism:
     vm = g.vertices if g._vpos is None else {v: v for v in g.vertices}
     em = g._edge_ids if g._erank is None else {e: e for e in g._edge_ids}
     return GraphMorphism(g, g, vm, em)
+
+
+def generates(G: PermutationGroup, elems) -> bool:
+    """True iff the given members generate the whole group: the
+    membership-checking oracle of the generation tests, GroupError naming a
+    non-member."""
+    elems = [tuple(p) for p in elems]
+    for p in elems:
+        if not G.contains(p):
+            raise GroupError(f"{cycle_string(p)} is not a member of {G.name}")
+    return _generates_order(G.degree, elems, G.order())
 
 
 def all_subgroups(G: PermutationGroup, max_order: int = 48) -> list[Subgroup]:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from conftest import (
     dart_element,
     element_dart,
+    generates,
     harmonic_by_subgroup_quotients,
     load_figure,
     map_darts,
@@ -201,8 +202,6 @@ def test_criterion_4_fundamental_identity(catalog):
             flat = [p for sup in gens for p in sup]
             for H in inertia.values():
                 flat.extend(H.generators)
-            from hcov.permgroup import generates
-
             expected = generates(G, flat) if flat else G.order() == 1
             assert cover.is_connected() == expected
             if cover.is_connected():

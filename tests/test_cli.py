@@ -884,6 +884,45 @@ def test_malformed_catalog_exits_one(capsys, tmp_path, text, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_a_spec_that_names_no_catalog_group_never_reads_the_catalog(
+    capsys, tmp_path, monkeypatch, via
+):
+    bad = tmp_path / "catalog.json"
+    bad.write_text(json.dumps(_with_field((0, "groups", 1, "name"), 3)))
+    inline = tmp_path / "z2.json"
+    inline.write_text(json.dumps({"name": "Z2", "degree": 2, "generators": [[1, 0]]}))
+    flag = []
+    if via == "flag":
+        flag = ["--catalog", str(bad)]
+    else:
+        monkeypatch.setenv("HC_CATALOG", str(bad))
+    for group in ("sym:5", "prod:alt:4,cyc:2", str(inline)):
+        code, _, err = run(capsys, "group", "order", "--group", group, *flag)
+        assert code == 0, (group, err)
+    # an action file whose group is inline, a cover spec whose group is a constructor
+    code, _, err = run(capsys, "action", "check", "--action", "fig2_action", *flag)
+    assert code == 0, err
+    spec = tmp_path / "fig4.json"
+    spec.write_text(json.dumps(dict(load_figure("fig4.json"), group="sym:3")))
+    code, _, err = run(capsys, "cover", "rh", "--spec", str(spec), *flag)
+    assert code == 0, err
+    code, out, err = run(capsys, "group", "order", "--group", "S3", *flag)
+    assert code == 1 and out == ""
+    assert "'0.groups.1.name'" in err
+
+
+def test_an_over_cap_group_exits_one_naming_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(permgroup, "DEGREE_CAP", 8)
+    code, out, err = run(capsys, "group", "order", "--group", "cyc:9")
+    assert code == 1 and out == ""
+    assert "cyclic(9): the degree is capped at 8" in err
+    monkeypatch.setattr(permgroup, "INDEX_CAP", 5)
+    code, out, err = run(capsys, "cover", "build", "--spec", "fig4")
+    assert code == 1 and out == ""
+    assert "S3 has 6 elements; its index is capped at 5" in err
+
+
 def _oriented_graphs():
     from hcov.maximal import build_maximal
     from hcov.oriented import canonical_orientation

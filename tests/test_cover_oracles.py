@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import load_figure
+from conftest import generates, load_figure
 from hcov import galois
 from hcov.errors import CoverError, GroupError
 from hcov.galois import (
@@ -47,7 +47,6 @@ from hcov.permgroup import (
     Cosets,
     _generates_order,
     first_pair,
-    generates,
     left_cosets,
     perm_from_cycles,
     psl2,

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import load_figure
+from conftest import generates, load_figure
 from hcov.errors import CatalogError, GroupError
 from hcov.galois import classify_branch_locus, cover_from_spec, riemann_hurwitz_check
 from hcov.harmonic import flipped_edges, is_harmonic_action
@@ -19,7 +19,6 @@ from hcov.multigraph import are_isomorphic
 from hcov.permgroup import (
     alternating,
     cyclic,
-    generates,
     perm_from_cycles,
     psl2,
     search_23_pairs,

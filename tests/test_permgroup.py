@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_subgroups
+from conftest import all_subgroups, generates
 from hcov import permgroup
 from hcov.errors import CatalogError, GroupError
 from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order, perm_pow
+from hcov.multigraph import map_items
 from hcov.permgroup import (
     PermutationGroup,
     StabilizerChain,
@@ -29,7 +30,6 @@ from hcov.permgroup import (
     dihedral,
     direct_product,
     first_pair,
-    generates,
     group_from_spec,
     is_permutation,
     left_cosets,
@@ -859,7 +859,7 @@ def test_cycle_numbering_matches_cycles_of():
         for _ in range(20):
             p = list(range(n))
             rng.shuffle(p)
-            number, least = permgroup.cycle_numbering(p)
+            number, least = permgroup.orbit_numbering(range(n), (p,))
             cycles = sorted({tuple(c) for c in permgroup.cycles_of(p)} | {
                 (i,) for i in range(n) if p[i] == i
             })
@@ -868,3 +868,70 @@ def test_cycle_numbering_matches_cycles_of():
                 k for k, c in enumerate(cycles) for _ in c
             ]
             assert permgroup.cycle_count(p) == len(cycles)
+
+
+def _closure_orbits(points, maps) -> list[set]:
+    """The orbits of the points under the maps, each closed point by point
+    from its least point, in the order of their least points."""
+    orbits, seen = [], set()
+    for p in sorted(points):
+        if p in seen:
+            continue
+        orbit, frontier = {p}, [p]
+        while frontier:
+            x = frontier.pop()
+            for m in maps:
+                if m[x] not in orbit:
+                    orbit.add(m[x])
+                    frontier.append(m[x])
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_orbit_numbering_matches_the_closure(data):
+    # no map, one map (the cycle walk) and 2-3 maps (the stack walk), on
+    # 0..n-1 with list maps and on sparse int ids with dict maps
+    n = data.draw(st.integers(0, 24))
+    perms = [data.draw(st.permutations(range(n))) for _ in range(data.draw(st.integers(0, 3)))]
+    sparse = data.draw(st.booleans())
+    if sparse:
+        ids = sorted(data.draw(st.sets(st.integers(-50, 50), min_size=n, max_size=n)))
+        points = data.draw(st.permutations(ids))
+        maps = [{ids[i]: ids[q[i]] for i in range(n)} for q in perms]
+    else:
+        points, maps = range(n), perms
+    number, least = permgroup.orbit_numbering(points, maps)
+    orbits = _closure_orbits(points, maps)
+    assert least == [min(orbit) for orbit in orbits]
+    assert isinstance(number, dict if sparse else list)
+    assert dict(map_items(number)) == {x: c for c, orbit in enumerate(orbits) for x in orbit}
+
+
+def test_the_caps_refuse_a_group_before_building_it(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setattr(permgroup, "DEGREE_CAP", 4)
+    for ctor in (symmetric, alternating, cyclic, dihedral):
+        assert ctor(4).degree == 4
+    monkeypatch.setattr(permgroup, "PermutationGroup", refuse)
+    for ctor in (symmetric, alternating, cyclic, dihedral):
+        with pytest.raises(GroupError, match=f"{ctor.__name__}\\(5\\): the degree is capped at 4"):
+            ctor(5)
+    monkeypatch.undo()
+    G, H = symmetric(4), symmetric(4)
+    monkeypatch.setattr(permgroup, "INDEX_CAP", 24)
+    assert len(G.element_index()) == 24
+    monkeypatch.setattr(permgroup, "INDEX_CAP", 23)
+    monkeypatch.setattr(permgroup, "_digit_table", refuse)
+    with pytest.raises(GroupError, match="S4 has 24 elements; its index is capped at 23"):
+        H.element_index()
+
+
+def test_the_caps_admit_psl2_239_and_degree_100():
+    assert psl2(239, allow_large=True).order() == 6_825_840 <= permgroup.INDEX_CAP
+    for ctor in (symmetric, alternating, cyclic, dihedral):
+        assert ctor(100).degree == 100 <= permgroup.DEGREE_CAP
