@@ -55,8 +55,10 @@ def load_catalog_arg(args) -> permgroup.Catalog:
 
 
 def resolve_group(spec: str, args) -> permgroup.PermutationGroup:
+    """The group of --group: a file's JSON, else spec itself, resolved with
+    the same catalog and --allow-large-psl2."""
     if os.path.exists(spec):
-        return permgroup.group_from_spec(read_json(spec))
+        spec = read_json(spec)
     return permgroup.group_from_spec(
         spec, functools.partial(load_catalog_arg, args), allow_large_psl2=args.allow_large_psl2
     )

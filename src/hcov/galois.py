@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -118,29 +118,6 @@ class SymmetricMultiset:
         return "{" + inner + "}"
 
 
-@dataclass
-class InertiaStructure:
-    """Subgroup assignment per base vertex; missing vertices mean trivial.
-
-    subgroup_at tests a vertex's subgroup for membership in G on G's
-    element index, which keeps each generator's right map for the fiber's
-    cosets: a generator is looked up there once per group."""
-
-    assignment: dict
-
-    def subgroup_at(self, G: PermutationGroup, x) -> PermutationGroup:
-        H = self.assignment.get(x)
-        if H is None:
-            return G.trivial_subgroup()
-        index = G.element_index()
-        for g in H.generators:
-            try:
-                index.right(g)
-            except KeyError:
-                raise GroupError(f"inertia at {x} is not a subgroup of {G.name}") from None
-        return H
-
-
 # -- Cayley fibers and their collapse -----------------------------------------
 
 
@@ -148,9 +125,10 @@ class InertiaStructure:
 class LabeledAction:
     """A Cayley fiber collapsed onto the left cosets G/I, as flat arrays
     over G.element_index(): vertex c is the coset of its least member
-    reps[c], vertex_of[i] the vertex of element i, and edge edges[j]
-    (ascending) joins ends[2j] and ends[2j + 1]. Generator k maps edge
-    u*|G| + i to u*|G| + left[k][i]. With I trivial it is the Cayley graph.
+    reps[c], vertex_of[i] the vertex of element i, and edge j joins
+    ends[2j] and ends[2j + 1]. The u-th unit's edge at element i is
+    u*|G| + i, and generator k maps it to u*|G| + left[k][i]. With I
+    trivial it is the Cayley graph.
 
     build_cover reads only these arrays, and validates none of them: the
     total GraphAction's validation covers each fiber's vertices and
@@ -162,9 +140,7 @@ class LabeledAction:
     group: PermutationGroup
     vertex_of: list  # element index -> vertex id
     reps: list  # vertex id -> element index
-    edges: list  # surviving edge ids, ascending
-    ends: list  # the ends of the surviving edges, flat: two per edge
-    removed_loops: list = field(default_factory=list)
+    ends: list  # the ends of the edges, flat: two per edge
 
 
 def collapse(cosets: Cosets, S: SymmetricMultiset) -> LabeledAction:
@@ -176,27 +152,25 @@ def collapse(cosets: Cosets, S: SymmetricMultiset) -> LabeledAction:
     {g, g*rho} per element and multiplicity step (the rho- and rho^-1-edges
     are identified); each involution contributes unidentified edges, so
     parallel doubles appear. The u-th such unit's edge at element i is
-    u*|G| + i. Its ends are the cosets of g and g*rho; an edge inside one
-    coset is not built but recorded in removed_loops, so the surviving edge
-    ids stay auditable. A unit is all loops or none: g*rho lies in g*I iff
-    rho lies in I.
+    u*|G| + i, with ends the cosets of g and g*rho. S must have no entry in
+    I (see SymmetricMultiset.without): such an entry would give only loops,
+    as g*rho lies in g*I iff rho lies in I, and is a CoverError.
     """
     index = cosets.index
-    n = len(index)
     of = cosets.of
     pairs, invs = S.units()
-    edges, ends, removed = [], [], []
-    unit = [0] * (2 * n)  # the ends of a unit's edges, flat
+    ends = []
+    unit = [0] * (2 * len(index))  # the ends of a unit's edges, flat
     unit[0::2] = of
-    for u, (rho, j) in enumerate(pairs + invs):
+    for rho, j in pairs + invs:
         if j == 0:  # a multiplicity step j > 0 repeats step 0's ends
             unit[1::2] = map(of.__getitem__, index.right(rho))
-        if unit[0] == unit[1]:  # x_0 * rho = rho lies in I
-            removed += ({"edge": u * n + i, "coset": a} for i, a in enumerate(of))
-        else:
-            edges += range(u * n, u * n + n)
-            ends += unit
-    return LabeledAction(index.group, of, cosets.reps, edges, ends, removed)
+            if unit[1] == 0:  # x_0 * rho = rho lies in coset 0, I
+                raise CoverError(
+                    f"multiset entry {cycle_string(rho)} lies in the inertia group"
+                )
+        ends += unit
+    return LabeledAction(index.group, of, cosets.reps, ends)
 
 
 def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
@@ -219,7 +193,7 @@ class HarmonicCover:
 
     base: Multigraph
     group: PermutationGroup
-    inertia: InertiaStructure
+    inertia: dict  # base vertex -> subgroup; a missing vertex means trivial
     multisets: dict
     action: GraphAction
     projection: GraphMorphism
@@ -287,23 +261,23 @@ def build_cover(
     The fiber over x is collapse(G/I_x, S_x): the Cayley graph Cay(G, S_x)
     collapsed onto the cosets G/I_x on G's element index, built once. One
     horizontal edge per group element joins g*I_x to g*I_x' over each base
-    edge {x, x'}. Entries of S_x lying in I_x are dropped with a warning
-    (they would only produce loops), so a generator maps a fiber's edges
-    unit by unit, by block offsets. The
-    fibers' image maps are validated once, by the total GraphAction: one per
-    cover, and a second from flip_all when flipped. Every check and
-    statistic of the cover reads what that validation stored. A disconnected
-    result is reported, not an error. An inertia or multiset key that is
-    not a base vertex is a CoverError, worded as in cover_from_spec.
+    edge {x, x'}. inertia maps a base vertex to its subgroup I_x, trivial
+    where missing; each generator is tested for membership once, when
+    G/I_x is built on G's index. Entries of S_x lying in I_x are dropped
+    with a warning (they would only produce loops), so a generator maps a
+    fiber's edges unit by unit, by block offsets. The fibers' image maps
+    are validated once, by the total GraphAction: one per cover, and a
+    second from flip_all when flipped. Every check and statistic of the
+    cover reads what that validation stored. A disconnected result is
+    reported, not an error. An inertia or multiset key that is not a base
+    vertex is a CoverError, worded as in cover_from_spec.
     """
     if not base.is_connected():
         raise CoverError("base must be connected")
     if base.genus() != 0:
         raise CoverError("base must be a tree (genus 0)")
-    if isinstance(inertia, dict) or inertia is None:
-        inertia = InertiaStructure(inertia or {})
-    multisets = dict(multisets or {})
-    for name, keys in (("inertia", inertia.assignment), ("multisets", multisets)):
+    inertia, multisets = dict(inertia or {}), dict(multisets or {})
+    for name, keys in (("inertia", inertia), ("multisets", multisets)):
         for x in keys:
             _check_base_vertex(base, x, f"{name}.{x}")
     warnings = []
@@ -311,7 +285,10 @@ def build_cover(
     fibers = {}
     index = G.element_index()
     for x in base.vertices:
-        cosets = Cosets(index, inertia.subgroup_at(G, x).generators)
+        try:  # Cosets looks each generator up in G's index: KeyError if no member
+            cosets = Cosets(index, inertia[x].generators if x in inertia else ())
+        except KeyError:
+            raise GroupError(f"inertia at {x} is not a subgroup of {G.name}") from None
         S_x = multisets.get(x, empty)
         trimmed = S_x.without(cosets)
         if trimmed.size() != S_x.size():
@@ -333,9 +310,9 @@ def build_cover(
         fiber_index[x] = range(o, len(vertex_base))
         for vm, lk in zip(vertex_images, left):
             vm += [o + fib.vertex_of[lk[r]] for r in fib.reps]
-        # a unit's n edges are all loops or none (x_i*rho lies in x_i*I iff
-        # rho does), so the fiber's edges are whole blocks of n, ascending
-        blocks = range(first, first + len(fib.edges), n)
+        # collapse builds no loop, so the fiber's edges are whole blocks of
+        # n, one per unit, ascending
+        blocks = range(first, first + len(fib.ends) // 2, n)
         for em, lk in zip(edge_images, left):
             em += [b + j for b in blocks for j in lk]
         ends += [o + a for a in fib.ends]
@@ -371,7 +348,7 @@ def build_cover(
 
     cover = HarmonicCover(base, G, inertia, multisets, action, projection, fiber_index,
                           fiber_edges, flipped, warnings)
-    _verify_cover(cover)
+    _verify_cover(cover, _generates(cover))
     return cover
 
 
@@ -384,12 +361,13 @@ def _check_member(G: PermutationGroup, p) -> int:
         raise GroupError(f"multiset entry {cycle_string(p)} is not a member of {G.name}") from None
 
 
-def _verify_cover(cover: HarmonicCover):
+def _verify_cover(cover: HarmonicCover, generated: bool):
     """Structural checks run after every construction; failures are bugs.
     The quotient by G, read off the orbits that validation stored (an edge
     orbit is a loop iff its least edge's ends share a vertex orbit), must
     match the base through the projection, whatever the base's genus. The
-    cover must be connected iff _generates(cover)."""
+    cover must be connected iff generated, the builder's verdict on whether
+    the inertia generators and multiset entries generate G."""
     action, base, graph, projection = cover.action, cover.base, cover.graph, cover.projection
     if not is_harmonic_action(action):
         raise CoverError("constructed cover action is not harmonic")
@@ -417,21 +395,19 @@ def _verify_cover(cover: HarmonicCover):
             u, v = least[j]
             if {orbit_to_base[vertex_no[u]], orbit_to_base[vertex_no[v]]} != set(base.ends(be)):
                 raise CoverError("quotient incidence does not match the base")
-    expected_connected = _generates(cover)
-    if cover.is_connected() != expected_connected:
+    if cover.is_connected() != generated:
         raise CoverError("connectivity does not match the generation criterion")
-    if not expected_connected:
+    if not generated:
         logger.info("cover is disconnected: inertia and multisets do not generate")
 
 
 def _generates(cover: HarmonicCover) -> bool:
     """True iff the inertia generators and multiset entries, of an inverse
     pair only the unit rho that collapse read, generate G: one coset."""
-    G, gens = cover.group, []
-    for x in cover.base.vertices:
-        gens += cover.inertia.subgroup_at(G, x).generators
-        gens += (p for p in cover.multisets[x].support() if p <= perm_inv(p))
-    return len(Cosets(G.element_index(), dict.fromkeys(gens))) == 1
+    gens = [g for H in cover.inertia.values() for g in H.generators]
+    for S in cover.multisets.values():
+        gens += (p for p in S.support() if p <= perm_inv(p))
+    return len(Cosets(cover.group.element_index(), dict.fromkeys(gens))) == 1
 
 
 # -- ramification ----------------------------------------------------------------

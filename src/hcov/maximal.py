@@ -13,14 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from hcov.errors import CatalogError, CoverError, GraphError, GroupError
-from hcov.galois import (
-    HarmonicCover,
-    InertiaStructure,
-    SymmetricMultiset,
-    _verify_cover,
-    build_cover,
-)
-from hcov.harmonic import GraphAction, is_harmonic_action
+from hcov.galois import HarmonicCover, SymmetricMultiset, _verify_cover, build_cover
+from hcov.harmonic import GraphAction
 from hcov.kernel import perm_inv, perm_mul
 from hcov.multigraph import GraphMorphism, Multigraph
 from hcov.oriented import OrientedGraph
@@ -67,14 +61,19 @@ class MaximalCover:
 
 
 def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
-    """Canonical maximal cover for a generating pair of orders 2 and 3."""
+    """Canonical maximal cover for a generating pair of orders 2 and 3.
+
+    That the pair generates G is proved once, by the known-order chain that
+    admits it; _verify_cover checks the cover's connectivity against that
+    verdict."""
     tau, sigma = tuple(tau), tuple(sigma)
     if G.element_order(tau) != 2:
         raise GroupError("tau must have order 2")
     if G.element_order(sigma) != 3:
         raise GroupError("sigma must have order 3")
     order = G.order()
-    if not _generates_order(G.degree, (tau, sigma), order):
+    generated = _generates_order(G.degree, (tau, sigma), order)
+    if not generated:
         raise GroupError("tau and sigma do not generate the group")
     if order < 6:
         raise GroupError("maximal covers need |G| >= 6")
@@ -98,7 +97,7 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
     cover = HarmonicCover(
         base,
         G,
-        InertiaStructure({0: G.subgroup([sigma], "<sigma>")}),
+        {0: G.subgroup([sigma], "<sigma>")},
         {0: SymmetricMultiset([tau])},
         action,
         projection,
@@ -107,7 +106,7 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
         True,
         [],
     )
-    _verify_cover(cover)
+    _verify_cover(cover, generated)
 
     mc = MaximalCover(G, tau, sigma, cover, og)
     _verify_maximal(mc)
@@ -115,19 +114,17 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
 
 
 def _verify_maximal(mc: MaximalCover):
+    """The maximal cover's own checks, after _verify_cover has found its
+    action harmonic and its graph connected."""
     graph = mc.graph
     order = mc.group.order()
     if len(graph.vertices) != order // 3 or len(graph.edges) != order // 2:
         raise CoverError("coset counts are off")
     if set(graph.degrees()) != {3}:
         raise CoverError("maximal cover is not 3-regular")
-    if not graph.is_connected():
-        raise CoverError("maximal cover is disconnected")
     # the edge orbits partition the edges, and flipped_edges is the union of
     # those whose stabilizer has order 2: every edge is flipped iff all are
-    if not is_harmonic_action(mc.action) or any(
-        o.stabilizer_order() != 2 for o in mc.action.edge_orbits()
-    ):
+    if any(o.stabilizer_order() != 2 for o in mc.action.edge_orbits()):
         raise CoverError("not every edge of the maximal cover is flipped")
     if order != 6 * (graph.genus() - 1):
         raise CoverError("|G| = 6(genus-1) fails")

@@ -344,9 +344,6 @@ class PermutationGroup:
     def subgroup(self, generators, name: str = "") -> "Subgroup":
         return Subgroup(self, generators, name)
 
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (), "1")
-
     def __repr__(self):
         return f"PermutationGroup({self.name}, degree={self.degree}, order={self.order()})"
 
@@ -1035,8 +1032,13 @@ def alternating(n: int) -> PermutationGroup:
 
 
 def direct_product(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
-    """G x H acting on the disjoint union of the two point sets."""
+    """G x H acting on the disjoint union of the two point sets; GroupError
+    if its degree is over DEGREE_CAP, before the product is built."""
     n, m = G.degree, H.degree
+    if n + m > DEGREE_CAP:
+        raise GroupError(
+            f"{G.name}x{H.name} has degree {n + m}; the degree is capped at {DEGREE_CAP}"
+        )
     gens = [g + tuple(range(n, n + m)) for g in G.generators]
     gens += [tuple(range(n)) + tuple(x + n for x in h) for h in H.generators]
     return PermutationGroup(n + m, gens, f"{G.name}x{H.name}")

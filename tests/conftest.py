@@ -50,7 +50,7 @@ def fiber_subgraph(cover, x) -> Multigraph:
 def fiber_graph(fiber) -> Multigraph:
     """The graph of a fiber (a galois.LabeledAction) on its coset ids."""
     ends = fiber.ends
-    return Multigraph(range(len(fiber.reps)), zip(fiber.edges, zip(ends[0::2], ends[1::2])))
+    return Multigraph(range(len(fiber.reps)), enumerate(zip(ends[0::2], ends[1::2])))
 
 
 def fiber_images(fiber) -> tuple[list, list]:
@@ -58,7 +58,7 @@ def fiber_images(fiber) -> tuple[list, list]:
     group, read off the element index's left multiplications."""
     of, n, left = fiber.vertex_of, len(fiber.vertex_of), fiber.group.element_index().left
     vertex_images = [{c: of[lk[r]] for c, r in enumerate(fiber.reps)} for lk in left]
-    edge_images = [{e: e - e % n + lk[e % n] for e in fiber.edges} for lk in left]
+    edge_images = [{e: e - e % n + lk[e % n] for e in range(len(fiber.ends) // 2)} for lk in left]
     return vertex_images, edge_images
 
 

@@ -912,11 +912,42 @@ def test_a_spec_that_names_no_catalog_group_never_reads_the_catalog(
     assert "'0.groups.1.name'" in err
 
 
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_a_group_file_holding_a_name_reads_the_given_catalog(capsys, tmp_path, monkeypatch, via):
+    # a file whose JSON is a string resolves it as --group would: with the
+    # --catalog or HC_CATALOG catalog, and with --allow-large-psl2
+    bad = tmp_path / "catalog.json"
+    bad.write_text(json.dumps(_with_field((0, "groups", 1, "name"), 3)))
+    flag = []
+    if via == "flag":
+        flag = ["--catalog", str(bad)]
+    else:
+        monkeypatch.setenv("HC_CATALOG", str(bad))
+    name = tmp_path / "s3.json"
+    name.write_text(json.dumps("S3"))
+    for group in ("S3", str(name)):
+        code, out, err = run(capsys, "group", "order", "--group", group, *flag)
+        assert code == 1 and out == "", group
+        assert "'0.groups.1.name'" in err
+    large = tmp_path / "psl2_37.json"
+    large.write_text(json.dumps("psl2:37"))
+    for group in ("psl2:37", str(large)):
+        code, out, err = run(capsys, "group", "order", "--group", group)
+        assert code == 1 and "--allow-large-psl2" in err, group
+        code, out, err = run(capsys, "group", "order", "--group", group, "--allow-large-psl2")
+        assert (code, out) == (0, "PSL(2,37): order 25308\n"), group
+
+
 def test_an_over_cap_group_exits_one_naming_the_cap(capsys, monkeypatch):
     monkeypatch.setattr(permgroup, "DEGREE_CAP", 8)
     code, out, err = run(capsys, "group", "order", "--group", "cyc:9")
     assert code == 1 and out == ""
     assert "cyclic(9): the degree is capped at 8" in err
+    code, out, err = run(capsys, "group", "order", "--group", "prod:sym:5,cyc:4")
+    assert code == 1 and out == ""
+    assert "S5xZ4 has degree 9; the degree is capped at 8" in err
+    code, out, err = run(capsys, "group", "order", "--group", "prod:sym:5,cyc:3")
+    assert (code, out) == (0, "S5xZ3: order 360\n")
     monkeypatch.setattr(permgroup, "INDEX_CAP", 5)
     code, out, err = run(capsys, "cover", "build", "--spec", "fig4")
     assert code == 1 and out == ""

@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import generates, load_figure
-from hcov import galois
+from hcov import galois, maximal, permgroup
 from hcov.errors import CoverError, GroupError
 from hcov.galois import (
     LabeledAction,
@@ -41,7 +41,7 @@ from hcov.galois import (
     riemann_hurwitz_check,
 )
 from hcov.harmonic import is_harmonic_action, quotient
-from hcov.maximal import build_maximal
+from hcov.maximal import build_maximal, classification_table
 from hcov.multigraph import Multigraph, map_images
 from hcov.permgroup import (
     Cosets,
@@ -94,10 +94,9 @@ def verify_cover_by_quotient(cover):
             u, v = q.quotient.ends(oe)
             if {orbit_to_base[u], orbit_to_base[v]} != set(cover.base.ends(be)):
                 raise CoverError("quotient incidence does not match the base")
-    gens = []
-    for x in cover.base.vertices:
-        gens.extend(cover.inertia.subgroup_at(cover.group, x).generators)
-        gens.extend(cover.multisets[x].support())
+    gens = [g for H in cover.inertia.values() for g in H.generators]
+    for S in cover.multisets.values():
+        gens.extend(S.support())
     expected_connected = generates(cover.group, gens) if gens else cover.group.order() == 1
     if cover.is_connected() != expected_connected:
         raise CoverError("connectivity does not match the generation criterion")
@@ -157,21 +156,22 @@ def riemann_hurwitz_by_terms(c, strict_sign=False) -> RiemannHurwitzReport:
 
 
 def collapse_edge_by_edge(G, I, S) -> LabeledAction:
-    """collapse with every edge's ends compared on their own."""
+    """collapse with every edge's ends compared on their own: a loop is
+    skipped, and the edge ids kept must be dense, u*|G| + i for the u-th
+    unit's edge at element i."""
     index = G.element_index()
     n = len(index)
     cosets = left_cosets(G, I)
     of = cosets.of
     pairs, invs = S.units()
-    edges, ends, removed = [], [], []
+    edges, ends = [], []
     for u, (rho, j) in enumerate(pairs + invs):
         for i, (a, b) in enumerate(zip(of, map(of.__getitem__, index.right(rho)))):
-            if a == b:
-                removed.append({"edge": u * n + i, "coset": a})
-            else:
+            if a != b:
                 edges.append(u * n + i)
                 ends += (a, b)
-    return LabeledAction(G, of, cosets.reps, edges, ends, removed)
+    assert edges == list(range(len(edges)))
+    return LabeledAction(G, of, cosets.reps, ends)
 
 
 def without_by_chain(S, H) -> SymmetricMultiset:
@@ -216,7 +216,7 @@ def assert_generation_agrees_with_the_chains(cover, multisets):
     """galois._generates against the chain criterion on every inertia
     generator and every entry of the given (untrimmed) multisets."""
     G = cover.group
-    gens = [g for x in cover.base.vertices for g in cover.inertia.subgroup_at(G, x).generators]
+    gens = [g for H in cover.inertia.values() for g in H.generators]
     gens += [p for S in multisets.values() for p in S.support()]
     assert galois._generates(cover) == generates_by_chain(G, gens) == cover.is_connected()
 
@@ -259,18 +259,27 @@ def test_maximal_covers_agree_with_the_oracles(p):
 
 
 def test_collapse_agrees_with_the_edge_by_edge_oracle(catalog):
-    # with the multisets as given, so that units inside I are collapsed too
+    # both sides get S trimmed by I; collapse refuses S as given whenever
+    # an entry lies in I, where the oracle would only find loops
     rng = random.Random(20261020)
+    refused = 0
     for G in catalog.groups:
         if G.order() > 24:
             continue
         for _ in range(8):
             I, S = random_subgroup(rng, G, proper=False), random_symmetric_multiset(rng, G)
-            assert collapse(left_cosets(G, I), S) == collapse_edge_by_edge(G, I, S)
+            cosets = left_cosets(G, I)
+            trimmed = S.without(cosets)
+            assert collapse(cosets, trimmed) == collapse_edge_by_edge(G, I, trimmed)
+            if trimmed != S:
+                refused += 1
+                with pytest.raises(CoverError, match="lies in the inertia group"):
+                    collapse(cosets, S)
             assert_fiber_agrees_with_the_chains(G, I, S)
             # over one edge: the fiber over 2 is G itself, so G acts faithfully
             cover = build_cover(G, Multigraph([1, 2], [(0, (1, 2))]), {1: I}, {1: S})
             assert_generation_agrees_with_the_chains(cover, {1: S})
+    assert refused > 10
 
 
 def test_criterion_4_members_and_trims_agree_with_the_chains(catalog):
@@ -297,8 +306,47 @@ def test_figure_inputs_agree_with_the_chains(name, flipped, catalog):
     multisets = {x: SymmetricMultiset.from_json(spec.get("multisets", {}).get(str(x), []))
                  for x in cover.base.vertices}
     for x, S in multisets.items():
-        assert_fiber_agrees_with_the_chains(G, cover.inertia.subgroup_at(G, x), S)
+        assert_fiber_agrees_with_the_chains(G, cover.inertia.get(x, G.subgroup([])), S)
     assert_generation_agrees_with_the_chains(cover, multisets)
+
+
+# -- one generation proof per cover ---------------------------------------------------
+
+
+def test_generation_is_proved_once_per_cover(catalog, monkeypatch):
+    # build_maximal takes the verdict of the chain that admitted the pair;
+    # build_cover walks G's index once, in _generates
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or fn(*args))
+
+    pairs = [(G, first_pair(G)) for G in (S3, psl2(7))]  # the search proves generation too
+    for module, name in ((galois, "_generates"), (maximal, "_generates_order"),
+                         (permgroup, "_generates_order")):
+        counted(module, name)
+    for G, pair in pairs:
+        calls.clear()
+        build_maximal(G, *pair)
+        assert calls == {"_generates_order": 1}
+    for name in FIGURES:
+        for flipped in (False, True):
+            calls.clear()
+            cover_from_spec(dict(load_figure(name), flipped=flipped), catalog)
+            assert calls == {"_generates": 1}
+
+
+def test_maximal_covers_generate_by_the_walk_of_g(catalog):
+    # galois._generates, one orbit of the identity over all of G, stays the
+    # oracle of the chain's verdict that build_maximal now passes
+    pairs = [(G, first_pair(G)) for G in (psl2(7), psl2(13))]
+    pairs += [(catalog.get(name), pair) for row in classification_table(2, 6, catalog)
+              for name, pair in row.witnesses.items()]
+    assert len(pairs) > 6
+    for G, pair in pairs:
+        cover = build_maximal(G, *pair).cover
+        assert galois._generates(cover) and cover.is_connected()
 
 
 # -- negative controls ---------------------------------------------------------------
@@ -386,7 +434,8 @@ def test_a_corrupted_cover_fails_both_verifications(corrupt, message):
     cover = path_cover({1: SymmetricMultiset([SIGMA, SIGMA2]), 3: SymmetricMultiset([TAU])})
     assert cover.is_connected()
     bad = corrupt(cover)
-    for verify in (galois._verify_cover, verify_cover_by_quotient):
+    for verify in (lambda c: galois._verify_cover(c, galois._generates(c)),
+                   verify_cover_by_quotient):
         with pytest.raises(CoverError) as err:
             verify(bad)
         assert str(err.value) == message

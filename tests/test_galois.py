@@ -9,7 +9,6 @@ from conftest import fiber_action, fiber_graph, fiber_images, fiber_subgraph, lo
 from hcov import galois
 from hcov.errors import ActionError, CoverError, GroupError
 from hcov.galois import (
-    InertiaStructure,
     SymmetricMultiset,
     build_cover,
     cayley,
@@ -123,25 +122,28 @@ def test_collapse_tau_cayley_by_sigma():
     out = collapse(left_cosets(S3, S3.subgroup([SIGMA])), SymmetricMultiset([TAU]))
     assert len(fiber_graph(out).vertices) == 2
     assert len(fiber_graph(out).edges) == 6
-    assert not out.removed_loops
 
 
-def test_collapse_sigma_cayley_by_sigma_kills_all_edges():
-    out = collapse(left_cosets(S3, S3.subgroup([SIGMA])), SymmetricMultiset([SIGMA, SIGMA2]))
-    assert len(fiber_graph(out).vertices) == 2
-    assert len(fiber_graph(out).edges) == 0
-    assert len(out.removed_loops) == 6
+def test_collapse_refuses_an_entry_inside_the_inertia_group():
+    # sigma lies in I = <sigma>: its unit would give only loops, so collapse
+    # refuses it, naming it, and without() is the one place that drops it
+    cosets = left_cosets(S3, S3.subgroup([SIGMA]))
+    S = SymmetricMultiset([SIGMA, SIGMA2, TAU])
+    with pytest.raises(CoverError, match=r"^multiset entry \(0 1 2\) lies in the inertia group$"):
+        collapse(cosets, S)
+    out = collapse(cosets, S.without(cosets))
+    assert out == collapse(cosets, SymmetricMultiset([TAU]))
+    assert len(fiber_graph(out).edges) == 6
 
 
 def test_collapse_by_trivial_subgroup_is_identity():
     # every element is its own vertex, and every Cayley edge {g, g*tau} survives
-    out = collapse(left_cosets(S3, S3.trivial_subgroup()), SymmetricMultiset([TAU]))
+    out = collapse(left_cosets(S3, S3.subgroup([])), SymmetricMultiset([TAU]))
     index = S3.element_index()
     assert out.reps == list(range(6))
     assert out.vertex_of == list(range(6))
     assert fiber_images(out)[0] == [dict(enumerate(lk)) for lk in index.left]
     assert dict(fiber_graph(out).edges) == dict(enumerate(zip(range(6), index.right(TAU))))
-    assert not out.removed_loops
 
 
 # -- cover assembly -------------------------------------------------------------------
@@ -212,10 +214,9 @@ def test_build_cover_rejects_keys_off_the_base(inertia, multisets, named):
     # the same check and wording as a cover spec's keys
     inertia = {x: S3.subgroup(gens) for x, gens in inertia.items()}
     multisets = {x: SymmetricMultiset(entries) for x, entries in multisets.items()}
-    for given in (inertia, galois.InertiaStructure(inertia)):
-        with pytest.raises(CoverError) as err:
-            build_cover(S3, single_edge_base(), given, multisets)
-        assert str(err.value) == named
+    with pytest.raises(CoverError) as err:
+        build_cover(S3, single_edge_base(), inertia, multisets)
+    assert str(err.value) == named
 
 
 def test_build_cover_rejects_non_tree():
@@ -401,7 +402,7 @@ def check_against_oracles(cover):
             assert stabilizer_oracle(cover.action, v) == (profile.per_vertex[x].m, set(fiber))
         S = cover.multisets[x]
         fiber_action(cayley(G, S), faithful=True)
-        fiber_action(collapse(left_cosets(G, cover.inertia.subgroup_at(G, x)), S),
+        fiber_action(collapse(left_cosets(G, cover.inertia.get(x, G.subgroup([]))), S),
                      faithful=False)
 
 
@@ -528,31 +529,33 @@ def test_inertia_membership_is_tested_once_per_group(monkeypatch):
     H, K = G.subgroup([TAU]), G.subgroup([SIGMA])
     lookups = []
     index_of = ElementIndex.index_of
-    monkeypatch.setattr(
-        ElementIndex, "index_of", lambda ix, g: lookups.append((ix.group, g)) or index_of(ix, g)
-    )
+
+    def counted(ix, g):
+        if g != G.identity:  # the action's faithfulness check looks it up too
+            lookups.append((ix.group, g))
+        return index_of(ix, g)
+
+    monkeypatch.setattr(ElementIndex, "index_of", counted)
     monkeypatch.setattr(PermutationGroup, "contains", None)  # no chain is sifted
-    inertia = InertiaStructure({1: H})
+    inertia = {1: H}
     for _ in range(3):
-        assert inertia.subgroup_at(G, 1) is H
+        cover = build_cover(G, single_edge_base(), inertia, {})
+        assert cover.inertia == inertia and cover.inertia[1] is H
     assert lookups == [(G, TAU)]
     other = symmetric(3)  # another group object is tested again
-    assert inertia.subgroup_at(other, 1) is H
+    build_cover(other, single_edge_base(), inertia, {})
     assert lookups == [(G, TAU), (other, TAU)]
-    # a new subgroup at the vertex is tested again too
-    inertia.assignment[1] = K
-    assert inertia.subgroup_at(other, 1) is K
+    # a new subgroup is tested once too, whatever vertex it is at
+    build_cover(other, single_edge_base(), {1: K, 2: K}, {})
     assert lookups[2:] == [(other, SIGMA)]
 
 
 def test_inertia_outside_the_group_fails_on_every_call():
     C3 = cyclic(3)
-    inertia = InertiaStructure({2: S3.subgroup([TAU])})
+    inertia = {2: S3.subgroup([TAU])}
     for _ in range(2):
         with pytest.raises(GroupError, match=f"^inertia at 2 is not a subgroup of {C3.name}$"):
-            inertia.subgroup_at(C3, 2)
-    with pytest.raises(GroupError, match="inertia at 2 is not a subgroup"):
-        build_cover(C3, single_edge_base(), inertia, {})
+            build_cover(C3, single_edge_base(), inertia, {})
 
 
 # -- members of another degree ------------------------------------------------------

@@ -142,7 +142,7 @@ def test_quotient_fig2():
 
 def test_quotient_by_trivial_subgroup(catalog):
     a = fig3_s3_action(catalog)
-    q = quotient(a, a.group.trivial_subgroup())
+    q = quotient(a, a.group.subgroup([]))
     assert are_isomorphic(q.quotient, a.graph)
 
 

@@ -1,9 +1,12 @@
+import copy
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import generates, load_figure
-from hcov.errors import CatalogError, GroupError
+from hcov import maximal
+from hcov.errors import CatalogError, CoverError, GroupError
 from hcov.galois import classify_branch_locus, cover_from_spec, riemann_hurwitz_check
 from hcov.harmonic import flipped_edges, is_harmonic_action
 from hcov.kernel import perm_order, perm_pow
@@ -15,10 +18,12 @@ from hcov.maximal import (
     genus12_check,
     miller_check,
 )
-from hcov.multigraph import are_isomorphic
+from hcov.multigraph import Multigraph, are_isomorphic
+from hcov.oriented import OrientedGraph
 from hcov.permgroup import (
     alternating,
     cyclic,
+    first_pair,
     perm_from_cycles,
     psl2,
     search_23_pairs,
@@ -62,18 +67,85 @@ def test_build_maximal_preconditions():
         build_maximal(S3, SIGMA, SIGMA)
     with pytest.raises(GroupError, match="order 3"):
         build_maximal(S3, TAU, TAU)
-    A4 = alternating(4)
-    t = perm_from_cycles([(0, 1), (2, 3)], 4)
-    v = perm_from_cycles([(0, 2), (1, 3)], 4)
-    s = perm_from_cycles([(0, 1, 2)], 4)
-    tv = perm_from_cycles([(0, 3), (1, 2)], 4)
-    del v, tv
-    # <(01)(23), (012)> = A4, so build a non-generating pair instead: Z6 inside Z12
+    # a non-generating pair: Z6 inside Z12
     Z12 = cyclic(12)
     h = Z12.generators[0]
     with pytest.raises(GroupError, match="generate"):
         build_maximal(Z12, perm_pow(h, 6), perm_pow(h, 4))
-    del A4, t, s
+
+
+def test_a_pair_that_does_not_generate_is_refused_before_its_map_is_built(monkeypatch):
+    def refuse(cls, X, Y):
+        raise AssertionError("built the map of a pair")
+
+    monkeypatch.setattr(OrientedGraph, "from_darts", classmethod(refuse))
+    with pytest.raises(AssertionError, match="built the map"):  # the patch bites
+        build_maximal(S3, TAU, SIGMA)
+    h = cyclic(12).generators[0]
+    with pytest.raises(GroupError, match="^tau and sigma do not generate the group$"):
+        build_maximal(cyclic(12), perm_pow(h, 6), perm_pow(h, 4))
+
+
+# -- _verify_maximal on corrupted copies of PSL(2,7)'s maximal cover -------------------
+
+
+def psl27_maximal():
+    G = psl2(7)
+    return build_maximal(G, *first_pair(G))
+
+
+def corrupted(mc, graph=None, edge_orbits=None, order=None):
+    """A copy of mc whose graph, edge orbits or group order are replaced,
+    unvalidated."""
+    out = copy.copy(mc)
+    out.cover = copy.copy(mc.cover)
+    out.cover.action = SimpleNamespace(
+        graph=graph or mc.graph, edge_orbits=edge_orbits or mc.action.edge_orbits
+    )
+    if order is not None:
+        out.group = SimpleNamespace(order=lambda: order)
+    return out
+
+
+def with_an_extra_vertex(mc):
+    g = mc.graph
+    return corrupted(mc, graph=Multigraph([*g.vertices, len(g.vertices)], g.edges.items()))
+
+
+def with_an_edge_moved(mc):
+    # one end of edge 0 moves to a third vertex: 3 - 1 and 3 + 1 edges there
+    g = mc.graph
+    edges = list(g.edges.items())
+    e, (u, v) = edges[0]
+    edges[0] = (e, (u, next(w for w in g.vertices if w not in (u, v))))
+    return corrupted(mc, graph=Multigraph(g.vertices, edges))
+
+
+def with_a_vertex_orbit_for_edges(mc):
+    # the vertex orbit's stabilizer, <sigma>, has order 3
+    return corrupted(mc, edge_orbits=lambda: [mc.action.vertex_orbit(0)])
+
+
+def with_order_169(mc):
+    # 169 // 3 = 56 vertices and 169 // 2 = 84 edges, but 6(29 - 1) = 168
+    return corrupted(mc, order=169)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (with_an_extra_vertex, "coset counts are off"),
+        (with_an_edge_moved, "maximal cover is not 3-regular"),
+        (with_a_vertex_orbit_for_edges, "not every edge of the maximal cover is flipped"),
+        (with_order_169, "|G| = 6(genus-1) fails"),
+    ],
+)
+def test_a_corrupted_maximal_cover_fails_its_verification(corrupt, message):
+    mc = psl27_maximal()
+    maximal._verify_maximal(corrupted(mc))  # an uncorrupted copy passes
+    with pytest.raises(CoverError) as err:
+        maximal._verify_maximal(corrupt(mc))
+    assert str(err.value) == message
 
 
 def test_all_witness_pairs_of_table_groups(catalog):
@@ -115,7 +187,7 @@ def test_reconstruction_equivalence(catalog):
 def test_pair_recoverable_from_cover():
     # the inertia generator plus any flipping involution regenerate the group
     mc = build_maximal(S3, TAU, SIGMA)
-    sigma = mc.cover.inertia.assignment[0].generators[0]
+    sigma = mc.cover.inertia[0].generators[0]
     orbit = mc.action.edge_orbits()[0]
     t = mc.group.element_index().element(orbit.stabilizer()[1])
     assert perm_order(t) == 2

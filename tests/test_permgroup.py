@@ -178,7 +178,7 @@ def test_left_cosets_examples():
     S3 = symmetric(3)
     H = S3.subgroup([SIGMA3])
     assert len(left_cosets(S3, H)) == 2
-    assert len(left_cosets(S3, S3.trivial_subgroup())) == 6
+    assert len(left_cosets(S3, S3.subgroup([]))) == 6
     G = psl2(7)
     sigma = next(p for p in G.elements() if perm_order(p) == 3)
     assert len(left_cosets(G, G.subgroup([sigma]))) == 56
@@ -917,10 +917,14 @@ def test_the_caps_refuse_a_group_before_building_it(monkeypatch):
     monkeypatch.setattr(permgroup, "DEGREE_CAP", 4)
     for ctor in (symmetric, alternating, cyclic, dihedral):
         assert ctor(4).degree == 4
+    S2, Z2, Z3 = symmetric(2), cyclic(2), cyclic(3)
+    assert direct_product(S2, Z2).degree == 4  # a product at the cap
     monkeypatch.setattr(permgroup, "PermutationGroup", refuse)
     for ctor in (symmetric, alternating, cyclic, dihedral):
         with pytest.raises(GroupError, match=f"{ctor.__name__}\\(5\\): the degree is capped at 4"):
             ctor(5)
+    with pytest.raises(GroupError, match="^S2xZ3 has degree 5; the degree is capped at 4$"):
+        direct_product(S2, Z3)
     monkeypatch.undo()
     G, H = symmetric(4), symmetric(4)
     monkeypatch.setattr(permgroup, "INDEX_CAP", 24)

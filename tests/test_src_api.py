@@ -1,6 +1,7 @@
-"""Dead-API guard: every top-level def and class of src/hcov is named
-somewhere outside its own definition, in the package itself or in the
-scripts that drive it (tools/, benchmarks/, perfbench/).
+"""Dead-API guard: every top-level def and class of src/hcov, and every
+method of such a class other than a dunder, is named somewhere outside its
+own definition, in the package itself or in the scripts that drive it
+(tools/, benchmarks/, perfbench/).
 
 Names count as identifiers (a load, an attribute, an import) and as words
 of string constants that are not docstrings, because the benchmark's
@@ -17,7 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hcov"
 CALLERS = [PACKAGE, ROOT / "tools", ROOT / "benchmarks", ROOT / "perfbench"]
 WORD = re.compile(r"[A-Za-z_]\w*")
-SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+SCOPES = (ast.Module, *DEFS)
 
 
 def names(tree) -> Counter:
@@ -41,21 +43,42 @@ def names(tree) -> Counter:
     return out
 
 
+def unnamed(module, total) -> list:
+    """Each top-level def or class of module, and each method of such a
+    class other than a dunder (as Class.method), that total names no more
+    often than its own definition does."""
+    out = []
+    for node in module.body:
+        if not isinstance(node, DEFS):
+            continue
+        defs = [(node, node.name)]
+        if isinstance(node, ast.ClassDef):
+            defs += [(m, f"{node.name}.{m.name}") for m in node.body
+                     if isinstance(m, DEFS) and not m.name.startswith("__")]
+        out += [label for d, label in defs if total[d.name] == names(d)[d.name]]
+    return out
+
+
 def unreferenced() -> list:
-    """module:name of each top-level def or class of src/hcov that nothing
-    outside its own definition names."""
+    """module:name of each definition of src/hcov that nothing outside its
+    own definition names."""
     trees = {p: ast.parse(p.read_text(), str(p)) for d in CALLERS for p in sorted(d.rglob("*.py"))}
     total = sum(map(names, trees.values()), Counter())
-    out = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in trees[path].body:
-            if isinstance(node, SCOPES) and total[node.name] == names(node)[node.name]:
-                out.append(f"{path.name}:{node.name}")
-    return out
+    return [f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in unnamed(trees[path], total)]
 
 
 def test_every_top_level_definition_is_named_outside_itself():
     assert unreferenced() == []
+
+
+def test_a_method_is_named_by_its_uses_outside_itself():
+    tree = ast.parse(
+        "class Box:\n    def __init__(self):\n        self.used()\n\n"
+        "    def used(self):\n        pass\n\n"
+        "    def unused(self):\n        return self.unused\n\n\nBox()\n"
+    )
+    assert unnamed(tree, names(tree)) == ["Box.unused"]
 
 
 def test_a_self_reference_or_a_docstring_is_no_use():
