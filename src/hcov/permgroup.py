@@ -12,6 +12,8 @@ from collections import Counter, deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import islice
+from math import lcm
 
 from hcov.errors import CatalogError, GroupError, read_json
 # mulclose is unused here, but perfbench/selftest.py checks that this copy is kernel's
@@ -140,7 +142,7 @@ def parse_cycle_string(s: str, degree: int) -> tuple:
 # -- orbits -----------------------------------------------------------------
 
 
-def schreier_orbit(point, actions, labels, identity, inverses=None):
+def schreier_orbit(point, actions, labels, identity, inverses=None, transversal=None):
     """Orbit of `point` by breadth-first search, with a transversal and the
     Schreier generators of its stabilizer.
 
@@ -155,22 +157,33 @@ def schreier_orbit(point, actions, labels, identity, inverses=None):
     Each u_y is inverted at most once, into the dict inverses (orbit point
     y -> u_y^-1) when one is passed, so that a caller needing more of the
     inverses computes only the rest.
+
+    Seeded: a non-empty `transversal`, as an earlier call returned it for
+    every generator but the last, is extended in place, its old entries
+    kept, and `inverses` may already hold some of theirs. The walk then
+    applies the last generator to the old points and every generator to
+    the new ones, and schreier lists only the Schreier generators of those
+    edges.
     """
     if inverses is None:
         inverses = {}
-    transversal = {point: identity}
     schreier = {}
-    frontier = deque([point])
+    every = tuple(zip(actions, labels))
+    if transversal:
+        frontier = deque((x, every[-1:]) for x in transversal)
+    else:
+        transversal = {point: identity}
+        frontier = deque([(point, every)])
     while frontier:
-        x = frontier.popleft()
+        x, edges = frontier.popleft()
         u = transversal[x]
-        for act, g in zip(actions, labels):
+        for act, g in edges:
             y = act[x]
             w = perm_mul(g, u)
             t = transversal.get(y)
             if t is None:
                 transversal[y] = w
-                frontier.append(y)
+                frontier.append((y, every))
             elif t != w:
                 t_inv = inverses.get(y)
                 if t_inv is None:
@@ -189,7 +202,8 @@ class _Level:
         self.point = point
         self.gens = []
         self.transversal = {}  # orbit point pt -> u with u[self.point] = pt
-        self.inverse = {}  # orbit point pt -> u^-1, for the same u
+        # orbit point pt -> u^-1, for the same u; a probe's holds those it used
+        self.inverse = {}
 
 
 class _OrderReached(Exception):
@@ -198,7 +212,12 @@ class _OrderReached(Exception):
 
 class StabilizerChain:
     """Incremental deterministic Schreier-Sims over tuple permutations. A
-    level's base point is the least point its first generator moves."""
+    level's base point is the least point its first generator moves.
+
+    Each generator added to a level extends that level's orbit and
+    transversal in place (_close_level): no transversal element is ever
+    replaced, and only the Schreier generators of the new orbit edges are
+    sifted through the levels below."""
 
     _stop_at = None  # see _OrderProbe
 
@@ -240,27 +259,37 @@ class StabilizerChain:
             b = g[lv.point]
             u_inv = lv.inverse.get(b)
             if u_inv is None:
-                return g
+                # only an _OrderProbe's levels lack the inverses of orbit points
+                u = lv.transversal.get(b)
+                if u is None:
+                    return g
+                u_inv = lv.inverse[b] = perm_inv(u)
             g = perm_mul(u_inv, g)
             level += 1
 
     def _close_level(self, level):
+        """Extend the level's orbit by its newest generator, and sift the
+        Schreier generators of the new orbit edges only: those of the older
+        edges sifted through a smaller chain before, and still do, since no
+        transversal element is ever replaced."""
         lv = self.levels[level]
-        # rebuild the orbit/transversal from scratch (cheap at these degrees);
-        # the walk's inverses are kept, so each u is inverted once
-        inverses = {}
+        old = len(lv.transversal)
+        # the walk writes the inverses it needs into lv.inverse, so each u
+        # is inverted once over the whole chain
         lv.transversal, schreier = schreier_orbit(
-            lv.point, lv.gens, lv.gens, perm_id(self.degree), inverses
+            lv.point, lv.gens, lv.gens, perm_id(self.degree), lv.inverse, lv.transversal
         )
-        if self._stop_at is not None and self.order() >= self._stop_at:
-            raise _OrderReached
-        # an inverse that is already a transversal element, as for an
-        # involution or the powers of a single generator, shares its tuple
-        lv.inverse = {}
-        for c, u in lv.transversal.items():
-            v = inverses[c] if c in inverses else perm_inv(u)
-            w = lv.transversal.get(v[lv.point])
-            lv.inverse[c] = w if w == v else v
+        if self._stop_at is not None:
+            # a probe is dropped once built: it inverts only what _sift reads
+            if self.order() >= self._stop_at:
+                raise _OrderReached
+        else:
+            # an inverse that is already a transversal element, as for an
+            # involution or the powers of a single generator, shares its tuple
+            for c, u in islice(lv.transversal.items(), old, None):
+                v = lv.inverse.get(c) or perm_inv(u)
+                w = lv.transversal.get(v[lv.point])
+                lv.inverse[c] = w if w == v else v
         # all Schreier generators must sift through the rest of the chain
         for s in schreier:
             if self._sift(s, level + 1) is not None:
@@ -626,8 +655,8 @@ class PairSearch:
     one of its chain tests fails or a second partner is asked for.
 
     The candidates for tau and sigma come from one scan of G through its
-    chain (_elements_of_orders), which walks one base point's cycle per
-    element and builds only the elements that cycle allows.
+    chain (_elements_of_orders), which reads each element's order from its
+    base points' cycles and builds only the elements of the two orders.
     """
 
     group: str
@@ -812,11 +841,14 @@ def _buckets_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
     different buckets first differ at b, so the buckets follow
     lexicographic order. Otherwise the whole group is one bucket.
 
-    An element head * t is built only if the cycle of b under it, walked
-    as head[t[x]], has a length dividing order_a or order_b; the walk stops
-    past the longest such length. The order k of an element built, if at
-    most max(order_a, order_b), is then the least k with p^k = 1. Only the
-    elements kept are ever held, not all of G.
+    No element is built to find its order. Only the identity fixes every
+    base point, so the order of p = head * t is the lcm of the lengths of
+    the base points' cycles under p. The scan walks them in turn, as
+    head[t[x]], keeping that lcm as it goes, and drops p at the first
+    cycle past the longest length dividing order_a or order_b, or whose
+    length makes the lcm divide neither. It builds p only when the lcm,
+    every base point walked, is order_a or order_b. Only the elements kept
+    are ever held, not all of G.
     """
     ident = perm_id(chain.degree)
     levels = chain.levels
@@ -824,9 +856,8 @@ def _buckets_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
         yield ([ident] if order_a == 1 else []), ([ident] if order_b == 1 else [])
         return
     base = levels[0].point
-    divides = [False] + [order_a % n == 0 or order_b % n == 0 for n in range(1, chain.degree + 1)]
-    longest = max(n for n in range(1, chain.degree + 1) if divides[n])
-    top = max(order_a, order_b)
+    rest = [lv.point for lv in levels[1:]]
+    longest = max(n for n in range(1, chain.degree + 1) if order_a % n == 0 or order_b % n == 0)
     # the group fixes the points below base iff every level's generators do
     if all(g[x] == x for lv in levels for g in lv.gens for x in range(base)):
         heads, tail = _chain_products(chain, 1)
@@ -839,21 +870,29 @@ def _buckets_of_orders(chain: StabilizerChain, order_a: int, order_b: int):
         firsts, bs = [], []
         for head in heads(prefix):
             for t in tail:
-                x, length = head[t[base]], 1
-                while x != base and length < longest:
-                    x, length = head[t[x]], length + 1
-                if x != base or not divides[length]:
+                # most elements fail at the first base point: walk it inline
+                x, order = head[t[base]], 1
+                while x != base and order < longest:
+                    x, order = head[t[x]], order + 1
+                if x != base or order_a % order and order_b % order:
                     continue
-                p = perm_mul(head, t)
-                q, k = p, 1
-                while q != ident and k < top:
-                    q, k = perm_mul(q, p), k + 1
-                if q != ident:
-                    continue
-                if k == order_a:
-                    firsts.append(p)
-                if k == order_b:
-                    bs.append(p)
+                for b in rest:
+                    x, length = head[t[b]], 1
+                    while x != b and length < longest:
+                        x, length = head[t[x]], length + 1
+                    if x != b:
+                        break
+                    if order % length:
+                        order = lcm(order, length)
+                        if order_a % order and order_b % order:
+                            break
+                else:
+                    if order == order_a or order == order_b:
+                        p = perm_mul(head, t)
+                        if order == order_a:
+                            firsts.append(p)
+                        if order == order_b:
+                            bs.append(p)
         firsts.sort()
         bs.sort()
         yield firsts, bs
@@ -891,10 +930,9 @@ def search_pairs(
     verdict(t a t^-1, b) = verdict(a, t^-1 b t).
 
     The elements of orders order_a and order_b come from one scan of G as
-    head * t, t from a table of the chain's trailing levels: an element is
-    built only when the cycle of the first base point has a length dividing
-    order_a or order_b, and its order is then read from at most
-    max(order_a, order_b) powers.
+    head * t, t from a table of the chain's trailing levels: the order of
+    head * t is the lcm of its base points' cycle lengths, and an element
+    is built only when that is order_a or order_b (_buckets_of_orders).
     """
     order = G.order()
     firsts, bs = _elements_of_orders(G.chain(), order_a, order_b)

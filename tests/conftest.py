@@ -6,17 +6,21 @@ import pytest
 
 from hcov.errors import GroupError, MorphismError
 from hcov.harmonic import GraphAction, quotient
-from hcov.kernel import mulclose
+from hcov.kernel import mulclose, perm_id, perm_inv
 from hcov.multigraph import Dart, GraphMorphism, Multigraph, is_harmonic, map_items
 from hcov.oriented import OrientedGraph
 from hcov.permgroup import (
     PermutationGroup,
+    StabilizerChain,
     Subgroup,
     _generates_order,
+    _OrderProbe,
+    _OrderReached,
     cycle_string,
     left_cosets,
     load_default_catalog,
     psl2,
+    schreier_orbit,
     search_23_pairs,
 )
 
@@ -87,6 +91,36 @@ def generates(G: PermutationGroup, elems) -> bool:
         if not G.contains(p):
             raise GroupError(f"{cycle_string(p)} is not a member of {G.name}")
     return _generates_order(G.degree, elems, G.order())
+
+
+class RebuiltChain(StabilizerChain):
+    """The stabilizer chain whose levels close by rebuilding: each added
+    generator walks the level's whole orbit again and sifts every Schreier
+    generator of it. The oracle of the incremental closure."""
+
+    def _close_level(self, level):
+        lv = self.levels[level]
+        lv.transversal, schreier = schreier_orbit(
+            lv.point, lv.gens, lv.gens, perm_id(self.degree)
+        )
+        if self._stop_at is not None and self.order() >= self._stop_at:
+            raise _OrderReached
+        lv.inverse = {c: perm_inv(u) for c, u in lv.transversal.items()}
+        for s in schreier:
+            if self._sift(s, level + 1) is not None:
+                self._install(level + 1, s)
+
+
+class _RebuiltProbe(RebuiltChain, _OrderProbe):
+    pass
+
+
+def rebuilt_generates_order(degree, gens, order) -> bool:
+    """_generates_order on a RebuiltChain."""
+    try:
+        return _RebuiltProbe(degree, gens, order).order() == order
+    except _OrderReached:
+        return True
 
 
 def all_subgroups(G: PermutationGroup, max_order: int = 48) -> list[Subgroup]:

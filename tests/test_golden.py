@@ -35,6 +35,22 @@ COMMANDS = {
         "maximal", "build", "--group", "psl2:13", "--product-order", "7"
     ),
     "maximal_miller_symmetric_7.json": ("maximal", "miller", "--family", "symmetric", "--n", "7"),
+    # degenerate order pairs: orders 1, a == b and orders no element has
+    **{
+        f"group_search_{name}.json": (
+            "group", "search", "--group", group, "--orders", *orders.split(), *flags
+        )
+        for name, group, orders, flags in (
+            ("cyc1_1_1", "cyc:1", "1 1", ()),
+            ("cyc2_1_2", "cyc:2", "1 2", ()),
+            ("cyc2_2_1_all", "cyc:2", "2 1", ("--all",)),
+            ("sym3_2_2_all", "sym:3", "2 2", ("--all",)),
+            ("cyc6_6_6_all", "cyc:6", "6 6", ("--all",)),
+            ("cyc12_4_6_all", "cyc:12", "4 6", ("--all",)),
+            ("sym3_cyc4_4_6_all", "prod:sym:3,cyc:4", "4 6", ("--all",)),
+            ("alt6_4_5_all", "alt:6", "4 5", ("--all",)),
+        )
+    },
     "group_cosets_S4.json": ("group", "cosets", "--group", "S4", "--subgroup", "(0 1 2)"),
     "group_elements_psl2_7.json": ("group", "elements", "--group", "psl2:7"),
     "surface_genus_psl2_7.json": ("surface", "genus", "--oriented", str(ORIENTED)),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_subgroups, generates
+from conftest import RebuiltChain, all_subgroups, generates, rebuilt_generates_order
 from hcov import permgroup
 from hcov.errors import CatalogError, GroupError
 from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order, perm_pow
@@ -105,19 +105,22 @@ def _chain_elements(chain: StabilizerChain):
     return walk(perm_id(chain.degree), 0)
 
 
+def chain_oracle_groups():
+    """The groups whose chains the closure and the rebuilding chain check."""
+    return [
+        *load_default_catalog().groups,
+        *(make(n) for make in (symmetric, alternating) for n in range(1, 9)),
+        *(psl2(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
+        direct_product(symmetric(4), psl2(7)),
+    ]
+
+
 def test_chain_order_matches_closure_for_catalog():
     # elements() and order_spectrum read the chain's products; the closure
     # is the independent count. Z1 has no generators, so its closure is empty.
     Z1 = cyclic(1)
     assert not mulclose(Z1.generators) and Z1.elements() == (Z1.identity,)
-    groups = [
-        *load_default_catalog().groups,
-        *(make(n) for make in (symmetric, alternating) for n in range(1, 9)),
-        *(psl2(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
-        direct_product(symmetric(4), psl2(7)),
-        Z1,
-    ]
-    for G in groups:
+    for G in [*chain_oracle_groups(), Z1]:
         closure = mulclose(G.generators) or {G.identity}
         assert G.order() == len(closure), G.name
         assert sorted(_chain_elements(G.chain())) == sorted(closure), G.name
@@ -132,28 +135,61 @@ def test_chain_levels_keep_transversal_inverses():
 
 
 @pytest.mark.parametrize("make", [lambda: psl2(29), lambda: symmetric(8), lambda: alternating(8)])
-def test_chain_inverts_each_transversal_element_once_per_level_closure(monkeypatch, make):
-    # the closure's Schreier generators and lv.inverse share one inversion
+def test_chain_inverts_each_transversal_element_at_most_once(monkeypatch, make):
+    # levels close incrementally and keep their inverses: over the whole
+    # chain, the walks' Schreier generators and lv.inverse share one
+    # inversion per transversal element
     G = make()
     G = permgroup.PermutationGroup(G.degree, G.generators, G.name)  # no cached chain
-    calls, cells = [0], [0]
+    calls = [0]
 
     def counting_inv(p):
         calls[0] += 1
         return perm_inv(p)
 
-    close = permgroup.StabilizerChain._close_level
-
-    def counting_close(chain, level):
-        try:
-            close(chain, level)
-        finally:
-            cells[0] += len(chain.levels[level].transversal)
-
     monkeypatch.setattr(permgroup, "perm_inv", counting_inv)
-    monkeypatch.setattr(permgroup.StabilizerChain, "_close_level", counting_close)
-    G.chain()
-    assert 0 < calls[0] <= cells[0], G.name
+    cells = sum(len(lv.transversal) for lv in G.chain().levels)
+    assert 0 < calls[0] <= cells, G.name
+
+
+def test_incremental_chain_agrees_with_rebuilt_chain():
+    rng = random.Random(32)
+    for G in chain_oracle_groups():
+        n, gens = G.degree, G.generators
+        chain, rebuilt = StabilizerChain(n, gens), RebuiltChain(n, gens)
+        assert chain.order() == rebuilt.order() == G.order(), G.name
+        members = [G.identity, *gens]
+        for _ in range(20):
+            members.append(perm_mul(rng.choice(members), rng.choice(gens or [G.identity])))
+        others = [tuple(rng.sample(range(n), n)) for _ in range(40)]
+        for p in members + others:
+            assert chain.contains(p) == rebuilt.contains(p), (G.name, p)
+        assert all(map(chain.contains, members)), G.name
+        for _ in range(10):
+            pair = (rng.choice(members), rng.choice(members))
+            want = rebuilt_generates_order(n, pair, G.order())
+            assert _generates_order(n, pair, G.order()) == want, (G.name, pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3)
+    )
+)
+def test_chain_order_and_membership_match_closure(gens):
+    n = len(gens[0])
+    chain = StabilizerChain(n, gens)
+    try:
+        closure = mulclose(gens, limit=5040)
+    except ValueError:
+        assert chain.order() == RebuiltChain(n, gens).order() > 5040
+        return
+    assert chain.order() == len(closure)
+    assert all(chain.contains(p) for p in closure)
+    rng = random.Random(len(closure))
+    for p in (tuple(rng.sample(range(n), n)) for _ in range(20)):
+        assert chain.contains(p) == (p in closure)
 
 
 def test_element_order_examples():
@@ -754,11 +790,15 @@ def test_a_psl2_search_keeps_its_chain_tests(monkeypatch):
     assert calls == 30 and len(pulled) == len(built) == 1
 
 
-SCAN_ORDERS = ((1, 1), (1, 3), (2, 3), (2, 4), (3, 3), (2, 7), (4, 6), (5, 5))
+# in (2, 6), (6, 6) and (3, 4) a later base point's cycle can decide
+SCAN_ORDERS = (
+    (1, 1), (1, 3), (2, 3), (2, 4), (3, 3), (2, 7), (4, 6), (5, 5), (2, 6), (6, 6), (3, 4)
+)
 
 
 def test_element_scan_matches_chain_walk():
-    for G in [*differential_groups(), cyclic(1), symmetric(1), psl2(23)]:
+    product = direct_product(symmetric(4), psl2(7))
+    for G in [*differential_groups(), cyclic(1), symmetric(1), psl2(23), product]:
         by_order = {}
         for p in _chain_elements(G.chain()):
             by_order.setdefault(perm_order(p), []).append(p)
@@ -766,6 +806,26 @@ def test_element_scan_matches_chain_walk():
             want = (sorted(by_order.get(order_a, [])), sorted(by_order.get(order_b, [])))
             assert _elements_of_orders(G.chain(), order_a, order_b) == want, (
                 G.name, order_a, order_b)
+
+
+@pytest.mark.parametrize(
+    "make, calls",
+    [(lambda: symmetric(8), 2539), (lambda: alternating(8), 2014), (lambda: psl2(29), 2131)],
+    ids=["S8", "A8", "psl2_29"],
+)
+def test_element_scan_builds_few_products(monkeypatch, make, calls):
+    # an element is built only once its base points' cycles give it order
+    # 2 or 3; before, the (2,3) scan made 45,139, 22,830 and 5,319 products
+    chain = make().chain()
+    count = [0]
+
+    def counting_mul(p, q):
+        count[0] += 1
+        return perm_mul(p, q)
+
+    monkeypatch.setattr(permgroup, "perm_mul", counting_mul)
+    _elements_of_orders(chain, 2, 3)
+    assert count[0] == calls
 
 
 def _cycle_type_count(n, r, k_step=1):
