@@ -102,11 +102,12 @@ def resolve_spec_path(spec: str) -> str:
     raise HcError(f"spec not found: {spec}")
 
 
-def load_cover(args) -> galois.HarmonicCover:
-    data = read_json(resolve_spec_path(args.spec))
-    if isinstance(data, dict) and "spec" in data:  # `hc cover build` output round-trips
-        data = data["spec"]
-    return galois.cover_from_spec(data, functools.partial(load_catalog_arg, args))
+def load_cover(args) -> tuple:
+    """(spec, cover) of the cover spec named by args.spec."""
+    spec = read_json(resolve_spec_path(args.spec))
+    if isinstance(spec, dict) and "spec" in spec:  # `hc cover build` output round-trips
+        spec = spec["spec"]
+    return spec, galois.cover_from_spec(spec, functools.partial(load_catalog_arg, args))
 
 
 def load_action(args) -> harmonic.GraphAction:
@@ -257,10 +258,7 @@ def _cover_counts(cover):
 
 
 def cmd_cover_build(args):
-    spec = read_json(resolve_spec_path(args.spec))
-    if isinstance(spec, dict) and "spec" in spec:
-        spec = spec["spec"]
-    cover = galois.cover_from_spec(spec, functools.partial(load_catalog_arg, args))
+    spec, cover = load_cover(args)
     if args.dot:
         write_output("--dot", args.dot, cover.graph.to_dot() + "\n")
     payload = {
@@ -277,7 +275,7 @@ def cmd_cover_build(args):
 
 
 def cmd_cover_profile(args):
-    cover = load_cover(args)
+    _, cover = load_cover(args)
     payload = galois.profile_to_json(cover)
     lines = [f"x={x}: {d}" for x, d in payload["per_vertex"].items()]
     lines.append(f"R = {payload['R']}; case {payload['case']}; maximal={payload['maximal']}")
@@ -285,7 +283,7 @@ def cmd_cover_profile(args):
 
 
 def cmd_cover_rh(args):
-    cover = load_cover(args)
+    _, cover = load_cover(args)
     report = galois.riemann_hurwitz_check(cover, strict_sign=args.strict_sign)
     payload = {
         "R": str(report.R),
@@ -300,7 +298,7 @@ def cmd_cover_rh(args):
 
 
 def cmd_cover_classify(args):
-    cover = load_cover(args)
+    _, cover = load_cover(args)
     locus = galois.classify_branch_locus(cover)
     payload = {
         "branch_vertices": {str(x): list(mw) for x, mw in sorted(locus.branch_vertices.items())},

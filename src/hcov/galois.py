@@ -121,40 +121,26 @@ class SymmetricMultiset:
 # -- Cayley fibers and their collapse -----------------------------------------
 
 
-@dataclass
-class LabeledAction:
-    """A Cayley fiber collapsed onto the left cosets G/I, as flat arrays
-    over G.element_index(): vertex c is the coset of its least member
-    reps[c], vertex_of[i] the vertex of element i, and edge j joins
-    ends[2j] and ends[2j + 1]. The u-th unit's edge at element i is
-    u*|G| + i, and generator k maps it to u*|G| + left[k][i]. With I
-    trivial it is the Cayley graph.
-
-    build_cover reads only these arrays, and validates none of them: the
-    total GraphAction's validation covers each fiber's vertices and
-    vertical edges. The fiber's own graph and image maps, and its
-    per-fiber validation, survive as test oracles in tests/conftest.py
-    (fiber_graph, fiber_images, fiber_action).
-    """
-
-    group: PermutationGroup
-    vertex_of: list  # element index -> vertex id
-    reps: list  # vertex id -> element index
-    ends: list  # the ends of the edges, flat: two per edge
-
-
-def collapse(cosets: Cosets, S: SymmetricMultiset) -> LabeledAction:
+def collapse(cosets: Cosets, S: SymmetricMultiset) -> list:
     """The Cayley graph of G on a symmetric multiset, collapsed onto the left
-    cosets G/I given on G's element index, with the left-multiplication
-    action (not validated here; see LabeledAction).
+    cosets G/I given on G's element index: the ends of its edges, flat, two
+    per edge, on the cosets' ids. Vertex c is the coset of its least member
+    cosets.reps[c], and element i lies in coset cosets.of[i]. With I
+    trivial it is the Cayley graph.
 
     Each inverse pair {rho, rho^-1} with rho != rho^-1 contributes one edge
     {g, g*rho} per element and multiplicity step (the rho- and rho^-1-edges
     are identified); each involution contributes unidentified edges, so
     parallel doubles appear. The u-th such unit's edge at element i is
-    u*|G| + i, with ends the cosets of g and g*rho. S must have no entry in
-    I (see SymmetricMultiset.without): such an entry would give only loops,
-    as g*rho lies in g*I iff rho lies in I, and is a CoverError.
+    u*|G| + i, with ends the cosets of g and g*rho, and generator k maps it
+    to u*|G| + left[k][i]. S must have no entry in I (see
+    SymmetricMultiset.without): such an entry would give only loops, as
+    g*rho lies in g*I iff rho lies in I, and is a CoverError.
+
+    Nothing is validated here: the total GraphAction of build_cover
+    validates every fiber's vertices and vertical edges. The fiber's own
+    graph and image maps, and its per-fiber validation, are test oracles in
+    tests/conftest.py (fiber_graph, fiber_images, fiber_action).
     """
     index = cosets.index
     of = cosets.of
@@ -170,12 +156,13 @@ def collapse(cosets: Cosets, S: SymmetricMultiset) -> LabeledAction:
                     f"multiset entry {cycle_string(rho)} lies in the inertia group"
                 )
         ends += unit
-    return LabeledAction(index.group, of, cosets.reps, ends)
+    return ends
 
 
-def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
-    """Cayley graph of G on a symmetric multiset: its collapse by the trivial
-    subgroup, whose cosets are the elements, numbered by their index."""
+def cayley(G: PermutationGroup, S: SymmetricMultiset) -> list:
+    """Cayley graph of G on a symmetric multiset, as the flat ends of its
+    edges: its collapse by the trivial subgroup, whose cosets are the
+    elements, numbered by their index."""
     return collapse(Cosets(G.element_index(), ()), S)
 
 
@@ -184,11 +171,10 @@ def cayley(G: PermutationGroup, S: SymmetricMultiset) -> LabeledAction:
 
 @dataclass(eq=False)
 class HarmonicCover:
-    """A harmonic G-cover of a tree, assembled fiber by fiber.
-
-    Carries the total action, the projection onto the base and, per fiber,
-    its vertex ids (a range) and the ends of its vertical edges as one flat
-    list, two per edge (the profile's input).
+    """A harmonic G-cover of a tree: the total action and its projection
+    onto the base. The fiber over a base vertex x is the projection's
+    preimage of x: the vertices over x, joined by the vertical edges (those
+    whose image is None) between them. Nothing else records it.
     """
 
     base: Multigraph
@@ -197,8 +183,6 @@ class HarmonicCover:
     multisets: dict
     action: GraphAction
     projection: GraphMorphism
-    fiber_index: dict
-    fiber_edges: dict
     flipped: bool
     warnings: list
 
@@ -228,17 +212,12 @@ class HarmonicCover:
         return values.pop()
 
     @cached_property
-    def _per_vertex(self) -> dict:
-        """Base vertex -> VertexProfile, computed on first use (see
-        ramification_profile)."""
-        return _vertex_profiles(self)
-
-    @cached_property
-    def _ramification_number(self) -> Fraction:
-        """R = sum over base vertices of 2(1 - 1/m) + w, one Fraction over |G|."""
-        order = self.group.order()
-        terms = (2 * (order - order // p.m) + p.w * order for p in self._per_vertex.values())
-        return Fraction(sum(terms), order)
+    def _profile(self) -> "RamificationProfile":
+        """The ramification profile, computed on first use (see
+        ramification_profile); R is summed once, as one Fraction over |G|."""
+        per_vertex, order = _vertex_profiles(self), self.group.order()
+        terms = (2 * (order - order // p.m) + p.w * order for p in per_vertex.values())
+        return RamificationProfile(per_vertex, Fraction(sum(terms), order))
 
     def __repr__(self):
         flip = "flipped" if self.flipped else "unflipped"
@@ -267,8 +246,10 @@ def build_cover(
     with a warning (they would only produce loops), so a generator maps a
     fiber's edges unit by unit, by block offsets. The fibers' image maps
     are validated once, by the total GraphAction: one per cover, and a
-    second from flip_all when flipped. Every check and statistic of the
-    cover reads what that validation stored. A disconnected result is
+    second from flip_all when flipped. The projection, built in the same
+    pass, is the one record of which vertices and edges lie over which
+    base vertex. Every check and statistic of the cover reads what the
+    validation stored and the projection. A disconnected result is
     reported, not an error. An inertia or multiset key that is not a base
     vertex is a CoverError, worded as in cover_from_spec.
     """
@@ -282,7 +263,7 @@ def build_cover(
             _check_base_vertex(base, x, f"{name}.{x}")
     warnings = []
     empty = SymmetricMultiset([])
-    fibers = {}
+    fibers = {}  # base vertex -> (the cosets G/I_x, the fiber's edge ends)
     index = G.element_index()
     for x in base.vertices:
         try:  # Cosets looks each generator up in G's index: KeyError if no member
@@ -295,59 +276,46 @@ def build_cover(
             msg = f"dropped multiset entries lying in the inertia group at vertex {x}"
             warnings.append(msg)
             logger.warning(msg)
-        fibers[x] = collapse(cosets, trimmed)
+        fibers[x] = cosets, collapse(cosets, trimmed)
         multisets[x] = trimmed
 
     # vertices and vertical edges fiber by fiber, then one horizontal edge
     # per element over each base edge; each generator's image list follows
     n, left = len(index), index.left
-    fiber_index, vertical = {}, {}
+    offset = {}  # base vertex -> the first vertex id over it
     vertex_base, ends = [], []  # by vertex id; two per edge id
     vertex_images, edge_images = [[] for _ in left], [[] for _ in left]
     for x in base.vertices:
-        fib, o, first = fibers[x], len(vertex_base), len(ends) // 2
-        vertex_base += [x] * len(fib.reps)
-        fiber_index[x] = range(o, len(vertex_base))
+        (cosets, fiber_ends), o, first = fibers[x], len(vertex_base), len(ends) // 2
+        offset[x] = o
+        vertex_base += [x] * len(cosets)
         for vm, lk in zip(vertex_images, left):
-            vm += [o + fib.vertex_of[lk[r]] for r in fib.reps]
+            vm += [o + cosets.of[lk[r]] for r in cosets.reps]
         # collapse builds no loop, so the fiber's edges are whole blocks of
         # n, one per unit, ascending
-        blocks = range(first, first + len(fib.ends) // 2, n)
+        blocks = range(first, first + len(fiber_ends) // 2, n)
         for em, lk in zip(edge_images, left):
             em += [b + j for b in blocks for j in lk]
-        ends += [o + a for a in fib.ends]
-        vertical[x] = range(first, len(ends) // 2)
+        ends += [o + a for a in fiber_ends]
     proj_edge = [None] * (len(ends) // 2)
     for b in sorted(base.edges):
         x, y = base.ends(b)
-        ox, oy, first = fiber_index[x][0], fiber_index[y][0], len(ends) // 2
+        first = len(ends) // 2
         ends += [None] * (2 * n)
-        ends[2 * first::2] = [ox + u for u in fibers[x].vertex_of]
-        ends[2 * first + 1::2] = [oy + v for v in fibers[y].vertex_of]
+        ends[2 * first::2] = [offset[x] + u for u in fibers[x][0].of]
+        ends[2 * first + 1::2] = [offset[y] + v for v in fibers[y][0].of]
         proj_edge += [b] * n
         for em, lk in zip(edge_images, left):
             em += [first + j for j in lk]
 
     total = Multigraph(range(len(vertex_base)), ends=ends)
     del ends  # the graph keeps its own copy
-    # the ends of each fiber's vertical edges, flat, as the graph holds them
-    flat = total.dart_bases()
-    fiber_edges = {x: flat[2 * ids.start:2 * ids.stop] for x, ids in vertical.items()}
     action = GraphAction(G, total, vertex_images, edge_images)
-    projection = GraphMorphism(total, base, vertex_base, proj_edge)
-    if flipped:
+    if flipped:  # the edges that survive flip_all
         action = flip_all(action)
-        projection = GraphMorphism(
-            action.graph, base, vertex_base, {e: proj_edge[e] for e in action.graph.edges}
-        )
-        # those that survive flip_all
-        kept = action.graph.edges
-        fiber_edges = {
-            x: [y for e in ids if e in kept for y in kept[e]] for x, ids in vertical.items()
-        }
-
-    cover = HarmonicCover(base, G, inertia, multisets, action, projection, fiber_index,
-                          fiber_edges, flipped, warnings)
+        proj_edge = {e: proj_edge[e] for e in action.graph.edges}
+    projection = GraphMorphism(action.graph, base, vertex_base, proj_edge)
+    cover = HarmonicCover(base, G, inertia, multisets, action, projection, flipped, warnings)
     _verify_cover(cover, _generates(cover))
     return cover
 
@@ -430,44 +398,52 @@ class VertexProfile:
 
 @dataclass
 class RamificationProfile:
-    cover: HarmonicCover
     per_vertex: dict  # base vertex -> VertexProfile
-
-    def ramification_number(self) -> Fraction:
-        """R, summed once per cover from the same per-vertex data."""
-        return self.cover._ramification_number
+    R: Fraction  # the ramification number: sum over base vertices of 2(1 - 1/m) + w
 
 
 def ramification_profile(c: HarmonicCover) -> RamificationProfile:
-    """Per-base-vertex (m, f, n, v, w); the identity m*f*n = |G| is asserted
-    at every vertex.
+    """Per-base-vertex (m, f, n, v, w) and R; the identity m*f*n = |G| is
+    asserted at every vertex.
 
-    m and the vertex orbit come from the validation of the cover's action:
-    its stored Orbit, whose map phi from G's element index was found
+    The fiber over x is read off the projection (see HarmonicCover). m and
+    the vertex orbit come from the validation of the cover's action: its
+    stored Orbit, whose map phi from G's element index was found
     equivariant there; m is the size of phi's fiber over the orbit's least
     point. The fresh stabilizer computation from both ends of each fiber is
-    a test oracle in tests/test_galois.py; fiber components are a union_find.
+    a test oracle in tests/test_galois.py; fiber components are one
+    union_find over the vertical edges.
 
-    The per-vertex data and its checks are computed once per cover, on the
-    first call, and stored on it; riemann_hurwitz_check,
-    classify_branch_locus and profile_to_json read the same data. The cover
-    keeps only that dict, not the profile, which refers back to it."""
-    return RamificationProfile(c, c._per_vertex)
+    The profile and its checks are computed once per cover, on the first
+    call, and cached on it; riemann_hurwitz_check, classify_branch_locus
+    and profile_to_json read the same profile."""
+    return c._profile
 
 
 def _vertex_profiles(c: HarmonicCover) -> dict:
-    """n, f and v from each fiber's vertical edge ends, c.fiber_edges[x]
-    (flat, two per edge)."""
-    order = c.group.order()
+    """Base vertex -> VertexProfile. The vertical edges, those the
+    projection maps to None, are joined by one union_find over the total
+    graph, whose vertex ids are 0..N-1 as build_cover and build_maximal
+    number them; n, f and v over x are read off the vertices the projection
+    maps to x."""
+    graph, projection, order = c.graph, c.projection, c.group.order()
+    ends = graph.dart_bases()
+    vertical = []  # the ends of the vertical edges, flat
+    for r, img in enumerate(images_of(projection.edge_map, graph._edge_ids)):
+        if img is None:
+            vertical += ends[2 * r:2 * r + 2]
+    root = union_find(len(graph.vertices), vertical)
+    size, degree = Counter(root), Counter(vertical)
+    fibers = {x: [] for x in c.base.vertices}
+    for y, x in enumerate(images_of(projection.vertex_map, graph.vertices)):
+        fibers[x].append(y)
     out = {}
-    for x in c.base.vertices:
-        fiber, edges = c.fiber_index[x], c.fiber_edges[x]
-        sizes = Counter(union_find(len(fiber), edges, fiber[0]))
-        n = len(sizes)
-        if len(set(sizes.values())) != 1:
+    for x, fiber in fibers.items():
+        roots = set(map(root.__getitem__, fiber))
+        sizes = set(map(size.__getitem__, roots))
+        if len(sizes) != 1:
             raise CoverError(f"fiber over {x} has components of different sizes")
-        f = sizes.popitem()[1]
-        degree = Counter(edges)
+        f, n = sizes.pop(), len(roots)
         degrees = set(map(degree.__getitem__, fiber))
         if len(degrees) != 1:
             raise CoverError(f"fiber over {x} has vertices of different vertical degree")
@@ -507,8 +483,7 @@ def riemann_hurwitz_check(c: HarmonicCover, strict_sign: bool = False) -> Rieman
     """
     if not c.is_connected():
         raise CoverError("Riemann-Hurwitz requires a connected total graph")
-    profile = ramification_profile(c)
-    R = profile.ramification_number()
+    R = ramification_profile(c).R
     lhs = 2 * c.graph.genus() - 2
     order, sign = c.group.order(), -1 if strict_sign else 1
     rhs = order * (2 * c.base.genus() - 2) + sign * R.numerator * (order // R.denominator)
@@ -527,10 +502,7 @@ def classify_branch_locus(c: HarmonicCover) -> BranchLocus:
     """Branch vertices with their (m, w) data, the three-way maximal-locus
     classification, and the maximality verdict (tree base and R = 7/3),
     cross-checked against |G| = 6(g-1)."""
-    return _classify(c, ramification_profile(c))
-
-
-def _classify(c: HarmonicCover, profile: RamificationProfile) -> BranchLocus:
+    profile = ramification_profile(c)
     branch = {
         x: (p.m, p.w)
         for x, p in profile.per_vertex.items()
@@ -545,7 +517,7 @@ def _classify(c: HarmonicCover, profile: RamificationProfile) -> BranchLocus:
         case = "iii"
     else:
         case = "other"
-    R = profile.ramification_number()
+    R = profile.R
     maximal = c.is_connected() and R == Fraction(7, 3)
     if c.is_connected():
         by_order = c.group.order() == 6 * (c.graph.genus() - 1)
@@ -645,10 +617,10 @@ def _named(path, fn, *args):
 
 def profile_to_json(c: HarmonicCover) -> dict:
     profile = ramification_profile(c)
-    locus = _classify(c, profile)
+    locus = classify_branch_locus(c)
     return {
         "per_vertex": {str(x): p.as_dict() for x, p in profile.per_vertex.items()},
-        "R": str(profile.ramification_number()),
+        "R": str(profile.R),
         "maximal": locus.is_maximal,
         "case": locus.case,
     }

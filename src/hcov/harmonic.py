@@ -164,17 +164,9 @@ class GraphAction:
     components in one orbit are conjugate: one per orbit is tested.
     """
 
-    def __init__(
-        self,
-        group: PermutationGroup,
-        graph: Multigraph,
-        vertex_images,
-        edge_images,
-        require_faithful: bool = True,
-    ):
+    def __init__(self, group: PermutationGroup, graph: Multigraph, vertex_images, edge_images):
         self.group = group
         self.graph = graph
-        self.require_faithful = require_faithful
         self.vertex_images = list(vertex_images)
         self.edge_images = list(edge_images)
         if len(self.vertex_images) != len(group.generators) or len(
@@ -241,8 +233,6 @@ class GraphAction:
             kinds.append((number, orbits))
         self._vertex_orbit_no, self._vertex_orbits = kinds[0]
         self._edge_orbit_no, self._edge_orbits = kinds[1]
-        if not self.require_faithful:
-            return
         # the kernel is normal: any point's stabilizer holds it, and the
         # least point of the largest orbit has the smallest one
         largest = max(self._vertex_orbits + self._edge_orbits, key=_size, default=None)

@@ -101,8 +101,6 @@ def build_maximal(G: PermutationGroup, tau, sigma) -> MaximalCover:
         {0: SymmetricMultiset([tau])},
         action,
         projection,
-        {0: graph.vertices},
-        {0: graph.dart_bases()},
         True,
         [],
     )

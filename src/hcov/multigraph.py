@@ -115,13 +115,11 @@ def _rank(ids, positions, x) -> int:
     return r
 
 
-def union_find(count, ends, first=0) -> list:
-    """The root of each position 0..count-1, the points first, first + 1, ...,
-    once the two ends of every edge in the flat ends are joined: union-find
-    with path halving."""
+def union_find(count, ends) -> list:
+    """The root of each point 0..count-1, once the two ends of every edge in
+    the flat ends are joined: union-find with path halving."""
     parent = list(range(count))
     for u, v in zip(ends[0::2], ends[1::2]):
-        u, v = u - first, v - first
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -285,9 +283,6 @@ class Multigraph:
         """Vertex -> the ids of its darts, ascending, as fresh lists."""
         darts, offsets = self._darts, self._offsets
         return {v: darts[offsets[k]:offsets[k + 1]].tolist() for k, v in enumerate(self._vertices)}
-
-    def reverse(self, d: Dart) -> Dart:
-        return Dart(d.edge, self.other_end(d.edge, d.base))
 
     def __eq__(self, other):
         return (
@@ -461,16 +456,6 @@ class GraphMorphism:
             "vertex_map": {str(v): img for v, img in sorted(map_items(self.vertex_map))},
             "edge_map": {str(e): img for e, img in sorted(map_items(self.edge_map))},
         }
-
-    @classmethod
-    def from_json(cls, data) -> "GraphMorphism":
-        if isinstance(data, str):
-            data = json.loads(data)
-        source = Multigraph.from_json(data["source"])
-        target = Multigraph.from_json(data["target"])
-        vmap = {int(k): v for k, v in data["vertex_map"].items()}
-        emap = {int(k): v for k, v in data["edge_map"].items()}
-        return cls(source, target, vmap, emap)
 
 
 @dataclass

@@ -5,11 +5,13 @@ from importlib.resources import files
 import pytest
 
 from hcov.errors import GroupError, MorphismError
+from hcov.galois import cayley
 from hcov.harmonic import GraphAction, quotient
 from hcov.kernel import mulclose, perm_id, perm_inv
 from hcov.multigraph import Dart, GraphMorphism, Multigraph, is_harmonic, map_items
 from hcov.oriented import OrientedGraph
 from hcov.permgroup import (
+    Cosets,
     PermutationGroup,
     StabilizerChain,
     Subgroup,
@@ -40,39 +42,72 @@ def as_dicts(image_maps) -> list:
     return [as_dict(m) for m in image_maps]
 
 
+def fiber_vertices(cover, x) -> list:
+    """The vertices over the base vertex x, read off the projection."""
+    over = cover.projection.vertex_map
+    return [y for y in cover.graph.vertices if over[y] == x]
+
+
 def fiber_subgraph(cover, x) -> Multigraph:
     """The fiber over x with its vertical edges, read off the projection:
-    the oracle for the fiber_edges that the ramification profile reads."""
+    the oracle for the union_find that the ramification profile runs."""
     ends, over = cover.graph.edges, cover.projection.vertex_map
     vertical = sorted(
         e for e, img in map_items(cover.projection.edge_map)
         if img is None and over[ends[e][0]] == x
     )
-    return Multigraph(cover.fiber_index[x], [(e, ends[e]) for e in vertical])
+    return Multigraph(fiber_vertices(cover, x), [(e, ends[e]) for e in vertical])
 
 
-def fiber_graph(fiber) -> Multigraph:
-    """The graph of a fiber (a galois.LabeledAction) on its coset ids."""
-    ends = fiber.ends
-    return Multigraph(range(len(fiber.reps)), enumerate(zip(ends[0::2], ends[1::2])))
+def cayley_fiber(G, S) -> tuple:
+    """(cosets, ends) of the Cayley graph of G on S: the cosets of the
+    trivial subgroup, on whose ids galois.cayley gives the edge ends."""
+    return Cosets(G.element_index(), ()), cayley(G, S)
 
 
-def fiber_images(fiber) -> tuple[list, list]:
+def fiber_graph(cosets, ends) -> Multigraph:
+    """The graph of a fiber on its coset ids, from the flat edge ends that
+    galois.collapse gives."""
+    return Multigraph(range(len(cosets)), enumerate(zip(ends[0::2], ends[1::2])))
+
+
+def fiber_images(cosets, ends) -> tuple[list, list]:
     """A fiber's vertex and edge image maps, one dict per generator of its
     group, read off the element index's left multiplications."""
-    of, n, left = fiber.vertex_of, len(fiber.vertex_of), fiber.group.element_index().left
-    vertex_images = [{c: of[lk[r]] for c, r in enumerate(fiber.reps)} for lk in left]
-    edge_images = [{e: e - e % n + lk[e % n] for e in range(len(fiber.ends) // 2)} for lk in left]
+    of, n, left = cosets.of, len(cosets.of), cosets.index.left
+    vertex_images = [{c: of[lk[r]] for c, r in enumerate(cosets.reps)} for lk in left]
+    edge_images = [{e: e - e % n + lk[e % n] for e in range(len(ends) // 2)} for lk in left]
     return vertex_images, edge_images
 
 
-def fiber_action(fiber, faithful: bool) -> GraphAction:
+class UnfaithfulAction(GraphAction):
+    """A GraphAction validated as an action but not for faithfulness: a
+    collapsed fiber need not be faithful."""
+
+    def _kernel_element(self, vertices, edges, start):
+        return None
+
+
+def fiber_action(cosets, ends, faithful: bool) -> GraphAction:
     """The per-fiber validation that build_cover leaves to the total action:
     a GraphAction on the fiber's own graph and image maps. A Cayley fiber is
     faithful; a collapsed one need not be."""
-    return GraphAction(
-        fiber.group, fiber_graph(fiber), *fiber_images(fiber), require_faithful=faithful
-    )
+    kind = GraphAction if faithful else UnfaithfulAction
+    return kind(cosets.index.group, fiber_graph(cosets, ends), *fiber_images(cosets, ends))
+
+
+def morphism_from_json(data) -> GraphMorphism:
+    """The GraphMorphism of a GraphMorphism.to_json payload, as the
+    fig1_phi*.json figures hold it."""
+    vertex_map = {int(k): v for k, v in data["vertex_map"].items()}
+    edge_map = {int(k): v for k, v in data["edge_map"].items()}
+    return GraphMorphism(Multigraph.from_json(data["source"]),
+                         Multigraph.from_json(data["target"]), vertex_map, edge_map)
+
+
+def reverse_dart(g: Multigraph, d: Dart) -> Dart:
+    """The dart of d's edge at its other end."""
+    return Dart(d.edge, g.other_end(d.edge, d.base))
 
 
 def identity_morphism(g: Multigraph) -> GraphMorphism:

@@ -19,6 +19,7 @@ from conftest import (
     harmonic_by_subgroup_quotients,
     load_figure,
     map_darts,
+    morphism_from_json,
     random_rotation,
 )
 from hcov.cli import main as hc_main
@@ -39,7 +40,7 @@ from hcov.harmonic import (
 )
 from hcov.kernel import perm_id, perm_mul, perm_order, perm_pow
 from hcov.maximal import build_maximal, miller_check
-from hcov.multigraph import GraphMorphism, Multigraph, are_isomorphic, is_harmonic
+from hcov.multigraph import Multigraph, are_isomorphic, is_harmonic
 from hcov.oriented import (
     canonical_orientation,
     lht_decomposition,
@@ -76,11 +77,11 @@ def table_one_witnesses(catalog):
 
 def test_criterion_1_figure_reconstructions(catalog):
     with criterion(1, "figure reconstructions", budget=1.0):
-        phi1 = GraphMorphism.from_json(load_figure("fig1_phi1.json"))
+        phi1 = morphism_from_json(load_figure("fig1_phi1.json"))
         rep1 = is_harmonic(phi1)
         assert not rep1 and rep1.witness[0] == 4
 
-        phi2 = GraphMorphism.from_json(load_figure("fig1_phi2.json"))
+        phi2 = morphism_from_json(load_figure("fig1_phi2.json"))
         assert is_harmonic(phi2)
 
         fig2 = GraphAction.from_json(load_figure("fig2_action.json"))

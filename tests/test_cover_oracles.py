@@ -26,11 +26,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import generates, load_figure
+from conftest import fiber_vertices, generates, load_figure
 from hcov import galois, maximal, permgroup
 from hcov.errors import CoverError, GroupError
 from hcov.galois import (
-    LabeledAction,
     RiemannHurwitzReport,
     SymmetricMultiset,
     VertexProfile,
@@ -42,7 +41,7 @@ from hcov.galois import (
 )
 from hcov.harmonic import is_harmonic_action, quotient
 from hcov.maximal import build_maximal, classification_table
-from hcov.multigraph import Multigraph, map_images
+from hcov.multigraph import Multigraph, map_images, map_items
 from hcov.permgroup import (
     Cosets,
     _generates_order,
@@ -103,26 +102,28 @@ def verify_cover_by_quotient(cover):
 
 
 def vertex_profiles_by_sets(c) -> dict:
-    """_vertex_profiles with each fiber's components merged as Python sets,
-    one per fiber vertex."""
+    """_vertex_profiles with the components of the vertical edges, read off
+    the projection edge by edge, merged as Python sets, one per vertex."""
     order = c.group.order()
+    ends = c.graph.edges
+    edges = [w for e, img in map_items(c.projection.edge_map) if img is None for w in ends[e]]
+    comp = {y: {y} for y in c.graph.vertices}  # y's component, merged edge by edge
+    for u, v in zip(edges[0::2], edges[1::2]):
+        cu, cv = comp[u], comp[v]
+        if cu is not cv:
+            if len(cu) < len(cv):
+                cu, cv = cv, cu
+            cu |= cv
+            comp.update(dict.fromkeys(cv, cu))
+    degree = Counter(edges)
     out = {}
     for x in c.base.vertices:
-        fiber, edges = c.fiber_index[x], c.fiber_edges[x]
-        comp = {y: {y} for y in fiber}  # y's component, merged edge by edge
-        for u, v in zip(edges[0::2], edges[1::2]):
-            cu, cv = comp[u], comp[v]
-            if cu is not cv:
-                if len(cu) < len(cv):
-                    cu, cv = cv, cu
-                cu |= cv
-                comp.update(dict.fromkeys(cv, cu))
-        sizes = {id(cu): len(cu) for cu in comp.values()}  # one entry per component
+        fiber = fiber_vertices(c, x)
+        sizes = {id(comp[y]): len(comp[y]) for y in fiber}  # one entry per component
         n = len(sizes)
         if len(set(sizes.values())) != 1:
             raise CoverError(f"fiber over {x} has components of different sizes")
         f = len(comp[fiber[0]])
-        degree = Counter(edges)
         degrees = set(map(degree.__getitem__, fiber))
         if len(degrees) != 1:
             raise CoverError(f"fiber over {x} has vertices of different vertical degree")
@@ -155,13 +156,12 @@ def riemann_hurwitz_by_terms(c, strict_sign=False) -> RiemannHurwitzReport:
     return RiemannHurwitzReport(R, lhs, rhs, Fraction(lhs) == rhs, "-R" if strict_sign else "+R")
 
 
-def collapse_edge_by_edge(G, I, S) -> LabeledAction:
+def collapse_edge_by_edge(cosets, S) -> list:
     """collapse with every edge's ends compared on their own: a loop is
     skipped, and the edge ids kept must be dense, u*|G| + i for the u-th
     unit's edge at element i."""
-    index = G.element_index()
+    index = cosets.index
     n = len(index)
-    cosets = left_cosets(G, I)
     of = cosets.of
     pairs, invs = S.units()
     edges, ends = [], []
@@ -171,7 +171,7 @@ def collapse_edge_by_edge(G, I, S) -> LabeledAction:
                 edges.append(u * n + i)
                 ends += (a, b)
     assert edges == list(range(len(edges)))
-    return LabeledAction(G, of, cosets.reps, ends)
+    return ends
 
 
 def without_by_chain(S, H) -> SymmetricMultiset:
@@ -228,7 +228,7 @@ def assert_agrees_with_the_oracles(cover):
     verify_cover_by_quotient(cover)  # build_cover ran _verify_cover on it
     profiles = galois._vertex_profiles(cover)
     assert profiles == vertex_profiles_by_sets(cover)
-    R = ramification_profile(cover).ramification_number()
+    R = ramification_profile(cover).R
     assert type(R) is Fraction and R == ramification_number_by_terms(profiles)
     if cover.is_connected():
         for strict in (False, True):
@@ -258,6 +258,14 @@ def test_maximal_covers_agree_with_the_oracles(p):
     assert_agrees_with_the_oracles(build_maximal(G, *first_pair(G)).cover)
 
 
+def test_catalog_maximal_covers_agree_with_the_oracles(catalog):
+    witnesses = [(catalog.get(name), pair) for row in classification_table(2, 6, catalog)
+                 for name, pair in row.witnesses.items()]
+    assert len(witnesses) > 4
+    for G, pair in witnesses:
+        assert_agrees_with_the_oracles(build_maximal(G, *pair).cover)
+
+
 def test_collapse_agrees_with_the_edge_by_edge_oracle(catalog):
     # both sides get S trimmed by I; collapse refuses S as given whenever
     # an entry lies in I, where the oracle would only find loops
@@ -270,7 +278,7 @@ def test_collapse_agrees_with_the_edge_by_edge_oracle(catalog):
             I, S = random_subgroup(rng, G, proper=False), random_symmetric_multiset(rng, G)
             cosets = left_cosets(G, I)
             trimmed = S.without(cosets)
-            assert collapse(cosets, trimmed) == collapse_edge_by_edge(G, I, trimmed)
+            assert collapse(cosets, trimmed) == collapse_edge_by_edge(cosets, trimmed)
             if trimmed != S:
                 refused += 1
                 with pytest.raises(CoverError, match="lies in the inertia group"):
@@ -369,7 +377,7 @@ def with_projection(cover, vertex_map=None, edge_map=None):
 
 def vertex_on_two_bases(cover):
     vm = list(cover.projection.vertex_map)
-    vm[cover.fiber_index[1][0]] = 3
+    vm[vm.index(1)] = 3
     return with_projection(cover, vertex_map=vm)
 
 
@@ -442,15 +450,29 @@ def test_a_corrupted_cover_fails_both_verifications(corrupt, message):
 
 
 def test_unequal_fiber_components_fail_both_profiles():
-    # over 1 the fiber of S3 on {tau} is three parallel pairs; one more
-    # edge joins two of them, leaving components of sizes 4 and 2
+    # over 1 the fiber of S3 on {tau} is three parallel pairs, over 2 six
+    # lone vertices; one more edge over 1, from a pair to a vertex over 2,
+    # is called vertical, leaving components of sizes 3 and 2 over 1
     cover = path_cover({1: SymmetricMultiset([TAU])})
-    fiber, edges = cover.fiber_index[1], cover.fiber_edges[1]
     assert vertex_profiles_by_sets(cover)[1].as_dict() == {"m": 1, "f": 2, "n": 3, "v": 2, "w": 2}
-    other = min(set(fiber) - {edges[0], edges[1]})
-    bad = copy.copy(cover)
-    bad.fiber_edges = {**cover.fiber_edges, 1: list(edges) + [edges[0], other]}
+    em = list(cover.projection.edge_map)
+    em[em.index(0)] = None
+    bad = with_projection(cover, edge_map=em)
     for profiles in (galois._vertex_profiles, vertex_profiles_by_sets):
         with pytest.raises(CoverError) as err:
             profiles(bad)
         assert str(err.value) == "fiber over 1 has components of different sizes"
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_flipped_figure_profiles_read_a_dict_edge_map(name, catalog):
+    # flip_all keeps sparse edge ids, so the projection's edge map is a dict
+    # over them; merging parallel pairs keeps every fiber component
+    cover = cover_from_spec(dict(load_figure(name), flipped=True), catalog)
+    assert isinstance(cover.projection.edge_map, dict) and cover.graph._erank is not None
+    profiles = galois._vertex_profiles(cover)
+    assert profiles == vertex_profiles_by_sets(cover)
+    unflipped = ramification_profile(cover_from_spec(load_figure(name), catalog)).per_vertex
+    assert profiles.keys() == unflipped.keys()
+    for x, p in profiles.items():
+        assert (p.m, p.f, p.n) == (unflipped[x].m, unflipped[x].f, unflipped[x].n)

@@ -18,13 +18,14 @@ import pytest
 
 from conftest import (
     as_dicts,
+    cayley_fiber,
     dart_element,
     element_dart,
     fiber_action,
     load_figure,
     sweep_pairs,
 )
-from hcov.galois import SymmetricMultiset, build_cover, cayley, collapse, cover_from_spec
+from hcov.galois import SymmetricMultiset, build_cover, collapse, cover_from_spec
 from hcov.harmonic import GraphAction, flip_all
 from hcov.kernel import perm_inv, perm_mul
 from hcov.maximal import build_maximal
@@ -229,14 +230,15 @@ def check_cover(cover, flipped):
     inertia = {x: cover.inertia.get(x, G.subgroup([])) for x in base.vertices}
     for x in base.vertices:
         fiber = tuple_cayley(G, cover.multisets[x])
-        lab = cayley(G, cover.multisets[x])
-        assert_same_action(fiber_action(lab, faithful=True), *fiber[:3])
+        lab = cayley_fiber(G, cover.multisets[x])
+        assert_same_action(fiber_action(*lab, faithful=True), *fiber[:3])
         graph, vimg, eimg, _, reps, vertex_of = tuple_collapse(G, inertia[x], fiber)
-        out = collapse(left_cosets(G, inertia[x]), cover.multisets[x])
-        assert_same_action(fiber_action(out, faithful=False), graph, vimg, eimg)
+        cosets = left_cosets(G, inertia[x])
+        out = collapse(cosets, cover.multisets[x])
+        assert_same_action(fiber_action(cosets, out, faithful=False), graph, vimg, eimg)
         index = G.element_index()
-        assert [index.element(i) for i in out.reps] == reps
-        assert {index.element(i): v for i, v in enumerate(out.vertex_of)} == vertex_of
+        assert [index.element(i) for i in cosets.reps] == reps
+        assert {index.element(i): v for i, v in enumerate(cosets.of)} == vertex_of
     total = tuple_cover(G, base, inertia, cover.multisets, flipped)
     assert_same_action(cover.action, total.graph, total.vertex_images, total.edge_images)
 

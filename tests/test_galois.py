@@ -1,11 +1,18 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import fiber_action, fiber_graph, fiber_images, fiber_subgraph, load_figure
+from conftest import (
+    cayley_fiber,
+    fiber_action,
+    fiber_graph,
+    fiber_images,
+    fiber_subgraph,
+    fiber_vertices,
+    load_figure,
+)
 from hcov import galois
 from hcov.errors import ActionError, CoverError, GroupError
 from hcov.galois import (
@@ -80,21 +87,20 @@ def test_multiset_json_round_trip():
 
 
 def test_cayley_sigma_pair():
-    lab = cayley(S3, SymmetricMultiset([SIGMA, SIGMA2]))
-    g = fiber_graph(lab)
+    lab = cayley_fiber(S3, SymmetricMultiset([SIGMA, SIGMA2]))
+    g = fiber_graph(*lab)
     assert len(g.vertices) == 6
     assert len(g.edges) == 6
     comps = g.connected_components()
     assert [len(c) for c in comps] == [3, 3]
     assert all(g.degree(v) == 2 for v in g.vertices)
-    action = fiber_action(lab, faithful=True)
+    action = fiber_action(*lab, faithful=True)
     assert is_harmonic_action(action)
     assert flipped_edges(action) == set()
 
 
 def test_cayley_involution_parallel_pairs():
-    lab = cayley(S3, SymmetricMultiset([TAU]))
-    g = fiber_graph(lab)
+    g = fiber_graph(*cayley_fiber(S3, SymmetricMultiset([TAU])))
     assert len(g.vertices) == 6
     assert len(g.edges) == 6
     comps = g.connected_components()
@@ -109,7 +115,7 @@ def test_cayley_involution_parallel_pairs():
 def test_cayley_z6_half_turn():
     Z6 = cyclic(6)
     g3 = perm_pow(Z6.generators[0], 3)
-    g = fiber_graph(cayley(Z6, SymmetricMultiset([g3])))
+    g = fiber_graph(*cayley_fiber(Z6, SymmetricMultiset([g3])))
     assert len(g.vertices) == 6
     assert len(g.edges) == 6
     assert [len(c) for c in g.connected_components()] == [2, 2, 2]
@@ -119,9 +125,10 @@ def test_cayley_z6_half_turn():
 
 
 def test_collapse_tau_cayley_by_sigma():
-    out = collapse(left_cosets(S3, S3.subgroup([SIGMA])), SymmetricMultiset([TAU]))
-    assert len(fiber_graph(out).vertices) == 2
-    assert len(fiber_graph(out).edges) == 6
+    cosets = left_cosets(S3, S3.subgroup([SIGMA]))
+    g = fiber_graph(cosets, collapse(cosets, SymmetricMultiset([TAU])))
+    assert len(g.vertices) == 2
+    assert len(g.edges) == 6
 
 
 def test_collapse_refuses_an_entry_inside_the_inertia_group():
@@ -133,17 +140,19 @@ def test_collapse_refuses_an_entry_inside_the_inertia_group():
         collapse(cosets, S)
     out = collapse(cosets, S.without(cosets))
     assert out == collapse(cosets, SymmetricMultiset([TAU]))
-    assert len(fiber_graph(out).edges) == 6
+    assert len(fiber_graph(cosets, out).edges) == 6
 
 
 def test_collapse_by_trivial_subgroup_is_identity():
     # every element is its own vertex, and every Cayley edge {g, g*tau} survives
-    out = collapse(left_cosets(S3, S3.subgroup([])), SymmetricMultiset([TAU]))
+    cosets = left_cosets(S3, S3.subgroup([]))
+    out = collapse(cosets, SymmetricMultiset([TAU]))
     index = S3.element_index()
-    assert out.reps == list(range(6))
-    assert out.vertex_of == list(range(6))
-    assert fiber_images(out)[0] == [dict(enumerate(lk)) for lk in index.left]
-    assert dict(fiber_graph(out).edges) == dict(enumerate(zip(range(6), index.right(TAU))))
+    assert cosets.reps == list(range(6))
+    assert cosets.of == list(range(6))
+    assert out == cayley(S3, SymmetricMultiset([TAU]))
+    assert fiber_images(cosets, out)[0] == [dict(enumerate(lk)) for lk in index.left]
+    assert dict(fiber_graph(cosets, out).edges) == dict(enumerate(zip(range(6), index.right(TAU))))
 
 
 # -- cover assembly -------------------------------------------------------------------
@@ -233,7 +242,7 @@ def test_fig6_profile(catalog):
     prof = ramification_profile(c)
     assert prof.per_vertex[1].as_dict() == {"m": 3, "f": 1, "n": 2, "v": 0, "w": 0}
     assert prof.per_vertex[2].as_dict() == {"m": 1, "f": 2, "n": 3, "v": 1, "w": 1}
-    assert prof.ramification_number() == Fraction(7, 3)
+    assert prof.R == Fraction(7, 3)
 
 
 def test_fig4_profile(catalog):
@@ -266,8 +275,8 @@ def decomposition_group(c, y):
 
 def test_decomposition_groups_fig6(catalog):
     c = fig_cover("fig6.json", catalog)
-    y1 = c.fiber_index[1][0]
-    y2 = c.fiber_index[2][0]
+    y1 = fiber_vertices(c, 1)[0]
+    y2 = fiber_vertices(c, 2)[0]
     assert decomposition_group(c, y1).order() == 3
     assert decomposition_group(c, y2).order() == 2
 
@@ -280,7 +289,7 @@ def test_decomposition_group_connected_fiber():
         {},
         {1: SymmetricMultiset([SIGMA, SIGMA2, TAU]), 2: SymmetricMultiset([TAU])},
     )
-    y = c.fiber_index[1][0]
+    y = fiber_vertices(c, 1)[0]
     assert decomposition_group(c, y).order() == 6  # transitive on one component
 
 
@@ -397,13 +406,14 @@ def check_against_oracles(cover):
     ends of every fiber, and every fiber validated as an action of its own."""
     G = cover.group
     profile = ramification_profile(cover)
-    for x, fiber in cover.fiber_index.items():
+    for x in cover.base.vertices:
+        fiber = fiber_vertices(cover, x)
         for v in (min(fiber), max(fiber)):
             assert stabilizer_oracle(cover.action, v) == (profile.per_vertex[x].m, set(fiber))
         S = cover.multisets[x]
-        fiber_action(cayley(G, S), faithful=True)
-        fiber_action(collapse(left_cosets(G, cover.inertia.get(x, G.subgroup([]))), S),
-                     faithful=False)
+        fiber_action(*cayley_fiber(G, S), faithful=True)
+        cosets = left_cosets(G, cover.inertia.get(x, G.subgroup([])))
+        fiber_action(cosets, collapse(cosets, S), faithful=False)
 
 
 def criterion_4_covers(catalog):
@@ -456,17 +466,17 @@ def test_criterion_4_profiles_are_computed_once_per_cover(catalog, monkeypatch):
     for cover in covers:
         profile = ramification_profile(cover)
         if cover.is_connected():
-            assert riemann_hurwitz_check(cover).R == profile.ramification_number()
-        assert classify_branch_locus(cover).R == profile.ramification_number()
-        assert profile_to_json(cover)["R"] == str(profile.ramification_number())
-        assert ramification_profile(cover).per_vertex is profile.per_vertex
+            assert riemann_hurwitz_check(cover).R == profile.R
+        assert classify_branch_locus(cover).R == profile.R
+        assert profile_to_json(cover)["R"] == str(profile.R)
+        assert ramification_profile(cover) is profile
         # R is summed once per cover, to the term-by-term sum
         R = Fraction(0)
         for p in profile.per_vertex.values():
             R += 2 * (1 - Fraction(1, p.m)) + p.w
-        assert ramification_profile(cover).ramification_number() is profile.ramification_number()
-        assert classify_branch_locus(cover).R is profile.ramification_number()
-        assert profile.ramification_number() == R
+        assert ramification_profile(cover).R is profile.R
+        assert classify_branch_locus(cover).R is profile.R
+        assert profile.R == R
     assert computed == covers
     for cover in covers:
         assert compute(cover) == ramification_profile(cover).per_vertex
@@ -511,10 +521,9 @@ def test_corrupted_fiber_fails_the_total_validation(corrupt, message, monkeypatc
     original = galois.collapse
 
     def corrupted_collapse(cosets, S):
-        fiber = original(cosets, S)
-        reps = list(fiber.reps)
-        corrupt(reps)
-        return dataclasses.replace(fiber, reps=reps)
+        cosets.reps = list(cosets.reps)  # build_cover reads them from its cosets
+        corrupt(cosets.reps)
+        return original(cosets, S)
 
     monkeypatch.setattr(galois, "collapse", corrupted_collapse)
     with pytest.raises(ActionError, match=message):

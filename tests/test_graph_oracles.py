@@ -101,8 +101,9 @@ def profile_oracle(cover) -> dict:
     """Base vertex -> (m, f, n, v, w), with f, n and v read off the fiber
     subgraphs that fiber_subgraph builds from the projection."""
     out = {}
-    for x, fiber in cover.fiber_index.items():
+    for x in cover.base.vertices:
         sub = fiber_subgraph(cover, x)
+        fiber = sub.vertices
         comps = components_oracle(sub)
         (f,) = {len(comp) for comp in comps}
         (v,) = {sub.degree(y) for y in fiber}

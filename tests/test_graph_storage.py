@@ -258,7 +258,6 @@ def test_maximal_cover_keeps_no_tuple_per_edge_or_vertex():
         assert g._components == (range(n),)
         m_vertex, m_edge = cover.projection.vertex_map, cover.projection.edge_map
         assert m_vertex == [0] * n and m_edge == [None] * m
-        assert cover.fiber_edges[0] is g.dart_bases()
 
 
 def test_morphism_maps_are_kept_not_copied():

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    UnfaithfulAction,
     all_subgroups,
     as_dicts,
+    cayley_fiber,
     compose,
     fiber_action,
     harmonic_by_subgroup_quotients,
@@ -18,7 +20,7 @@ from conftest import (
     morphism_degree,
 )
 from hcov.errors import ActionError, GroupError, MorphismError
-from hcov.galois import SymmetricMultiset, cayley, cover_from_spec
+from hcov.galois import SymmetricMultiset, cover_from_spec
 from hcov.harmonic import (
     GraphAction,
     flip_all,
@@ -313,7 +315,7 @@ def test_action_json_round_trip(catalog):
 # -- differential oracle: validation on one action-block chain -----------------
 
 
-def _oracle_kind(group, graph, vertex_images, edge_images, require_faithful=True):
+def _oracle_kind(group, graph, vertex_images, edge_images, faithful=True):
     """Verdict of validating on the whole extended group, computed apart from
     GraphAction: None (valid), "action", "faithful" or "component".
 
@@ -335,7 +337,7 @@ def _oracle_kind(group, graph, vertex_images, edge_images, require_faithful=True
     degree = n + len(vs) + len(es)
     if StabilizerChain(degree, ext_gens).order() != group.order():
         return "action"
-    if not require_faithful:
+    if not faithful:
         return None
     block = [tuple(x - n for x in g[n:]) for g in ext_gens]
     if StabilizerChain(degree - n, block).order() != group.order():
@@ -377,7 +379,7 @@ def _differential():
     def checked(self):
         expected = _oracle_kind(
             self.group, self.graph, self.vertex_images, self.edge_images,
-            self.require_faithful,
+            not isinstance(self, UnfaithfulAction),
         )
         try:
             validate(self)
@@ -595,8 +597,9 @@ def perturbation_bases(catalog):
         fig3_z6_action(),
         fig3_s3_action(catalog),
         unflip(build_maximal(symmetric(3), tau, sigma).action),
-        fiber_action(cayley(symmetric(3), SymmetricMultiset([(tau, 2)])), faithful=True),
-        fiber_action(cayley(cyclic(4), SymmetricMultiset([((2, 3, 0, 1), 2)])), faithful=True),
+        fiber_action(*cayley_fiber(symmetric(3), SymmetricMultiset([(tau, 2)])), faithful=True),
+        fiber_action(*cayley_fiber(cyclic(4), SymmetricMultiset([((2, 3, 0, 1), 2)])),
+                     faithful=True),
     ]
     return [(a.group, a.graph, a.vertex_images, a.edge_images) for a in actions] + [
         (cyclic(2), THETA, [{1: 2, 2: 1}], [{1: 1, 2: 2, 3: 3}]),
@@ -691,7 +694,7 @@ def _tuple_validation(a):
             found.update(dict.fromkeys(transversal, (stab, transversal)))
         where.append(found)
     vertex_orbit_of, edge_orbit_of = where
-    if not a.require_faithful:
+    if isinstance(a, UnfaithfulAction):
         return where
     points = [(orbit, x) for found in where for x, orbit in found.items()]
     if _tuple_kernel_element(a, points) is not None:

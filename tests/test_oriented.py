@@ -11,6 +11,7 @@ from conftest import (
     element_dart,
     map_darts,
     random_rotation,
+    reverse_dart,
     sweep_pairs,
 )
 from hcov.errors import GraphError
@@ -44,7 +45,7 @@ SIGMA = perm_from_cycles([(0, 1, 2)], 3)
 def lht_successor(rotation, graph, d: Dart) -> Dart:
     """Left-hand-turn step: traverse d, then leave along the rotation
     successor of the arriving end."""
-    arriving = graph.reverse(d)
+    arriving = reverse_dart(graph, d)
     rot = rotation[arriving.base]
     return rot[(rot.index(arriving) + 1) % 3]
 
