@@ -7,9 +7,12 @@ For p = 29, 43, 71, 83, 113, 127 and 197 it runs
 
     hc surface check44 --allow-large-psl2 --product-order 7 --group psl2:p --json
 
-from CHECKOUT's src/ (default: this checkout) as a child process: three
-times for p <= 83, once for p = 113, 127 and 197 (about 20 s, 30 s and 2
-minutes, and 0.5 to 2 GB, each). Each run is forked off first, so the fork's
+from CHECKOUT's src/ (default: this checkout) as a child process, three
+times for every p: single runs of p = 197 spread over 49 to 71 s. A run
+of p = 113, 127 or 197 takes about 20 s, 30 s or 1 to 2 minutes, and 0.5
+to 2 GB. The flag --allow-large-psl2 changes nothing in this checkout; it
+is passed so that older checkouts, which capped psl2 at p <= 31 without
+it, can still be measured. Each run is forked off first, so the fork's
 resource.getrusage(RUSAGE_CHILDREN) holds that one command's peak RSS and
 nothing else. The child writes and reads bytecode whatever the caller's
 environment says, and CHECKOUT's src/ is compiled before each run starts,
@@ -17,10 +20,10 @@ so no timed run compiles hcov. Times are raw wall-clock seconds. One
 row per p is appended:
 CHECKOUT's commit (see commit_label; `<commit>-dirty` measures uncommitted
 changes on top of that commit), p, |G|, the median wall_s and peak_rss_mb
-of the runs (stat "median"; "single" for one run), their number and the
-machine. Passing another checkout, such as a clone of the parent commit,
-measures both sides with the same script; alternating the two gives rows
-that can be compared.
+of the runs (stat "median"), their number and the machine. Passing
+another checkout, such as a clone of the parent commit, measures both
+sides with the same script; alternating the two gives rows that can be
+compared.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 HERE = ROOT / "benchmarks"
 OUT = ROOT / "BENCH_hurwitz.json"
 PRIMES = (29, 43, 71, 83, 113, 127, 197)
-RUNS = {113: 1, 127: 1, 197: 1}  # runs per p; 3 where not listed
+RUNS = 3  # runs per p
 
 
 def compile_bytecode(*dirs: Path):
@@ -123,7 +126,7 @@ def row(commit: str, p: int, runs: list, machine: str) -> dict:
         "wall_s": round(statistics.median(r["wall_s"] for r in runs), 3),
         "peak_rss_mb": round(statistics.median(r["peak_rss_mb"] for r in runs), 1),
         "runs": len(runs),
-        "stat": "median" if len(runs) > 1 else "single",
+        "stat": "median",
         "machine": machine,
     }
 
@@ -134,7 +137,7 @@ def main(argv) -> int:
     machine = f"{platform.machine()}, {os.cpu_count()} cpus, Python {platform.python_version()}"
     rows = json.loads(OUT.read_text()) if OUT.exists() else []
     for p in PRIMES:
-        runs = [_run(checkout, p) for _ in range(RUNS.get(p, 3))]
+        runs = [_run(checkout, p) for _ in range(RUNS)]
         rows.append(row(commit, p, runs, machine))
         print(json.dumps(rows[-1]), flush=True)
     OUT.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")

@@ -41,7 +41,8 @@ def common_parser():
     p.add_argument("--catalog", default=None, help="catalog file (default: bundled)")
     p.add_argument("--out", default=None, help="also write the JSON payload to a file")
     p.add_argument(
-        "--allow-large-psl2", action="store_true", help="lift the psl2 prime cap"
+        "--allow-large-psl2", action="store_true",
+        help="accepted for scripts; psl2 takes the degree cap like every constructor",
     )
     return p
 
@@ -56,12 +57,10 @@ def load_catalog_arg(args) -> permgroup.Catalog:
 
 def resolve_group(spec: str, args) -> permgroup.PermutationGroup:
     """The group of --group: a file's JSON, else spec itself, resolved with
-    the same catalog and --allow-large-psl2."""
+    the same catalog."""
     if os.path.exists(spec):
         spec = read_json(spec)
-    return permgroup.group_from_spec(
-        spec, functools.partial(load_catalog_arg, args), allow_large_psl2=args.allow_large_psl2
-    )
+    return permgroup.group_from_spec(spec, functools.partial(load_catalog_arg, args))
 
 
 def write_output(flag: str, path: str, text: str) -> None:

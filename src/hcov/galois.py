@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from hcov.errors import CoverError, GroupError
+from hcov.errors import CoverError, GroupError, read_field, read_nested
 from hcov.harmonic import GraphAction, flip_all, is_harmonic_action
 # perm_mul is unused here, but perfbench/selftest.py checks that its tracer wraps it
 from hcov.kernel import perm_id, perm_inv, perm_mul  # noqa: F401
@@ -537,12 +537,15 @@ def cover_from_spec(data, catalog=None) -> HarmonicCover:
     {"group":..., "base":{"tree":graph}, "inertia":{x:[perm...]},
      "multisets":{x:[[perm,mult]...]}, "flipped":bool}.
 
-    A missing field, a malformed vertex-keyed entry (an inertia generator
-    or multiset entry that is no member of the group, a malformed multiset
-    entry), a multiset that is not symmetric, a key that is not a base
-    vertex or a non-boolean flipped raises CoverError naming its path."""
-    G = group_from_spec(_spec_field(data, "group"), catalog)
-    base = Multigraph.from_json(_spec_field(data, "base.tree"))
+    A missing field, a group or base tree that cannot be read, a malformed
+    vertex-keyed entry (an inertia generator or multiset entry that is no
+    member of the group, a malformed multiset entry), a multiset that is
+    not symmetric, a key that is not a base vertex or a non-boolean flipped
+    raises CoverError naming its path."""
+    spec = read_field(CoverError, "cover spec", data, "group")
+    G = read_nested(CoverError, "cover spec", "group", group_from_spec, spec, catalog)
+    tree = read_field(CoverError, "cover spec", data, "base.tree")
+    base = read_nested(CoverError, "cover spec", "base.tree", Multigraph.from_json, tree)
     inertia = {}
     for x, gens in _vertex_keyed(data, "inertia", base):
         _check_entries(gens, f"inertia.{x}", lambda g: isinstance(g, list), "a permutation",
@@ -557,20 +560,13 @@ def cover_from_spec(data, catalog=None) -> HarmonicCover:
             "a [permutation, multiplicity] pair",
             lambda e: _check_member(G, SymmetricMultiset._entry(e)[0]),
         )
-        multisets[x] = _named(f"multisets.{x}", SymmetricMultiset.from_json, entries)
+        multisets[x] = read_nested(
+            CoverError, "cover spec", f"multisets.{x}", SymmetricMultiset.from_json, entries
+        )
     flipped = data.get("flipped", False)
     if not isinstance(flipped, bool):
         raise CoverError(f"cover spec: flipped must be true or false, got {flipped!r}")
     return build_cover(G, base, inertia, multisets, flipped)
-
-
-def _spec_field(data, path):
-    """The value at a dotted path of a cover spec."""
-    for key in path.split("."):
-        if not isinstance(data, dict) or key not in data:
-            raise CoverError(f"cover spec: missing field {path!r}")
-        data = data[key]
-    return data
 
 
 def _vertex_keyed(data, name, base):
@@ -604,15 +600,7 @@ def _check_entries(entries, path, ok, what, check):
     for i, entry in enumerate(entries):
         if not ok(entry):
             raise CoverError(f"cover spec: {path}.{i} must be {what}, got {entry!r}")
-        _named(f"{path}.{i}", check, entry)
-
-
-def _named(path, fn, *args):
-    """fn(*args), a GroupError from it reported as a CoverError naming path."""
-    try:
-        return fn(*args)
-    except GroupError as exc:
-        raise CoverError(f"cover spec: {path}: {exc}") from None
+        read_nested(CoverError, "cover spec", f"{path}.{i}", check, entry)
 
 
 def profile_to_json(c: HarmonicCover) -> dict:

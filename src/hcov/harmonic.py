@@ -14,7 +14,7 @@ from itertools import compress, repeat
 from operator import eq
 from typing import NamedTuple
 
-from hcov.errors import ActionError, GroupError
+from hcov.errors import ActionError, GroupError, read_field, read_nested
 from hcov.kernel import perm_inv, perm_order
 from hcov.multigraph import Dart, GraphMorphism, Multigraph, map_items
 from hcov.permgroup import (
@@ -95,22 +95,10 @@ class Orbit(NamedTuple):
         return len(self.phi) // self.size
 
 
-def _action_field(data, *path):
-    """The value at a path of keys in an action's JSON."""
-    for key in path:
-        if not isinstance(data, dict) or key not in data:
-            raise ActionError(f"action JSON: missing field {'.'.join(path)!r}")
-        data = data[key]
-    return data
-
-
-def _image_map(data, *path):
-    """A generator's image map in an action's JSON: a list when its keys
-    are 0..n-1, else a dict of ints."""
-    images = _action_field(data, *path)
-    name = ".".join(path)
-    if not isinstance(images, dict):
-        raise ActionError(f"action JSON: {name!r} must be an object, got {images!r}")
+def _image_map(data, name):
+    """The image map of a generator at the dotted path name of an action's
+    JSON: a list when its keys are 0..n-1, else a dict of ints."""
+    images = read_field(ActionError, "action JSON", data, name, dict)
     out = {}
     for key, img in images.items():
         try:
@@ -347,13 +335,14 @@ class GraphAction:
     @classmethod
     def from_json(cls, data, catalog=None) -> "GraphAction":
         graph = Multigraph.from_json(data)
-        group = group_from_spec(_action_field(data, "group"), catalog)
+        spec = read_field(ActionError, "action JSON", data, "group")
+        group = read_nested(ActionError, "action JSON", "group", group_from_spec, spec, catalog)
         k = len(group.generators)
         vmaps = []
         emaps = []
         for i in range(k):
-            vmaps.append(_image_map(data, "vertex_images", str(i)))
-            emaps.append(_image_map(data, "edge_images", str(i)))
+            vmaps.append(_image_map(data, f"vertex_images.{i}"))
+            emaps.append(_image_map(data, f"edge_images.{i}"))
         return cls(group, graph, vmaps, emaps)
 
     def __repr__(self):

@@ -29,21 +29,6 @@ def perm_inv(p):
     return tuple(out)
 
 
-def perm_pow(p, k):
-    """k-th power of p, k may be negative."""
-    n = len(p)
-    if k < 0:
-        p = perm_inv(p)
-        k = -k
-    out = perm_id(n)
-    while k:
-        if k & 1:
-            out = perm_mul(out, p)
-        p = perm_mul(p, p)
-        k >>= 1
-    return out
-
-
 def perm_order(p):
     """Least k >= 1 with p^k = identity (lcm of cycle lengths)."""
     seen = [False] * len(p)
@@ -61,11 +46,8 @@ def perm_order(p):
     return order
 
 
-def mulclose(gens, limit=None):
-    """Closure of gens under multiplication; returns a set of tuples.
-
-    Raises ValueError when the closure exceeds `limit` elements.
-    """
+def mulclose(gens):
+    """Closure of gens under multiplication; returns a set of tuples."""
     gens = [tuple(g) for g in gens]
     if not gens:
         return set()
@@ -80,7 +62,5 @@ def mulclose(gens, limit=None):
                 if c not in els:
                     els.add(c)
                     new.append(c)
-                    if limit is not None and len(els) > limit:
-                        raise ValueError(f"closure exceeds limit {limit}")
         frontier = new
     return els

@@ -128,18 +128,15 @@ def _verify_maximal(mc: MaximalCover):
         raise CoverError("|G| = 6(genus-1) fails")
 
 
-def build_maximal_rho(G: PermutationGroup, tau, sigma, rho=None) -> HarmonicCover:
-    """Variant cover from S = {rho, rho^-1} with rho in tau<sigma>.
+def build_maximal_rho(G: PermutationGroup, tau, sigma) -> HarmonicCover:
+    """Variant cover from S = {rho, rho^-1} with rho = tau*sigma, which lies
+    in tau<sigma>.
 
     Built through the generic Cayley/collapse/flip pipeline; empirically
     isomorphic to the S = {tau} cover on small groups (no general claim).
     """
     tau, sigma = tuple(tau), tuple(sigma)
-    if rho is None:
-        rho = perm_mul(tau, sigma)
-    rho = tuple(rho)
-    if not G.subgroup([sigma]).contains(perm_mul(perm_inv(tau), rho)):
-        raise GroupError("rho must lie in the coset tau<sigma>")
+    rho = perm_mul(tau, sigma)
     base = Multigraph([0], [])
     S = SymmetricMultiset([rho]) if rho == perm_inv(rho) else SymmetricMultiset(
         [rho, perm_inv(rho)]

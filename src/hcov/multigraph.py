@@ -7,7 +7,6 @@ pair. Loop edges are rejected everywhere.
 
 from __future__ import annotations
 
-import json
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from itertools import accumulate
 from operator import eq, sub
 from typing import NamedTuple
 
-from hcov.errors import GraphError, MorphismError
+from hcov.errors import GraphError, MorphismError, read_field
 
 
 class Dart(NamedTuple):
@@ -342,20 +341,12 @@ class Multigraph:
 
     @classmethod
     def from_json(cls, data) -> "Multigraph":
-        if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except ValueError:
-                raise GraphError(f"graph JSON: {data!r} is not a JSON document") from None
-        for key in ("vertices", "edges"):
-            if not isinstance(data, dict) or key not in data:
-                raise GraphError(f"graph JSON: missing field {key!r}")
-        if not _int_list(data["vertices"]):
+        vertices = read_field(GraphError, "graph JSON", data, "vertices")
+        records = read_field(GraphError, "graph JSON", data, "edges", list)
+        if not _int_list(vertices):
             raise GraphError("graph JSON: 'vertices' must be a list of integers")
-        if not isinstance(data["edges"], (list, tuple)):
-            raise GraphError("graph JSON: 'edges' must be a list")
         edges = []
-        for rec in data["edges"]:
+        for rec in records:
             if not isinstance(rec, dict) or "id" not in rec or "ends" not in rec:
                 raise GraphError(f"graph JSON: edge {rec!r} needs the fields 'id' and 'ends'")
             ends = rec["ends"]
@@ -367,14 +358,13 @@ class Multigraph:
             if u == v:
                 raise GraphError(f"edge {rec['id']} is a loop at vertex {u}")
             edges.append((rec["id"], (u, v)))
-        return cls(data["vertices"], edges)
+        return cls(vertices, edges)
 
-    def to_dot(self, name="G", labels=None) -> str:
+    def to_dot(self) -> str:
         """DOT text: one `--` line per edge, vertex ids preserved as labels."""
-        lines = [f"graph {name} {{"]
+        lines = ["graph G {"]
         for v in self._vertices:
-            label = labels.get(v, v) if labels else v
-            lines.append(f'  v{v} [label="{label}"];')
+            lines.append(f'  v{v} [label="{v}"];')
         ends = self._ends
         for r, e in enumerate(self._edge_ids):
             lines.append(f'  v{ends[2 * r]} -- v{ends[2 * r + 1]} [label="e{e}"];')

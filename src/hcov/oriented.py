@@ -12,11 +12,10 @@ rotation, JSON and DOT).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import eq
 
-from hcov.errors import GraphError
+from hcov.errors import GraphError, read_field
 from hcov.kernel import perm_mul, perm_order
 from hcov.multigraph import Dart, Multigraph
 from hcov.permgroup import orbit_numbering
@@ -99,18 +98,10 @@ class OrientedGraph:
 
     @classmethod
     def from_json(cls, data) -> "OrientedGraph":
-        if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except ValueError:
-                raise GraphError(f"graph JSON: {data!r} is not a JSON document") from None
         graph = Multigraph.from_json(data)
-        if "rotation" not in data:
-            raise GraphError("oriented graph JSON: missing field 'rotation'")
-        if not isinstance(data["rotation"], dict):
-            raise GraphError("oriented graph JSON: 'rotation' must be an object keyed by vertex")
+        listed = read_field(GraphError, "oriented graph JSON", data, "rotation", dict)
         rotation = {}
-        for v, darts in data["rotation"].items():
+        for v, darts in listed.items():
             try:
                 vertex = int(v)
             except ValueError:
@@ -122,10 +113,10 @@ class OrientedGraph:
             rotation[vertex] = [_dart(graph, d, f"rotation.{v}.{i}") for i, d in enumerate(darts)]
         return cls.from_rotation(graph, rotation)
 
-    def to_dot(self, name="G") -> str:
+    def to_dot(self) -> str:
         """DOT text; the port attributes record each dart's rotation slot."""
         slot = {d: i for rot in self.rotation.values() for i, d in enumerate(rot)}
-        lines = [f"graph {name} {{"]
+        lines = ["graph G {"]
         for v in self.graph.vertices:
             lines.append(f'  v{v} [label="{v}"];')
         for e in sorted(self.graph.edges):

@@ -15,7 +15,7 @@ from functools import cache, partial
 from itertools import islice
 from math import lcm
 
-from hcov.errors import CatalogError, GroupError, read_json
+from hcov.errors import CatalogError, GroupError, read_field, read_json
 # mulclose is unused here, but perfbench/selftest.py checks that this copy is kernel's
 from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order  # noqa: F401
 
@@ -998,20 +998,16 @@ def first_pair(G: PermutationGroup, product_order: int | None = None):
     return None
 
 
-def search_23_pairs(
-    G: PermutationGroup,
-    product_order: int | None = None,
-    all_involutions: bool = False,
-) -> PairSearch:
-    """All (tau, sigma) with |tau|=2, |sigma|=3, <tau,sigma>=G, and optionally
-    |tau*sigma| = product_order; tau up to conjugacy unless all_involutions."""
-    return search_pairs(G, 2, 3, product_order, all_involutions)
+def search_23_pairs(G: PermutationGroup) -> PairSearch:
+    """All (tau, sigma) with |tau|=2, |sigma|=3 and <tau,sigma>=G, tau up to
+    conjugacy."""
+    return search_pairs(G, 2, 3)
 
 
 # -- constructors -------------------------------------------------------------
 
-# The largest degree that symmetric, alternating, cyclic and dihedral take:
-# S_256's chain holds about 33,000 transversal tuples of 256 points.
+# The largest degree that symmetric, alternating, cyclic, dihedral and psl2
+# take: S_256's chain holds about 33,000 transversal tuples of 256 points.
 DEGREE_CAP = 256
 
 
@@ -1093,20 +1089,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def psl2(p: int, allow_large: bool = False) -> PermutationGroup:
+def psl2(p: int) -> PermutationGroup:
     """PSL_2(F_p) in its natural action on the projective line.
 
     Points 0..p-1 are the field; index p is the point at infinity.
-    Generators: x -> x+1 and x -> -1/x. Capped at p <= 31 unless
-    allow_large is set.
+    Generators: x -> x+1 and x -> -1/x. GroupError if the degree p + 1 is
+    over DEGREE_CAP, before p is tested or anything is built.
     """
+    if p + 1 > DEGREE_CAP:
+        raise GroupError(f"psl2({p}) has degree {p + 1}; the degree is capped at {DEGREE_CAP}")
     if not _is_prime(p) or p == 2:
         raise GroupError("psl2(p) needs an odd prime p")
-    if p > 31 and not allow_large:
-        raise GroupError(
-            "psl2 capped at p <= 31; pass allow_large=True (CLI: --allow-large-psl2)"
-            " to override"
-        )
     INF = p
     t = tuple([(i + 1) % p for i in range(p)] + [INF])
     s = [0] * (p + 1)
@@ -1151,21 +1144,6 @@ class Catalog:
         return order in self.complete_orders
 
 
-_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
-
-
-def _catalog_field(record, at, key, kind):
-    """record[key], which must be of type kind; CatalogError naming the
-    field's path otherwise."""
-    path = f"{at}.{key}"
-    if not isinstance(record, dict) or key not in record:
-        raise CatalogError(f"catalog: missing field {path!r}")
-    value = record[key]
-    if type(value) is not kind:
-        raise CatalogError(f"catalog: {path!r} must be {_KINDS[kind]}, got {value!r}")
-    return value
-
-
 def load_catalog(path) -> Catalog:
     """Load and validate a catalog file.
 
@@ -1185,8 +1163,8 @@ def load_catalog(path) -> Catalog:
     catalog = Catalog()
     seen_names = set()
     for i, section in enumerate(data):
-        order = _catalog_field(section, f"{i}", "order", int)
-        groups = _catalog_field(section, f"{i}", "groups", list)
+        order = read_field(CatalogError, "catalog", section, "order", int, at=i)
+        groups = read_field(CatalogError, "catalog", section, "groups", list, at=i)
         if order in KNOWN_GROUP_COUNTS:
             if len(groups) != KNOWN_GROUP_COUNTS[order]:
                 raise CatalogError(
@@ -1198,16 +1176,16 @@ def load_catalog(path) -> Catalog:
             catalog.complete_orders.add(order)
         for j, rec in enumerate(groups):
             at = f"{i}.groups.{j}"
-            name = _catalog_field(rec, at, "name", str)
-            degree = _catalog_field(rec, at, "degree", int)
-            gens = _catalog_field(rec, at, "generators", list)
+            name = read_field(CatalogError, "catalog", rec, "name", str, at=at)
+            degree = read_field(CatalogError, "catalog", rec, "degree", int, at=at)
+            gens = read_field(CatalogError, "catalog", rec, "generators", list, at=at)
             for k, g in enumerate(gens):
                 if not (isinstance(g, list) and len(g) == degree and is_permutation(g)):
                     raise CatalogError(
                         f"catalog: '{at}.generators.{k}' must be a permutation of degree"
                         f" {degree}, got {g!r}"
                     )
-            spectrum = _catalog_field(rec, at, "order_spectrum", dict)
+            spectrum = read_field(CatalogError, "catalog", rec, "order_spectrum", dict, at=at)
             shipped = {}
             for key, count in spectrum.items():
                 if not key.isdecimal() or type(count) is not int:
@@ -1243,38 +1221,35 @@ def load_default_catalog() -> Catalog:
 # -- group resolution (names, constructor expressions, inline specs) ---------
 
 
-def group_from_spec(
-    spec, catalog: Catalog | Callable | None = None, allow_large_psl2: bool = False
-) -> PermutationGroup:
+def group_from_spec(spec, catalog: Catalog | Callable | None = None) -> PermutationGroup:
     """Resolve a group from a catalog name, a constructor expression
     (sym:N, alt:N, cyc:N, dih:N, psl2:P, prod:A,B), or an inline JSON dict
     {"degree":..., "generators":[...], "name":...}. A name is looked up in
     catalog: a Catalog, a function that returns one, or None for the
     bundled catalog. A function is called at most once per call, and only
-    when a name that no constructor reads, such as S3, needs it."""
+    when a name that no constructor reads, such as S3, needs it. Every
+    constructor, psl2 among them, refuses a degree over DEGREE_CAP; a bad
+    field of an inline dict raises GroupError naming it."""
     if isinstance(spec, dict):
-        for key in ("degree", "generators"):
-            if key not in spec:
-                raise GroupError(f"group spec: missing field {key!r}")
-        degree, gens, name = spec["degree"], spec["generators"], spec.get("name", "")
+        degree = read_field(GroupError, "group spec", spec, "degree")
         if type(degree) is not int or degree < 0:
             raise GroupError(f"group spec: 'degree' must be a non-negative integer, got {degree!r}")
-        if not isinstance(gens, list):
-            raise GroupError(f"group spec: 'generators' must be a list, got {gens!r}")
+        gens = read_field(GroupError, "group spec", spec, "generators", list)
         for i, g in enumerate(gens):
             if not isinstance(g, list):
                 raise GroupError(f"group spec: 'generators.{i}' must be a list, got {g!r}")
+        name = spec.get("name", "")
         if not isinstance(name, str):
             raise GroupError(f"group spec: 'name' must be a string, got {name!r}")
         return PermutationGroup(degree, [tuple(g) for g in gens], name)
     if not isinstance(spec, str):
         raise GroupError(f"cannot resolve group from {spec!r}")
     if isinstance(catalog, Catalog):
-        return _group_from_string(spec, lambda: catalog, allow_large_psl2)
-    return _group_from_string(spec, cache(catalog or load_default_catalog), allow_large_psl2)
+        return _group_from_string(spec, lambda: catalog)
+    return _group_from_string(spec, cache(catalog or load_default_catalog))
 
 
-def _group_from_string(spec: str, load, allow_large_psl2: bool):
+def _group_from_string(spec: str, load):
     """group_from_spec of a string. load() returns the catalog, read only
     for a name, such as S3 or Z3:Z8, that no constructor reads."""
     kind, colon, arg = spec.partition(":")
@@ -1284,7 +1259,7 @@ def _group_from_string(spec: str, load, allow_large_psl2: bool):
         "alt": alternating,
         "cyc": cyclic,
         "dih": dihedral,
-        "psl2": lambda p: psl2(p, allow_large=allow_large_psl2),
+        "psl2": psl2,
     }.get(kind)
     if not (colon and (ctor or kind == "prod")):
         G = load().get(spec)
@@ -1297,8 +1272,8 @@ def _group_from_string(spec: str, load, allow_large_psl2: bool):
         if not left.strip() or not right.strip():
             raise GroupError(f"unknown group {spec!r}: prod needs two factors A,B")
         return direct_product(
-            _group_from_string(left.strip(), load, allow_large_psl2),
-            _group_from_string(right.strip(), load, allow_large_psl2),
+            _group_from_string(left.strip(), load),
+            _group_from_string(right.strip(), load),
         )
     if ctor is None:
         raise GroupError(f"unknown constructor {kind!r}")

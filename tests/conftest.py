@@ -7,7 +7,7 @@ import pytest
 from hcov.errors import GroupError, MorphismError
 from hcov.galois import cayley
 from hcov.harmonic import GraphAction, quotient
-from hcov.kernel import mulclose, perm_id, perm_inv
+from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul
 from hcov.multigraph import Dart, GraphMorphism, Multigraph, is_harmonic, map_items
 from hcov.oriented import OrientedGraph
 from hcov.permgroup import (
@@ -115,6 +115,19 @@ def identity_morphism(g: Multigraph) -> GraphMorphism:
     vm = g.vertices if g._vpos is None else {v: v for v in g.vertices}
     em = g._edge_ids if g._erank is None else {e: e for e in g._edge_ids}
     return GraphMorphism(g, g, vm, em)
+
+
+def perm_pow(p, k):
+    """k-th power of p by repeated squaring, k may be negative."""
+    if k < 0:
+        p, k = perm_inv(p), -k
+    out = perm_id(len(p))
+    while k:
+        if k & 1:
+            out = perm_mul(out, p)
+        p = perm_mul(p, p)
+        k >>= 1
+    return out
 
 
 def generates(G: PermutationGroup, elems) -> bool:

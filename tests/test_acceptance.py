@@ -20,6 +20,7 @@ from conftest import (
     load_figure,
     map_darts,
     morphism_from_json,
+    perm_pow,
     random_rotation,
 )
 from hcov.cli import main as hc_main
@@ -38,7 +39,7 @@ from hcov.harmonic import (
     quotient,
     unflip,
 )
-from hcov.kernel import perm_id, perm_mul, perm_order, perm_pow
+from hcov.kernel import perm_id, perm_mul, perm_order
 from hcov.maximal import build_maximal, miller_check
 from hcov.multigraph import Multigraph, are_isomorphic, is_harmonic
 from hcov.oriented import (
@@ -47,7 +48,7 @@ from hcov.oriented import (
     surface_genus,
     theorem_44_check,
 )
-from hcov.permgroup import psl2, search_23_pairs
+from hcov.permgroup import psl2, search_23_pairs, search_pairs
 
 
 @contextmanager
@@ -214,7 +215,7 @@ def test_criterion_4_fundamental_identity(catalog):
 def test_criterion_5_hurwitz_chain():
     with criterion(5, "smallest Hurwitz group chain", budget=10.0):
         G = psl2(7)
-        res = search_23_pairs(G, product_order=7)
+        res = search_pairs(G, 2, 3, 7)
         assert res.pairs
         tau, sigma = res.pairs[0]
         assert perm_order(perm_mul(tau, sigma)) == 7
@@ -304,7 +305,7 @@ def test_criterion_8_property_suites(catalog):
             tau, sigma = search_23_pairs(grp).pairs[0]
             graphs.append(build_maximal(grp, tau, sigma).graph)
         G7 = psl2(7)
-        tau, sigma = search_23_pairs(G7, product_order=7).pairs[0]
+        tau, sigma = search_pairs(G7, 2, 3, 7).pairs[0]
         graphs.append(build_maximal(G7, tau, sigma).graph)
         traced = 0
         while traced < 1000:

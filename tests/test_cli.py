@@ -436,14 +436,55 @@ def test_unwritable_output_path_exits_one_naming_the_flag(capsys, tmp_path, argv
     assert f"{flag}: cannot write {path}: No such file or directory" in message
 
 
-def test_psl2_cap_names_the_cli_flag(capsys):
-    code, out, err = run(capsys, "group", "order", "--group", "psl2:37")
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "error: psl2 capped at p <= 31; pass allow_large=True (CLI: --allow-large-psl2)"
-        " to override\n"
-    )
+def _psl2_37_inputs(tmp_path):
+    """(group file, cover spec, action file) naming psl2:37. The cover is the
+    tree of groups of two Borel subgroups, B and sBs^-1, over one edge; the
+    action is the natural one on the complete graph of the projective line."""
+    G = permgroup.psl2(37)
+    t, s = G.generators
+    d = tuple([4 * x % 37 for x in range(37)] + [37])  # x -> 4x, fixing 0 and infinity
+
+    def conj(g):
+        return kernel.perm_mul(kernel.perm_mul(s, g), kernel.perm_inv(s))
+
+    group = tmp_path / "psl2_37.json"
+    group.write_text(json.dumps("psl2:37"))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "group": "psl2:37",
+        "base": {"tree": {"vertices": [0, 1], "edges": [{"id": 0, "ends": [0, 1]}]}},
+        "inertia": {"0": [list(t), list(d)], "1": [list(conj(t)), list(conj(d))]},
+    }))
+    pairs = [(u, v) for u in range(38) for v in range(u + 1, 38)]
+    ids = {e: i for i, e in enumerate(pairs)}
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps({
+        "vertices": list(range(38)),
+        "edges": [{"id": i, "ends": list(e)} for i, e in enumerate(pairs)],
+        "group": "psl2:37",
+        "vertex_images": {str(i): {str(v): g[v] for v in range(38)} for i, g in enumerate((t, s))},
+        "edge_images": {
+            str(i): {str(ids[u, v]): ids[tuple(sorted((g[u], g[v])))] for u, v in pairs}
+            for i, g in enumerate((t, s))
+        },
+    }))
+    return group, spec, action
+
+
+@pytest.mark.parametrize("flags", [(), ("--allow-large-psl2",)])
+def test_psl2_37_resolves_through_every_input(capsys, tmp_path, flags):
+    # psl2 takes the degree cap like every constructor; --allow-large-psl2 is
+    # accepted for scripts and changes nothing
+    group, spec, action = _psl2_37_inputs(tmp_path)
+    for argv in (("--group", "psl2:37"), ("--group", str(group))):
+        code, out, err = run(capsys, "group", "order", *argv, *flags)
+        assert (code, out, err) == (0, "PSL(2,37): order 25308\n", "")
+    code, out, err = run(capsys, "cover", "rh", "--spec", str(spec), *flags, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["holds"] is True
+    code, out, err = run(capsys, "action", "check", "--action", str(action), *flags, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["group"] == "PSL(2,37)"
 
 
 # -- malformed input through a separate process --------------------------------
@@ -551,6 +592,18 @@ def test_group_search_with_huge_order_builds_nothing_that_large():
             dict(S3_PATH, multisets={"1": [[[1, 0, 2], -1]]}),
             "cover spec: multisets.1.0: multiplicities must be non-negative",
         ),
+        # a nested group or base tree names its field
+        (
+            dict(S3_POINT, group={"degree": 3, "generators": [[1, 2]]}),
+            "cover spec: group: not a permutation of degree 3: (1, 2)",
+        ),
+        (dict(S3_POINT, group=5), "cover spec: group: cannot resolve group from 5"),
+        (
+            {"group": "S3", "base": {"tree": {"vertices": [0, 1], "edges": [
+                {"id": 0, "ends": [1, 3]},
+            ]}}},
+            "cover spec: base.tree: edge 0 has unknown endpoint in (1, 3)",
+        ),
     ],
 )
 def test_malformed_cover_spec_exits_one(capsys, tmp_path, spec, named):
@@ -656,6 +709,17 @@ THETA = {"vertices": [0, 1], "edges": [{"id": e, "ends": [0, 1]} for e in range(
             "'rotation.0.0'",
         ),
         (("surface", "genus", "--oriented"), dict(THETA, rotation={"0": 3}), "'rotation.0'"),
+        (
+            ("action", "check", "--action"),
+            dict(FIG2, group={"degree": 3, "generators": [[1, 2]]}),
+            "action JSON: group: not a permutation of degree 3: (1, 2)",
+        ),
+        # a list never stands in for an object keyed by generator
+        (
+            ("action", "check", "--action"),
+            dict(FIG2, vertex_images=[FIG2["vertex_images"]["0"]]),
+            "action JSON: missing field 'vertex_images.0'",
+        ),
     ],
 )
 def test_missing_json_field_exits_one(capsys, tmp_path, argv, data, named):
@@ -915,7 +979,7 @@ def test_a_spec_that_names_no_catalog_group_never_reads_the_catalog(
 @pytest.mark.parametrize("via", ["flag", "env"])
 def test_a_group_file_holding_a_name_reads_the_given_catalog(capsys, tmp_path, monkeypatch, via):
     # a file whose JSON is a string resolves it as --group would: with the
-    # --catalog or HC_CATALOG catalog, and with --allow-large-psl2
+    # --catalog or HC_CATALOG catalog
     bad = tmp_path / "catalog.json"
     bad.write_text(json.dumps(_with_field((0, "groups", 1, "name"), 3)))
     flag = []
@@ -929,13 +993,6 @@ def test_a_group_file_holding_a_name_reads_the_given_catalog(capsys, tmp_path, m
         code, out, err = run(capsys, "group", "order", "--group", group, *flag)
         assert code == 1 and out == "", group
         assert "'0.groups.1.name'" in err
-    large = tmp_path / "psl2_37.json"
-    large.write_text(json.dumps("psl2:37"))
-    for group in ("psl2:37", str(large)):
-        code, out, err = run(capsys, "group", "order", "--group", group)
-        assert code == 1 and "--allow-large-psl2" in err, group
-        code, out, err = run(capsys, "group", "order", "--group", group, "--allow-large-psl2")
-        assert (code, out) == (0, "PSL(2,37): order 25308\n"), group
 
 
 def test_an_over_cap_group_exits_one_naming_the_cap(capsys, monkeypatch):
@@ -943,6 +1000,9 @@ def test_an_over_cap_group_exits_one_naming_the_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "group", "order", "--group", "cyc:9")
     assert code == 1 and out == ""
     assert "cyclic(9): the degree is capped at 8" in err
+    code, out, err = run(capsys, "group", "order", "--group", "psl2:11")
+    assert code == 1 and out == ""
+    assert "psl2(11) has degree 12; the degree is capped at 8" in err
     code, out, err = run(capsys, "group", "order", "--group", "prod:sym:5,cyc:4")
     assert code == 1 and out == ""
     assert "S5xZ4 has degree 9; the degree is capped at 8" in err

@@ -12,6 +12,7 @@ from conftest import (
     fiber_subgraph,
     fiber_vertices,
     load_figure,
+    perm_pow,
 )
 from hcov import galois
 from hcov.errors import ActionError, CoverError, GroupError
@@ -27,7 +28,6 @@ from hcov.galois import (
     riemann_hurwitz_check,
 )
 from hcov.harmonic import GraphAction, flipped_edges, is_harmonic_action, unflip
-from hcov.kernel import perm_pow
 from hcov.multigraph import Multigraph, are_isomorphic
 from hcov.permgroup import (
     ElementIndex,

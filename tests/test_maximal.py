@@ -4,12 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import generates, load_figure
+from conftest import generates, load_figure, perm_pow
 from hcov import maximal
 from hcov.errors import CatalogError, CoverError, GroupError
 from hcov.galois import classify_branch_locus, cover_from_spec, riemann_hurwitz_check
 from hcov.harmonic import flipped_edges, is_harmonic_action
-from hcov.kernel import perm_order, perm_pow
+from hcov.kernel import perm_order
 from hcov.maximal import (
     build_maximal,
     build_maximal_rho,
@@ -27,6 +27,7 @@ from hcov.permgroup import (
     perm_from_cycles,
     psl2,
     search_23_pairs,
+    search_pairs,
     symmetric,
 )
 
@@ -54,7 +55,7 @@ def test_build_maximal_z6_is_theta():
 
 def test_build_maximal_psl27():
     G = psl2(7)
-    tau, sigma = search_23_pairs(G, product_order=7).pairs[0]
+    tau, sigma = search_pairs(G, 2, 3, 7).pairs[0]
     mc = build_maximal(G, tau, sigma)
     assert len(mc.graph.vertices) == 56
     assert len(mc.graph.edges) == 84
@@ -318,7 +319,7 @@ def test_psl2_13_is_hurwitz():
     from hcov.oriented import theorem_44_check
 
     G = psl2(13)
-    res = search_23_pairs(G, product_order=7)
+    res = search_pairs(G, 2, 3, 7)
     assert res.pairs
     mc = build_maximal(G, *res.pairs[0])
     assert mc.graph.genus() == G.order() // 6 + 1 == 183

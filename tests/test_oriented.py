@@ -10,12 +10,13 @@ from conftest import (
     dart_element,
     element_dart,
     map_darts,
+    perm_pow,
     random_rotation,
     reverse_dart,
     sweep_pairs,
 )
 from hcov.errors import GraphError
-from hcov.kernel import perm_id, perm_mul, perm_pow
+from hcov.kernel import perm_id, perm_mul
 from hcov.maximal import build_maximal
 from hcov.multigraph import Dart, Multigraph
 from hcov.oriented import (
@@ -31,6 +32,7 @@ from hcov.permgroup import (
     perm_from_cycles,
     psl2,
     search_23_pairs,
+    search_pairs,
     symmetric,
 )
 
@@ -236,7 +238,7 @@ def test_a4_decomposition():
 
 def test_psl27_surface_genus_three():
     G = psl2(7)
-    tau, sigma = search_23_pairs(G, product_order=7).pairs[0]
+    tau, sigma = search_pairs(G, 2, 3, 7).pairs[0]
     mc = build_maximal(G, tau, sigma)
     og = canonical_orientation(mc)
     dec = lht_decomposition(og)

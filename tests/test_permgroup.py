@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RebuiltChain, all_subgroups, generates, rebuilt_generates_order
+from conftest import RebuiltChain, all_subgroups, generates, perm_pow, rebuilt_generates_order
 from hcov import permgroup
 from hcov.errors import CatalogError, GroupError
-from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order, perm_pow
+from hcov.kernel import mulclose, perm_id, perm_inv, perm_mul, perm_order
 from hcov.multigraph import map_items
 from hcov.permgroup import (
     PermutationGroup,
@@ -180,11 +180,11 @@ def test_incremental_chain_agrees_with_rebuilt_chain():
 def test_chain_order_and_membership_match_closure(gens):
     n = len(gens[0])
     chain = StabilizerChain(n, gens)
-    try:
-        closure = mulclose(gens, limit=5040)
-    except ValueError:
-        assert chain.order() == RebuiltChain(n, gens).order() > 5040
+    order = RebuiltChain(n, gens).order()
+    if order > 5040:
+        assert chain.order() == order
         return
+    closure = mulclose(gens)
     assert chain.order() == len(closure)
     assert all(chain.contains(p) for p in closure)
     rng = random.Random(len(closure))
@@ -290,7 +290,7 @@ def test_generation_early_exit_matches_the_full_chain():
 def test_search_23_pairs_examples():
     assert search_23_pairs(symmetric(3))
     assert not search_23_pairs(cyclic(12)).pairs
-    res = search_23_pairs(psl2(7), product_order=7)
+    res = search_pairs(psl2(7), 2, 3, 7)
     assert res.pairs
     for tau, sigma in res.pairs:
         assert perm_order(tau) == 2
@@ -309,7 +309,7 @@ def test_search_sigma_inverse_symmetry():
 def test_search_all_involutions_flag():
     S3 = symmetric(3)
     reps = search_23_pairs(S3)
-    full = search_23_pairs(S3, all_involutions=True)
+    full = search_pairs(S3, 2, 3, all_first=True)
     assert len(full.pairs) == reps.total == 6
     assert len(reps.pairs) == 2
 
@@ -340,13 +340,11 @@ def test_constructors():
         psl2(2)
 
 
-def test_psl2_cap_and_override():
+def test_psl2_orders_on_both_sides_of_p_31():
     assert psl2(7).order() == 168
     assert psl2(13).order() == 1092
     assert psl2(31).order() == 14880
-    with pytest.raises(GroupError):
-        psl2(37)
-    assert psl2(37, allow_large=True).order() == 25308
+    assert psl2(37).order() == 25308
 
 
 def test_all_subgroups_counts():
@@ -626,7 +624,7 @@ def test_first_pair_is_the_full_search_first_pair(product_order):
         *one_bucket_groups(),
     ]
     for G in groups:
-        pairs = search_23_pairs(G, product_order=product_order).pairs
+        pairs = search_pairs(G, 2, 3, product_order).pairs
         want = pairs[0] if pairs else None
         assert first_pair(G, product_order) == want, G.name
         assert scan_first_pair(G, product_order) == want, G.name
@@ -648,7 +646,7 @@ def _buckets_read(monkeypatch, G, product_order):
 
 @pytest.mark.parametrize("p, read", [(29, 3), (127, 2)])
 def test_first_pair_reads_only_the_buckets_it_needs(monkeypatch, p, read):
-    G = psl2(p, allow_large=True)
+    G = psl2(p)
     assert _buckets_read(monkeypatch, G, 7) == read
     assert len(G.chain().levels[0].transversal) == p + 1
 
@@ -874,7 +872,7 @@ def test_index_words_multiply_out():
 def test_psl2_hurwitz_pairs_follow_macbeath(p):
     # Macbeath (1969), prime part: PSL(2,p) is (2,3,7)-generated iff p = 7
     # or p = +-1 (mod 7)
-    assert bool(search_23_pairs(psl2(p), product_order=7)) == (p in (7, 13, 29))
+    assert bool(search_pairs(psl2(p), 2, 3, 7)) == (p in (7, 13, 29))
 
 
 PROPERTY_GROUPS = {
@@ -884,7 +882,7 @@ PROPERTY_GROUPS = {
 
 @lru_cache(maxsize=None)
 def _found_pairs(name, all_first):
-    return frozenset(search_23_pairs(PROPERTY_GROUPS[name], all_involutions=all_first).pairs)
+    return frozenset(search_pairs(PROPERTY_GROUPS[name], 2, 3, all_first=all_first).pairs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -977,12 +975,20 @@ def test_the_caps_refuse_a_group_before_building_it(monkeypatch):
     monkeypatch.setattr(permgroup, "DEGREE_CAP", 4)
     for ctor in (symmetric, alternating, cyclic, dihedral):
         assert ctor(4).degree == 4
+    assert psl2(3).degree == 4
     S2, Z2, Z3 = symmetric(2), cyclic(2), cyclic(3)
     assert direct_product(S2, Z2).degree == 4  # a product at the cap
     monkeypatch.setattr(permgroup, "PermutationGroup", refuse)
     for ctor in (symmetric, alternating, cyclic, dihedral):
         with pytest.raises(GroupError, match=f"{ctor.__name__}\\(5\\): the degree is capped at 4"):
             ctor(5)
+    # psl2 refuses by degree before it tests p, which for the second p
+    # would be some 10**9 trial divisions
+    monkeypatch.setattr(permgroup, "_is_prime", refuse)
+    for p in (5, 10**18 + 9):
+        message = f"^psl2\\({p}\\) has degree {p + 1}; the degree is capped at 4$"
+        with pytest.raises(GroupError, match=message):
+            psl2(p)
     with pytest.raises(GroupError, match="^S2xZ3 has degree 5; the degree is capped at 4$"):
         direct_product(S2, Z3)
     monkeypatch.undo()
@@ -996,6 +1002,8 @@ def test_the_caps_refuse_a_group_before_building_it(monkeypatch):
 
 
 def test_the_caps_admit_psl2_239_and_degree_100():
-    assert psl2(239, allow_large=True).order() == 6_825_840 <= permgroup.INDEX_CAP
+    G = psl2(239)
+    assert G.order() == 6_825_840 <= permgroup.INDEX_CAP
+    assert G.degree == 240 <= permgroup.DEGREE_CAP
     for ctor in (symmetric, alternating, cyclic, dihedral):
         assert ctor(100).degree == 100 <= permgroup.DEGREE_CAP

@@ -69,10 +69,10 @@ def test_traced_darts_count_each_dart_once():
     # the benchmark's oriented.darts_traced sums the lengths of
     # LhtDecomposition.orbits, which hold dart ids
     from hcov import maximal, oriented
-    from hcov.permgroup import psl2, search_23_pairs
+    from hcov.permgroup import psl2, search_pairs
 
     G = psl2(13)
-    tau, sigma = search_23_pairs(G, product_order=7).pairs[0]
+    tau, sigma = search_pairs(G, 2, 3, 7).pairs[0]
     mc = maximal.build_maximal(G, tau, sigma)
     tracer = _load_tracing().Tracer()
     tracer.install()
