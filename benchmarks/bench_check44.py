@@ -5,14 +5,12 @@ BENCH_hurwitz.json at the repository root.
 
 For p = 29, 43, 71, 83, 113, 127 and 197 it runs
 
-    hc surface check44 --allow-large-psl2 --product-order 7 --group psl2:p --json
+    hc surface check44 --product-order 7 --group psl2:p --json
 
 from CHECKOUT's src/ (default: this checkout) as a child process, three
 times for every p: single runs of p = 197 spread over 49 to 71 s. A run
 of p = 113, 127 or 197 takes about 20 s, 30 s or 1 to 2 minutes, and 0.5
-to 2 GB. The flag --allow-large-psl2 changes nothing in this checkout; it
-is passed so that older checkouts, which capped psl2 at p <= 31 without
-it, can still be measured. Each run is forked off first, so the fork's
+to 2 GB. Each run is forked off first, so the fork's
 resource.getrusage(RUSAGE_CHILDREN) holds that one command's peak RSS and
 nothing else. The child writes and reads bytecode whatever the caller's
 environment says, and CHECKOUT's src/ is compiled before each run starts,
@@ -91,7 +89,7 @@ def measure(cmd: list, checkout: Path) -> dict:
 def _run(checkout: Path, p: int) -> dict:
     """One check44 run of checkout's src/: (wall_s, peak_rss_mb, |G|)."""
     cmd = [
-        sys.executable, "-m", "hcov.cli", "surface", "check44", "--allow-large-psl2",
+        sys.executable, "-m", "hcov.cli", "surface", "check44",
         "--product-order", "7", "--group", f"psl2:{p}", "--json",
     ]
     result = measure(cmd, checkout)

@@ -40,10 +40,6 @@ def common_parser():
     p.add_argument("--jobs", type=int, default=1, help="accepted for scripts; runs are serial")
     p.add_argument("--catalog", default=None, help="catalog file (default: bundled)")
     p.add_argument("--out", default=None, help="also write the JSON payload to a file")
-    p.add_argument(
-        "--allow-large-psl2", action="store_true",
-        help="accepted for scripts; psl2 takes the degree cap like every constructor",
-    )
     return p
 
 
@@ -350,7 +346,7 @@ def cmd_maximal_build(args):
             "vertices": len(rho_cover.graph.vertices),
             "edges": len(rho_cover.graph.edges),
             "genus": rho_cover.graph.genus(),
-            "isomorphic_to_direct": multigraph.are_isomorphic(rho_cover.graph, mc.graph),
+            "isomorphic_to_direct": multigraph.same_up_to_edge_ids(rho_cover.graph, mc.graph),
         }
     text = (
         f"{G.name}: genus {payload['genus']} cover with {payload['vertices']} vertices,"

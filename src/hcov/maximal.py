@@ -129,11 +129,17 @@ def _verify_maximal(mc: MaximalCover):
 
 
 def build_maximal_rho(G: PermutationGroup, tau, sigma) -> HarmonicCover:
-    """Variant cover from S = {rho, rho^-1} with rho = tau*sigma, which lies
-    in tau<sigma>.
+    """Variant cover from S = {rho, rho^-1} with rho = tau*sigma, built
+    through the generic Cayley/collapse/flip pipeline.
 
-    Built through the generic Cayley/collapse/flip pipeline; empirically
-    isomorphic to the S = {tau} cover on small groups (no general claim).
+    Its graph is the maximal cover's graph with the edges renamed. Both
+    number their vertices, the cosets of <sigma>, by orbit_numbering of
+    right(sigma) on G's element index. As rho lies in tau<sigma>, the
+    collapse edge at element x_i joins the coset of x_i to that of
+    x_i*rho = x_i*tau*sigma, which is the coset of x_i*tau: the ends of
+    the maximal cover's edge through the darts i and X[i]. So each such
+    edge arises twice, at i and at X[i], and flip_all halves each pair.
+    multigraph.same_up_to_edge_ids checks the outcome.
     """
     tau, sigma = tuple(tau), tuple(sigma)
     rho = perm_mul(tau, sigma)

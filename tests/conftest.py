@@ -105,9 +105,32 @@ def morphism_from_json(data) -> GraphMorphism:
                          Multigraph.from_json(data["target"]), vertex_map, edge_map)
 
 
+def other_end(g: Multigraph, e, v):
+    """The end of the edge e other than the vertex v, which must be one of
+    its ends."""
+    a, b = g.ends(e)
+    assert v in (a, b), f"vertex {v} is not an end of edge {e}"
+    return b if v == a else a
+
+
 def reverse_dart(g: Multigraph, d: Dart) -> Dart:
     """The dart of d's edge at its other end."""
-    return Dart(d.edge, g.other_end(d.edge, d.base))
+    return Dart(d.edge, other_end(g, d.edge, d.base))
+
+
+def nx_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
+    """Whether networkx finds the two graphs isomorphic as multigraphs,
+    parallel edges counted: an oracle that this package did not write. The
+    calling test is skipped where networkx is not installed."""
+    nx = pytest.importorskip("networkx")
+
+    def as_nx(g):
+        h = nx.MultiGraph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges.values())
+        return h
+
+    return nx.is_isomorphic(as_nx(g1), as_nx(g2))
 
 
 def identity_morphism(g: Multigraph) -> GraphMorphism:

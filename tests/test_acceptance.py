@@ -41,7 +41,7 @@ from hcov.harmonic import (
 )
 from hcov.kernel import perm_id, perm_mul, perm_order
 from hcov.maximal import build_maximal, miller_check
-from hcov.multigraph import Multigraph, are_isomorphic, is_harmonic
+from hcov.multigraph import Multigraph, is_harmonic, same_up_to_edge_ids
 from hcov.oriented import (
     canonical_orientation,
     lht_decomposition,
@@ -294,7 +294,7 @@ def test_criterion_8_property_suites(catalog):
         for action in suite_actions(catalog)[6:]:
             unflipped = unflip(action)
             back = flip_all(unflipped)
-            assert are_isomorphic(back.graph, action.graph)
+            assert same_up_to_edge_ids(back.graph, action.graph)
             assert len(flipped_edges(back)) == len(flipped_edges(action))
 
         # LHT orbits partition the darts: sum of lengths = 3|V| under fuzzing

@@ -150,6 +150,15 @@ def test_maximal_build_rho(capsys):
     assert json.loads(out)["rho_variant"]["isomorphic_to_direct"] is True
 
 
+def test_maximal_build_rho_at_4060_vertices(capsys):
+    # 4060 vertices: the check reads the end pairs once, whatever the graph's size
+    code, out, err = run(capsys, "maximal", "build", "--group", "psl2:29", "--rho", "--json")
+    assert (code, err) == (0, "")
+    rho = json.loads(out)["rho_variant"]
+    assert (rho["vertices"], rho["edges"]) == (4060, 6090)
+    assert rho["isomorphic_to_direct"] is True
+
+
 def test_maximal_build_explicit_pair(capsys):
     code, out, _ = run(
         capsys,
@@ -374,7 +383,7 @@ def test_surface_check44_hurwitz_psl2_41(capsys):
     # past the psl2 cap: genus 1 + |G|/84 again
     code, out, _ = run(
         capsys,
-        "surface", "check44", "--group", "psl2:41", "--allow-large-psl2",
+        "surface", "check44", "--group", "psl2:41",
         "--product-order", "7", "--json",
     )
     assert code == 0
@@ -471,18 +480,16 @@ def _psl2_37_inputs(tmp_path):
     return group, spec, action
 
 
-@pytest.mark.parametrize("flags", [(), ("--allow-large-psl2",)])
-def test_psl2_37_resolves_through_every_input(capsys, tmp_path, flags):
-    # psl2 takes the degree cap like every constructor; --allow-large-psl2 is
-    # accepted for scripts and changes nothing
+def test_psl2_37_resolves_through_every_input(capsys, tmp_path):
+    # psl2 takes the degree cap like every constructor
     group, spec, action = _psl2_37_inputs(tmp_path)
     for argv in (("--group", "psl2:37"), ("--group", str(group))):
-        code, out, err = run(capsys, "group", "order", *argv, *flags)
+        code, out, err = run(capsys, "group", "order", *argv)
         assert (code, out, err) == (0, "PSL(2,37): order 25308\n", "")
-    code, out, err = run(capsys, "cover", "rh", "--spec", str(spec), *flags, "--json")
+    code, out, err = run(capsys, "cover", "rh", "--spec", str(spec), "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["holds"] is True
-    code, out, err = run(capsys, "action", "check", "--action", str(action), *flags, "--json")
+    code, out, err = run(capsys, "action", "check", "--action", str(action), "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["group"] == "PSL(2,37)"
 
@@ -576,7 +583,7 @@ def test_group_search_with_huge_order_builds_nothing_that_large():
         ({"group": "S3", "base": {"tree": {"vertices": [0]}}}, "missing field 'edges'"),
         (
             {"group": "S3", "base": {"tree": {"vertices": [0, 1], "edges": [{"id": 0}]}}},
-            "needs the fields 'id' and 'ends'",
+            "cover spec: base.tree: graph JSON: edges.0: missing field 'ends'",
         ),
         (dict(S3_PATH, multisets={"2": [5]}), "multisets.2.0"),
         (dict(S3_PATH, multisets={"2": [[[1, 0, 2]]]}), "multisets.2.0"),
@@ -603,6 +610,13 @@ def test_group_search_with_huge_order_builds_nothing_that_large():
                 {"id": 0, "ends": [1, 3]},
             ]}}},
             "cover spec: base.tree: edge 0 has unknown endpoint in (1, 3)",
+        ),
+        # a bad edge record is named by its place in the list, not its value
+        (
+            {"group": "S3", "base": {"tree": {"vertices": [0, 1, 2, 3], "edges": [
+                {"id": 0, "ends": [0, 1]}, {"id": 1, "ends": [1, 2]}, {"id": 2, "ends": [2]},
+            ]}}},
+            "cover spec: base.tree: graph JSON: edges.2: 'ends' must be two integers, got [2]",
         ),
     ],
 )

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_dict, as_dicts, fiber_subgraph, load_figure
+from conftest import as_dict, as_dicts, fiber_subgraph, load_figure, other_end
 from hcov.errors import ActionError, MorphismError
 from hcov.galois import cover_from_spec, ramification_profile
 from hcov.harmonic import GraphAction, quotient
@@ -42,7 +42,7 @@ def components_oracle(g: Multigraph) -> list:
         while queue:
             v = queue.pop()
             for eid in g.incident_edges(v):
-                w = g.other_end(eid, v)
+                w = other_end(g, eid, v)
                 if w not in comp:
                     comp.add(w)
                     queue.append(w)
@@ -106,7 +106,7 @@ def profile_oracle(cover) -> dict:
         fiber = sub.vertices
         comps = components_oracle(sub)
         (f,) = {len(comp) for comp in comps}
-        (v,) = {sub.degree(y) for y in fiber}
+        (v,) = {len(sub.incident_edges(y)) for y in fiber}
         m = cover.action.vertex_orbit(fiber[0]).stabilizer_order()
         out[x] = (m, f, len(comps), v, v // m)
     return out

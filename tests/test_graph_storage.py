@@ -170,7 +170,6 @@ def check_same_graph(g: Multigraph, old: DictMultigraph):
     for e, (u, v) in old.edges.items():
         assert e in g.edges
         assert g.ends(e) == (u, v)
-        assert g.other_end(e, u) == v and g.other_end(e, v) == u
     probes = [min(old.vertices, default=0) - 1, max(old.vertices, default=0) + 1, None]
     for v in [*old.vertices, *probes]:
         assert g.has_vertex(v) == (v in old.incidence)
@@ -178,7 +177,6 @@ def check_same_graph(g: Multigraph, old: DictMultigraph):
         assert (x in g.edges) == (x in old.edges)
     assert g.degrees() == [len(old.incidence[v]) for v in old.vertices]
     for v in old.vertices:
-        assert g.degree(v) == len(old.incidence[v])
         assert g.incident_edges(v) == old.incidence[v]
     assert g.darts() == old.darts()
     assert list(g.dart_bases()) == [d.base for d in old.darts()]

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import generates, load_figure, perm_pow
+from conftest import generates, load_figure, nx_isomorphic, perm_pow
 from hcov import maximal
 from hcov.errors import CatalogError, CoverError, GroupError
 from hcov.galois import classify_branch_locus, cover_from_spec, riemann_hurwitz_check
@@ -18,7 +18,7 @@ from hcov.maximal import (
     genus12_check,
     miller_check,
 )
-from hcov.multigraph import Multigraph, are_isomorphic
+from hcov.multigraph import Multigraph, same_up_to_edge_ids
 from hcov.oriented import OrientedGraph
 from hcov.permgroup import (
     alternating,
@@ -168,7 +168,7 @@ def test_reconstruction_equivalence(catalog):
     spec = load_figure("theta_s3.json")
     functor_path = cover_from_spec(spec, catalog)
     direct = build_maximal(S3, TAU, SIGMA)
-    assert are_isomorphic(functor_path.graph, direct.graph)
+    assert same_up_to_edge_ids(functor_path.graph, direct.graph)
     A4 = alternating(4)
     t = perm_from_cycles([(0, 1), (2, 3)], 4)
     s = perm_from_cycles([(0, 1, 2)], 4)
@@ -182,7 +182,7 @@ def test_reconstruction_equivalence(catalog):
         {0: SymmetricMultiset([t])},
         flipped=True,
     )
-    assert are_isomorphic(functor_a4.graph, build_maximal(A4, t, s).graph)
+    assert same_up_to_edge_ids(functor_a4.graph, build_maximal(A4, t, s).graph)
 
 
 def test_pair_recoverable_from_cover():
@@ -212,7 +212,25 @@ def test_rho_variant_isomorphic_small(catalog):
         direct = build_maximal(G, tau, sigma)
         rho_cover = build_maximal_rho(G, tau, sigma)
         assert is_harmonic_action(rho_cover.action)
-        assert are_isomorphic(rho_cover.graph, direct.graph)
+        assert same_up_to_edge_ids(rho_cover.graph, direct.graph)
+        assert nx_isomorphic(rho_cover.graph, direct.graph)
+
+
+def test_rho_variant_with_one_end_moved_is_not_the_direct_graph():
+    G = psl2(7)
+    tau, sigma = search_23_pairs(G).pairs[0]
+    direct = build_maximal(G, tau, sigma).graph
+    rho = build_maximal_rho(G, tau, sigma).graph
+    assert same_up_to_edge_ids(rho, direct)
+    edges = dict(rho.edges)
+    e = min(edges)
+    u, v = edges[e]
+    w = next(x for x in rho.vertices if x not in (u, v))
+    edges[e] = (u, w)
+    moved = Multigraph(rho.vertices, edges)
+    assert (moved.vertices, len(moved.edges)) == (direct.vertices, len(direct.edges))
+    assert not same_up_to_edge_ids(moved, direct)
+    assert not nx_isomorphic(moved, direct)  # a degree changed
 
 
 def test_classify_rows(catalog):
@@ -309,7 +327,7 @@ def test_representation_independence_psl2_5_vs_a5():
     assert G.order() == A5.order() == 60
     mc_a = build_maximal(A5, *search_23_pairs(A5).pairs[0])
     mc_p = build_maximal(G, *search_23_pairs(G).pairs[0])
-    assert are_isomorphic(mc_a.graph, mc_p.graph)
+    assert nx_isomorphic(mc_a.graph, mc_p.graph)
     from hcov.oriented import theorem_44_check
 
     assert theorem_44_check(mc_a).surface_genus == theorem_44_check(mc_p).surface_genus
@@ -348,11 +366,11 @@ def test_conjugate_and_inverse_pairs_give_isomorphic_covers(catalog):
         G = catalog.get(name)
         tau, sigma = search_23_pairs(G).pairs[0]
         base = build_maximal(G, tau, sigma).graph
-        assert are_isomorphic(base, build_maximal(G, tau, perm_inv(sigma)).graph)
+        assert nx_isomorphic(base, build_maximal(G, tau, perm_inv(sigma)).graph)
         g = G.elements()[3]
         conj_tau = perm_mul(g, perm_mul(tau, perm_inv(g)))
         conj_sigma = perm_mul(g, perm_mul(sigma, perm_inv(g)))
-        assert are_isomorphic(base, build_maximal(G, conj_tau, conj_sigma).graph)
+        assert nx_isomorphic(base, build_maximal(G, conj_tau, conj_sigma).graph)
 
 
 def test_edge_stabilizers_bounded_on_catalog_covers(catalog):

@@ -8,6 +8,8 @@ from conftest import (
     identity_morphism,
     morphism_degree,
     morphism_from_json,
+    nx_isomorphic,
+    other_end,
     reverse_dart,
 )
 from hcov.errors import GraphError, MorphismError
@@ -15,9 +17,8 @@ from hcov.multigraph import (
     Dart,
     GraphMorphism,
     Multigraph,
-    are_isomorphic,
-    find_isomorphism,
     is_harmonic,
+    same_up_to_edge_ids,
 )
 
 
@@ -83,7 +84,7 @@ def test_degree_sum_is_twice_edge_count():
             if u != v:
                 edges.append((eid, (u, v)))
         g = Multigraph(range(n), edges)
-        assert sum(g.degree(v) for v in g.vertices) == 2 * len(g.edges)
+        assert sum(g.degrees()) == 2 * len(g.edges)
 
 
 def test_components():
@@ -152,8 +153,8 @@ def smooth_vertex(g: Multigraph, v: int) -> Multigraph:
     e1, e2 = inc
     if e1 == e2:
         raise GraphError("cannot smooth a vertex on a parallel pair to itself")
-    a = g.other_end(e1, v)
-    b = g.other_end(e2, v)
+    a = other_end(g, e1, v)
+    b = other_end(g, e2, v)
     if a == b:
         raise GraphError("smoothing would create a loop")
     new_e = max(g.edges) + 1
@@ -301,11 +302,36 @@ def test_morphism_json_round_trip():
 
 
 def test_isomorphism_checker():
+    # the networkx oracle's own sanity cases
     g = theta()
     relabeled = Multigraph([7, 9], [(4, (9, 7)), (5, (7, 9)), (6, (7, 9))])
-    iso = find_isomorphism(g, relabeled)
-    assert iso is not None
-    assert set(iso) == {1, 2}
+    assert nx_isomorphic(g, relabeled)
     path = Multigraph([0, 1, 2], [(0, (0, 1)), (1, (1, 2))])
-    assert not are_isomorphic(g, path)
-    assert are_isomorphic(fig4_graph(), fig4_graph())
+    assert not nx_isomorphic(g, path)
+    fig4 = fig4_graph()
+    moved = Multigraph([11 - v for v in fig4.vertices],
+                       [(e + 50, (11 - u, 11 - v)) for e, (u, v) in fig4.edges.items()])
+    assert nx_isomorphic(fig4, moved)
+    line = Multigraph(range(12), ends=[v for i in range(11) for v in (i, i + 1)])
+    assert not nx_isomorphic(fig4, line)
+    # a parallel pair spread over two vertex pairs keeps every degree
+    assert not nx_isomorphic(
+        Multigraph(range(4), ends=[0, 1, 0, 1, 2, 3, 2, 3]),
+        Multigraph(range(4), ends=[0, 1, 1, 2, 2, 3, 3, 0]),
+    )
+
+
+def test_same_up_to_edge_ids_is_a_certificate_not_a_search():
+    g = fig4_graph()
+    renamed = Multigraph(g.vertices, [(100 - e, (v, u)) for e, (u, v) in g.edges.items()])
+    assert same_up_to_edge_ids(g, renamed) and same_up_to_edge_ids(renamed, g)
+    # the same graph on other vertex ids is isomorphic, but not certified
+    shifted = Multigraph([v + 1 for v in g.vertices],
+                         [(e, (u + 1, v + 1)) for e, (u, v) in g.edges.items()])
+    assert nx_isomorphic(g, shifted) and not same_up_to_edge_ids(g, shifted)
+    # one end moved: same vertices and edge count, another multiset of pairs
+    edges = dict(g.edges)
+    edges[0] = (0, 6)
+    assert not same_up_to_edge_ids(g, Multigraph(g.vertices, edges))
+    # parallel edges count
+    assert not same_up_to_edge_ids(theta(), Multigraph([1, 2], [(1, (1, 2)), (2, (2, 1))]))

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -15,6 +16,7 @@ from conftest import (
     reverse_dart,
     sweep_pairs,
 )
+from hcov import oriented
 from hcov.errors import GraphError
 from hcov.kernel import perm_id, perm_mul
 from hcov.maximal import build_maximal
@@ -327,6 +329,29 @@ def test_theorem_44_reports():
     )
     assert rep.lhs == rep.rhs == -36
     assert rep.holds
+
+
+def test_theorem_44_refuses_a_traced_L_off_the_closed_form(monkeypatch):
+    # negative control: the rotation reversed at one vertex changes the face
+    # count by 2, so by Euler surface_genus's divisibility test still passes
+    # and only the L*k == |G| test can catch it
+    G = psl2(7)
+    mc = build_maximal(G, *search_pairs(G, 2, 3, 7).pairs[0])
+    rot, base = mc.map.rot, mc.map.base
+    L = lht_decomposition(mc.map).L
+    assert L * 7 == G.order()
+    for v in mc.graph.vertices:
+        bad = copy.copy(mc.map)
+        bad.rot = list(rot)
+        for d in (d for d in range(len(rot)) if base[d] == v):
+            bad.rot[d] = rot[rot[d]]
+        if lht_decomposition(bad).L != L:
+            break
+    report = surface_genus(bad)
+    assert report.L in (L - 2, L + 2) and report.surface_genus == 3 - (report.L - L) // 2
+    monkeypatch.setattr(oriented, "canonical_orientation", lambda mc: bad)
+    with pytest.raises(GraphError, match=f"traced L = {report.L} disagrees"):
+        theorem_44_check(mc)
 
 
 def test_surface_genus_requires_connected():

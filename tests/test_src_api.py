@@ -133,6 +133,18 @@ def unset(module, calls) -> list:
     return out
 
 
+def test_no_module_of_the_package_imports_networkx_or_sympy():
+    # both are oracles of the tests; the package checks its results itself
+    imported = set()
+    for path in PACKAGE.rglob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.Import):
+                imported.update(a.name.split(".")[0] for a in n.names)
+            elif isinstance(n, ast.ImportFrom) and n.level == 0:
+                imported.add(n.module.split(".")[0])
+    assert "hcov" in imported and not imported & {"networkx", "sympy"}
+
+
 def test_every_top_level_definition_is_named_outside_itself():
     assert unreferenced() == []
 
