@@ -480,16 +480,23 @@ def _psl2_37_inputs(tmp_path):
     return group, spec, action
 
 
-def test_psl2_37_resolves_through_every_input(capsys, tmp_path):
-    # psl2 takes the degree cap like every constructor
+@pytest.mark.parametrize("flags", [(), ("--catalog", "absent.json")])
+def test_psl2_37_resolves_through_every_input(capsys, tmp_path, monkeypatch, flags):
+    # psl2 takes the degree cap like every constructor, and a named
+    # constructor never reads the catalog: with --catalog naming no file,
+    # psl2:37 still resolves while a catalog group fails
+    monkeypatch.chdir(tmp_path)
+    if flags:
+        code, out, err = run(capsys, "group", "order", "--group", "D12", *flags)
+        assert (code, out) == (1, "") and "absent.json" in err
     group, spec, action = _psl2_37_inputs(tmp_path)
     for argv in (("--group", "psl2:37"), ("--group", str(group))):
-        code, out, err = run(capsys, "group", "order", *argv)
+        code, out, err = run(capsys, "group", "order", *argv, *flags)
         assert (code, out, err) == (0, "PSL(2,37): order 25308\n", "")
-    code, out, err = run(capsys, "cover", "rh", "--spec", str(spec), "--json")
+    code, out, err = run(capsys, "cover", "rh", "--spec", str(spec), *flags, "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["holds"] is True
-    code, out, err = run(capsys, "action", "check", "--action", str(action), "--json")
+    code, out, err = run(capsys, "action", "check", "--action", str(action), *flags, "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["group"] == "PSL(2,37)"
 
